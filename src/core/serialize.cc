@@ -112,6 +112,18 @@ constexpr int kCacheVersion = 1;
 /** Guard against absurd vector lengths from corrupt files. */
 constexpr int kMaxPersistedNodes = 1 << 22;
 
+/**
+ * Read one block id of an @p n-node assignment. Ids outside [0, n)
+ * never come from a partition of n nodes; accepting one would index
+ * block lists out of bounds (negative) or size id-indexed tables by it.
+ */
+bool
+readBlockId(std::FILE *f, size_t n, int *id)
+{
+    return std::fscanf(f, "%d", id) == 1 && *id >= 0 &&
+           static_cast<size_t>(*id) < n;
+}
+
 } // namespace
 
 bool
@@ -168,9 +180,9 @@ loadEvalCache(EvalCache &cache, const std::string &path)
         e.repairedBlock.resize(n);
         bool ok = true;
         for (size_t i = 0; ok && i < n; ++i)
-            ok = std::fscanf(f, "%d", &e.keyBlock[i]) == 1;
+            ok = readBlockId(f, n, &e.keyBlock[i]);
         for (size_t i = 0; ok && i < n; ++i)
-            ok = std::fscanf(f, "%d", &e.repairedBlock[i]) == 1;
+            ok = readBlockId(f, n, &e.repairedBlock[i]);
         if (!ok)
             break;
         cache.insertEntry(std::move(e));
@@ -208,7 +220,7 @@ readGenome(std::FILE *f, Genome *g)
         return false;
     g->part.block.resize(n);
     for (size_t i = 0; i < n; ++i)
-        if (std::fscanf(f, "%d", &g->part.block[i]) != 1)
+        if (!readBlockId(f, n, &g->part.block[i]))
             return false;
     return true;
 }

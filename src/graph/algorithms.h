@@ -42,7 +42,8 @@ std::vector<NodeId> depthOrder(const Graph &g);
 bool isWeaklyConnected(const Graph &g, const std::vector<NodeId> &nodes);
 
 /**
- * Split a node subset into weakly-connected components.
+ * Split a node subset into weakly-connected components (node ids must
+ * lie in [0, g.size())).
  * @return one vector of node ids per component, each sorted ascending;
  * components ordered by their smallest node id.
  */
@@ -62,6 +63,45 @@ bool quotientRespectsPrecedence(const Graph &g,
  * (ignoring the numeric order of block ids).
  */
 bool quotientIsAcyclic(const Graph &g, const std::vector<int> &block);
+
+/**
+ * The quotient graph of a block assignment over flat arrays: each
+ * distinct block id gets a dense index (ascending id order), and the
+ * inter-block edges are kept in CSR form, one entry per graph edge
+ * (duplicates are harmless: each adds and drains the same in-degree).
+ * build() and drain() only resize the vectors, so a thread_local
+ * instance rebuilds without allocating.
+ *
+ * Ids may be any ints, but build() sizes a table by their span
+ * (max - min + 1), so they must stay within a small multiple of the
+ * node count. Partition::blocks() assumes the same, every producer in
+ * the library keeps to it, and the file loaders reject ids outside
+ * [0, n).
+ */
+struct QuotientGraph
+{
+    int numBlocks = 0;
+    std::vector<int> ids;        ///< dense index -> block id, ascending
+    std::vector<int> dense;      ///< node -> dense index
+    std::vector<int> size;       ///< nodes per dense block
+    std::vector<NodeId> minNode; ///< smallest node per dense block
+    std::vector<int> edgeStart;  ///< CSR offsets into edgeDst
+    std::vector<int> edgeDst;    ///< dense successor per inter-block edge
+    std::vector<int> indeg;      ///< inter-block in-edges per dense block
+    std::vector<int> rank;       ///< topological position (see drain())
+    std::vector<int> scratch;    ///< id table, fill cursors, ready heap
+
+    void build(const Graph &g, const std::vector<int> &block);
+
+    /**
+     * Kahn's algorithm, taking the ready block with the smallest
+     * minNode first (Partition::canonicalize()'s order). Sets rank[b]
+     * for every drained block and returns how many drained; rank[b]
+     * stays -1 exactly for the blocks on, or downstream of, a quotient
+     * cycle. Consumes indeg.
+     */
+    int drain();
+};
 
 /**
  * For each node, the set of graph-input-reachable ancestors is implied;

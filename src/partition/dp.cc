@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "graph/algorithms.h"
+#include "partition/repair.h"
 #include "util/logging.h"
 
 namespace cocco {
@@ -64,29 +65,12 @@ dpPartition(const Graph &g, CostModel &model, const BufferConfig &buf,
             p.block[order[k]] = b;
         ++b;
     }
-    p.numBlocks = b;
 
     // Depth-contiguous blocks always respect precedence but may be
-    // disconnected; the structural property required by the execution
-    // model is restored by splitting (costs only get more accurate:
-    // a disconnected "block" behaves exactly like its components).
-    p.canonicalize(g);
-    if (!p.valid(g)) {
-        // Split disconnected blocks without changing semantics.
-        int next = p.numBlocks;
-        for (const auto &blk : p.blocks()) {
-            auto comps = weakComponents(g, blk);
-            for (size_t c2 = 1; c2 < comps.size(); ++c2) {
-                for (NodeId v : comps[c2])
-                    p.block[v] = next;
-                ++next;
-            }
-        }
-        p.canonicalize(g);
-    }
-    if (!p.valid(g))
-        panic("dpPartition produced an invalid partition");
-    return p;
+    // disconnected; structural repair splits them into their components
+    // (costs only get more accurate: a disconnected "block" behaves
+    // exactly like its components) and canonicalizes the numbering.
+    return repairStructure(g, std::move(p));
 }
 
 } // namespace cocco

@@ -1,8 +1,6 @@
 #include "partition/partition.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "graph/algorithms.h"
 #include "util/logging.h"
@@ -36,18 +34,25 @@ Partition::fixedRuns(const Graph &g, int run_length)
 std::vector<std::vector<NodeId>>
 Partition::blocks() const
 {
+    // Count nodes per id, then turn each non-empty id's count into its
+    // index among the non-empty ids (empty ids of non-canonical input
+    // get no list; id order is kept).
+    thread_local std::vector<int> slot;
     int nb = 0;
     for (int b : block)
         nb = std::max(nb, b + 1);
-    std::vector<std::vector<NodeId>> out(nb);
+    slot.assign(nb, 0);
+    for (int b : block)
+        ++slot[b];
+    std::vector<std::vector<NodeId>> out;
+    for (int &s : slot)
+        if (s > 0) {
+            out.emplace_back().reserve(s);
+            s = static_cast<int>(out.size()) - 1;
+        }
     for (NodeId v = 0; v < static_cast<NodeId>(block.size()); ++v)
-        out[block[v]].push_back(v);
-    // Drop empty ids (non-canonical input); keep order.
-    std::vector<std::vector<NodeId>> packed;
-    for (auto &blk : out)
-        if (!blk.empty())
-            packed.push_back(std::move(blk));
-    return packed;
+        out[slot[block[v]]].push_back(v);
+    return out;
 }
 
 std::vector<NodeId>
@@ -66,53 +71,15 @@ Partition::canonicalize(const Graph &g)
     if (static_cast<int>(block.size()) != g.size())
         panic("partition size %zu != graph size %d", block.size(), g.size());
 
-    // Build the quotient graph over the distinct block ids present.
-    std::map<int, int> idx; // old id -> dense index
-    for (int b : block)
-        idx.emplace(b, 0);
-    int nb = 0;
-    for (auto &kv : idx)
-        kv.second = nb++;
-
-    std::vector<std::set<int>> adj(nb);
-    std::vector<int> indeg(nb, 0);
-    std::vector<NodeId> min_node(nb, g.size());
-    for (NodeId v = 0; v < g.size(); ++v) {
-        int bv = idx[block[v]];
-        min_node[bv] = std::min(min_node[bv], v);
-        for (NodeId u : g.preds(v)) {
-            int bu = idx[block[u]];
-            if (bu != bv && adj[bu].insert(bv).second)
-                ++indeg[bv];
-        }
-    }
-
-    // Kahn topological order, smallest-min-node first for determinism.
-    auto cmp = [&](int a, int b2) {
-        return min_node[a] != min_node[b2] ? min_node[a] < min_node[b2]
-                                           : a < b2;
-    };
-    std::set<int, decltype(cmp)> ready(cmp);
-    for (int b = 0; b < nb; ++b)
-        if (indeg[b] == 0)
-            ready.insert(b);
-
-    std::vector<int> new_id(nb, -1);
-    int next = 0;
-    while (!ready.empty()) {
-        int b = *ready.begin();
-        ready.erase(ready.begin());
-        new_id[b] = next++;
-        for (int w : adj[b])
-            if (--indeg[w] == 0)
-                ready.insert(w);
-    }
-    if (next != nb)
+    // Kahn topological order of the quotient, smallest-min-node first
+    // for determinism.
+    thread_local QuotientGraph q;
+    q.build(g, block);
+    if (q.drain() != q.numBlocks)
         panic("canonicalize on a cyclic quotient graph");
-
     for (NodeId v = 0; v < g.size(); ++v)
-        block[v] = new_id[idx[block[v]]];
-    numBlocks = nb;
+        block[v] = q.rank[q.dense[v]];
+    numBlocks = q.numBlocks;
 }
 
 bool

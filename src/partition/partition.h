@@ -46,8 +46,10 @@ struct Partition
      * Renumber blocks canonically: ids become 0..k-1 in a topological
      * order of the quotient graph (ties broken by smallest node id).
      * Requires an acyclic quotient; panics otherwise (callers must
-     * repair first). After canonicalization the precedence property
-     * P(u) <= P(v) holds for every edge.
+     * repair first). Ids may be any ints whose span stays within a
+     * small multiple of the node count (see QuotientGraph). After
+     * canonicalization the precedence property P(u) <= P(v) holds for
+     * every edge.
      */
     void canonicalize(const Graph &g);
 

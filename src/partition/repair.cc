@@ -1,9 +1,6 @@
 #include "partition/repair.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "graph/algorithms.h"
 #include "util/logging.h"
@@ -13,86 +10,86 @@ namespace cocco {
 
 namespace {
 
-/** Reassign every block to the weak components it decomposes into. */
+/**
+ * Reassign every block to the weak components it decomposes into. The
+ * component holding a block's smallest node keeps the block's id; the
+ * others take fresh ids max+1, max+2, ... in (block id, smallest node)
+ * order.
+ */
 void
 splitComponents(const Graph &g, Partition &p)
 {
-    int next = 0;
-    for (int &b : p.block)
-        next = std::max(next, b + 1);
-    for (const auto &blk : p.blocks()) {
-        auto comps = weakComponents(g, blk);
-        if (comps.size() <= 1)
-            continue;
-        // Leave the first component in place; move the rest.
-        for (size_t c = 1; c < comps.size(); ++c) {
-            for (NodeId v : comps[c])
-                p.block[v] = next;
-            ++next;
-        }
-    }
-}
+    thread_local std::vector<int> comp, compBlock, moved;
+    thread_local std::vector<NodeId> stack;
+    thread_local std::vector<char> kept;
 
-/**
- * Find block ids that lie on a quotient cycle (non-empty only when
- * the quotient is cyclic): the ids Kahn's algorithm cannot drain.
- */
-std::vector<int>
-cyclicBlocks(const Graph &g, const Partition &p)
-{
-    std::unordered_map<int, int> idx;
-    for (int b : p.block)
-        if (!idx.count(b)) {
-            int n = static_cast<int>(idx.size());
-            idx[b] = n;
-        }
-    int nb = static_cast<int>(idx.size());
-    std::vector<std::unordered_set<int>> adj(nb);
-    std::vector<int> indeg(nb, 0);
-    for (NodeId v = 0; v < g.size(); ++v) {
-        int bv = idx[p.block[v]];
-        for (NodeId u : g.preds(v)) {
-            int bu = idx[p.block[u]];
-            if (bu != bv && adj[bu].insert(bv).second)
-                ++indeg[bv];
+    // One DFS over same-block edges, seeded in ascending node order,
+    // so components are numbered by their smallest node.
+    const int n = g.size();
+    comp.assign(n, -1);
+    compBlock.clear();
+    for (NodeId s = 0; s < n; ++s) {
+        if (comp[s] >= 0)
+            continue;
+        const int c = static_cast<int>(compBlock.size());
+        const int b = p.block[s];
+        compBlock.push_back(b);
+        comp[s] = c;
+        stack.assign(1, s);
+        while (!stack.empty()) {
+            NodeId v = stack.back();
+            stack.pop_back();
+            for (const auto *adj : {&g.preds(v), &g.succs(v)})
+                for (NodeId w : *adj)
+                    if (comp[w] < 0 && p.block[w] == b) {
+                        comp[w] = c;
+                        stack.push_back(w);
+                    }
         }
     }
-    std::deque<int> q;
-    for (int b = 0; b < nb; ++b)
-        if (indeg[b] == 0)
-            q.push_back(b);
-    std::vector<bool> drained(nb, false);
-    while (!q.empty()) {
-        int b = q.front();
-        q.pop_front();
-        drained[b] = true;
-        for (int w : adj[b])
-            if (--indeg[w] == 0)
-                q.push_back(w);
+
+    int next = 0;
+    for (int b : p.block) {
+        if (b < 0)
+            panic("repairStructure: negative block id %d", b);
+        next = std::max(next, b + 1);
     }
-    std::vector<int> out;
-    for (auto &[orig, dense] : idx)
-        if (!drained[dense])
-            out.push_back(orig);
-    std::sort(out.begin(), out.end());
-    return out;
+    kept.assign(next, 0);
+    moved.clear();
+    for (int c = 0; c < static_cast<int>(compBlock.size()); ++c) {
+        if (kept[compBlock[c]])
+            moved.push_back(c);
+        else
+            kept[compBlock[c]] = 1;
+    }
+    if (moved.empty())
+        return;
+    std::sort(moved.begin(), moved.end(), [&](int a, int c) {
+        return compBlock[a] != compBlock[c] ? compBlock[a] < compBlock[c]
+                                            : a < c;
+    });
+    for (int c : moved)
+        compBlock[c] = next++;
+    for (NodeId v = 0; v < n; ++v)
+        p.block[v] = compBlock[comp[v]];
 }
 
 /** Split block @p b of @p p at its median node id into two blocks. */
 void
-splitAtMedian(const Graph &g, Partition &p, int b)
+splitAtMedian(Partition &p, int b)
 {
-    std::vector<NodeId> nodes = p.blockNodes(b);
-    if (nodes.size() < 2)
-        panic("splitAtMedian on a singleton block");
-    int next = 0;
-    for (int x : p.block)
+    int count = 0, next = 0;
+    for (int x : p.block) {
+        count += x == b;
         next = std::max(next, x + 1);
+    }
+    if (count < 2)
+        panic("splitAtMedian on a singleton block");
     // Node ids are topologically ordered; move the upper half out.
-    size_t half = nodes.size() / 2;
-    for (size_t i = half; i < nodes.size(); ++i)
-        p.block[nodes[i]] = next;
-    (void)g;
+    int rank = 0;
+    for (int &x : p.block)
+        if (x == b && rank++ >= count / 2)
+            x = next;
 }
 
 } // namespace
@@ -103,28 +100,31 @@ repairStructure(const Graph &g, Partition p)
     if (static_cast<int>(p.block.size()) != g.size())
         panic("repairStructure: assignment size mismatch");
 
+    thread_local QuotientGraph q;
     splitComponents(g, p);
     while (true) {
-        std::vector<int> cyc = cyclicBlocks(g, p);
-        if (cyc.empty())
+        q.build(g, p.block);
+        if (q.drain() == q.numBlocks)
             break;
-        // Split the largest offending block; component-split the result
-        // so connectivity is restored before the next check.
-        int pick = cyc.front();
-        size_t best_size = 0;
-        for (int b : cyc) {
-            size_t sz = p.blockNodes(b).size();
-            if (sz > best_size) {
-                best_size = sz;
+        // Split the largest block Kahn's algorithm could not drain
+        // (ties to the smallest id); component-split the result so
+        // connectivity is restored before the next check.
+        int pick = -1, best = 0;
+        for (int b = 0; b < q.numBlocks; ++b)
+            if (q.rank[b] < 0 && q.size[b] > best) {
+                best = q.size[b];
                 pick = b;
             }
-        }
-        if (best_size < 2)
+        if (best < 2)
             panic("quotient cycle among singleton blocks");
-        splitAtMedian(g, p, pick);
+        splitAtMedian(p, q.ids[pick]);
         splitComponents(g, p);
     }
-    p.canonicalize(g);
+    // The drain ran in canonicalize()'s order, so its ranks are the
+    // canonical ids.
+    for (NodeId v = 0; v < g.size(); ++v)
+        p.block[v] = q.rank[q.dense[v]];
+    p.numBlocks = q.numBlocks;
     return p;
 }
 
@@ -132,7 +132,7 @@ Partition
 repairToCapacity(const Graph &g, Partition p, CostModel &model,
                  const BufferConfig &buf)
 {
-    p = repairStructure(g, p);
+    p = repairStructure(g, std::move(p));
 
     // Iteratively split infeasible multi-node blocks. Splitting can
     // create new blocks, so sweep until a fixed point.
@@ -147,8 +147,8 @@ repairToCapacity(const Graph &g, Partition p, CostModel &model,
             // Split at the median; structural repair renumbers and
             // restores connectivity.
             int b = p.block[blk.front()];
-            splitAtMedian(g, p, b);
-            p = repairStructure(g, p);
+            splitAtMedian(p, b);
+            p = repairStructure(g, std::move(p));
             changed = true;
             break;
         }
@@ -184,8 +184,8 @@ repairToCapacity(const Graph &g, Partition p, CostModel &model,
                         : (light.size() >= 2 ? &light : nullptr);
                 if (!victim)
                     continue;
-                splitAtMedian(g, p, p.block[victim->front()]);
-                p = repairStructure(g, p);
+                splitAtMedian(p, p.block[victim->front()]);
+                p = repairStructure(g, std::move(p));
                 changed = true;
                 break;
             }

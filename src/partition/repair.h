@@ -22,7 +22,8 @@ namespace cocco {
  *     its topological median (strictly increases block count, so this
  *     terminates — all singletons are trivially acyclic);
  *  3. canonicalize numbering.
- * The result always satisfies Partition::valid().
+ * Input ids must be non-negative but need not be dense. The result
+ * always satisfies Partition::valid().
  */
 Partition repairStructure(const Graph &g, Partition p);
 

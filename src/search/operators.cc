@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
-#include <unordered_map>
 
 #include "partition/repair.h"
 #include "util/logging.h"
@@ -28,6 +26,49 @@ gaussStep(int idx, const CapacityGrid &grid, Rng &rng, double sigma)
         step = rng.bernoulli(0.5) ? 1 : -1;
     return clampIdx(idx + step, grid);
 }
+
+/** One past the largest block id of @p p (a fresh id). */
+int
+freshBlock(const Partition &p)
+{
+    int fresh = 0;
+    for (int b : p.block)
+        fresh = std::max(fresh, b + 1);
+    return fresh;
+}
+
+/**
+ * Node lists of every block id of a partition in CSR form: block b's
+ * nodes, ascending, are members[start[b] .. start[b + 1]). Ids with no
+ * nodes get empty ranges.
+ */
+struct BlockLists
+{
+    std::vector<int> start;
+    std::vector<NodeId> members;
+
+    void
+    build(const Partition &p)
+    {
+        const int nb = freshBlock(p);
+        start.assign(nb + 1, 0);
+        for (int b : p.block)
+            ++start[b + 1];
+        for (int b = 0; b < nb; ++b)
+            start[b + 1] += start[b];
+        members.resize(p.block.size());
+        for (NodeId v = 0; v < static_cast<NodeId>(p.block.size()); ++v)
+            members[start[p.block[v]]++] = v;
+        // Filling advanced start[b] to block b's end; shift back.
+        for (int b = nb; b > 0; --b)
+            start[b] = start[b - 1];
+        start[0] = 0;
+    }
+
+    int size(int b) const { return start[b + 1] - start[b]; }
+    const NodeId *begin(int b) const { return members.data() + start[b]; }
+    const NodeId *end(int b) const { return members.data() + start[b + 1]; }
+};
 
 } // namespace
 
@@ -73,42 +114,50 @@ crossover(const Graph &g, const DseSpace &space, const Genome &dad,
         if (space.searchHw)
             delta->noteHw();
     }
+    thread_local BlockLists dad_blocks, mom_blocks;
+    thread_local std::vector<NodeId> undecided;
+    thread_local std::vector<int> decided_blocks;
+    dad_blocks.build(dad.part);
+    mom_blocks.build(mom.part);
+
     Genome child;
-    child.part.block.assign(g.size(), -1);
+    std::vector<int> &block = child.part.block;
+    block.assign(g.size(), -1);
     int next_block = 0;
 
     for (NodeId v = 0; v < g.size(); ++v) {
-        if (child.part.block[v] >= 0)
+        if (block[v] >= 0)
             continue;
-        const Partition &parent =
-            rng.bernoulli(0.5) ? dad.part : mom.part;
-        std::vector<NodeId> sub = parent.blockNodes(parent.block[v]);
+        const bool from_dad = rng.bernoulli(0.5);
+        const BlockLists &lists = from_dad ? dad_blocks : mom_blocks;
+        const int sub = (from_dad ? dad.part : mom.part).block[v];
 
-        // Partition the reproduced subgraph into decided/undecided.
-        std::vector<NodeId> undecided;
-        std::set<int> decided_blocks;
-        for (NodeId u : sub) {
-            if (child.part.block[u] >= 0)
-                decided_blocks.insert(child.part.block[u]);
+        // Partition the reproduced subgraph into decided/undecided
+        // (v itself is undecided, so the latter is never empty).
+        undecided.clear();
+        decided_blocks.clear();
+        for (const NodeId *u = lists.begin(sub); u != lists.end(sub); ++u) {
+            if (block[*u] >= 0)
+                decided_blocks.push_back(block[*u]);
             else
-                undecided.push_back(u);
+                undecided.push_back(*u);
         }
-        if (undecided.empty())
-            continue;
+        std::sort(decided_blocks.begin(), decided_blocks.end());
+        decided_blocks.erase(
+            std::unique(decided_blocks.begin(), decided_blocks.end()),
+            decided_blocks.end());
 
         int target;
         if (!decided_blocks.empty() && rng.bernoulli(0.5)) {
             // Merge with one of the subgraphs the decided layers
             // belong to (Figure 9(b), Child-2).
-            std::vector<int> opts(decided_blocks.begin(),
-                                  decided_blocks.end());
-            target = opts[rng.index(opts.size())];
+            target = decided_blocks[rng.index(decided_blocks.size())];
         } else {
             // Split out a new subgraph (Child-1).
             target = next_block++;
         }
         for (NodeId u : undecided)
-            child.part.block[u] = target;
+            block[u] = target;
     }
 
     child.part = repairStructure(g, std::move(child.part));
@@ -129,18 +178,18 @@ mutateModifyNode(const Graph &g, Genome &genome, Rng &rng, GeneDelta *delta)
 {
     NodeId v = static_cast<NodeId>(rng.index(g.size()));
 
-    // Candidate targets: blocks of neighbours, or a fresh block.
-    std::vector<int> targets;
-    for (NodeId u : g.preds(v))
-        targets.push_back(genome.part.block[u]);
-    for (NodeId u : g.succs(v))
-        targets.push_back(genome.part.block[u]);
-    int fresh = 0;
-    for (int b : genome.part.block)
-        fresh = std::max(fresh, b + 1);
-    targets.push_back(fresh);
-
-    int target = targets[rng.index(targets.size())];
+    // Candidate targets, in draw order: blocks of predecessors, blocks
+    // of successors, a fresh block.
+    const auto &preds = g.preds(v);
+    const auto &succs = g.succs(v);
+    size_t pick = rng.index(preds.size() + succs.size() + 1);
+    int target;
+    if (pick < preds.size())
+        target = genome.part.block[preds[pick]];
+    else if (pick < preds.size() + succs.size())
+        target = genome.part.block[succs[pick - preds.size()]];
+    else
+        target = freshBlock(genome.part);
     if (target == genome.part.block[v])
         return; // node keeps its block: genome unchanged
     if (delta)
@@ -153,24 +202,26 @@ void
 mutateSplitSubgraph(const Graph &g, Genome &genome, Rng &rng,
                     GeneDelta *delta)
 {
-    auto blocks = genome.part.blocks();
-    std::vector<int> multi;
-    for (size_t b = 0; b < blocks.size(); ++b)
-        if (blocks[b].size() >= 2)
-            multi.push_back(static_cast<int>(b));
-    if (multi.empty())
+    thread_local BlockLists lists;
+    lists.build(genome.part);
+    const int nb = static_cast<int>(lists.start.size()) - 1; // fresh id
+    size_t multi = 0;
+    for (int b = 0; b < nb; ++b)
+        multi += lists.size(b) >= 2;
+    if (multi == 0)
         return;
 
-    const auto &blk = blocks[multi[rng.index(multi.size())]];
+    // The k-th multi-node block in id order.
+    size_t k = rng.index(multi);
+    int b = 0;
+    while (lists.size(b) < 2 || k-- > 0)
+        ++b;
     // Split at a random interior point of the id-sorted node list.
-    size_t cut = 1 + rng.index(blk.size() - 1);
-    int fresh = 0;
-    for (int b : genome.part.block)
-        fresh = std::max(fresh, b + 1);
-    for (size_t i = cut; i < blk.size(); ++i) {
+    size_t cut = 1 + rng.index(lists.size(b) - 1);
+    for (const NodeId *v = lists.begin(b) + cut; v != lists.end(b); ++v) {
         if (delta)
-            delta->noteNode(blk[i]);
-        genome.part.block[blk[i]] = fresh;
+            delta->noteNode(*v);
+        genome.part.block[*v] = nb;
     }
     genome.part = repairStructure(g, std::move(genome.part));
 }
@@ -179,17 +230,25 @@ void
 mutateMergeSubgraph(const Graph &g, Genome &genome, Rng &rng,
                     GeneDelta *delta)
 {
-    // Collect inter-block edges; merging adjacent blocks keeps the
-    // result connected (structural repair handles any cycle fallout).
-    std::vector<std::pair<int, int>> pairs;
+    // Pick an inter-block edge (in node, then pred order); merging
+    // adjacent blocks keeps the result connected (structural repair
+    // handles any cycle fallout).
+    const std::vector<int> &block = genome.part.block;
+    size_t edges = 0;
     for (NodeId v = 0; v < g.size(); ++v)
         for (NodeId u : g.preds(v))
-            if (genome.part.block[u] != genome.part.block[v])
-                pairs.emplace_back(genome.part.block[u],
-                                   genome.part.block[v]);
-    if (pairs.empty())
+            edges += block[u] != block[v];
+    if (edges == 0)
         return;
-    auto [a, b] = pairs[rng.index(pairs.size())];
+    size_t k = rng.index(edges);
+    int a = -1, b = -1;
+    for (NodeId v = 0; v < g.size() && a < 0; ++v)
+        for (NodeId u : g.preds(v))
+            if (block[u] != block[v] && k-- == 0) {
+                a = block[u];
+                b = block[v];
+                break;
+            }
     for (NodeId v = 0; v < g.size(); ++v)
         if (genome.part.block[v] == b) {
             if (delta)

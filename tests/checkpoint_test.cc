@@ -345,4 +345,30 @@ TEST(Checkpoint, LoaderRejectsCorruptFiles)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, LoaderRejectsOutOfRangeBlockIds)
+{
+    // A block id outside [0, n) in a resumed genome would index block
+    // lists out of bounds (negative) or size id-indexed scratch by it.
+    std::string path = "checkpoint_test_block_ids.tmp";
+    SearchCheckpoint c;
+    c.algo = "ga";
+    c.best.part.block = {0, 1, 2};
+    c.best.part.numBlocks = 3;
+    SearchCheckpoint out;
+    std::string err;
+    ASSERT_TRUE(saveCheckpoint(c, path));
+    ASSERT_TRUE(loadCheckpoint(path, &out, &err)) << err;
+    EXPECT_EQ(out.best.part.block, c.best.part.block);
+
+    for (int bad : {-1, 3, 1 << 30}) {
+        c.best.part.block = {0, bad, 2};
+        ASSERT_TRUE(saveCheckpoint(c, path));
+        err.clear();
+        EXPECT_FALSE(loadCheckpoint(path, &out, &err)) << bad;
+        EXPECT_NE(err.find("corrupt incumbent genome"), std::string::npos)
+            << err;
+    }
+    std::remove(path.c_str());
+}
+
 } // namespace

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -475,6 +477,39 @@ TEST(Persistence, RejectsMissingAndCorruptFiles)
     std::fputs("NOT-A-CACHE 9\n", f);
     std::fclose(f);
     EXPECT_EQ(loadEvalCache(cache, path), -1);
+    std::remove(path.c_str());
+}
+
+TEST(Persistence, RejectsOutOfRangeBlockIds)
+{
+    // A cache hit on an entry with a block id outside [0, n) would hand
+    // the search a partition whose block lists index out of bounds.
+    std::string path = tmpPath("block_ids.evalcache");
+    EvalCache cache(64, 1);
+    Partition rep;
+    rep.block = {0, 0, 1, 2};
+    rep.numBlocks = 3;
+    std::vector<int> key{0, 1, 2, 3};
+    cache.insert({/*hash=*/0x1234ULL, /*salt=*/5, key, 0, 0, 0}, rep, 1.0);
+    ASSERT_TRUE(saveEvalCache(cache, path));
+    std::string text;
+    {
+        std::ifstream in(path);
+        text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::string tail = " 0 1 2 3 0 0 1 2\n"; // key, then repaired
+    ASSERT_EQ(text.substr(text.size() - tail.size()), tail);
+
+    for (const char *doctored :
+         {" 0 1 2 3 0 0 -1 2\n", " 0 1 2 4 0 0 1 2\n", " 0 1 2 3 0 0 1 9\n"}) {
+        {
+            std::ofstream out(path);
+            out << text.substr(0, text.size() - tail.size()) << doctored;
+        }
+        EvalCache loaded(64, 1);
+        EXPECT_EQ(loadEvalCache(loaded, path), 0) << doctored;
+        EXPECT_EQ(loaded.size(), 0u);
+    }
     std::remove(path.c_str());
 }
 

@@ -135,6 +135,14 @@ TEST(PartitionDeath, CanonicalizeOnCyclicQuotient)
     EXPECT_DEATH(p.canonicalize(g), "cyclic quotient");
 }
 
+TEST(PartitionDeath, RepairRejectsNegativeIds)
+{
+    Graph g = diamond();
+    Partition p;
+    p.block = {0, -1, 1, 1, 2}; // repair's id-indexed scratch needs ids >= 0
+    EXPECT_DEATH(repairStructure(g, p), "negative block id");
+}
+
 // --- Structural repair -------------------------------------------------------
 
 TEST(Repair, FixesDisconnectedBlocks)
