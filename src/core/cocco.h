@@ -72,8 +72,8 @@ struct CoccoResult
 };
 
 /** Copy a result's optional portfolio / pareto blocks into a metrics
- *  record (shared by the CLI's --metrics-out and the serve API's
- *  metricsJson, so both emit the same schema). @p paretoMode gates
+ *  record (SpecRun::metrics, so `cocco run` and the serve API emit
+ *  the same schema). @p paretoMode gates
  *  the pareto block: an empty frontier from a pareto run is still a
  *  reportable (degenerate) frontier, while non-pareto runs omit the
  *  block entirely. */

@@ -84,7 +84,6 @@ metricsToJson(const std::string &generator,
             w.field("tenant", r.tenant);
             w.field("state", r.jobState);
             w.field("queued_seconds", r.queuedSeconds);
-            w.field("resumed", r.resumed);
             w.endObject();
         }
         if (r.hasTenants) {

@@ -26,7 +26,7 @@
  *                       "crossbar_latency_share": X,
  *                       "core_utilization": [X, ...] },   // optional
  *       "job": { "id": N, "tenant": "...", "state": "...",
- *                "queued_seconds": X, "resumed": B },     // optional
+ *                "queued_seconds": X },                   // optional
  *       "tenants": { "count": N, "sla_violations": N,
  *                    "mean_latency_ms": X,
  *                    "list": [ { "name": "...", "core": N,
@@ -61,9 +61,9 @@
  *
  * The "job" object appears when the run went through the exploration
  * service (`cocco serve` / `cocco batch`): job id, tenant label,
- * terminal state ("done"/"cancelled"/"failed"), queue latency, and
- * whether the run was resumed from a checkpoint. Solo `cocco run`
- * documents omit it, keeping their exact prior shape.
+ * terminal state ("done"/"cancelled"/"failed") and queue latency.
+ * Solo `cocco run` documents omit it, keeping their exact prior
+ * shape.
  *
  * The "tenants" object appears when the run co-scheduled a
  * WorkloadSet (`cocco coschedule`, a `workload_set` run spec through
@@ -121,7 +121,6 @@ struct RunMetrics
     std::string tenant;
     std::string jobState;      ///< terminal JobState name
     double queuedSeconds = 0.0;
-    bool resumed = false;      ///< run was resumed from a checkpoint
 
     /** Per-tenant serving metrics of a co-scheduled run; emitted only
      *  when set (schedule/co_scheduler.h produces the numbers). */

@@ -184,10 +184,17 @@ makeTsGrid(CostModel &m, const DseSpace &s, const SearchSpec &spec)
 
 SearcherRegistry::SearcherRegistry()
 {
-    add("ga", "genetic co-exploration (Cocco)", makeGa);
-    add("sa", "simulated annealing", makeSa);
-    add("ts-random", "two-step: random capacity sampling + GA", makeTsRandom);
-    add("ts-grid", "two-step: grid capacity sweep + GA", makeTsGrid);
+    SearcherRule twoStepRule = [](const SearchSpec &s) {
+        return twoStepParamsError(s.twoStep);
+    };
+    add("ga", "genetic co-exploration (Cocco)", makeGa,
+        [](const SearchSpec &s) { return gaParamsError(s.ga); });
+    add("sa", "simulated annealing", makeSa,
+        [](const SearchSpec &s) { return saParamsError(s.sa); });
+    add("ts-random", "two-step: random capacity sampling + GA",
+        makeTsRandom, twoStepRule);
+    add("ts-grid", "two-step: grid capacity sweep + GA", makeTsGrid,
+        twoStepRule);
     // Plain function call, like the model registry's hooks: no
     // static-initialization-order hazards.
     registerGreedyPlaceSearcher(*this);
@@ -203,11 +210,11 @@ SearcherRegistry::instance()
 
 void
 SearcherRegistry::add(const std::string &key, const std::string &summary,
-                      SearcherFactory factory)
+                      SearcherFactory factory, SearcherRule rule)
 {
     if (find(key))
         fatal("searcher '%s' is already registered", key.c_str());
-    entries_.push_back({key, summary, factory});
+    entries_.push_back({key, summary, factory, rule});
 }
 
 const SearcherRegistry::Entry *
@@ -223,6 +230,14 @@ bool
 SearcherRegistry::contains(const std::string &key) const
 {
     return find(key) != nullptr;
+}
+
+std::string
+SearcherRegistry::ruleError(const std::string &key,
+                            const SearchSpec &spec) const
+{
+    const Entry *e = find(key);
+    return e && e->rule ? e->rule(spec) : "";
 }
 
 std::unique_ptr<Searcher>
@@ -626,6 +641,25 @@ searchSpecFromJson(const JsonValue &doc, SearchSpec *spec, std::string *err)
         spec->workloadSet.tenants.clear();
     }
     return true;
+}
+
+std::string
+runSpecError(const SearchSpec &spec)
+{
+    const SearcherRegistry &reg = SearcherRegistry::instance();
+    if (!reg.contains(spec.algo))
+        return strprintf("unknown search algorithm \"%s\" (registered: %s)",
+                         spec.algo.c_str(), joinComma(reg.keys()).c_str());
+    if (spec.eval.sampleBudget < 1)
+        return "samples must be >= 1";
+    if (spec.workloadSet.enabled()) {
+        std::string why;
+        if (!validateWorkloadSet(spec.workloadSet, &why))
+            return why;
+    } else if (spec.workload.model.empty() && spec.workload.file.empty()) {
+        return "spec addresses no workload (model or file)";
+    }
+    return reg.ruleError(spec.algo, spec);
 }
 
 } // namespace cocco

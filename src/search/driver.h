@@ -134,6 +134,10 @@ class Searcher
 using SearcherFactory = std::unique_ptr<Searcher> (*)(
     CostModel &model, const DseSpace &space, const SearchSpec &spec);
 
+/** A strategy's spec rule: "" when it can run @p spec, else the
+ *  reason (it reads only the strategy's own parameter block). */
+using SearcherRule = std::string (*)(const SearchSpec &spec);
+
 /**
  * The string-keyed driver registry. The four built-in strategies
  * ("ga", "sa", "ts-random", "ts-grid") are registered on first use;
@@ -145,12 +149,18 @@ class SearcherRegistry
     /** The process-wide registry (built-ins pre-registered). */
     static SearcherRegistry &instance();
 
-    /** Register a strategy (fatal on duplicate key). */
+    /** Register a strategy with its spec rule (null: the strategy
+     *  has no parameters to check). Fatal on a duplicate key. */
     void add(const std::string &key, const std::string &summary,
-             SearcherFactory factory);
+             SearcherFactory factory, SearcherRule rule = nullptr);
 
     /** @return true when @p key names a registered strategy. */
     bool contains(const std::string &key) const;
+
+    /** @p key's registered rule applied to @p spec ("" when the key
+     *  registered none or is unknown). */
+    std::string ruleError(const std::string &key,
+                          const SearchSpec &spec) const;
 
     /** Instantiate @p key for an environment (fatal: unknown key). */
     std::unique_ptr<Searcher> make(const std::string &key,
@@ -171,6 +181,7 @@ class SearcherRegistry
         std::string key;
         std::string summary;
         SearcherFactory factory;
+        SearcherRule rule;
     };
     const Entry *find(const std::string &key) const;
 
@@ -191,6 +202,15 @@ class SearcherRegistry
  */
 bool searchSpecFromJson(const JsonValue &doc, SearchSpec *spec,
                         std::string *err);
+
+/**
+ * The one admission rule every frontend applies to a run spec: ""
+ * when it can run, else the reason. `algo` is registered, `samples`
+ * >= 1, a workload address (or a valid workload_set) is given, and
+ * the algorithm's registered rule passes. Addresses are resolved
+ * later, each failing with its own reason.
+ */
+std::string runSpecError(const SearchSpec &spec);
 
 } // namespace cocco
 

@@ -10,17 +10,25 @@
 
 namespace cocco {
 
+std::string
+gaParamsError(const GaParams &p)
+{
+    if (p.population < 2)
+        return "ga.population must be >= 2";
+    if (p.tournament < 1)
+        return "ga.tournament must be >= 1";
+    return "";
+}
+
 namespace {
 
-/** Validate the GA knobs; the engine consumes the EvalOptions base
- *  of the same struct directly (GaOptions slices to it). */
+/** Guard the GA knobs (specs are checked before they get here); the
+ *  engine consumes the EvalOptions base of the same struct directly
+ *  (GaOptions slices to it). */
 const GaOptions &
 validated(const GaOptions &opts)
 {
-    if (opts.population < 2)
-        fatal("GA population must be >= 2");
-    if (opts.tournament < 1)
-        fatal("GA tournament size must be >= 1");
+    fatalIf(gaParamsError(opts));
     return opts;
 }
 

@@ -82,6 +82,10 @@ struct GaParams
     bool recordPoints = false;   ///< keep every sample (Figure 13)
 };
 
+/** The GA block's rule: "" when a GA can run @p p, else the reason
+ *  (population >= 2, tournament >= 1). */
+std::string gaParamsError(const GaParams &p);
+
 /** GA hyper-parameters: the shared evaluation core + the GA block. */
 struct GaOptions : EvalOptions, GaParams
 {

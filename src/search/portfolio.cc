@@ -827,23 +827,7 @@ SearchResult
 PortfolioSearcher::run(const std::vector<Genome> &seeds)
 {
     const PortfolioParams &pp = spec_.portfolio;
-    const SearcherRegistry &reg = SearcherRegistry::instance();
-    if (pp.racers.empty())
-        fatal("portfolio: racer list is empty");
-    if (pp.checkEvals <= 0 || pp.warmupEvals < 0)
-        fatal("portfolio: checkEvals must be > 0 and warmupEvals >= 0");
-    for (size_t i = 0; i < pp.racers.size(); ++i) {
-        const std::string &key = pp.racers[i];
-        if (key == "portfolio")
-            fatal("portfolio: a portfolio cannot race itself");
-        if (!reg.contains(key))
-            fatal("portfolio: unknown racer '%s'", key.c_str());
-        for (size_t j = 0; j < i; ++j)
-            if (pp.racers[j] == key)
-                fatal("portfolio: duplicate racer '%s' (same seed => "
-                      "identical runs)",
-                      key.c_str());
-    }
+    fatalIf(portfolioParamsError(pp)); // specs are checked before this
 
     // The ONE shared evaluation cache all racers warm for each other
     // (the salt excludes seed/threads/algo, so racers share entries at
@@ -994,13 +978,44 @@ makePortfolio(CostModel &m, const DseSpace &s, const SearchSpec &spec)
 
 } // namespace
 
+std::string
+portfolioParamsError(const PortfolioParams &p)
+{
+    if (p.racers.empty())
+        return "portfolio.racers must not be empty";
+    for (size_t i = 0; i < p.racers.size(); ++i) {
+        const std::string &key = p.racers[i];
+        if (key == "portfolio")
+            return "portfolio.racers: a portfolio cannot race itself";
+        if (!SearcherRegistry::instance().contains(key))
+            return "portfolio.racers: unknown racer \"" + key + "\"";
+        for (size_t j = 0; j < i; ++j)
+            if (p.racers[j] == key)
+                return "portfolio.racers: duplicate racer \"" + key +
+                       "\" (same seed => identical runs)";
+    }
+    if (p.checkEvals < 1)
+        return "portfolio.checkEvals must be >= 1";
+    if (p.warmupEvals < 0)
+        return "portfolio.warmupEvals must be >= 0";
+    return "";
+}
+
 void
 registerPortfolioSearcher(SearcherRegistry &reg)
 {
     reg.add("portfolio",
             "racing portfolio over registered searchers (shared cache, "
             "losers early-stopped, threads regranted)",
-            makePortfolio);
+            makePortfolio, [](const SearchSpec &spec) {
+                // The block's rule, then each racer's own.
+                std::string why = portfolioParamsError(spec.portfolio);
+                const SearcherRegistry &all = SearcherRegistry::instance();
+                for (const std::string &racer : spec.portfolio.racers)
+                    if (why.empty())
+                        why = all.ruleError(racer, spec);
+                return why;
+            });
 }
 
 } // namespace cocco

@@ -57,6 +57,12 @@ struct PortfolioParams
     int64_t warmupEvals = 2000;
 };
 
+/** The portfolio block's rule: "" when the race can run @p p, else
+ *  the reason (a non-empty line-up of registered, distinct racers,
+ *  none of them "portfolio"; checkEvals >= 1, warmupEvals >= 0). The
+ *  registered "portfolio" rule adds each racer's own rule. */
+std::string portfolioParamsError(const PortfolioParams &p);
+
 /** Register the "portfolio" meta-searcher (called by the
  *  SearcherRegistry constructor, like the greedy-place hook). */
 void registerPortfolioSearcher(SearcherRegistry &reg);

@@ -10,10 +10,17 @@
 
 namespace cocco {
 
+std::string
+saParamsError(const SaParams &p)
+{
+    return p.neighborBatch < 1 ? "sa.neighborBatch must be >= 1" : "";
+}
+
 SearchResult
 simulatedAnnealing(CostModel &model, const DseSpace &space,
                    const SaOptions &opts)
 {
+    fatalIf(saParamsError(opts)); // specs are checked before this
     Rng rng(opts.seed);
 
     // Same evaluation environment as the GA (in-situ capacity tuning
@@ -25,7 +32,7 @@ simulatedAnnealing(CostModel &model, const DseSpace &space,
     if (engine.cache())
         cache_start = engine.cache()->stats();
 
-    int batch = std::max(opts.neighborBatch, 1);
+    const int batch = opts.neighborBatch;
 
     SearchResult res;
     Genome cur;

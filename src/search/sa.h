@@ -34,6 +34,10 @@ struct SaParams
     int neighborBatch = 1;
 };
 
+/** The SA block's rule: "" when SA can run @p p, else the reason
+ *  (neighborBatch >= 1). */
+std::string saParamsError(const SaParams &p);
+
 /** SA hyper-parameters: the shared evaluation core + the SA block. */
 struct SaOptions : EvalOptions, SaParams
 {

@@ -304,10 +304,21 @@ frozenSweep(CostModel &model, const DseSpace &space,
 
 } // namespace
 
+std::string
+twoStepParamsError(const TwoStepParams &p)
+{
+    if (p.population < 2)
+        return "twoStep.population must be >= 2";
+    if (p.samplesPerCandidate < 1)
+        return "twoStep.samplesPerCandidate must be >= 1";
+    return "";
+}
+
 SearchResult
 twoStepRandom(CostModel &model, const DseSpace &space,
               const TwoStepOptions &opts)
 {
+    fatalIf(twoStepParamsError(opts)); // specs are checked before this
     SearchResult frozen;
     if (frozenSweep(model, space, opts, &frozen, "ts-random"))
         return frozen;
@@ -333,6 +344,7 @@ SearchResult
 twoStepGrid(CostModel &model, const DseSpace &space,
             const TwoStepOptions &opts)
 {
+    fatalIf(twoStepParamsError(opts));
     SearchResult frozen;
     if (frozenSweep(model, space, opts, &frozen, "ts-grid"))
         return frozen;

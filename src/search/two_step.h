@@ -22,6 +22,10 @@ struct TwoStepParams
     int population = 100;               ///< inner-GA population
 };
 
+/** The two-step block's rule: "" when the drivers can run @p p, else
+ *  the reason (population >= 2, samplesPerCandidate >= 1). */
+std::string twoStepParamsError(const TwoStepParams &p);
+
 /**
  * Two-step driver options: the shared evaluation core + the two-step
  * block. The cache knobs behave as in GaOptions, with one cache

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <utility>
 
-#include "core/cocco.h"
-#include "core/metrics.h"
-#include "core/serialize.h"
-#include "schedule/co_scheduler.h"
+#include "serve/run_spec.h"
 #include "util/thread_pool.h"
 
 namespace cocco {
@@ -78,29 +76,31 @@ struct JobManager::Job
     int64_t progressSamples = 0;
     double progressBest = 0.0;
     std::string error;
-
-    /** The resolved workload; owned here because CoccoFramework and
-     *  resultToJson both take the graph by reference. */
-    Graph graph;
     std::string modelName;
 
-    CoccoResult result;
+    /** The run's outcome, materialized when it completes so nothing
+     *  search-sized (the trace, the framework) outlives the run: the
+     *  result document, the metrics record without its "job" block,
+     *  and the stop reason for the final event. */
     bool hasResult = false;
-    double wallSeconds = 0.0;
-
-    /** Co-schedule jobs (workload_set specs): the result document and
-     *  the metrics "tenants" snapshot are materialized when the run
-     *  completes, so nothing schedule-sized has to outlive it. The
-     *  scalar outcome (samples/objective/stop/cacheStats) is folded
-     *  into `result` above so status/events need no second path. */
-    bool hasSchedule = false;
-    std::string scheduleJson;
-    RunMetrics scheduleMetrics;
+    std::string resultDoc;
+    RunMetrics metrics;
+    StopReason stop = StopReason::BudgetExhausted;
 
     std::vector<JobEvent> events;
 };
 
 namespace {
+
+/** Append @p e to the job's log (lock held; kMaxJobEvents sheds). */
+void
+pushEvent(JobManager::Job &job, JobEvent e)
+{
+    if (job.events.size() >= kMaxJobEvents &&
+        e.kind == JobEvent::Kind::BatchDone)
+        return;
+    job.events.push_back(std::move(e));
+}
 
 /** The per-job observer: forwards driver progress into the job's
  *  event log / status fields and carries the cooperative-cancel
@@ -109,9 +109,8 @@ class JobObserver : public SearchObserver
 {
   public:
     JobObserver(std::mutex &mu, std::condition_variable &cv,
-                JobManager::Job &job, const std::atomic<bool> &shutdown,
-                void (*push)(JobManager::Job &, JobEvent))
-        : mu_(mu), cv_(cv), job_(job), shutdown_(shutdown), push_(push)
+                JobManager::Job &job, const std::atomic<bool> &shutdown)
+        : mu_(mu), cv_(cv), job_(job), shutdown_(shutdown)
     {
     }
 
@@ -147,7 +146,7 @@ class JobObserver : public SearchObserver
         std::lock_guard<std::mutex> lk(mu_);
         job_.progressSamples = samples;
         job_.progressBest = best;
-        push_(job_, std::move(e));
+        pushEvent(job_, std::move(e));
         cv_.notify_all();
     }
 
@@ -155,19 +154,7 @@ class JobObserver : public SearchObserver
     std::condition_variable &cv_;
     JobManager::Job &job_;
     const std::atomic<bool> &shutdown_;
-    void (*push_)(JobManager::Job &, JobEvent);
 };
-
-/** Free-function event push so JobObserver (anonymous namespace) can
- *  use JobManager's shedding policy without being a member. */
-void
-pushEvent(JobManager::Job &job, JobEvent e)
-{
-    if (job.events.size() >= kMaxJobEvents &&
-        e.kind == JobEvent::Kind::BatchDone)
-        return;
-    job.events.push_back(std::move(e));
-}
 
 } // namespace
 
@@ -191,20 +178,10 @@ JobManager::~JobManager()
         std::lock_guard<std::mutex> lk(mu_);
         shutdown_.store(true, std::memory_order_relaxed);
         for (auto &job : jobs_) {
-            if (job->state == JobState::Queued) {
-                job->state = JobState::Cancelled;
-                job->finished = Clock::now();
-                job->queuedSeconds =
-                    secondsBetween(job->submitted, job->finished);
-                --queuedCount_;
-                JobEvent e;
-                e.kind = JobEvent::Kind::Cancelled;
-                e.job = job->id;
-                e.stop = StopReason::Cancelled;
-                pushEventLocked(*job, std::move(e));
-            } else if (job->state == JobState::Running) {
+            if (job->state == JobState::Queued)
+                cancelQueuedLocked(*job);
+            else if (job->state == JobState::Running)
                 job->cancelFlag.store(true, std::memory_order_relaxed);
-            }
         }
         cv_.notify_all();
     }
@@ -222,49 +199,11 @@ JobManager::submit(const SearchSpec &spec, const std::string &tenant,
         return -1;
     };
 
-    // Structural admission checks: anything a driver would abort on
-    // must be shed here, before it can take down a worker thread.
-    if (!SearcherRegistry::instance().contains(spec.algo))
-        return reject("unknown algorithm \"" + spec.algo + "\"");
-    if (spec.eval.sampleBudget < 1)
-        return reject("sample budget must be >= 1");
-    if (spec.workloadSet.enabled()) {
-        std::string why;
-        if (!validateWorkloadSet(spec.workloadSet, &why))
-            return reject(why);
-    } else if (spec.workload.model.empty() && spec.workload.file.empty()) {
-        return reject("spec addresses no workload (model or file)");
-    }
-    if (spec.algo == "ga" &&
-        (spec.ga.population < 2 || spec.ga.tournament < 1))
-        return reject("degenerate GA parameters (population >= 2, "
-                      "tournament >= 1)");
-    if (spec.algo == "sa" && spec.sa.neighborBatch < 1)
-        return reject("degenerate SA parameters (neighborBatch >= 1)");
-    if ((spec.algo == "ts-random" || spec.algo == "ts-grid") &&
-        (spec.twoStep.population < 2 || spec.twoStep.samplesPerCandidate < 1))
-        return reject("degenerate two-step parameters (population >= 2, "
-                      "samplesPerCandidate >= 1)");
-    if (spec.algo == "portfolio") {
-        if (spec.portfolio.racers.empty())
-            return reject("portfolio needs at least one racer");
-        const std::vector<std::string> &racers = spec.portfolio.racers;
-        for (size_t i = 0; i < racers.size(); ++i) {
-            const std::string &r = racers[i];
-            if (r == "portfolio")
-                return reject("a portfolio cannot race itself");
-            if (!SearcherRegistry::instance().contains(r))
-                return reject("unknown portfolio racer \"" + r + "\"");
-            for (size_t j = 0; j < i; ++j)
-                if (racers[j] == r)
-                    return reject("duplicate portfolio racer \"" + r +
-                                  "\"");
-        }
-        if (spec.portfolio.checkEvals < 1 ||
-            spec.portfolio.warmupEvals < 0)
-            return reject("degenerate portfolio parameters (checkEvals "
-                          ">= 1, warmupEvals >= 0)");
-    }
+    // Anything a driver would abort on is shed here, before it can
+    // take down a worker thread.
+    std::string why = runSpecError(spec);
+    if (!why.empty())
+        return reject(why);
 
     std::lock_guard<std::mutex> lk(mu_);
     if (shutdown_.load(std::memory_order_relaxed))
@@ -290,7 +229,7 @@ JobManager::submit(const SearchSpec &spec, const std::string &tenant,
     JobEvent e;
     e.kind = JobEvent::Kind::Accepted;
     e.job = job->id;
-    pushEventLocked(*job, std::move(e));
+    pushEvent(*job, std::move(e));
     int64_t id = job->id;
     jobs_.push_back(std::move(job));
     ++queuedCount_;
@@ -306,20 +245,26 @@ JobManager::cancel(int64_t id)
     if (!job || jobStateTerminal(job->state))
         return false;
     if (job->state == JobState::Queued) {
-        job->state = JobState::Cancelled;
-        job->finished = Clock::now();
-        job->queuedSeconds = secondsBetween(job->submitted, job->finished);
-        --queuedCount_;
-        JobEvent e;
-        e.kind = JobEvent::Kind::Cancelled;
-        e.job = job->id;
-        e.stop = StopReason::Cancelled;
-        pushEventLocked(*job, std::move(e));
+        cancelQueuedLocked(*job);
         cv_.notify_all();
         return true;
     }
     job->cancelFlag.store(true, std::memory_order_relaxed);
     return true;
+}
+
+void
+JobManager::cancelQueuedLocked(Job &job)
+{
+    job.state = JobState::Cancelled;
+    job.finished = Clock::now();
+    job.queuedSeconds = secondsBetween(job.submitted, job.finished);
+    --queuedCount_;
+    JobEvent e;
+    e.kind = JobEvent::Kind::Cancelled;
+    e.job = job.id;
+    e.stop = StopReason::Cancelled;
+    pushEvent(job, std::move(e));
 }
 
 void
@@ -394,9 +339,7 @@ JobManager::resultJson(int64_t id) const
     const Job *job = findLocked(id);
     if (!job || !jobStateTerminal(job->state) || !job->hasResult)
         return "";
-    if (job->hasSchedule)
-        return job->scheduleJson;
-    return resultToJson(job->graph, job->result);
+    return job->resultDoc;
 }
 
 std::string
@@ -406,37 +349,12 @@ JobManager::metricsJson(int64_t id) const
     const Job *job = findLocked(id);
     if (!job || !jobStateTerminal(job->state) || !job->hasResult)
         return "";
-
-    // Mirrors the CLI's emitMetrics for a spec run ("spec-<algo>"),
-    // plus the serving context in the "job" block.
-    RunMetrics m;
-    m.name = "spec-" + job->spec.algo;
-    m.model = job->modelName;
-    m.threads = job->threads;
-    m.seed = job->spec.eval.seed;
-    m.samples = job->result.samples;
-    m.bestCost = job->result.objective;
-    m.wallSeconds = job->wallSeconds;
-    m.cacheEnabled = cache_ != nullptr && job->spec.eval.cacheEnabled;
-    m.cache = job->result.cacheStats;
-    // Co-schedule jobs report per-tenant serving metrics instead of a
-    // single-result deployment breakdown.
-    m.hasDeployment = !job->hasSchedule;
-    m.deployment = job->result.deployment;
-    if (job->hasSchedule) {
-        m.hasTenants = job->scheduleMetrics.hasTenants;
-        m.slaViolations = job->scheduleMetrics.slaViolations;
-        m.meanLatencyMs = job->scheduleMetrics.meanLatencyMs;
-        m.tenants = job->scheduleMetrics.tenants;
-    }
-    if (!job->hasSchedule)
-        fillResultMetrics(job->result, job->spec.paretoMode, &m);
+    RunMetrics m = job->metrics;
     m.hasJob = true;
     m.jobId = job->id;
     m.tenant = job->tenant;
     m.jobState = jobStateName(job->state);
     m.queuedSeconds = job->queuedSeconds;
-    m.resumed = false;
     return metricsToJson("cocco-serve", {m});
 }
 
@@ -511,7 +429,7 @@ JobManager::workerLoop()
             JobEvent e;
             e.kind = JobEvent::Kind::Started;
             e.job = job->id;
-            pushEventLocked(*job, std::move(e));
+            pushEvent(*job, std::move(e));
             cv_.notify_all();
         }
         runJob(*job);
@@ -528,16 +446,25 @@ JobManager::runJob(Job &job)
 {
     auto t0 = Clock::now();
 
-    // Exactly the CLI's `run` execution path (tools/cocco_cli.cc
-    // runSpec), so a served job is bit-identical to the solo run:
-    // resolve workload and platform, apply the workload batch
-    // override, scale out over the deployment when enabled.
-    SearchSpec spec = job.spec;
+    // The same spec-to-result path as the CLI's `run`, so a served
+    // job is bit-identical to the solo run.
+    SpecRun run;
+    std::string err = run.prepare(job.spec);
+    if (!err.empty()) {
+        finishJob(job, JobState::Failed, err);
+        return;
+    }
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        job.modelName = run.modelName();
+    }
+
+    // The serving hooks: the granted threads, the job's observer
+    // (progress events + cooperative cancel) and the shared cache.
+    SearchSpec &spec = run.spec();
     spec.eval.threads = job.threads;
-
-    JobObserver observer(mu_, cv_, job, shutdown_, &pushEvent);
+    JobObserver observer(mu_, cv_, job, shutdown_);
     spec.eval.observer = &observer;
-
     if (cache_ && spec.eval.cacheEnabled) {
         spec.eval.cache = cache_;
     } else {
@@ -545,109 +472,22 @@ JobManager::runJob(Job &job)
         spec.eval.cache = nullptr;
     }
 
-    std::string err;
-
-    // A workload_set spec runs the co-scheduler instead of the solo
-    // framework; the branch mirrors the CLI's coschedule path.
-    if (spec.workloadSet.enabled()) {
-        std::vector<Graph> graphs(spec.workloadSet.size());
-        std::string names;
-        for (int t = 0; t < spec.workloadSet.size(); ++t) {
-            if (!resolveWorkload(spec.workloadSet.tenants[t].workload,
-                                 &graphs[t], &err)) {
-                finishJob(job, JobState::Failed, err);
-                return;
-            }
-            names += (t ? "+" : "") + graphs[t].name();
-        }
-        AcceleratorConfig accel;
-        if (!resolvePlatform(spec.platform, &accel, &err)) {
-            finishJob(job, JobState::Failed, err);
-            return;
-        }
-        DeploymentConfig dep;
-        if (spec.deployment.enabled) {
-            if (!resolveDeployment(spec.deployment, accel, &dep, &err)) {
-                finishJob(job, JobState::Failed, err);
-                return;
-            }
-        } else {
-            dep = homogeneousDeployment(accel, 1);
-        }
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            job.modelName = names;
-        }
-
-        CoScheduler sched(graphs, spec.workloadSet, dep);
-        ScheduleResult r = sched.explore(spec);
-        double wall = secondsBetween(t0, Clock::now());
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            job.scheduleJson = scheduleResultToJson(sched.model(), r);
-            fillTenantMetrics(sched.model(), r, &job.scheduleMetrics);
-            job.hasSchedule = true;
-            job.result.samples = r.samples;
-            job.result.objective = r.objective;
-            job.result.stop = r.stop;
-            job.result.cacheStats = r.cacheStats;
-            job.hasResult = true;
-            job.wallSeconds = wall;
-        }
-        finishJob(job,
-                  r.stop == StopReason::Cancelled ? JobState::Cancelled
-                                                  : JobState::Done,
-                  "");
-        return;
-    }
-
-    Graph g;
-    if (!resolveWorkload(spec.workload, &g, &err)) {
-        finishJob(job, JobState::Failed, err);
-        return;
-    }
-    AcceleratorConfig accel;
-    if (!resolvePlatform(spec.platform, &accel, &err)) {
-        finishJob(job, JobState::Failed, err);
-        return;
-    }
-    if (spec.workload.params.batch > 0)
-        accel.batch = spec.workload.params.batch;
-
+    run.run();
+    RunMetrics m = run.metrics();
+    m.threads = job.threads;
+    m.wallSeconds = secondsBetween(t0, Clock::now());
+    m.cacheEnabled = spec.eval.cacheEnabled;
+    std::string doc = run.resultJson();
     {
         std::lock_guard<std::mutex> lk(mu_);
-        job.graph = std::move(g);
-        job.modelName = job.graph.name();
-    }
-
-    std::unique_ptr<CoccoFramework> cocco;
-    if (spec.deployment.enabled) {
-        DeploymentConfig dep;
-        if (!resolveDeployment(spec.deployment, accel, &dep, &err)) {
-            finishJob(job, JobState::Failed, err);
-            return;
-        }
-        if (spec.workload.params.batch > 0)
-            for (AcceleratorConfig &core : dep.coreConfigs)
-                core.batch = spec.workload.params.batch;
-        cocco = std::make_unique<CoccoFramework>(job.graph, dep);
-    } else {
-        cocco = std::make_unique<CoccoFramework>(job.graph, accel);
-    }
-
-    CoccoResult r = cocco->explore(spec);
-    double wall = secondsBetween(t0, Clock::now());
-
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        job.result = std::move(r);
+        job.resultDoc = std::move(doc);
+        job.metrics = std::move(m);
+        job.stop = run.stop();
         job.hasResult = true;
-        job.wallSeconds = wall;
     }
     finishJob(job,
-              job.result.stop == StopReason::Cancelled
-                  ? JobState::Cancelled
-                  : JobState::Done,
+              run.stop() == StopReason::Cancelled ? JobState::Cancelled
+                                                  : JobState::Done,
               "");
 }
 
@@ -668,21 +508,18 @@ JobManager::finishJob(Job &job, JobState state, const std::string &error)
     } else {
         e.kind = state == JobState::Cancelled ? JobEvent::Kind::Cancelled
                                               : JobEvent::Kind::Done;
-        e.sample = job.hasResult ? job.result.samples : 0;
-        e.bestCost = job.hasResult ? job.result.objective : 0.0;
-        e.stop = job.hasResult ? job.result.stop : StopReason::Cancelled;
+        e.sample = job.hasResult ? job.metrics.samples : 0;
+        e.bestCost = job.hasResult ? job.metrics.bestCost : 0.0;
+        e.stop = job.hasResult ? job.stop : StopReason::Cancelled;
     }
-    pushEventLocked(job, std::move(e));
+    pushEvent(job, std::move(e));
     cv_.notify_all();
 }
 
 JobManager::Job *
 JobManager::findLocked(int64_t id)
 {
-    for (const auto &job : jobs_)
-        if (job->id == id)
-            return job.get();
-    return nullptr;
+    return const_cast<Job *>(std::as_const(*this).findLocked(id));
 }
 
 const JobManager::Job *
@@ -716,12 +553,6 @@ JobManager::statusLocked(const Job &job) const
         s.runSeconds = job.runSeconds;
     s.error = job.error;
     return s;
-}
-
-void
-JobManager::pushEventLocked(Job &job, JobEvent e)
-{
-    pushEvent(job, std::move(e));
 }
 
 } // namespace cocco

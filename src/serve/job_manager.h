@@ -6,11 +6,11 @@
  * tenants warm each other's searches — the "many users, one warm
  * process" shape ROADMAP item 1 asks for.
  *
- * Admission control: submit() rejects (rather than queues) when the
- * spec is structurally unrunnable (unknown algorithm, degenerate
- * knobs that would abort a driver) or when the pending queue is at
- * capacity — a long-lived server must shed load at the front door,
- * not die mid-run.
+ * Admission control: submit() rejects (rather than queues) when
+ * runSpecError (search/driver.h) finds the spec unrunnable — the same
+ * rule, and the same reason, as `cocco run` — or when the pending
+ * queue is at capacity: a long-lived server must shed load at the
+ * front door, not die mid-run.
  *
  * Thread budgets: the manager owns a total evaluation-thread budget
  * (defaults to the hardware concurrency). Each job asks for
@@ -22,10 +22,11 @@
  * results (the engine's determinism contract), so a job granted fewer
  * threads than requested returns bit-identical output, just slower.
  *
- * Results: resultJson() returns the same resultToJson document `cocco
- * run` writes, and metricsJson() the same schema-v1 metrics document
- * plus the "job" block — the bit-identity contract the serve bench
- * and CI smoke verify.
+ * Results: every job runs through SpecRun (serve/run_spec.h), the
+ * CLI's own spec-to-result path, so resultJson() returns the document
+ * `cocco run --json` prints and metricsJson() its metrics record plus
+ * the "job" block — the bit-identity contract the serve bench and CI
+ * smoke verify.
  */
 
 #ifndef COCCO_SERVE_JOB_MANAGER_H
@@ -105,8 +106,8 @@ class JobManager
     /**
      * Admit a run spec. @p tenant is a free-form label carried into
      * status and metrics. @return the job id (>= 1), or -1 with *err
-     * set when admission fails (unknown algo, degenerate knobs, full
-     * queue, shutdown in progress).
+     * set when admission fails (runSpecError's reason, full queue,
+     * shutdown in progress).
      */
     int64_t submit(const SearchSpec &spec, const std::string &tenant,
                    std::string *err);
@@ -133,10 +134,10 @@ class JobManager
     /** Block until every submitted job is terminal. */
     void drain();
 
-    /** The solution document (resultToJson) for a terminal job with a
-     *  result (Done, or Cancelled mid-run with a partial incumbent);
-     *  "" otherwise. Byte-identical to `cocco run` on the same spec
-     *  when the job ran to its natural end. */
+    /** The solution document (SpecRun::resultJson) for a terminal job
+     *  with a result (Done, or Cancelled mid-run with a partial
+     *  incumbent); "" otherwise. Byte-identical to `cocco run --json`
+     *  on the same spec when the job ran to its natural end. */
     std::string resultJson(int64_t id) const;
 
     /** The schema-v1 metrics document (metricsToJson) for a terminal
@@ -168,10 +169,10 @@ class JobManager
     void workerLoop();
     void runJob(Job &job);
     void finishJob(Job &job, JobState state, const std::string &error);
+    void cancelQueuedLocked(Job &job);
     Job *findLocked(int64_t id);
     const Job *findLocked(int64_t id) const;
     JobStatus statusLocked(const Job &job) const;
-    void pushEventLocked(Job &job, JobEvent e);
 
     JobManagerOptions opts_;
     std::shared_ptr<EvalCache> cache_;

@@ -46,30 +46,6 @@ parseJobPath(const std::string &path, int64_t *id, std::string *tail)
 
 } // namespace
 
-bool
-parseRunSpec(const JsonValue &doc, SearchSpec *spec, std::string *err)
-{
-    // Identical to the CLI's runSpec(): partition-only specs may omit
-    // "buffer", defaulting to the standard fixed buffer of the
-    // partition studies (1MB GLB + 1.125MB WBUF). The service must
-    // fill the spec exactly like the solo path or the bit-identity
-    // contract breaks on partition-only documents.
-    spec->fixedBuffer.style = BufferStyle::Separate;
-    spec->fixedBuffer.actBytes = 1024 * 1024;
-    spec->fixedBuffer.weightBytes = 1152 * 1024;
-    return searchSpecFromJson(doc, spec, err);
-}
-
-bool
-parseRunSpecText(const std::string &text, SearchSpec *spec,
-                 std::string *err)
-{
-    JsonValue doc;
-    if (!parseJson(text, &doc, err))
-        return false;
-    return parseRunSpec(doc, spec, err);
-}
-
 std::string
 jobStatusJson(const JobStatus &s)
 {

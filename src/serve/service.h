@@ -27,10 +27,10 @@
  *     {"cmd":"shutdown"}
  *   Every reply carries "ok":true/false; errors add "error".
  *
- * Both front ends parse specs with parseRunSpecText(), which applies
- * the same partition-only default buffer as `cocco run` before
- * searchSpecFromJson — the service must interpret a spec document
- * byte-for-byte like the solo CLI for the bit-identity contract.
+ * Both front ends parse specs with parseRunSpec (serve/run_spec.h),
+ * exactly as `cocco run` does — the service must interpret a spec
+ * document byte-for-byte like the solo CLI for the bit-identity
+ * contract.
  */
 
 #ifndef COCCO_SERVE_SERVICE_H
@@ -42,20 +42,9 @@
 
 #include "serve/http_server.h"
 #include "serve/job_manager.h"
+#include "serve/run_spec.h"
 
 namespace cocco {
-
-class JsonValue;
-
-/** Parse a run-spec document exactly as `cocco run --spec` does
- *  (including the partition-only default buffer). @return false with
- *  *err set on any schema problem. */
-bool parseRunSpec(const JsonValue &doc, SearchSpec *spec,
-                  std::string *err);
-
-/** parseRunSpec over raw text. */
-bool parseRunSpecText(const std::string &text, SearchSpec *spec,
-                      std::string *err);
 
 /** One job's status as a JSON object (compact, single line). */
 std::string jobStatusJson(const JobStatus &s);

@@ -36,6 +36,13 @@ fatal(const char *fmt, ...)
 }
 
 void
+fatalIf(const std::string &reason)
+{
+    if (!reason.empty())
+        fatal("%s", reason.c_str());
+}
+
+void
 panic(const char *fmt, ...)
 {
     va_list ap;

@@ -21,6 +21,10 @@ namespace cocco {
 /** Print "fatal: <msg>" to stderr and exit(1). User-level error. */
 [[noreturn]] void fatal(const char *fmt, ...);
 
+/** fatal() with @p reason unless it is empty — the guard over a
+ *  rule function that returns "" or a reason. */
+void fatalIf(const std::string &reason);
+
 /** Print "panic: <msg>" to stderr and abort(). Internal bug. */
 [[noreturn]] void panic(const char *fmt, ...);
 

@@ -659,6 +659,184 @@ TEST(SpecJson, WorkloadAndPlatformRejections)
     reject(R"({"platform": {"coores": 2}})", "coores");
 }
 
+// --- The one spec rule ------------------------------------------------------
+
+TEST(SpecRules, EachRuleRejectsWithItsReason)
+{
+    struct Row
+    {
+        const char *what;
+        void (*edit)(SearchSpec &);
+        const char *reason; ///< expected substring ("" = admitted)
+    };
+    const Row rows[] = {
+        {"unknown algo", [](SearchSpec &s) { s.algo = "nope"; },
+         "unknown search algorithm \"nope\""},
+        {"no samples", [](SearchSpec &s) { s.eval.sampleBudget = 0; },
+         "samples must be >= 1"},
+        {"no workload", [](SearchSpec &s) { s.workload.model.clear(); },
+         "spec addresses no workload"},
+        {"bad workload_set",
+         [](SearchSpec &s) {
+             TenantSpec t;
+             t.name = "a";
+             t.workload.model = "GoogleNet";
+             t.arrivalRateHz = 10.0;
+             t.slaLatencyMs = 10.0;
+             s.workloadSet.tenants = {t, t};
+         },
+         "duplicate tenant name \"a\""},
+        {"ga population", [](SearchSpec &s) { s.ga.population = 1; },
+         "ga.population must be >= 2"},
+        {"ga tournament", [](SearchSpec &s) { s.ga.tournament = 0; },
+         "ga.tournament must be >= 1"},
+        {"sa neighborBatch",
+         [](SearchSpec &s) {
+             s.algo = "sa";
+             s.sa.neighborBatch = 0;
+         },
+         "sa.neighborBatch must be >= 1"},
+        {"two-step population",
+         [](SearchSpec &s) {
+             s.algo = "ts-random";
+             s.twoStep.population = 1;
+         },
+         "twoStep.population must be >= 2"},
+        {"two-step samplesPerCandidate",
+         [](SearchSpec &s) {
+             s.algo = "ts-grid";
+             s.twoStep.samplesPerCandidate = 0;
+         },
+         "twoStep.samplesPerCandidate must be >= 1"},
+        {"empty line-up",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.racers.clear();
+         },
+         "portfolio.racers must not be empty"},
+        {"self race",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.racers = {"ga", "portfolio"};
+         },
+         "a portfolio cannot race itself"},
+        {"unknown racer",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.racers = {"ga", "nope"};
+         },
+         "unknown racer \"nope\""},
+        {"duplicate racer",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.racers = {"ga", "sa", "ga"};
+         },
+         "duplicate racer \"ga\""},
+        {"checkEvals",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.checkEvals = 0;
+         },
+         "portfolio.checkEvals must be >= 1"},
+        {"warmupEvals",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.warmupEvals = -1;
+         },
+         "portfolio.warmupEvals must be >= 0"},
+        // The portfolio applies each racer's own rule...
+        {"GA racer",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.ga.population = 1;
+         },
+         "ga.population must be >= 2"},
+        {"SA racer",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.racers = {"sa"};
+             s.sa.neighborBatch = 0;
+         },
+         "sa.neighborBatch must be >= 1"},
+        {"two-step racer",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.racers = {"ts-random", "sa"};
+             s.twoStep.population = 1;
+         },
+         "twoStep.population must be >= 2"},
+        // ...and every rule reads only its own block.
+        {"GA ignores two-step", [](SearchSpec &s) { s.twoStep.population = 1; },
+         ""},
+        {"racers not raced",
+         [](SearchSpec &s) {
+             s.algo = "portfolio";
+             s.portfolio.racers = {"sa"};
+             s.ga.population = 1;
+         },
+         ""},
+        {"greedy-place has no rule",
+         [](SearchSpec &s) {
+             s.algo = "greedy-place";
+             s.ga.population = 1;
+         },
+         ""},
+    };
+    for (const Row &row : rows) {
+        SearchSpec spec = fastSpec("ga");
+        spec.workload.model = "GoogleNet";
+        row.edit(spec);
+        std::string why = runSpecError(spec);
+        if (*row.reason == '\0')
+            EXPECT_EQ(why, "") << row.what;
+        else
+            EXPECT_NE(why.find(row.reason), std::string::npos)
+                << row.what << ": " << why;
+    }
+}
+
+TEST(SpecRules, EverySpecCiRunsIsAdmitted)
+{
+    // The smoke specs of .github/workflows/ci.yml: ts-grid, workload
+    // and platform files, deployment, co-schedule, portfolio, pareto.
+    const char *docs[] = {
+        R"({"model": "GoogleNet", "algo": "ts-grid", "mode": "coexplore",
+            "style": "shared", "samples": 800, "seed": 1,
+            "metric": "energy",
+            "twoStep": {"samplesPerCandidate": 200, "population": 20}})",
+        R"({"workload": {"file": "ci-workload.json",
+                         "params": {"batch": 2}},
+            "platform": {"file": "ci-platform.json"},
+            "algo": "ga", "samples": 600, "seed": 1,
+            "ga": {"population": 30}})",
+        R"({"model": "GoogleNet", "algo": "ga", "samples": 600, "seed": 1,
+            "ga": {"population": 30}, "deployment": {"cores": 2}})",
+        R"({"workload_set": [
+              {"name": "vision", "model": "GoogleNet",
+               "arrival_rate_hz": 40.0, "sla_latency_ms": 18.0},
+              {"name": "mobile", "model": "MobileNetV2",
+               "arrival_rate_hz": 25.0, "sla_latency_ms": 30.0}],
+            "deployment": "big-little", "algo": "ga", "samples": 400,
+            "seed": 7, "ga": {"population": 12}})",
+        R"({"model": "GoogleNet", "algo": "portfolio", "samples": 1200,
+            "seed": 1, "threads": 2, "ga": {"population": 25},
+            "twoStep": {"samplesPerCandidate": 300, "population": 20},
+            "portfolio": {"racers": ["ga", "sa", "ts-random", "ts-grid"],
+                          "checkEvals": 200, "warmupEvals": 400}})",
+        R"({"model": "GoogleNet", "algo": "ga", "mode": "pareto",
+            "samples": 1000, "seed": 1, "alpha": 0.002,
+            "metric": "energy", "ga": {"population": 30}})",
+    };
+    for (const char *doc : docs) {
+        JsonValue v;
+        std::string err;
+        ASSERT_TRUE(parseJson(doc, &v, &err)) << err;
+        SearchSpec spec;
+        ASSERT_TRUE(searchSpecFromJson(v, &spec, &err)) << err;
+        EXPECT_EQ(runSpecError(spec), "") << doc;
+    }
+}
+
 // --- The self-contained run contract ----------------------------------------
 
 TEST(SelfContainedSpec, JsonSpecMatchesCompiledInConfiguration)

@@ -275,6 +275,25 @@ TEST(Serve, AdmissionControlShedsAtTheFrontDoor)
     EXPECT_EQ(manager.submit(bad, "t", &err), -1);
     EXPECT_NE(err.find("duplicate"), std::string::npos) << err;
 
+    // Each racer's own rule applies inside the race too: a GA racer
+    // with a one-genome population, and a two-step racer whose inner
+    // GAs would have one, are shed instead of aborting a worker.
+    err.clear();
+    EXPECT_EQ(manager.submit(parsedSpec(R"({"model":"GoogleNet",
+                  "algo":"portfolio","portfolio":{"racers":["ga","sa"]},
+                  "ga":{"population":1}})"),
+                             "t", &err),
+              -1);
+    EXPECT_NE(err.find("ga.population"), std::string::npos) << err;
+    err.clear();
+    EXPECT_EQ(manager.submit(parsedSpec(R"({"model":"GoogleNet",
+                  "algo":"portfolio",
+                  "portfolio":{"racers":["ts-random","sa"]},
+                  "twoStep":{"population":1}})"),
+                             "t", &err),
+              -1);
+    EXPECT_NE(err.find("twoStep.population"), std::string::npos) << err;
+
     // Occupy the one worker, fill the one queue slot; the next
     // submission must be rejected as over-capacity.
     int64_t running = manager.submit(parsedSpec(gaSpecText(2, 50000000)),
@@ -292,6 +311,42 @@ TEST(Serve, AdmissionControlShedsAtTheFrontDoor)
     manager.drain();
     EXPECT_EQ(manager.status(running).state, JobState::Cancelled);
     EXPECT_EQ(manager.status(queued).state, JobState::Cancelled);
+}
+
+TEST(Serve, RuleBoundarySpecsRunToTheEnd)
+{
+    // The spec rule admits only what the drivers can run: every
+    // searcher at the rule's boundary values, alone and as a
+    // portfolio's only racer, must finish its (tiny) budget.
+    JobManagerOptions opts;
+    opts.workers = 2;
+    opts.threadBudget = 2;
+    JobManager manager(opts);
+
+    std::vector<int64_t> ids;
+    for (const char *algo : {"ga", "sa", "ts-random", "ts-grid"}) {
+        for (bool raced : {false, true}) {
+            std::string text = strprintf(
+                R"({"model":"GoogleNet","samples":60,"seed":3,)"
+                R"("threads":1,"algo":"%s",)"
+                R"("ga":{"population":2,"tournament":1},)"
+                R"("sa":{"neighborBatch":1},)"
+                R"("twoStep":{"population":2,"samplesPerCandidate":1},)"
+                R"("portfolio":{"racers":["%s"],"checkEvals":1,)"
+                R"("warmupEvals":0}})",
+                raced ? "portfolio" : algo, algo);
+            std::string err;
+            int64_t id = manager.submit(parsedSpec(text), algo, &err);
+            ASSERT_GT(id, 0) << text << ": " << err;
+            ids.push_back(id);
+        }
+    }
+    manager.drain();
+    for (int64_t id : ids) {
+        JobStatus s = manager.status(id);
+        EXPECT_EQ(s.state, JobState::Done) << s.name << ": " << s.error;
+        EXPECT_GE(s.progressSamples, 60) << s.name;
+    }
 }
 
 // --- Batch directory runner -------------------------------------------------
@@ -509,6 +564,15 @@ TEST(Serve, HttpRoundTrip)
     ASSERT_TRUE(httpFetch("127.0.0.1", port, "POST", "/jobs",
                           "this is not json", &status, &body, &err));
     EXPECT_EQ(status, 400);
+
+    // A spec the spec rule refuses is a 400 with the reason, not a job.
+    ASSERT_TRUE(httpFetch("127.0.0.1", port, "POST", "/jobs",
+                          R"({"model":"GoogleNet","algo":"portfolio",
+                              "portfolio":{"racers":["ts-random","sa"]},
+                              "twoStep":{"population":1}})",
+                          &status, &body, &err));
+    EXPECT_EQ(status, 400);
+    EXPECT_NE(body.find("twoStep.population"), std::string::npos) << body;
 
     // The event stream replays the job's history and terminates.
     ASSERT_TRUE(httpFetch("127.0.0.1", port, "GET",

@@ -310,15 +310,22 @@ cliWorkload(CliArgs &a)
 
 /** The platform addressed by the CLI flags (--platform /
  *  --platform-file; default: the "simba" preset). */
-AcceleratorConfig
-cliPlatform(const CliArgs &a)
+PlatformSpec
+cliPlatformSpec(const CliArgs &a)
 {
     PlatformSpec spec;
     spec.preset = a.platform;
     spec.file = a.platformFile;
+    return spec;
+}
+
+/** cliPlatformSpec, resolved (fatal on any problem). */
+AcceleratorConfig
+cliPlatform(const CliArgs &a)
+{
     AcceleratorConfig accel;
     std::string err;
-    if (!resolvePlatform(spec, &accel, &err))
+    if (!resolvePlatform(cliPlatformSpec(a), &accel, &err))
         fatal("%s", err.c_str());
     return accel;
 }
@@ -346,48 +353,20 @@ cliDeploymentSpec(const CliArgs &a)
     return spec;
 }
 
-/** The one resolve-or-die path every CLI mode funnels through:
- *  resolve @p dspec against the run's platform (fatal with @p ctx
- *  prefixed on any problem) and apply an optional workload batch
- *  override to every core (a batch is a property of the run). */
-DeploymentConfig
-cliResolveDeployment(const DeploymentSpec &dspec,
-                     const AcceleratorConfig &accel, const char *ctx,
-                     int batch_override = 0)
-{
-    DeploymentConfig dep;
-    std::string err;
-    if (!resolveDeployment(dspec, accel, &dep, &err))
-        fatal("%s%s", ctx, err.c_str());
-    if (batch_override > 0)
-        for (AcceleratorConfig &core : dep.coreConfigs)
-            core.batch = batch_override;
-    return dep;
-}
-
-/** The evaluation environment for (workload, platform, deployment):
- *  a plain CostModel, or the composed DeploymentCostModel when a
- *  deployment is in play. */
-std::unique_ptr<CostModel>
-makeModel(const Graph &g, const AcceleratorConfig &accel,
-          const DeploymentSpec &dspec)
-{
-    if (!dspec.enabled)
-        return std::make_unique<CostModel>(g, accel);
-    return std::make_unique<DeploymentCostModel>(
-        g, cliResolveDeployment(dspec, accel, ""));
-}
-
-/** The framework over the same environment. */
+/** The framework over (workload, platform, deployment): a plain
+ *  CostModel, or the composed DeploymentCostModel when a deployment
+ *  is in play (fatal on a deployment problem). */
 std::unique_ptr<CoccoFramework>
 makeFramework(const Graph &g, const AcceleratorConfig &accel,
-              const DeploymentSpec &dspec, const char *ctx = "",
-              int batch_override = 0)
+              const DeploymentSpec &dspec)
 {
     if (!dspec.enabled)
         return std::make_unique<CoccoFramework>(g, accel);
-    return std::make_unique<CoccoFramework>(
-        g, cliResolveDeployment(dspec, accel, ctx, batch_override));
+    DeploymentConfig dep;
+    std::string err;
+    if (!resolveDeployment(dspec, accel, &dep, &err))
+        fatal("%s", err.c_str());
+    return std::make_unique<CoccoFramework>(g, dep);
 }
 
 /** Human-mode stdout summary of a multi-core run's scale-out (silent
@@ -421,12 +400,22 @@ printTimeline(const CliArgs &a, CostModel &model, const Partition &p,
     std::printf("timeline:\n%s", tl.gantt().c_str());
 }
 
-/** Spec assembled from plain CLI flags (partition/coexplore modes). */
+/** Spec assembled from plain CLI flags (partition/coexplore modes),
+ *  with the workload, platform and deployment the flags address.
+ *  Call after cliWorkload, which vets the workload flags. */
 SearchSpec
 specFromArgs(const CliArgs &a)
 {
     SearchSpec spec;
     spec.algo = a.algo;
+    if (a.modelFile.empty()) {
+        spec.workload.model = a.model;
+        spec.workload.params.seed = a.modelSeed;
+    } else {
+        spec.workload.file = a.modelFile;
+    }
+    spec.platform = cliPlatformSpec(a);
+    spec.deployment = cliDeploymentSpec(a);
     spec.eval.sampleBudget = a.samples;
     spec.eval.alpha = a.alpha;
     spec.eval.metric = a.metric;
@@ -479,9 +468,7 @@ closeCache(const CliArgs &a, const std::shared_ptr<EvalCache> &cache)
 void
 emitMetrics(const CliArgs &a, const std::string &name, double wall_seconds,
             int64_t samples, double best_cost, bool cache_enabled,
-            const EvalCacheStats &stats,
-            const DeploymentBreakdown *dep = nullptr,
-            const CoccoResult *result = nullptr, bool pareto_mode = false)
+            const EvalCacheStats &stats, const DeploymentBreakdown &dep)
 {
     if (a.metricsOut.empty())
         return;
@@ -495,12 +482,8 @@ emitMetrics(const CliArgs &a, const std::string &name, double wall_seconds,
     m.wallSeconds = wall_seconds;
     m.cacheEnabled = cache_enabled;
     m.cache = stats;
-    if (dep) {
-        m.hasDeployment = true;
-        m.deployment = *dep;
-    }
-    if (result)
-        fillResultMetrics(*result, pareto_mode, &m);
+    m.hasDeployment = true;
+    m.deployment = dep;
     if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
         std::fprintf(stderr, "error: could not write metrics to %s\n",
                      a.metricsOut.c_str());
@@ -526,8 +509,8 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 void
-printCost(const Graph &g, const GraphCost &c, const BufferConfig &buf,
-          double alpha, Metric metric)
+printCost(const GraphCost &c, const BufferConfig &buf, double alpha,
+          Metric metric)
 {
     Table t({"metric", "value"});
     t.addRow({"buffer", buf.str()});
@@ -539,7 +522,6 @@ printCost(const Graph &g, const GraphCost &c, const BufferConfig &buf,
     t.addRow({"peak BW", Table::fmtDouble(c.peakBwGBps, 2) + " GB/s"});
     t.addRow({"objective", Table::fmtSci(objective(c, buf, alpha, metric))});
     t.print();
-    (void)g;
 }
 
 /** Human-mode per-racer summary of a portfolio run. */
@@ -597,10 +579,9 @@ int
 runPartition(CliArgs &a)
 {
     Graph g = cliWorkload(a);
-    AcceleratorConfig accel = cliPlatform(a);
-    DeploymentSpec dspec = cliDeploymentSpec(a);
-    std::unique_ptr<CostModel> model_ptr = makeModel(g, accel, dspec);
-    CostModel &model = *model_ptr;
+    std::unique_ptr<CoccoFramework> cocco =
+        makeFramework(g, cliPlatform(a), cliDeploymentSpec(a));
+    CostModel &model = cocco->model();
     BufferConfig buf;
     buf.style = BufferStyle::Separate;
     buf.actBytes = 1024 * 1024;
@@ -630,11 +611,10 @@ runPartition(CliArgs &a)
         p = r.best;
     } else if (sampling) {
         // Any registered driver, partition-only under the fixed buffer.
-        std::unique_ptr<CoccoFramework> cocco =
-            makeFramework(g, accel, dspec);
         SearchSpec spec = specFromArgs(a);
         spec.eval.coExplore = false;
         spec.fixedBuffer = buf;
+        fatalIf(runSpecError(spec));
         spec.eval.cacheEnabled = cache != nullptr;
         spec.eval.cache = cache;
         CoccoResult r = cocco->explore(spec);
@@ -655,15 +635,14 @@ runPartition(CliArgs &a)
     } else {
         std::printf("%s: %s partition -> %zu subgraphs\n",
                     a.model.c_str(), a.algo.c_str(), p.blocks().size());
-        printCost(g, c, buf, a.alpha, a.metric);
+        printCost(c, buf, a.alpha, a.metric);
         printDeploymentLine(dep);
         if (cache && samples > 0)
             printCacheLine(run_stats);
     }
     printTimeline(a, model, p, buf);
     emitMetrics(a, "partition-" + a.algo, wall, samples,
-                c.metricValue(a.metric), cache != nullptr, run_stats,
-                &dep);
+                c.metricValue(a.metric), cache != nullptr, run_stats, dep);
     return 0;
 }
 
@@ -678,6 +657,7 @@ runCoExplore(CliArgs &a)
     spec.eval.coExplore = true;
     spec.style = a.style == "separate" ? BufferStyle::Separate
                                        : BufferStyle::Shared;
+    fatalIf(runSpecError(spec));
     std::shared_ptr<EvalCache> cache = openCache(a);
     spec.eval.cacheEnabled = cache != nullptr;
     spec.eval.cache = cache;
@@ -692,7 +672,7 @@ runCoExplore(CliArgs &a)
                     a.model.c_str(), spec.algo.c_str(),
                     r.buffer.str().c_str(),
                     static_cast<long long>(r.samples));
-        printCost(g, r.cost, r.buffer, a.alpha, a.metric);
+        printCost(r.cost, r.buffer, a.alpha, a.metric);
         printDeploymentLine(r.deployment);
         printStopLine(r.stop);
         if (cache)
@@ -700,138 +680,57 @@ runCoExplore(CliArgs &a)
     }
     printTimeline(a, cocco->model(), r.partition, r.buffer);
     emitMetrics(a, "coexplore-" + spec.algo, wall, r.samples, r.objective,
-                cache != nullptr, r.cacheStats, &r.deployment);
+                cache != nullptr, r.cacheStats, r.deployment);
     return 0;
 }
 
-/** The co-schedule execution path, shared by `cocco coschedule` and a
- *  `run --spec` document with a "workload_set" section: resolve every
- *  tenant's graph, scale out over the spec's deployment (a plain
- *  platform is a 1-core deployment), and hand the joint placement
- *  search to CoScheduler. @p namePrefix labels the metrics record
- *  ("spec-" / "coschedule-") so either frontend is identifiable. */
-int
-runCoScheduleSpec(CliArgs a, SearchSpec spec,
-                  const std::string &namePrefix)
+/** Human-mode stdout summary of a co-schedule: the schedule-level
+ *  outcome, then one line per tenant. */
+void
+printScheduleLines(SpecRun &run)
 {
-    std::string err;
-    std::vector<Graph> graphs(spec.workloadSet.size());
-    std::string names;
-    for (int t = 0; t < spec.workloadSet.size(); ++t) {
-        if (!resolveWorkload(spec.workloadSet.tenants[t].workload,
-                             &graphs[t], &err))
-            fatal("%s: %s", a.specFile.c_str(), err.c_str());
-        names += (t ? "+" : "") + graphs[t].name();
+    const ScheduleResult &r = run.schedule();
+    ScheduleCostModel &model = run.scheduler()->model();
+    std::printf("%s: %s placed %d tenant(s) on %d core(s) -> "
+                "%d SLA violation(s), mean latency %.3f ms\n",
+                run.modelName().c_str(), run.spec().algo.c_str(),
+                model.tenants(), model.cores(), r.cost.slaViolations,
+                r.cost.meanLatencyMs);
+    if (static_cast<int>(r.cost.tenants.size()) != model.tenants())
+        return;
+    for (int t = 0; t < model.tenants(); ++t) {
+        const TenantSpec &ts = run.spec().workloadSet.tenants[t];
+        const TenantCost &tc = r.cost.tenants[t];
+        std::printf("  %-12s core %d  latency %10.3f ms "
+                    "(SLA %.3f ms) %s\n",
+                    ts.name.c_str(), r.schedule.coreOf[t], tc.latencyMs,
+                    ts.slaLatencyMs, tc.slaViolation ? "VIOLATED" : "ok");
     }
-    a.model = names;
-
-    AcceleratorConfig accel;
-    if (!resolvePlatform(spec.platform, &accel, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    DeploymentConfig dep;
-    if (spec.deployment.enabled) {
-        if (!resolveDeployment(spec.deployment, accel, &dep, &err))
-            fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    } else {
-        dep = homogeneousDeployment(accel, 1);
-    }
-
-    // Co-schedule runs have no checkpoint format (the inner searches
-    // are short per-tenant probes, not one long trajectory).
-    if (!a.checkpointFile.empty())
-        std::fprintf(stderr, "checkpoint: co-schedule runs do not "
-                             "checkpoint; --checkpoint ignored\n");
-
-    NdjsonProgress progress(a.progress ? stderr : nullptr, 0,
-                            &g_interrupted);
-    spec.eval.observer = &progress;
-
-    std::shared_ptr<EvalCache> cache;
-    if (spec.eval.cacheEnabled) {
-        a.cacheSize = static_cast<int64_t>(spec.eval.cacheCapacity);
-        cache = openCache(a);
-        spec.eval.cache = cache;
-        spec.eval.cacheEnabled = cache != nullptr;
-    }
-
-    CoScheduler sched(graphs, spec.workloadSet, dep);
-    auto t0 = std::chrono::steady_clock::now();
-    ScheduleResult r = sched.explore(spec);
-    double wall = secondsSince(t0);
-    closeCache(a, cache);
-
-    if (a.json) {
-        std::printf("%s\n",
-                    scheduleResultToJson(sched.model(), r).c_str());
-    } else {
-        std::printf("%s: %s placed %d tenant(s) on %d core(s) -> "
-                    "%d SLA violation(s), mean latency %.3f ms\n",
-                    a.model.c_str(), spec.algo.c_str(),
-                    sched.model().tenants(), sched.model().cores(),
-                    r.cost.slaViolations, r.cost.meanLatencyMs);
-        if (static_cast<int>(r.cost.tenants.size()) ==
-            sched.model().tenants()) {
-            for (int t = 0; t < sched.model().tenants(); ++t) {
-                const TenantSpec &ts = spec.workloadSet.tenants[t];
-                const TenantCost &tc = r.cost.tenants[t];
-                std::printf("  %-12s core %d  latency %10.3f ms "
-                            "(SLA %.3f ms) %s\n",
-                            ts.name.c_str(), r.schedule.coreOf[t],
-                            tc.latencyMs, ts.slaLatencyMs,
-                            tc.slaViolation ? "VIOLATED" : "ok");
-            }
-        }
-        printStopLine(r.stop);
-        if (cache)
-            printCacheLine(r.cacheStats);
-    }
-    if (a.timeline)
-        std::printf("%s", scheduleGantt(sched.model(), r).c_str());
-
-    if (!a.metricsOut.empty()) {
-        RunMetrics m;
-        m.name = namePrefix + spec.algo;
-        m.model = a.model;
-        m.threads = ThreadPool::resolveThreads(a.threads);
-        m.seed = a.seed;
-        m.samples = r.samples;
-        m.bestCost = r.objective;
-        m.wallSeconds = wall;
-        m.cacheEnabled = cache != nullptr;
-        m.cache = r.cacheStats;
-        fillTenantMetrics(sched.model(), r, &m);
-        if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
-            std::fprintf(stderr,
-                         "error: could not write metrics to %s\n",
-                         a.metricsOut.c_str());
-    }
-    return g_interrupted.load(std::memory_order_relaxed) ? 130 : 0;
 }
 
-/** `cocco run --spec FILE`: the declarative path. The document is
- *  authoritative for the search configuration; the command line only
- *  contributes output/persistence knobs (--json, --metrics-out,
- *  --cache-file). */
+/** `cocco run --spec FILE` and `cocco coschedule --spec FILE`: the
+ *  declarative path, through the same SpecRun as `cocco serve`. The
+ *  document is authoritative for the search configuration; the
+ *  command line only adds output/persistence knobs. `coschedule`
+ *  insists on a "workload_set" and labels its metrics
+ *  "coschedule-<algo>". */
 int
 runSpec(CliArgs a)
 {
+    const bool coschedule = a.command == "coschedule";
     if (a.specFile.empty())
-        fatal("run needs --spec FILE");
+        fatal("%s needs --spec FILE", a.command.c_str());
     JsonValue doc;
     std::string err;
     if (!loadJsonFile(a.specFile, &doc, &err))
         fatal("%s", err.c_str());
-
     SearchSpec spec;
-    // Partition-only specs may omit "buffer": default to the standard
-    // fixed buffer of the partition studies (1MB GLB + 1.125MB WBUF).
-    spec.fixedBuffer.style = BufferStyle::Separate;
-    spec.fixedBuffer.actBytes = 1024 * 1024;
-    spec.fixedBuffer.weightBytes = 1152 * 1024;
-    if (!searchSpecFromJson(doc, &spec, &err))
+    if (!parseRunSpec(doc, &spec, &err))
         fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    a.seed = spec.eval.seed;
-    a.threads = spec.eval.threads;
+    if (coschedule && !spec.workloadSet.enabled())
+        fatal("%s: coschedule needs a \"workload_set\" with >= 2 "
+              "tenants (one tenant is a plain run; use `cocco run`)",
+              a.specFile.c_str());
     if (a.deterministicRace)
         spec.portfolio.deterministicRace = true;
     if (!a.frontierOut.empty() && !spec.paretoMode)
@@ -843,36 +742,11 @@ runSpec(CliArgs a)
                      "the checkpoint format; a resumed run's frontier "
                      "only covers samples after the resume point\n");
 
-    // A "workload_set" document runs the co-scheduler; everything
-    // else about the invocation (--json, --timeline, --metrics-out,
-    // cache flags) behaves identically.
-    if (spec.workloadSet.enabled())
-        return runCoScheduleSpec(std::move(a), std::move(spec), "spec-");
-
-    // The document is self-contained: it addresses the workload (a
-    // registry model + params, or a graph file) and the platform (a
-    // preset, file, or inline config).
-    Graph g;
-    if (!resolveWorkload(spec.workload, &g, &err))
+    SpecRun run;
+    err = run.prepare(spec);
+    if (!err.empty())
         fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    a.model = g.name();
-
-    AcceleratorConfig accel;
-    if (!resolvePlatform(spec.platform, &accel, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    // An explicit workload batch (including 1) overrides the
-    // platform's: batching is a property of the run, accounted on
-    // the platform side. 0 (the default) inherits the platform's.
-    if (spec.workload.params.batch > 0)
-        accel.batch = spec.workload.params.batch;
-
-    // The spec's "deployment" section scales the run out over
-    // crossbar-connected cores; the workload batch override applies
-    // to every core.
-    std::string ctx = a.specFile + ": ";
-    std::unique_ptr<CoccoFramework> cocco =
-        makeFramework(g, accel, spec.deployment, ctx.c_str(),
-                      spec.workload.params.batch);
+    SearchSpec &rs = run.spec();
 
     // The progress/interrupt observer: --progress streams NDJSON
     // events (serve/events.h vocabulary, job id 0) to stderr; either
@@ -880,13 +754,19 @@ runSpec(CliArgs a)
     // boundary, so partial metrics and checkpoints still flush.
     NdjsonProgress progress(a.progress ? stderr : nullptr, 0,
                             &g_interrupted);
-    spec.eval.observer = &progress;
+    rs.eval.observer = &progress;
 
     // --checkpoint FILE: resume from the file when it exists, persist
     // the search state there when the run is cancelled or times out.
+    // Co-schedule runs have no checkpoint format (the inner searches
+    // are short per-tenant probes, not one long trajectory).
     CheckpointHooks hooks;
     SearchCheckpoint resume;
-    if (!a.checkpointFile.empty()) {
+    const bool checkpoint = !a.checkpointFile.empty() && !run.coSchedule();
+    if (!a.checkpointFile.empty() && run.coSchedule())
+        std::fprintf(stderr, "checkpoint: co-schedule runs do not "
+                             "checkpoint; --checkpoint ignored\n");
+    if (checkpoint) {
         std::string ckerr;
         if (std::FILE *probe =
                 std::fopen(a.checkpointFile.c_str(), "r")) {
@@ -917,80 +797,75 @@ runSpec(CliArgs a)
             e.sample = c.samples;
             progress.emit(e);
         };
-        spec.eval.checkpoint = &hooks;
+        rs.eval.checkpoint = &hooks;
     }
 
     std::shared_ptr<EvalCache> cache;
-    if (spec.eval.cacheEnabled) {
-        a.cacheSize = static_cast<int64_t>(spec.eval.cacheCapacity);
+    if (rs.eval.cacheEnabled) {
+        a.cacheSize = static_cast<int64_t>(rs.eval.cacheCapacity);
         cache = openCache(a);
-        spec.eval.cache = cache;
+        rs.eval.cache = cache;
+        rs.eval.cacheEnabled = cache != nullptr;
     }
 
     auto t0 = std::chrono::steady_clock::now();
-    CoccoResult r = cocco->explore(spec);
+    run.run();
     double wall = secondsSince(t0);
     closeCache(a, cache);
 
+    RunMetrics m = run.metrics();
     if (a.json) {
-        std::printf("%s\n", resultToJson(g, r).c_str());
+        std::printf("%s\n", run.resultJson().c_str());
     } else {
-        std::printf("%s: %s (%s) -> buffer %s after %lld samples\n",
-                    a.model.c_str(), spec.algo.c_str(),
-                    spec.eval.coExplore ? "co-explore" : "partition-only",
-                    r.buffer.str().c_str(),
-                    static_cast<long long>(r.samples));
-        printCost(g, r.cost, r.buffer, spec.eval.alpha, spec.eval.metric);
-        printDeploymentLine(r.deployment);
-        printRacerLines(r.racers);
-        if (spec.paretoMode)
-            printFrontierLine(r);
-        printStopLine(r.stop);
+        if (run.coSchedule()) {
+            printScheduleLines(run);
+        } else {
+            const CoccoResult &r = run.result();
+            std::printf("%s: %s (%s) -> buffer %s after %lld samples\n",
+                        run.modelName().c_str(), rs.algo.c_str(),
+                        rs.eval.coExplore ? "co-explore"
+                                          : "partition-only",
+                        r.buffer.str().c_str(),
+                        static_cast<long long>(r.samples));
+            printCost(r.cost, r.buffer, rs.eval.alpha, rs.eval.metric);
+            printDeploymentLine(r.deployment);
+            printRacerLines(r.racers);
+            if (rs.paretoMode)
+                printFrontierLine(r);
+        }
+        printStopLine(run.stop());
         if (cache)
-            printCacheLine(r.cacheStats);
+            printCacheLine(m.cache);
     }
-    printTimeline(a, cocco->model(), r.partition, r.buffer);
-    if (!a.frontierOut.empty() && spec.paretoMode)
-        emitFrontierCsv(a.frontierOut, r);
-    emitMetrics(a, "spec-" + spec.algo, wall, r.samples, r.objective,
-                cache != nullptr, r.cacheStats, &r.deployment, &r,
-                spec.paretoMode);
+    if (run.coSchedule()) {
+        if (a.timeline)
+            std::printf("%s", scheduleGantt(run.scheduler()->model(),
+                                            run.schedule())
+                                  .c_str());
+    } else {
+        printTimeline(a, run.framework()->model(), run.result().partition,
+                      run.result().buffer);
+        if (!a.frontierOut.empty() && rs.paretoMode)
+            emitFrontierCsv(a.frontierOut, run.result());
+    }
+
+    if (!a.metricsOut.empty()) {
+        if (coschedule)
+            m.name = "coschedule-" + rs.algo;
+        m.threads = ThreadPool::resolveThreads(rs.eval.threads);
+        m.wallSeconds = wall;
+        m.cacheEnabled = cache != nullptr;
+        if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
+            std::fprintf(stderr, "error: could not write metrics to %s\n",
+                         a.metricsOut.c_str());
+    }
 
     // A run that ended for good (budget/stall) leaves no checkpoint
     // behind — resuming a finished run would be a silent no-op.
-    if (!a.checkpointFile.empty() &&
-        (r.stop == StopReason::BudgetExhausted ||
-         r.stop == StopReason::Stalled))
+    if (checkpoint && (run.stop() == StopReason::BudgetExhausted ||
+                       run.stop() == StopReason::Stalled))
         std::remove(a.checkpointFile.c_str());
     return g_interrupted.load(std::memory_order_relaxed) ? 130 : 0;
-}
-
-/** `cocco coschedule --spec FILE`: the explicit multi-tenant
- *  frontend. Takes the same documents as `run` but insists on a
- *  "workload_set" (a single tenant normalizes to a plain run). */
-int
-runCoSchedule(CliArgs a)
-{
-    if (a.specFile.empty())
-        fatal("coschedule needs --spec FILE");
-    JsonValue doc;
-    std::string err;
-    if (!loadJsonFile(a.specFile, &doc, &err))
-        fatal("%s", err.c_str());
-    SearchSpec spec;
-    spec.fixedBuffer.style = BufferStyle::Separate;
-    spec.fixedBuffer.actBytes = 1024 * 1024;
-    spec.fixedBuffer.weightBytes = 1152 * 1024;
-    if (!searchSpecFromJson(doc, &spec, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    if (!spec.workloadSet.enabled())
-        fatal("%s: coschedule needs a \"workload_set\" with >= 2 "
-              "tenants (one tenant is a plain run; use `cocco run`)",
-              a.specFile.c_str());
-    a.seed = spec.eval.seed;
-    a.threads = spec.eval.threads;
-    return runCoScheduleSpec(std::move(a), std::move(spec),
-                             "coschedule-");
 }
 
 /** `cocco batch <dir>`: drain a directory of run specs through one
@@ -1158,9 +1033,6 @@ validateMetrics(const std::string &path)
                 if (!job->find(f) || !job->find(f)->isString())
                     fatal("%s: runs[%d] job missing string \"%s\"",
                           path.c_str(), i, f);
-            if (!job->find("resumed") || !job->find("resumed")->isBool())
-                fatal("%s: runs[%d] job missing bool \"resumed\"",
-                      path.c_str(), i);
         }
         // The tenants block is optional (co-schedule documents); when
         // present its list must be per-tenant complete and match the
@@ -1368,10 +1240,8 @@ main(int argc, char **argv)
         std::printf("%s\n", deploymentToJson(desc).c_str());
         return 0;
     }
-    if (a.command == "run")
+    if (a.command == "run" || a.command == "coschedule")
         return runSpec(a);
-    if (a.command == "coschedule")
-        return runCoSchedule(a);
     if (a.command == "batch")
         return runBatch(a);
     if (a.command == "serve")
