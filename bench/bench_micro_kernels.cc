@@ -2,15 +2,17 @@
  * @file
  * Google-benchmark microbenchmarks of the framework's hot paths: the
  * tile-flow derivation, subgraph profiling (with and without the
- * memoization cache), partition repair, and one GA generation. These
- * are the kernels that bound how many samples per second the search
- * can evaluate.
+ * memoization cache), partition costing (plain and through a warm
+ * block cache), structural and capacity repair, and one GA
+ * generation. These are the kernels that bound how many samples per
+ * second the search can evaluate.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "models/models.h"
 #include "partition/repair.h"
+#include "search/eval_cache.h"
 #include "search/ga.h"
 #include "search/operators.h"
 #include "sim/cost_model.h"
@@ -108,6 +110,57 @@ BM_PartitionCost(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PartitionCost);
+
+static void
+BM_PartitionCostBlockCache(benchmark::State &state)
+{
+    // A random genome's blocks (singletons and fused runs) costed
+    // through a warm block cache, as a search's cache misses are.
+    const Graph &g = resnet();
+    AcceleratorConfig accel;
+    CostModel model(g, accel);
+    model.setPruning(true);
+    BufferConfig buf;
+    buf.style = BufferStyle::Shared;
+    buf.sharedBytes = 1024 * 1024;
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    Rng rng(3);
+    Partition p = randomGenome(g, space, rng).part;
+    p = repairToCapacity(g, std::move(p), model, buf);
+    EvalCache cache;
+    EvalCache::BlockView view = cache.blockView(/*salt=*/1);
+    model.partitionCost(p, buf, &view); // warm
+    for (auto _ : state) {
+        GraphCost c = model.partitionCost(p, buf, &view,
+                                          CostModel::CostScope::Objective);
+        benchmark::DoNotOptimize(c.energyPj);
+    }
+}
+BENCHMARK(BM_PartitionCostBlockCache);
+
+static void
+BM_RepairToCapacity(benchmark::State &state)
+{
+    // A NasNet crossover child under a tight shared buffer, with the
+    // profile memo warm as it is in a running search.
+    static const Graph g = buildModel("NasNet");
+    CostModel model(g, AcceleratorConfig{});
+    model.setPruning(true);
+    BufferConfig buf;
+    buf.style = BufferStyle::Shared;
+    buf.sharedBytes = 128 * 1024;
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    Rng rng(9);
+    Genome dad = randomGenome(g, space, rng);
+    Genome mom = randomGenome(g, space, rng);
+    Genome child = crossover(g, space, dad, mom, rng);
+    repairToCapacity(g, child.part, model, buf); // warm the memo
+    for (auto _ : state) {
+        Partition p = repairToCapacity(g, child.part, model, buf);
+        benchmark::DoNotOptimize(p.numBlocks);
+    }
+}
+BENCHMARK(BM_RepairToCapacity);
 
 static void
 BM_RepairStructure(benchmark::State &state)

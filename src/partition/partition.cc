@@ -95,6 +95,70 @@ Partition::valid(const Graph &g) const
     return true;
 }
 
+bool
+Partition::isCanonical(const Graph &g) const
+{
+    const int n = g.size();
+    if (static_cast<int>(block.size()) != n || numBlocks < 0 ||
+        numBlocks > n)
+        return false;
+
+    // One pass in ascending node order (producers precede consumers):
+    // ids in range, precedence (a, b), each block's smallest node and
+    // ready time, and a union-find over same-block edges whose roots
+    // are the smallest node of their component.
+    thread_local std::vector<int> minNode, readyAt, root, stack;
+    minNode.assign(numBlocks, -1);
+    readyAt.assign(numBlocks, 0);
+    root.resize(n);
+    auto find = [&](int v) {
+        while (root[v] != v)
+            v = root[v] = root[root[v]];
+        return v;
+    };
+    for (NodeId v = 0; v < n; ++v) {
+        const int b = block[v];
+        if (b < 0 || b >= numBlocks)
+            return false;
+        if (minNode[b] < 0)
+            minNode[b] = v;
+        root[v] = v;
+        for (NodeId u : g.preds(v)) {
+            const int a = block[u];
+            if (a > b)
+                return false;
+            if (a < b) {
+                readyAt[b] = std::max(readyAt[b], a + 1);
+            } else {
+                int ru = find(u), rv = find(v);
+                root[std::max(ru, rv)] = std::min(ru, rv);
+            }
+        }
+    }
+
+    // (c): one component per block, rooted at the block's smallest
+    // node.
+    for (NodeId v = 0; v < n; ++v)
+        if (find(v) != minNode[block[v]])
+            return false;
+
+    // (a) used ids and (d). The stack holds the suffix maxima of
+    // minNode over [0, b): the first entry at or past readyAt(b) is
+    // the largest minNode in b's window, and every entry popped here
+    // is dominated by b for all later windows too.
+    stack.clear();
+    for (int b = 0; b < numBlocks; ++b) {
+        if (minNode[b] < 0)
+            return false;
+        while (!stack.empty() && minNode[stack.back()] < minNode[b])
+            stack.pop_back();
+        if (!stack.empty() && stack.back() >= readyAt[b])
+            return false;
+        stack.push_back(b);
+    }
+    return true;
+}
+
 std::string
 Partition::str() const
 {

@@ -56,6 +56,21 @@ struct Partition
     /** Full validity: precedence and per-block weak connectivity. */
     bool valid(const Graph &g) const;
 
+    /**
+     * Whether repairStructure(g, *this) would return this partition
+     * unchanged (block vector and numBlocks). That holds exactly when:
+     *  (a) there is one id per node, every id lies in [0, numBlocks)
+     *      and every id is used;
+     *  (b) block[u] <= block[v] for every edge u -> v;
+     *  (c) every block is weakly connected;
+     *  (d) the ids are canonicalize()'s Kahn order: with readyAt(b) =
+     *      1 + the largest id among b's inter-block predecessors (0 if
+     *      none), every block r in [readyAt(b), b) has a smaller
+     *      smallest node than b.
+     * O(n + E); builds no quotient graph.
+     */
+    bool isCanonical(const Graph &g) const;
+
     /** "{0,1,2}{3,4}..." rendering for debugging. */
     std::string str() const;
 

@@ -92,6 +92,88 @@ splitAtMedian(Partition &p, int b)
             x = next;
 }
 
+/**
+ * Split every multi-node block that does not fit @p buf until each
+ * piece fits or is a singleton, touching each block once. A block
+ * splits as splitAtMedian splits it (its first floor(k/2) nodes stay),
+ * and each half into its weak components. Node ids are topological,
+ * so every edge between the halves runs from the lower to the upper
+ * one and a split of an acyclic partition never closes a quotient
+ * cycle; fits is pure and a block's pieces depend only on the block.
+ * So the result equals splitting one block at a time with a full
+ * structural repair and a fresh sweep after each split.
+ */
+void
+refineToFit(const Graph &g, Partition &p, CostModel &model,
+            const BufferConfig &buf)
+{
+    // Worklist: the blocks, then the pieces of each split entry, which
+    // is left empty.
+    std::vector<std::vector<NodeId>> work = p.blocks();
+    bool split = false;
+    for (size_t i = 0; i < work.size(); ++i) {
+        if (work[i].size() < 2 || model.fits(work[i], buf))
+            continue;
+        std::vector<NodeId> lower = std::move(work[i]);
+        work[i].clear();
+        std::vector<NodeId> upper(lower.begin() + lower.size() / 2,
+                                  lower.end());
+        lower.resize(lower.size() / 2);
+        for (const auto *half : {&lower, &upper})
+            for (auto &piece : weakComponents(g, *half))
+                work.push_back(std::move(piece));
+        split = true;
+    }
+    if (!split)
+        return;
+    int next = 0;
+    for (const auto &piece : work) {
+        if (piece.empty())
+            continue;
+        for (NodeId v : piece)
+            p.block[v] = next;
+        ++next;
+    }
+    p.canonicalize(g);
+}
+
+/**
+ * Double-buffered weight prefetch: adjacent blocks' weights must
+ * co-reside. Split the heavier multi-node block of the first violating
+ * pair (else the lighter one) at its median and repair; singleton
+ * pairs cannot be repaired here and stay penalized at evaluation.
+ * @return whether a block was split.
+ */
+bool
+splitPrefetchVictim(const Graph &g, Partition &p, CostModel &model,
+                    const BufferConfig &buf)
+{
+    int64_t cap = buf.style == BufferStyle::Shared ? buf.sharedBytes
+                                                   : buf.weightBytes;
+    auto blocks = p.blocks();
+    for (size_t i = 0; i + 1 < blocks.size(); ++i) {
+        int64_t wa = model.profile(blocks[i]).weightBytes;
+        int64_t wb = model.profile(blocks[i + 1]).weightBytes;
+        wa = ceilDiv(wa, model.accel().cores);
+        wb = ceilDiv(wb, model.accel().cores);
+        // Oversized singletons stream in tiles and are exempt
+        // (matching the cost model's feasibility rule).
+        if (wa > cap || wb > cap || wa + wb <= cap)
+            continue;
+        const auto &heavy = (wa >= wb ? blocks[i] : blocks[i + 1]);
+        const auto &light = (wa >= wb ? blocks[i + 1] : blocks[i]);
+        const auto *victim =
+            heavy.size() >= 2 ? &heavy
+                              : (light.size() >= 2 ? &light : nullptr);
+        if (!victim)
+            continue;
+        splitAtMedian(p, p.block[victim->front()]);
+        p = repairStructure(g, std::move(p));
+        return true;
+    }
+    return false;
+}
+
 } // namespace
 
 Partition
@@ -132,65 +214,14 @@ Partition
 repairToCapacity(const Graph &g, Partition p, CostModel &model,
                  const BufferConfig &buf)
 {
-    p = repairStructure(g, std::move(p));
-
-    // Iteratively split infeasible multi-node blocks. Splitting can
-    // create new blocks, so sweep until a fixed point.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const auto &blk : p.blocks()) {
-            if (blk.size() < 2)
-                continue;
-            if (model.fits(blk, buf))
-                continue;
-            // Split at the median; structural repair renumbers and
-            // restores connectivity.
-            int b = p.block[blk.front()];
-            splitAtMedian(p, b);
-            p = repairStructure(g, std::move(p));
-            changed = true;
-            break;
-        }
-
-        // Double-buffered weight prefetch: adjacent blocks' weights
-        // must co-reside. Split the heavier multi-node block of a
-        // violating pair; singleton pairs cannot be repaired here and
-        // stay penalized at evaluation.
-        if (!changed && model.accel().doubleBufferWeights) {
-            int64_t cap = buf.style == BufferStyle::Shared
-                              ? buf.sharedBytes
-                              : buf.weightBytes;
-            auto blocks = p.blocks();
-            for (size_t i = 0; i + 1 < blocks.size(); ++i) {
-                int64_t wa = model.profile(blocks[i]).weightBytes;
-                int64_t wb = model.profile(blocks[i + 1]).weightBytes;
-                wa = ceilDiv(wa, model.accel().cores);
-                wb = ceilDiv(wb, model.accel().cores);
-                // Oversized singletons stream in tiles and are exempt
-                // (matching the cost model's feasibility rule).
-                if (wa > cap || wb > cap || wa + wb <= cap)
-                    continue;
-                // Split the heavier block; if it is a singleton,
-                // try the lighter one. Two un-splittable singletons
-                // stay penalized at evaluation.
-                const auto &heavy =
-                    (wa >= wb ? blocks[i] : blocks[i + 1]);
-                const auto &light =
-                    (wa >= wb ? blocks[i + 1] : blocks[i]);
-                const auto *victim =
-                    heavy.size() >= 2
-                        ? &heavy
-                        : (light.size() >= 2 ? &light : nullptr);
-                if (!victim)
-                    continue;
-                splitAtMedian(p, p.block[victim->front()]);
-                p = repairStructure(g, std::move(p));
-                changed = true;
-                break;
-            }
-        }
-    }
+    // Genomes from the operators, randomGenome and cache hits are
+    // already canonical; only other input pays for the full repair.
+    if (!p.isCanonical(g))
+        p = repairStructure(g, std::move(p));
+    do
+        refineToFit(g, p, model, buf);
+    while (model.accel().doubleBufferWeights &&
+           splitPrefetchVictim(g, p, model, buf));
     return p;
 }
 

@@ -28,11 +28,12 @@ namespace cocco {
 Partition repairStructure(const Graph &g, Partition p);
 
 /**
- * Structural repair followed by capacity enforcement: any multi-node
- * block that does not fit @p buf (activation footprint, resident
- * weights, or region count) is recursively split at its topological
- * median. Singleton blocks are always accepted (they execute with
- * reload penalties).
+ * Structural repair (skipped when @p p is already canonical, see
+ * Partition::isCanonical) followed by capacity enforcement: any
+ * multi-node block that does not fit @p buf (activation footprint,
+ * resident weights, or region count) is recursively split at its
+ * topological median. Singleton blocks are always accepted (they
+ * execute with reload penalties).
  */
 Partition repairToCapacity(const Graph &g, Partition p, CostModel &model,
                            const BufferConfig &buf);

@@ -199,13 +199,14 @@ HttpServer::stop()
             acceptThread_.join();
         return;
     }
-    // Unblock accept() by shutting the listener down, then unblock
-    // any connection stuck in recv()/send().
+    // Unblock accept() by shutting the listener down, and close it
+    // only once the accept thread, which reads listenFd_, has exited.
+    // Then unblock any connection stuck in recv()/send().
     ::shutdown(listenFd_, SHUT_RDWR);
-    ::close(listenFd_);
-    listenFd_ = -1;
     if (acceptThread_.joinable())
         acceptThread_.join();
+    ::close(listenFd_);
+    listenFd_ = -1;
 
     std::vector<Conn> conns;
     {

@@ -29,6 +29,17 @@ hashSortedNodeSet(const std::vector<NodeId> &nodes)
     return h;
 }
 
+/** @p nodes when already ascending, else a sorted copy in @p tmp. */
+const std::vector<NodeId> &
+sortedNodes(const std::vector<NodeId> &nodes, std::vector<NodeId> &tmp)
+{
+    if (std::is_sorted(nodes.begin(), nodes.end()))
+        return nodes;
+    tmp = nodes;
+    std::sort(tmp.begin(), tmp.end());
+    return tmp;
+}
+
 } // namespace
 
 size_t
@@ -60,18 +71,33 @@ objective(const GraphCost &cost, const BufferConfig &buf, double alpha,
 }
 
 CostModel::CostModel(const Graph &g, const AcceleratorConfig &accel)
-    : g_(g), accel_(accel)
+    : g_(g), accel_(accel),
+      singles_(new std::atomic<const SubgraphProfile *>[g.size()])
 {
+    for (NodeId v = 0; v < g.size(); ++v)
+        singles_[v].store(nullptr, std::memory_order_relaxed);
 }
 
 const SubgraphProfile &
 CostModel::profile(const std::vector<NodeId> &nodes)
 {
+    if (nodes.size() == 1 && nodes.front() >= 0 &&
+        nodes.front() < g_.size()) {
+        if (const SubgraphProfile *s =
+                singles_[nodes.front()].load(std::memory_order_acquire))
+            return *s;
+    }
     // Canonical (sorted) node set: the cache key compares by value on
     // hash hit, so a 64-bit collision cannot alias two subgraphs.
-    std::vector<NodeId> key(nodes);
-    std::sort(key.begin(), key.end());
-    uint64_t h = hashSortedNodeSet(key);
+    std::vector<NodeId> tmp;
+    const std::vector<NodeId> &key = sortedNodes(nodes, tmp);
+    return memoProfile(nodes, key, hashSortedNodeSet(key));
+}
+
+const SubgraphProfile &
+CostModel::memoProfile(const std::vector<NodeId> &nodes,
+                       const std::vector<NodeId> &key, uint64_t h)
+{
     CacheShard &shard = shards_[h % kCacheShards];
 
     // The shard lock is held across the profile computation: a second
@@ -79,17 +105,18 @@ CostModel::profile(const std::vector<NodeId> &nodes)
     // result instead of duplicating the tile-flow profiling.
     std::lock_guard<std::mutex> lk(shard.mu);
     auto it = shard.map.find(key);
-    if (it != shard.map.end())
-        return it->second;
-    return shard.map.emplace(std::move(key), computeProfile(nodes))
-        .first->second;
+    if (it == shard.map.end())
+        it = shard.map.emplace(key, computeProfile(nodes)).first;
+    if (key.size() == 1 && key.front() >= 0 && key.front() < g_.size())
+        singles_[key.front()].store(&it->second, std::memory_order_release);
+    return it->second;
 }
 
 const BoundProfile &
 CostModel::boundProfile(const std::vector<NodeId> &nodes)
 {
-    std::vector<NodeId> key(nodes);
-    std::sort(key.begin(), key.end());
+    std::vector<NodeId> tmp;
+    const std::vector<NodeId> &key = sortedNodes(nodes, tmp);
     uint64_t h = hashSortedNodeSet(key);
     CacheShard &shard = shards_[h % kCacheShards];
 
@@ -108,7 +135,7 @@ CostModel::boundProfile(const std::vector<NodeId> &nodes)
     } else {
         bp = computeBoundProfile(nodes);
     }
-    return shard.bounds.emplace(std::move(key), bp).first->second;
+    return shard.bounds.emplace(key, bp).first->second;
 }
 
 size_t
@@ -371,29 +398,49 @@ CostModel::partitionLowerBound(const Partition &p, const BufferConfig &buf)
 bool
 CostModel::fits(const std::vector<NodeId> &nodes, const BufferConfig &buf)
 {
-    if (pruning()) {
-        // Trivial answers that need no tile-flow profiling: a single
-        // layer always fits (further tiling at a reload price), and a
-        // multi-node subgraph whose weight shard exceeds even the
-        // whole buffer can never fit (assemble's weight capacity is
-        // at most the buffer size). Exercised heavily by the in-situ
-        // capacity repair.
-        if (nodes.size() == 1) {
+    // A single layer always fits (further tiling at a reload price);
+    // with pruning on that is answered without profiling.
+    if (nodes.size() == 1) {
+        if (pruning())
             fitsShortCircuits_.fetch_add(1, std::memory_order_relaxed);
-            return true;
-        }
-        const BoundProfile &bp = boundProfile(nodes);
+        else
+            profile(nodes);
+        return true;
+    }
+
+    // One memo probe: a memoized full profile answers both the weight
+    // screen and the exact check.
+    std::vector<NodeId> tmp;
+    const std::vector<NodeId> &key = sortedNodes(nodes, tmp);
+    const uint64_t h = hashSortedNodeSet(key);
+    const SubgraphProfile *prof = nullptr;
+    {
+        CacheShard &shard = shards_[h % kCacheShards];
+        std::lock_guard<std::mutex> lk(shard.mu);
+        auto it = shard.map.find(key);
+        if (it != shard.map.end())
+            prof = &it->second;
+    }
+    if (pruning()) {
+        // A multi-node subgraph whose weight shard exceeds even the
+        // whole buffer can never fit (assemble's weight capacity is
+        // at most the buffer size); without a full profile the
+        // boundary summary decides that without tile-flow profiling.
+        // Exercised heavily by the in-situ capacity repair.
+        int64_t weights =
+            prof ? prof->weightBytes : boundProfile(nodes).weightBytes;
         int64_t wcap = buf.style == BufferStyle::Shared ? buf.sharedBytes
                                                         : buf.weightBytes;
-        if (ceilDiv(bp.weightBytes, accel_.cores) > wcap) {
+        if (ceilDiv(weights, accel_.cores) > wcap) {
             fitsShortCircuits_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
     }
-    const SubgraphProfile &prof = profile(nodes);
-    if (prof.nodeCount == 1)
+    if (!prof)
+        prof = &memoProfile(nodes, key, h);
+    if (prof->nodeCount == 1)
         return true;
-    return assemble(prof, buf).feasible;
+    return assemble(*prof, buf).feasible;
 }
 
 GraphCost
@@ -407,11 +454,14 @@ CostModel::partitionCost(const Partition &p, const BufferConfig &buf,
     std::vector<SubgraphCost> costs;
     costs.reserve(blocks.size());
     for (const auto &blk : blocks) {
+        // Singletons skip the block cache: their profile is one table
+        // load away, so assembling is cheaper than any probe.
         SubgraphCost c;
-        if (!block_cache || !block_cache->lookupBlock(blk, buf, &c)) {
+        if (!block_cache || blk.size() == 1) {
             c = subgraphCost(blk, buf);
-            if (block_cache)
-                block_cache->insertBlock(blk, buf, c);
+        } else if (!block_cache->lookupBlock(blk, buf, &c)) {
+            c = subgraphCost(blk, buf);
+            block_cache->insertBlock(blk, buf, c);
         }
         ++total.subgraphs;
         costs.push_back(c);

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -221,7 +222,10 @@ struct DeploymentBreakdown
  * duplicate) memoized profiles; a profile is computed at most once.
  * Entries are keyed on the canonical (sorted) node set and compared
  * by value on lookup, so a 64-bit hash collision can never alias two
- * different subgraphs.
+ * different subgraphs. Memo entries never move once inserted, so a
+ * singleton's entry is also published, with release semantics, in a
+ * per-node table of atomic pointers: after its first use,
+ * profile({v}) is one acquire load with no lock.
  *
  * The evaluation entry points (subgraphCost/fits/partitionCost) and
  * the deployment hooks (contextHash/breakdown/coreComputeCycles) are
@@ -297,9 +301,12 @@ class CostModel
 
     /**
      * Aggregate cost of a partition under @p buf. When @p block_cache
-     * is non-null, per-block SubgraphCosts are looked up there first
-     * and inserted on miss, so re-evaluating a partition that shares
-     * blocks with earlier ones only assembles the changed blocks.
+     * is non-null, multi-node blocks' SubgraphCosts are looked up
+     * there first and inserted on miss, so re-evaluating a partition
+     * that shares blocks with earlier ones only assembles the changed
+     * blocks. Singleton blocks never reach @p block_cache: they go to
+     * subgraphCost directly, which costs one table load and an
+     * assembly, less than any cache probe.
      */
     virtual GraphCost partitionCost(const Partition &p,
                                     const BufferConfig &buf,
@@ -378,6 +385,12 @@ class CostModel
 
     static constexpr int kCacheShards = 64;
 
+    /** The memoized profile of the ascending node set @p key (hash
+     *  @p h), computed from @p nodes on first use. */
+    const SubgraphProfile &memoProfile(const std::vector<NodeId> &nodes,
+                                       const std::vector<NodeId> &key,
+                                       uint64_t h);
+
     SubgraphCost assemble(const SubgraphProfile &prof,
                           const BufferConfig &buf) const;
     SubgraphProfile computeProfile(const std::vector<NodeId> &nodes) const;
@@ -387,6 +400,10 @@ class CostModel
     const Graph &g_;
     AcceleratorConfig accel_;
     CacheShard shards_[kCacheShards];
+
+    /** Node -> its singleton profile in the memo, null until
+     *  memoized. */
+    std::unique_ptr<std::atomic<const SubgraphProfile *>[]> singles_;
 
     std::atomic<bool> prune_{false};
     mutable std::atomic<uint64_t> fitsShortCircuits_{0};

@@ -100,17 +100,27 @@ TEST(CostModelParallel, ConcurrentProfileMatchesSerial)
     std::vector<std::vector<NodeId>> subgraphs = sampleSubgraphs(g);
 
     // Hammer one model from 8 threads, every subgraph requested many
-    // times concurrently.
+    // times concurrently; half the requests go through fits first, so
+    // its memo probe and the singleton table's publication race with
+    // profile().
     CostModel concurrent(g, accel);
+    concurrent.setPruning(true);
+    BufferConfig buf;
+    buf.style = BufferStyle::Shared;
+    buf.sharedBytes = 512 * 1024;
     ThreadPool pool(8);
     const size_t repeat = 16;
     pool.parallelFor(subgraphs.size() * repeat, [&](size_t i) {
-        concurrent.profile(subgraphs[i % subgraphs.size()]);
+        const std::vector<NodeId> &nodes = subgraphs[i % subgraphs.size()];
+        if (i % 2)
+            concurrent.fits(nodes, buf);
+        concurrent.profile(nodes);
     });
 
     // Every memoized profile must match a serially-built model.
     CostModel serial(g, accel);
     for (const auto &nodes : subgraphs) {
+        EXPECT_EQ(concurrent.fits(nodes, buf), serial.fits(nodes, buf));
         const SubgraphProfile &a = concurrent.profile(nodes);
         const SubgraphProfile &b = serial.profile(nodes);
         EXPECT_EQ(a.inBytes, b.inBytes);

@@ -199,7 +199,7 @@ TEST(PruningSearch, BitIdenticalAcrossAllAlgorithms)
 {
     Graph g = smallGraph();
     AcceleratorConfig accel = platformPreset("simba");
-    for (const std::string &algo : {"ga", "sa", "ts-random", "ts-grid"}) {
+    for (const char *algo : {"ga", "sa", "ts-random", "ts-grid"}) {
         SearchResult off = runAlgo(algo, g, accel, false, 9);
         SearchResult on = runAlgo(algo, g, accel, true, 9);
         EXPECT_TRUE(sameSearchResult(off, on)) << "algo " << algo;
@@ -212,7 +212,7 @@ TEST(PruningSearch, BitIdenticalWithoutCache)
     // must hold there too.
     Graph g = smallGraph();
     AcceleratorConfig accel = platformPreset("simba");
-    for (const std::string &algo : {"ga", "ts-random"}) {
+    for (const char *algo : {"ga", "ts-random"}) {
         SearchResult off = runAlgo(algo, g, accel, false, 13, false);
         SearchResult on = runAlgo(algo, g, accel, true, 13, false);
         EXPECT_TRUE(sameSearchResult(off, on)) << "algo " << algo;

@@ -6,14 +6,19 @@
  * reproduce the original map/set implementations kept here as
  * test-only references: the same block vectors, the same numBlocks,
  * and the same RNG draws, on every registered model. Any change to the
- * canonical numbering has to pass this suite.
+ * canonical numbering has to pass this suite. The capacity refinement
+ * of repairToCapacity is held to the split-one-block-and-re-sweep loop
+ * it replaced, and Partition::isCanonical to "repairStructure leaves
+ * it unchanged".
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,7 +27,10 @@
 #include "models/models.h"
 #include "partition/repair.h"
 #include "search/operators.h"
+#include "sim/deployment.h"
+#include "sim/platform.h"
 #include "util/logging.h"
+#include "util/math_util.h"
 #include "util/random.h"
 
 using namespace cocco;
@@ -253,6 +261,59 @@ repairStructure(const Graph &g, Partition p)
         splitComponents(g, p);
     }
     canonicalize(g, p);
+    return p;
+}
+
+/**
+ * Capacity repair as a sweep: split the first multi-node block that
+ * does not fit at its median, run the full structural repair, and
+ * sweep again from the start; then the double-buffer pass, restarting
+ * the sweep after each of its splits.
+ */
+Partition
+repairToCapacity(const Graph &g, Partition p, CostModel &model,
+                 const BufferConfig &buf)
+{
+    p = cocco::repairStructure(g, std::move(p));
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (const auto &blk : p.blocks()) {
+            if (blk.size() < 2 || model.fits(blk, buf))
+                continue;
+            splitAtMedian(p, p.block[blk.front()]);
+            p = cocco::repairStructure(g, std::move(p));
+            changed = true;
+            break;
+        }
+        if (!changed && model.accel().doubleBufferWeights) {
+            int64_t cap = buf.style == BufferStyle::Shared
+                              ? buf.sharedBytes
+                              : buf.weightBytes;
+            auto blocks = p.blocks();
+            for (size_t i = 0; i + 1 < blocks.size(); ++i) {
+                int64_t wa = ceilDiv(model.profile(blocks[i]).weightBytes,
+                                     model.accel().cores);
+                int64_t wb =
+                    ceilDiv(model.profile(blocks[i + 1]).weightBytes,
+                            model.accel().cores);
+                if (wa > cap || wb > cap || wa + wb <= cap)
+                    continue;
+                const auto &heavy = wa >= wb ? blocks[i] : blocks[i + 1];
+                const auto &light = wa >= wb ? blocks[i + 1] : blocks[i];
+                const auto *victim =
+                    heavy.size() >= 2
+                        ? &heavy
+                        : (light.size() >= 2 ? &light : nullptr);
+                if (!victim)
+                    continue;
+                splitAtMedian(p, p.block[victim->front()]);
+                p = cocco::repairStructure(g, std::move(p));
+                changed = true;
+                break;
+            }
+        }
+    }
     return p;
 }
 
@@ -516,6 +577,221 @@ TEST_P(RepairEquivalence, OperatorsMatchReferenceDrawForDraw)
         rng = r_new;
         pool[rng.index(pool.size())] = std::move(child);
     }
+}
+
+BufferConfig
+sharedBuffer(int64_t kib)
+{
+    BufferConfig b;
+    b.style = BufferStyle::Shared;
+    b.sharedBytes = kib * 1024;
+    return b;
+}
+
+BufferConfig
+separateBuffer(int64_t act_kib, int64_t weight_kib)
+{
+    BufferConfig b;
+    b.style = BufferStyle::Separate;
+    b.actBytes = act_kib * 1024;
+    b.weightBytes = weight_kib * 1024;
+    return b;
+}
+
+TEST_P(RepairEquivalence, CapacityRefinementMatchesSweep)
+{
+    // Inputs: crossover children, each mutation's output, and
+    // two-parent mixes both raw and structurally repaired.
+    const int n = g_.size();
+    Rng rng(0xcab + n);
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    std::vector<Genome> pool;
+    for (int i = 0; i < 4; ++i)
+        pool.push_back(randomGenome(g_, space, rng));
+    // The reference re-runs the full structural repair after every
+    // split, which makes it slow under the sanitizers: few rounds.
+    std::vector<Partition> inputs;
+    for (int i = 0; i < kRounds / 8; ++i) {
+        const Genome &dad = pool[rng.index(pool.size())];
+        const Genome &mom = pool[rng.index(pool.size())];
+        Genome child = crossover(g_, space, dad, mom, rng);
+        inputs.push_back(child.part);
+        for (auto op :
+             {mutateModifyNode, mutateSplitSubgraph, mutateMergeSubgraph}) {
+            Genome m = child;
+            op(g_, m, rng, nullptr);
+            inputs.push_back(m.part);
+        }
+        Partition mixed;
+        mixed.block.resize(n);
+        for (int v = 0; v < n; ++v)
+            mixed.block[v] = rng.bernoulli(0.5)
+                                 ? dad.part.block[v]
+                                 : dad.part.numBlocks + mom.part.block[v];
+        inputs.push_back(mixed);
+        inputs.push_back(repairStructure(g_, mixed));
+        pool[rng.index(pool.size())] = std::move(child);
+    }
+
+    // Tight to roomy, both buffer styles.
+    const BufferConfig buffers[] = {
+        sharedBuffer(64),        sharedBuffer(512),
+        sharedBuffer(4096),      separateBuffer(32, 64),
+        separateBuffer(512, 1024),
+    };
+
+    AcceleratorConfig simba;
+    AcceleratorConfig prefetch = simba;
+    prefetch.doubleBufferWeights = true;
+    DeploymentConfig big_little;
+    big_little.coreConfigs = {simba, simba, platformPreset("edge"),
+                              platformPreset("edge")};
+    struct Variant
+    {
+        const char *name;
+        std::function<std::unique_ptr<CostModel>()> make;
+        bool pruning;
+    };
+    const Variant variants[] = {
+        {"pruned", [&] { return std::make_unique<CostModel>(g_, simba); },
+         true},
+        {"unpruned", [&] { return std::make_unique<CostModel>(g_, simba); },
+         false},
+        {"double-buffer",
+         [&] { return std::make_unique<CostModel>(g_, prefetch); }, true},
+        {"big-little",
+         [&] {
+             return std::make_unique<DeploymentCostModel>(g_, big_little);
+         },
+         true},
+    };
+
+    int refined = 0;
+    for (const Variant &var : variants) {
+        // One model per variant (fits is pure); the two paths take
+        // turns going first, so the live one meets both cold and warm
+        // profile memos.
+        std::unique_ptr<CostModel> model = var.make();
+        model->setPruning(var.pruning);
+        for (size_t i = 0; i < inputs.size(); ++i)
+            for (const BufferConfig &buf : buffers) {
+                Partition got, want;
+                if (i % 2)
+                    want = ref::repairToCapacity(g_, inputs[i], *model, buf);
+                got = repairToCapacity(g_, inputs[i], *model, buf);
+                if (i % 2 == 0)
+                    want = ref::repairToCapacity(g_, inputs[i], *model, buf);
+                ASSERT_EQ(got.block, want.block)
+                    << var.name << " input " << i << " "
+                    << inputs[i].str();
+                ASSERT_EQ(got.numBlocks, want.numBlocks) << var.name;
+                refined += got.numBlocks >
+                           repairStructure(g_, inputs[i]).numBlocks;
+            }
+    }
+    EXPECT_GT(refined, 0) << "no input needed a capacity split";
+}
+
+/** Whether repairStructure leaves @p p exactly as it is. */
+bool
+repairKeeps(const Graph &g, const Partition &p)
+{
+    Partition r = repairStructure(g, p);
+    return r.block == p.block && r.numBlocks == p.numBlocks;
+}
+
+TEST_P(RepairEquivalence, IsCanonicalIffRepairKeepsThePartition)
+{
+    const int n = g_.size();
+    Rng rng(0xca90 + n);
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    std::vector<Genome> pool;
+    for (int i = 0; i < 4; ++i)
+        pool.push_back(randomGenome(g_, space, rng));
+
+    int canonical = 0, total = 0;
+    auto expectAgrees = [&](const Partition &p, const char *kind) {
+        bool want = repairKeeps(g_, p);
+        EXPECT_EQ(p.isCanonical(g_), want) << kind << " " << p.str();
+        canonical += want;
+        ++total;
+    };
+    for (int i = 0; i < kRounds; ++i) {
+        const Genome &dad = pool[rng.index(pool.size())];
+        const Genome &mom = pool[rng.index(pool.size())];
+        Genome child = crossover(g_, space, dad, mom, rng);
+        expectAgrees(child.part, "crossover");
+        for (auto op :
+             {mutateModifyNode, mutateSplitSubgraph, mutateMergeSubgraph}) {
+            Genome m = child;
+            op(g_, m, rng, nullptr);
+            expectAgrees(m.part, "mutation");
+        }
+        const Partition &p = child.part;
+        const int k = p.numBlocks;
+
+        Partition mixed = p;
+        for (int v = 0; v < n; ++v)
+            if (rng.bernoulli(0.5))
+                mixed.block[v] = mom.part.block[v];
+        mixed.numBlocks = std::max(p.numBlocks, mom.part.numBlocks);
+        expectAgrees(mixed, "two-parent mix");
+
+        if (k >= 2) {
+            // Swapped ids: any pair, and an adjacent pair (which keeps
+            // precedence whenever the two blocks are independent).
+            int a = static_cast<int>(rng.index(k));
+            int b = static_cast<int>(rng.index(k));
+            int c = static_cast<int>(rng.index(k - 1));
+            for (auto [x, y] : {std::pair{a, b}, std::pair{c, c + 1}}) {
+                Partition q = p;
+                for (int &id : q.block)
+                    id = id == x ? y : id == y ? x : id;
+                expectAgrees(q, "swapped ids");
+            }
+            // Two neighbouring ids merged (often disconnected blocks
+            // with precedence intact), the later ids shifted down.
+            Partition merged = p;
+            for (int &id : merged.block)
+                if (id > c)
+                    --id;
+            merged.numBlocks = k - 1;
+            expectAgrees(merged, "merged neighbours");
+        }
+
+        // One node moved to a neighbour's block or a fresh one.
+        Partition moved = p;
+        NodeId v = static_cast<NodeId>(rng.index(n));
+        std::vector<int> targets{k};
+        for (NodeId u : g_.preds(v))
+            targets.push_back(p.block[u]);
+        for (NodeId u : g_.succs(v))
+            targets.push_back(p.block[u]);
+        moved.block[v] = targets[rng.index(targets.size())];
+        moved.numBlocks = k + (moved.block[v] == k);
+        expectAgrees(moved, "moved node");
+
+        for (int delta : {-1, 1}) {
+            Partition q = p;
+            q.numBlocks += delta;
+            expectAgrees(q, "numBlocks off by one");
+        }
+        // An unused id: the last block renumbered one past the end.
+        Partition gap = p;
+        for (int &id : gap.block)
+            if (id == k - 1)
+                id = k;
+        gap.numBlocks = k + 1;
+        expectAgrees(gap, "unused id");
+        // An out-of-range id.
+        Partition out = p;
+        out.block[rng.index(n)] = k;
+        expectAgrees(out, "out-of-range id");
+
+        pool[rng.index(pool.size())] = std::move(child);
+    }
+    EXPECT_GT(canonical, 0);
+    EXPECT_LT(canonical, total);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, RepairEquivalence,

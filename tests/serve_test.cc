@@ -591,6 +591,29 @@ TEST(Serve, HttpRoundTrip)
     server.stop();
 }
 
+TEST(Serve, HttpServerStartStopLoop)
+{
+    // stop() must not close the listener under a running accept loop
+    // (a data race under ThreadSanitizer); every cycle also serves one
+    // request, so the loop is accepting when stop() lands.
+    HttpServer server([](const HttpRequest &) {
+        HttpResponse r;
+        r.body = "{}";
+        return r;
+    });
+    for (int i = 0; i < 50; ++i) {
+        std::string err;
+        ASSERT_TRUE(server.start(0, &err)) << "cycle " << i << ": " << err;
+        int status = 0;
+        std::string body;
+        ASSERT_TRUE(httpFetch("127.0.0.1", server.port(), "GET", "/", "",
+                              &status, &body, &err))
+            << "cycle " << i << ": " << err;
+        EXPECT_EQ(status, 200);
+        server.stop();
+    }
+}
+
 // --- Stdio front end --------------------------------------------------------
 
 TEST(Serve, StdioProtocolRoundTrip)

@@ -3,7 +3,9 @@
  * Tests for the cost model: EMA accounting (Figure 1's Min-EMA
  * identity), energy composition, latency roofline, fusion benefits
  * (the Figure 3 effect), multi-core and batch trends (Table 3
- * shapes), and profile memoization.
+ * shapes), and profile memoization, including its fast paths (the
+ * one-probe fits, the singleton table, singletons bypassing the block
+ * cache), which must give a fresh model's values.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include "sim/multicore.h"
 #include "sim/platform.h"
 #include "partition/repair.h"
+#include "search/eval_cache.h"
+#include "search/operators.h"
 #include "util/json.h"
 
 using namespace cocco;
@@ -265,6 +269,17 @@ TEST(Profile, MemoizationReturnsSameObject)
     const SubgraphProfile &p2 = model.profile({2, 1}); // order-insensitive
     EXPECT_EQ(&p1, &p2);
     EXPECT_EQ(model.cacheSize(), 1u);
+
+    // Singletons come from the per-node table once memoized: the
+    // memo's own object, and each node's own profile.
+    for (int pass = 0; pass < 2; ++pass)
+        for (NodeId v = 0; v < g.size(); ++v) {
+            const SubgraphProfile &p = model.profile({v});
+            EXPECT_EQ(&p, &model.profile({v}));
+            EXPECT_EQ(p.macs, g.macs(v));
+            EXPECT_EQ(p.weightBytes, g.weightBytes(v));
+        }
+    EXPECT_EQ(model.cacheSize(), 1u + g.size());
 }
 
 // --- EMA accounting --------------------------------------------------------
@@ -784,5 +799,141 @@ TEST(DoubleBuffer, StrictModeNeverBeatsRelaxed)
         // Strict prefetch can only force more (or equal) splitting.
         EXPECT_GE(cs.subgraphs, cr.subgraphs);
         EXPECT_GE(cs.emaBytes, cr.emaBytes);
+    }
+}
+
+// --- Memo fast paths --------------------------------------------------------
+
+namespace {
+
+/** Tight to roomy, both buffer styles. */
+std::vector<BufferConfig>
+memoBuffers()
+{
+    std::vector<BufferConfig> out;
+    for (int64_t kib : {64, 512, 4096}) {
+        BufferConfig b;
+        b.style = BufferStyle::Shared;
+        b.sharedBytes = kib * 1024;
+        out.push_back(b);
+    }
+    for (auto [act, wgt] : {std::pair{32, 64}, std::pair{512, 1024}}) {
+        BufferConfig b;
+        b.style = BufferStyle::Separate;
+        b.actBytes = act * 1024;
+        b.weightBytes = wgt * 1024;
+        out.push_back(b);
+    }
+    return out;
+}
+
+/** Partitions mixing singletons and multi-node blocks: fixed runs and
+ *  capacity-repaired random genomes. */
+std::vector<Partition>
+memoPartitions(const Graph &g)
+{
+    std::vector<Partition> out;
+    for (int run : {1, 2, 3, 5}) {
+        Partition p = Partition::fixedRuns(g, run);
+        out.push_back(repairStructure(g, p));
+    }
+    CostModel model(g, AcceleratorConfig{});
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    Rng rng(41);
+    for (int i = 0; i < 4; ++i) {
+        Genome x = randomGenome(g, space, rng);
+        out.push_back(
+            repairToCapacity(g, x.part, model, x.buffer(space)));
+    }
+    return out;
+}
+
+void
+expectSameCost(const GraphCost &got, const GraphCost &want,
+               const std::string &what)
+{
+    EXPECT_EQ(got.feasible, want.feasible) << what;
+    EXPECT_EQ(got.subgraphs, want.subgraphs) << what;
+    EXPECT_EQ(got.emaBytes, want.emaBytes) << what;
+    EXPECT_EQ(got.energyPj, want.energyPj) << what;
+    EXPECT_EQ(got.latencyCycles, want.latencyCycles) << what;
+    EXPECT_EQ(got.avgBwGBps, want.avgBwGBps) << what;
+    EXPECT_EQ(got.peakBwGBps, want.peakBwGBps) << what;
+}
+
+} // namespace
+
+TEST(MemoFastPaths, FitsMatchesAFreshModelBeforeAndAfterMemoization)
+{
+    Graph g = buildGoogleNet();
+    AcceleratorConfig accel;
+    std::vector<std::vector<NodeId>> blocks;
+    for (const Partition &p : memoPartitions(g))
+        for (auto &blk : p.blocks())
+            if (std::find(blocks.begin(), blocks.end(), blk) ==
+                blocks.end())
+                blocks.push_back(std::move(blk));
+
+    int singletons = 0, rejected = 0;
+    for (bool prune : {true, false}) {
+        for (const BufferConfig &buf : memoBuffers()) {
+            for (const auto &blk : blocks) {
+                CostModel fresh(g, accel);
+                const bool want = fresh.fits(blk, buf);
+
+                // Before the block's profile is memoized, then after.
+                CostModel m(g, accel);
+                m.setPruning(prune);
+                uint64_t s0 = m.pruneStats().fitsShortCircuits;
+                EXPECT_EQ(m.fits(blk, buf), want) << "cold";
+                uint64_t cold = m.pruneStats().fitsShortCircuits - s0;
+                m.profile(blk);
+                s0 = m.pruneStats().fitsShortCircuits;
+                EXPECT_EQ(m.fits(blk, buf), want) << "warm";
+                uint64_t warm = m.pruneStats().fitsShortCircuits - s0;
+                // The weight screen counts alike either way.
+                EXPECT_EQ(cold, warm);
+                if (!prune || blk.size() == 1) {
+                    EXPECT_EQ(cold, prune ? 1u : 0u);
+                }
+                singletons += blk.size() == 1;
+                rejected += !want;
+            }
+        }
+    }
+    EXPECT_GT(singletons, 0);
+    EXPECT_GT(rejected, 0);
+}
+
+TEST(MemoFastPaths, PartitionCostMatchesAFreshModelThroughEveryHook)
+{
+    Graph g = buildGoogleNet();
+    AcceleratorConfig accel;
+    std::vector<Partition> parts = memoPartitions(g);
+    for (bool prune : {true, false}) {
+        CostModel model(g, accel);
+        model.setPruning(prune);
+        EvalCache cache(256);
+        EvalCache::BlockView view = cache.blockView(/*salt=*/7);
+        for (const BufferConfig &buf : memoBuffers())
+            for (size_t i = 0; i < parts.size(); ++i) {
+                CostModel fresh(g, accel);
+                GraphCost want = fresh.partitionCost(parts[i], buf);
+                std::string what = "partition " + std::to_string(i);
+                expectSameCost(model.partitionCost(parts[i], buf), want,
+                               what + " no hook");
+                // Cold, then served from the block cache.
+                for (int rep = 0; rep < 2; ++rep)
+                    expectSameCost(model.partitionCost(parts[i], buf, &view),
+                                   want, what + " block view");
+            }
+        // Only multi-node blocks reach the block cache.
+        EvalCacheStats st = cache.stats();
+        uint64_t multi = 0;
+        for (const Partition &p : parts)
+            for (const auto &blk : p.blocks())
+                multi += blk.size() > 1;
+        EXPECT_GT(st.blockHits, 0u);
+        EXPECT_LE(st.blockEntries, multi * memoBuffers().size());
     }
 }
