@@ -1,10 +1,18 @@
 #include "core/serialize.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <list>
+#include <string_view>
+#include <vector>
 
 #include "graph/graph_json.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -107,7 +115,7 @@ resultToJson(const Graph &g, const CoccoResult &r)
 namespace {
 
 constexpr const char *kCacheMagic = "COCCO-EVALCACHE";
-constexpr int kCacheVersion = 1;
+constexpr int kCacheVersion = 2;
 
 /** Guard against absurd vector lengths from corrupt files. */
 constexpr int kMaxPersistedNodes = 1 << 22;
@@ -124,71 +132,316 @@ readBlockId(std::FILE *f, size_t n, int *id)
            static_cast<size_t>(*id) < n;
 }
 
+/**
+ * Write-then-rename: @p write fills `path.tmp`, which replaces @p path
+ * only once it is complete and closed, so a failed or interrupted save
+ * never clobbers the previous file. The temporary is removed on
+ * failure.
+ */
+template <typename WriteFn>
+bool
+writeFileAtomically(const std::string &path, WriteFn write)
+{
+    std::string tmp = path + ".tmp";
+    std::FILE *f = std::fopen(tmp.c_str(), "w");
+    if (!f)
+        return false;
+    write(f);
+    bool ok = !std::ferror(f);
+    ok = std::fclose(f) == 0 && ok;
+    if (ok)
+        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
+    if (!ok)
+        std::remove(tmp.c_str());
+    return ok;
+}
+
+/** Fold one body line (without its newline) into the file checksum,
+ *  as little-endian 8-byte lanes, the last one zero-padded. */
+uint64_t
+foldLine(uint64_t sum, std::string_view line)
+{
+    for (size_t i = 0; i < line.size(); i += 8) {
+        unsigned char bytes[8] = {0};
+        std::memcpy(bytes, line.data() + i,
+                    std::min<size_t>(8, line.size() - i));
+        uint64_t lane = 0;
+        for (int b = 7; b >= 0; --b)
+            lane = lane << 8 | bytes[b];
+        sum = hashU64(sum, lane);
+    }
+    return sum;
+}
+
+/** Append " <v>", formatted by std::to_chars(v, fmt...). */
+template <typename T, typename... Fmt>
+void
+appendField(std::string *line, T v, Fmt... fmt)
+{
+    char buf[32];
+    std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v, fmt...);
+    line->push_back(' ');
+    line->append(buf, r.ptr);
+}
+
+/** An entry's body line (no newline): the v1 fields, the key ids,
+ *  then the repaired ids, or "=" when they equal the key. */
+void
+formatEntry(const EvalCache::Entry &e, std::string *line)
+{
+    line->assign("E");
+    appendField(line, e.hash, 16);
+    appendField(line, e.salt, 16);
+    appendField(line, e.actIdx);
+    appendField(line, e.weightIdx);
+    appendField(line, e.sharedIdx);
+    appendField(line, e.numBlocks);
+    appendField(line, e.cost, std::chars_format::hex);
+    appendField(line, e.keyBlock.size());
+    for (int b : e.keyBlock)
+        appendField(line, b);
+    if (e.repairedBlock == e.keyBlock) {
+        line->append(" =");
+    } else {
+        for (int b : e.repairedBlock)
+            appendField(line, b);
+    }
+}
+
+/** The trailer (no newline) closing @p count body lines whose fold
+ *  is @p sum. */
+std::string
+trailerLine(size_t count, uint64_t sum)
+{
+    std::string line = "END";
+    appendField(&line, count);
+    appendField(&line, hashFinalize(sum), 16);
+    return line;
+}
+
+/** A file read line by line through one reused buffer. (std::FILE
+ *  and POSIX getline, not an ifstream: the first iostream use in a
+ *  process maps in about 1 MB of locale machinery.) */
+class LineReader
+{
+  public:
+    explicit LineReader(const std::string &path)
+        : f_(std::fopen(path.c_str(), "r"))
+    {
+    }
+    ~LineReader()
+    {
+        std::free(buf_);
+        if (f_)
+            std::fclose(f_);
+    }
+    LineReader(const LineReader &) = delete;
+    LineReader &operator=(const LineReader &) = delete;
+
+    bool isOpen() const { return f_ != nullptr; }
+    bool failed() const { return std::ferror(f_) != 0; }
+
+    /** The next line, its '\n' included (a cut last line lacks it).
+     *  @return false at the end of the file or on a read error. */
+    bool
+    next(std::string_view *line)
+    {
+        ssize_t n = ::getline(&buf_, &cap_, f_);
+        if (n < 0)
+            return false;
+        *line = std::string_view(buf_, static_cast<size_t>(n));
+        return true;
+    }
+
+  private:
+    std::FILE *f_;
+    char *buf_ = nullptr;
+    size_t cap_ = 0;
+};
+
+/** Cursor over the space-separated fields of one line. */
+struct FieldReader
+{
+    const char *p;
+    const char *end;
+
+    /** Read " <v>" with std::from_chars(v, fmt...). */
+    template <typename T, typename... Fmt>
+    bool
+    field(T *v, Fmt... fmt)
+    {
+        if (p == end || *p != ' ')
+            return false;
+        std::from_chars_result r = std::from_chars(p + 1, end, *v, fmt...);
+        if (r.ec != std::errc())
+            return false;
+        p = r.ptr;
+        return true;
+    }
+
+    /** Read " =", the repaired-equals-key marker. */
+    bool
+    marker()
+    {
+        if (end - p < 2 || p[0] != ' ' || p[1] != '=')
+            return false;
+        p += 2;
+        return true;
+    }
+};
+
+/** Read @p n block ids, each in [0, n). @return nullptr, or why not. */
+const char *
+readIds(FieldReader *r, size_t n, std::vector<int> *ids)
+{
+    ids->resize(n);
+    for (int &b : *ids) {
+        if (!r->field(&b))
+            return "missing or malformed block id";
+        if (b < 0 || static_cast<size_t>(b) >= n)
+            return "block id out of range";
+    }
+    return nullptr;
+}
+
+/** Parse the fields of an entry line (after its "E") into @p e.
+ *  @return nullptr, or why not. */
+const char *
+parseEntry(FieldReader r, EvalCache::Entry *e)
+{
+    size_t n = 0;
+    if (!r.field(&e->hash, 16) || !r.field(&e->salt, 16) ||
+        !r.field(&e->actIdx) || !r.field(&e->weightIdx) ||
+        !r.field(&e->sharedIdx) || !r.field(&e->numBlocks) ||
+        !r.field(&e->cost, std::chars_format::hex) || !r.field(&n))
+        return "malformed entry fields";
+    if (n > static_cast<size_t>(kMaxPersistedNodes))
+        return "node count above the limit";
+    if (const char *why = readIds(&r, n, &e->keyBlock))
+        return why;
+    if (r.marker())
+        e->repairedBlock = e->keyBlock;
+    else if (const char *why = readIds(&r, n, &e->repairedBlock))
+        return why;
+    return r.p == r.end ? nullptr : "trailing tokens";
+}
+
+/** @return "" when @p line is this build's header, else why not. */
+std::string
+headerError(std::string_view line)
+{
+    const size_t m = std::strlen(kCacheMagic);
+    if (line.compare(0, m, kCacheMagic) != 0)
+        return "not a cocco evaluation-cache file";
+    FieldReader r{line.data() + m, line.data() + line.size()};
+    int version = 0;
+    if (!r.field(&version) || r.p != r.end)
+        return "malformed header";
+    if (version != kCacheVersion)
+        return strprintf("unsupported cache format version %d (this "
+                         "build reads %d)",
+                         version, kCacheVersion);
+    return "";
+}
+
+/** @return "" when @p line is exactly the trailer the writer emits
+ *  after @p count entries folding to @p sum, else why not. */
+std::string
+trailerError(std::string_view line, size_t count, uint64_t sum)
+{
+    if (line == trailerLine(count, sum))
+        return "";
+    FieldReader r{line.data() + 3, line.data() + line.size()};
+    size_t stated = 0;
+    uint64_t checksum = 0;
+    if (!r.field(&stated) || !r.field(&checksum, 16) || r.p != r.end)
+        return "malformed END trailer";
+    if (stated != count)
+        return strprintf("entry count mismatch: END says %zu, the file "
+                         "holds %zu",
+                         stated, count);
+    return "checksum mismatch";
+}
+
 } // namespace
 
 bool
 saveEvalCache(const EvalCache &cache, const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f, "%s %d\n", kCacheMagic, kCacheVersion);
-    bool ok = true;
-    cache.forEachEntry([&](const EvalCache::Entry &e) {
-        if (!ok || e.keyBlock.size() != e.repairedBlock.size())
-            return;
-        // E hash salt act wgt shr numBlocks cost n key... repaired...
-        std::fprintf(f, "E %" PRIx64 " %" PRIx64 " %d %d %d %d %a %zu",
-                     e.hash, e.salt, e.actIdx, e.weightIdx, e.sharedIdx,
-                     e.numBlocks, e.cost, e.keyBlock.size());
-        for (int b : e.keyBlock)
-            std::fprintf(f, " %d", b);
-        for (int b : e.repairedBlock)
-            std::fprintf(f, " %d", b);
-        if (std::fputc('\n', f) == EOF)
-            ok = false;
+    return writeFileAtomically(path, [&](std::FILE *f) {
+        std::fprintf(f, "%s %d\n", kCacheMagic, kCacheVersion);
+        std::string line;
+        uint64_t sum = kHashSeed;
+        size_t count = 0;
+        cache.forEachEntry([&](const EvalCache::Entry &e) {
+            if (e.keyBlock.size() != e.repairedBlock.size())
+                return;
+            formatEntry(e, &line);
+            sum = foldLine(sum, line);
+            line.push_back('\n');
+            std::fwrite(line.data(), 1, line.size(), f);
+            ++count;
+        });
+        std::fprintf(f, "%s\n", trailerLine(count, sum).c_str());
     });
-    if (std::fclose(f) != 0)
-        ok = false;
-    return ok;
 }
 
 int
-loadEvalCache(EvalCache &cache, const std::string &path)
+loadEvalCache(EvalCache &cache, const std::string &path, std::string *err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
+    auto fail = [&](const std::string &why) {
+        if (err)
+            *err = path + ": " + why;
         return -1;
-    char magic[32] = {0};
-    int version = 0;
-    if (std::fscanf(f, "%31s %d", magic, &version) != 2 ||
-        std::string(magic) != kCacheMagic || version != kCacheVersion) {
-        std::fclose(f);
-        return -1;
+    };
+    LineReader in(path);
+    if (!in.isOpen())
+        return fail("cannot read file");
+    // Parse and check everything before touching the cache: a file
+    // loads whole or not at all.
+    std::list<EvalCache::Entry> staged;
+    uint64_t sum = kHashSeed;
+    bool ended = false;
+    size_t lineNo = 0;
+    std::string_view line;
+    while (in.next(&line)) {
+        ++lineNo;
+        // The writer ends every line, the trailer's too, with '\n'.
+        if (line.back() != '\n')
+            return fail("truncated: last line has no newline");
+        line.remove_suffix(1);
+        if (ended)
+            return fail("data after the END trailer");
+        std::string why;
+        if (lineNo == 1) {
+            why = headerError(line);
+        } else if (line.compare(0, 2, "E ") == 0) {
+            sum = foldLine(sum, line);
+            staged.emplace_back();
+            FieldReader r{line.data() + 1, line.data() + line.size()};
+            if (const char *bad = parseEntry(r, &staged.back()))
+                why = strprintf("entry %zu: %s", staged.size(), bad);
+        } else if (line.compare(0, 3, "END") == 0) {
+            why = trailerError(line, staged.size(), sum);
+            ended = true;
+        } else {
+            why = strprintf("line %zu: neither an entry nor the END trailer",
+                            lineNo);
+        }
+        if (!why.empty())
+            return fail(why);
     }
-    int loaded = 0;
-    char tag[4];
-    while (std::fscanf(f, "%3s", tag) == 1 && tag[0] == 'E' && !tag[1]) {
-        EvalCache::Entry e;
-        size_t n = 0;
-        if (std::fscanf(f, "%" SCNx64 " %" SCNx64 " %d %d %d %d %la %zu",
-                        &e.hash, &e.salt, &e.actIdx, &e.weightIdx,
-                        &e.sharedIdx, &e.numBlocks, &e.cost, &n) != 8 ||
-            n > static_cast<size_t>(kMaxPersistedNodes))
-            break;
-        e.keyBlock.resize(n);
-        e.repairedBlock.resize(n);
-        bool ok = true;
-        for (size_t i = 0; ok && i < n; ++i)
-            ok = readBlockId(f, n, &e.keyBlock[i]);
-        for (size_t i = 0; ok && i < n; ++i)
-            ok = readBlockId(f, n, &e.repairedBlock[i]);
-        if (!ok)
-            break;
-        cache.insertEntry(std::move(e));
-        ++loaded;
-    }
-    std::fclose(f);
+    if (in.failed())
+        return fail("read error");
+    if (lineNo == 0)
+        return fail("empty file");
+    if (!ended)
+        return fail("truncated: no END trailer");
+    // Hand the entries over one at a time: each freed staging node
+    // makes room for the cache's own, so staging adds no peak memory.
+    const int loaded = static_cast<int>(staged.size());
+    for (; !staged.empty(); staged.pop_front())
+        cache.insertEntry(std::move(staged.front()));
     return loaded;
 }
 
@@ -401,33 +654,25 @@ constexpr size_t kMaxPersistedRacers = 64;
 bool
 saveCheckpoint(const SearchCheckpoint &c, const std::string &path)
 {
-    // Write-then-rename: a crash mid-write must never replace the
-    // previous good checkpoint with a truncated one.
-    std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f, "%s %d\n", kCheckpointMagic,
-                 SearchCheckpoint::kVersion);
-    writeCheckpointBody(f, c);
-    // Portfolio section: racer state + one nested body per racer (one
-    // nesting level only — racer snapshots never carry a Q of their
-    // own, matching the struct contract).
-    size_t nracers =
-        c.hasPortfolio ? std::min(c.racers.size(), c.racerState.size())
-                       : 0;
-    std::fprintf(f, "Q %zu\n", nracers);
-    for (size_t i = 0; i < nracers; ++i) {
-        std::fprintf(f, "q %d\n", c.racerState[i]);
-        writeCheckpointBody(f, c.racers[i]);
-    }
-    std::fprintf(f, "END\n");
-    bool ok = std::fclose(f) == 0;
-    if (ok)
-        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-    if (!ok)
-        std::remove(tmp.c_str());
-    return ok;
+    // A crash mid-write must never replace the previous good
+    // checkpoint with a truncated one.
+    return writeFileAtomically(path, [&](std::FILE *f) {
+        std::fprintf(f, "%s %d\n", kCheckpointMagic,
+                     SearchCheckpoint::kVersion);
+        writeCheckpointBody(f, c);
+        // Portfolio section: racer state + one nested body per racer
+        // (one nesting level only — racer snapshots never carry a Q of
+        // their own, matching the struct contract).
+        size_t nracers =
+            c.hasPortfolio ? std::min(c.racers.size(), c.racerState.size())
+                           : 0;
+        std::fprintf(f, "Q %zu\n", nracers);
+        for (size_t i = 0; i < nracers; ++i) {
+            std::fprintf(f, "q %d\n", c.racerState[i]);
+            writeCheckpointBody(f, c.racers[i]);
+        }
+        std::fprintf(f, "END\n");
+    });
 }
 
 bool

@@ -34,24 +34,45 @@ std::string resultToJson(const Graph &g, const CoccoResult &r);
 /**
  * Persist the genome level of an evaluation cache to @p path.
  *
- * Line-oriented text format, version-tagged; doubles are written as
- * hexfloats so a round trip is bit-exact. Entries carry their context
- * salt, so a file may safely be loaded into any run — entries from a
- * different model/accelerator/space/option set simply never hit.
+ * Format v2, line-oriented text:
+ *
+ *     COCCO-EVALCACHE 2
+ *     E <hash> <salt> <act> <wgt> <shr> <numBlocks> <cost> <n>
+ *       <key ids> <repaired ids | =>      (one line per entry)
+ *     ...
+ *     END <count> <checksum>
+ *
+ * One `E` line per entry, least recently used first. Hash, salt and
+ * checksum are hex; the cost is a std::to_chars hex float, so a round
+ * trip is bit-exact and locale-free. The repaired ids are a single
+ * `=` when they equal the key. The trailer gives the entry count and
+ * a 64-bit checksum (util/hash) folded over every entry line. Entries
+ * carry their context salt, so a file may safely be loaded into any
+ * run — entries from a different model/accelerator/space/option set
+ * simply never hit.
+ *
+ * The write goes to `path.tmp`, renamed over @p path only once
+ * complete, so a failed save leaves the previous file intact.
  *
  * @return false when the file cannot be written.
  */
 bool saveEvalCache(const EvalCache &cache, const std::string &path);
 
 /**
- * Merge the entries stored at @p path into @p cache (subject to its
- * capacity/LRU policy).
+ * Load the file at @p path into @p cache (subject to its capacity/LRU
+ * policy), all or nothing. The whole file is parsed and checked
+ * first: header and version, every field, block ids in [0, n), no
+ * trailing tokens, the END trailer's count and checksum, nothing
+ * after it. Only then are the entries inserted, in file order, which
+ * reproduces the saved recency ranking. Files of any other format
+ * version (v1 included) are rejected: the cost is one cold start.
  *
- * @return the number of entries loaded, or -1 when the file cannot
- *         be read or has an unknown format version. A truncated or
- *         corrupt tail stops the load but keeps earlier entries.
+ * @return the number of entries loaded; or -1 when the file is
+ *         missing, unreadable or malformed in any way, with @p cache
+ *         untouched and *err (when given) set to "<path>: <reason>".
  */
-int loadEvalCache(EvalCache &cache, const std::string &path);
+int loadEvalCache(EvalCache &cache, const std::string &path,
+                  std::string *err = nullptr);
 
 /**
  * Persist a mid-run search checkpoint (search/checkpoint.h) to
@@ -59,12 +80,12 @@ int loadEvalCache(EvalCache &cache, const std::string &path);
  *
  * Same family as the cache format: line-oriented versioned text
  * ("COCCO-CHECKPOINT <version>"), hexfloat doubles for bit-exact
- * round trips. Unlike the cache, a checkpoint is all-or-nothing — a
- * partial resume state would silently fork the run — so the write
- * goes to a temporary file first and renames over @p path only on
- * success, and the loader rejects any malformed or truncated content
- * outright. The format version is SearchCheckpoint::kVersion: bump it
- * whenever the struct or its encoding changes (see CONTRIBUTING).
+ * round trips. Like the cache file, a checkpoint is all-or-nothing —
+ * a partial resume state would silently fork the run — so it is saved
+ * by the same write-then-rename, and the loader rejects any malformed
+ * or truncated content outright. The format version is
+ * SearchCheckpoint::kVersion: bump it whenever the struct or its
+ * encoding changes (see CONTRIBUTING).
  *
  * @return false when the file cannot be written.
  */

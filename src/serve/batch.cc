@@ -129,10 +129,13 @@ runBatchDir(const std::string &dir, const BatchOptions &opts,
     JobManager manager(mopts);
 
     if (!opts.cacheFile.empty() && manager.cache()) {
-        int loaded = loadEvalCache(*manager.cache(), opts.cacheFile);
+        std::string why;
+        int loaded = loadEvalCache(*manager.cache(), opts.cacheFile, &why);
         if (loaded >= 0)
             std::fprintf(stderr, "batch: warm cache: %d entries from %s\n",
                          loaded, opts.cacheFile.c_str());
+        else
+            std::fprintf(stderr, "batch: starting cold: %s\n", why.c_str());
     }
 
     // Submit everything up front (the queue is sized to fit); parse
@@ -264,6 +267,9 @@ runBatchDir(const std::string &dir, const BatchOptions &opts,
     if (!opts.cacheFile.empty() && manager.cache()) {
         if (saveEvalCache(*manager.cache(), opts.cacheFile))
             std::fprintf(stderr, "batch: saved cache to %s\n",
+                         opts.cacheFile.c_str());
+        else
+            std::fprintf(stderr, "batch: could not write %s\n",
                          opts.cacheFile.c_str());
     }
     return ok;

@@ -11,10 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+
+#include <sys/stat.h>
 
 #include "core/cocco.h"
 #include "core/metrics.h"
@@ -23,6 +27,8 @@
 #include "search/eval_cache.h"
 #include "search/operators.h"
 #include "util/hash.h"
+#include "util/logging.h"
+#include "util/random.h"
 
 using namespace cocco;
 
@@ -88,6 +94,55 @@ std::string
 tmpPath(const char *name)
 {
     return std::string(::testing::TempDir()) + name;
+}
+
+std::string
+readText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeText(const std::string &path, const std::string &text)
+{
+    std::ofstream(path, std::ios::binary) << text;
+}
+
+/** A persisted-form entry; the repaired blocks equal the key. */
+EvalCache::Entry
+entryOf(uint64_t hash, const std::vector<int> &key, double cost)
+{
+    EvalCache::Entry e;
+    e.hash = hash;
+    e.salt = 5;
+    e.keyBlock = e.repairedBlock = key;
+    e.numBlocks = key.empty() ? 0 : key.back() + 1;
+    e.cost = cost;
+    return e;
+}
+
+/** Every genome entry in visit order, with costs by bit pattern. */
+std::vector<std::string>
+dumpEntries(const EvalCache &cache)
+{
+    std::vector<std::string> rows;
+    cache.forEachEntry([&](const EvalCache::Entry &e) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &e.cost, sizeof bits);
+        std::string row = strprintf(
+            "%016llx %016llx %d %d %d %d %016llx key",
+            static_cast<unsigned long long>(e.hash),
+            static_cast<unsigned long long>(e.salt), e.actIdx, e.weightIdx,
+            e.sharedIdx, e.numBlocks, static_cast<unsigned long long>(bits));
+        for (int b : e.keyBlock)
+            row += " " + std::to_string(b);
+        row += " repaired";
+        for (int b : e.repairedBlock)
+            row += " " + std::to_string(b);
+        rows.push_back(row);
+    });
+    return rows;
 }
 
 } // namespace
@@ -429,15 +484,24 @@ TEST(Persistence, EntryLevelRoundTripIsExact)
     std::vector<int> key{0, 1, 2, 3};
     EvalCache::KeyView kv{/*hash=*/0xabcdef01ULL, /*salt=*/77, key, 1, 2, 0};
     cache.insert(kv, rep, 0.1 + 0.2); // value with no short decimal form
+    // Repaired == key (stored as "="), and the edge costs: infeasible,
+    // negative, infinite and the smallest subnormal.
+    const double costs[] = {kInfeasiblePenalty, -2.5e-7,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::denorm_min()};
+    for (int i = 0; i < 4; ++i)
+        cache.insertEntry(entryOf(0x100 + i, i % 2 ? key : rep.block,
+                                  costs[i]));
 
     ASSERT_TRUE(saveEvalCache(cache, path));
     EvalCache loaded(64, 1);
-    EXPECT_EQ(loadEvalCache(loaded, path), 1);
+    EXPECT_EQ(loadEvalCache(loaded, path), 5);
+    EXPECT_EQ(dumpEntries(loaded), dumpEntries(cache)); // order, cost bits
 
     Partition out;
     double cost = 0.0;
     ASSERT_TRUE(loaded.lookup(kv, &out, &cost));
-    EXPECT_EQ(cost, 0.1 + 0.2); // hexfloat round trip is bit-exact
+    EXPECT_EQ(cost, 0.1 + 0.2);
     EXPECT_EQ(out.block, rep.block);
     EXPECT_EQ(out.numBlocks, 3);
     std::remove(path.c_str());
@@ -469,47 +533,213 @@ TEST(Persistence, WarmStartFromDiskServesEverything)
 TEST(Persistence, RejectsMissingAndCorruptFiles)
 {
     EvalCache cache;
-    EXPECT_EQ(loadEvalCache(cache, tmpPath("does-not-exist.evalcache")), -1);
+    std::string err;
+    EXPECT_EQ(loadEvalCache(cache, tmpPath("does-not-exist.evalcache"), &err),
+              -1);
+    EXPECT_NE(err.find("cannot read file"), std::string::npos) << err;
 
     std::string path = tmpPath("corrupt.evalcache");
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("NOT-A-CACHE 9\n", f);
-    std::fclose(f);
-    EXPECT_EQ(loadEvalCache(cache, path), -1);
+    writeText(path, "NOT-A-CACHE 9\n");
+    EXPECT_EQ(loadEvalCache(cache, path, &err), -1);
+    EXPECT_NE(err.find("not a cocco evaluation-cache file"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(cache.size(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(Persistence, RejectsVersionOneFiles)
+{
+    // The v1 layout: no trailer, the repaired ids always spelled out.
+    std::string path = tmpPath("v1.evalcache");
+    writeText(path, "COCCO-EVALCACHE 1\n"
+                    "E 1234 5 0 0 0 3 0x1p+0 4 0 1 2 3 0 0 1 2\n");
+    EvalCache cache(64, 1);
+    std::string err;
+    EXPECT_EQ(loadEvalCache(cache, path, &err), -1);
+    EXPECT_NE(err.find("unsupported cache format version 1 (this build "
+                       "reads 2)"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(cache.size(), 0u);
     std::remove(path.c_str());
 }
 
 TEST(Persistence, RejectsOutOfRangeBlockIds)
 {
     // A cache hit on an entry with a block id outside [0, n) would hand
-    // the search a partition whose block lists index out of bounds.
+    // the search a partition whose block lists index out of bounds. The
+    // bad entries go through the writer, so the checksum is valid and
+    // the id-range check is what rejects the file, whole.
     std::string path = tmpPath("block_ids.evalcache");
-    EvalCache cache(64, 1);
-    Partition rep;
-    rep.block = {0, 0, 1, 2};
-    rep.numBlocks = 3;
-    std::vector<int> key{0, 1, 2, 3};
-    cache.insert({/*hash=*/0x1234ULL, /*salt=*/5, key, 0, 0, 0}, rep, 1.0);
-    ASSERT_TRUE(saveEvalCache(cache, path));
-    std::string text;
-    {
-        std::ifstream in(path);
-        text.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    const std::string tail = " 0 1 2 3 0 0 1 2\n"; // key, then repaired
-    ASSERT_EQ(text.substr(text.size() - tail.size()), tail);
+    const std::vector<std::vector<int>> keys{
+        {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 4}, {0, -1, 2, 3}};
+    const std::vector<std::vector<int>> repaired{
+        {0, 0, -1, 2}, {0, 0, 1, 9}, {0, 0, 1, 2}, {0, -1, 2, 3}};
+    for (size_t i = 0; i < keys.size(); ++i) {
+        EvalCache bad(64, 1);
+        bad.insertEntry(entryOf(0x1234, {0, 1, 2, 3}, 1.0));
+        EvalCache::Entry e = entryOf(0x5678, keys[i], 2.0);
+        e.repairedBlock = repaired[i];
+        bad.insertEntry(e);
+        ASSERT_TRUE(saveEvalCache(bad, path));
 
-    for (const char *doctored :
-         {" 0 1 2 3 0 0 -1 2\n", " 0 1 2 4 0 0 1 2\n", " 0 1 2 3 0 0 1 9\n"}) {
-        {
-            std::ofstream out(path);
-            out << text.substr(0, text.size() - tail.size()) << doctored;
-        }
         EvalCache loaded(64, 1);
-        EXPECT_EQ(loadEvalCache(loaded, path), 0) << doctored;
-        EXPECT_EQ(loaded.size(), 0u);
+        loaded.insertEntry(entryOf(0x42, {0}, 7.0));
+        const std::vector<std::string> before = dumpEntries(loaded);
+        std::string err;
+        EXPECT_EQ(loadEvalCache(loaded, path, &err), -1) << i;
+        EXPECT_NE(err.find("entry 2: block id out of range"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(dumpEntries(loaded), before) << i;
     }
+    std::remove(path.c_str());
+}
+
+TEST(Persistence, SaveReplacesTheFileAtomically)
+{
+    std::string path = tmpPath("atomic.evalcache");
+    std::string tmp = path + ".tmp";
+    EvalCache first(64, 1);
+    for (int i = 0; i < 3; ++i)
+        first.insertEntry(entryOf(0x10 + i, {0, 1, 1}, i));
+    ASSERT_TRUE(saveEvalCache(first, path));
+    EXPECT_FALSE(std::ifstream(tmp).good()); // no temporary left behind
+
+    // A directory squatting on the temporary's name makes the save
+    // fail before the previous file is touched.
+    ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+    EvalCache second(64, 1);
+    second.insertEntry(entryOf(0x99, {0}, 9.0));
+    EXPECT_FALSE(saveEvalCache(second, path));
+    ::rmdir(tmp.c_str());
+
+    EvalCache loaded(64, 1);
+    EXPECT_EQ(loadEvalCache(loaded, path), 3);
+    EXPECT_EQ(dumpEntries(loaded), dumpEntries(first));
+    std::remove(path.c_str());
+}
+
+TEST(Persistence, LoaderRejectsEveryMutation)
+{
+    // Deterministic mutation fuzz: every doctored copy of a good file
+    // must load nothing, give a reason, and leave the cache as it was.
+    Rng rng(16);
+    EvalCache source(64, 1);
+    for (int i = 0; i < 6; ++i) {
+        std::vector<int> key(5 + i);
+        for (size_t v = 0; v < key.size(); ++v)
+            key[v] = static_cast<int>(v / 2);
+        EvalCache::Entry e = entryOf(rng.next(), key, rng.uniformReal());
+        if (i % 2)
+            e.repairedBlock.back() = static_cast<int>(key.size() - 1);
+        source.insertEntry(e);
+    }
+    std::string path = tmpPath("fuzz.evalcache");
+    ASSERT_TRUE(saveEvalCache(source, path));
+    const std::string text = readText(path);
+    std::vector<std::string> lines; // each with its '\n'
+    for (size_t at = 0; at < text.size();) {
+        size_t nl = text.find('\n', at);
+        lines.push_back(text.substr(at, nl + 1 - at));
+        at = nl + 1;
+    }
+    ASSERT_EQ(lines.size(), 8u); // header, 6 entries, END
+    {
+        EvalCache whole(64, 1);
+        ASSERT_EQ(loadEvalCache(whole, path), 6);
+    }
+
+    EvalCache target(64, 1);
+    target.insertEntry(entryOf(0x5e471e1, {0, 0}, 3.0));
+    const std::vector<std::string> sentinel = dumpEntries(target);
+    // @p what labels a case; a targeted case also names the reason
+    // the loader must give.
+    auto expectRejected = [&](const std::string &doctored,
+                              const std::string &what,
+                              const std::string &reason = "") {
+        writeText(path, doctored);
+        std::string err;
+        EXPECT_EQ(loadEvalCache(target, path, &err), -1) << what;
+        EXPECT_FALSE(err.empty()) << what;
+        EXPECT_NE(err.find(reason), std::string::npos) << what << ": " << err;
+        EXPECT_EQ(dumpEntries(target), sentinel) << what;
+    };
+    auto join = [](const std::vector<std::string> &ls) {
+        std::string out;
+        for (const std::string &l : ls)
+            out += l;
+        return out;
+    };
+
+    expectRejected("", "empty", "empty file");
+    expectRejected(lines[0], "header only", "truncated: no END trailer");
+    for (size_t at = 0; at < text.size(); ++at)
+        if (text[at] == '\n') {
+            expectRejected(text.substr(0, at), "cut before a newline",
+                           "truncated");
+            if (at + 1 < text.size())
+                expectRejected(text.substr(0, at + 1), "cut after a line",
+                               "truncated: no END trailer");
+        }
+    for (int k = 0; k < 200; ++k) {
+        size_t cut = rng.index(text.size());
+        expectRejected(text.substr(0, cut), "cut at " + std::to_string(cut));
+    }
+    for (int k = 0; k < 200; ++k) {
+        std::string t = text;
+        size_t at = rng.index(t.size());
+        int bit = static_cast<int>(rng.index(8));
+        t[at] = static_cast<char>(t[at] ^ (1 << bit));
+        expectRejected(t, "bit " + std::to_string(bit) + " of byte " +
+                              std::to_string(at));
+    }
+    for (size_t i = 0; i < lines.size(); ++i) {
+        std::vector<std::string> dup = lines;
+        dup.insert(dup.begin() + static_cast<long>(i), lines[i]);
+        expectRejected(join(dup), "line " + std::to_string(i) + " twice");
+        for (size_t j = i + 1; j < lines.size(); ++j) {
+            std::vector<std::string> swapped = lines;
+            std::swap(swapped[i], swapped[j]);
+            expectRejected(join(swapped), "lines " + std::to_string(i) +
+                                              " and " + std::to_string(j) +
+                                              " swapped");
+        }
+    }
+    std::vector<std::string> swapped = lines;
+    std::swap(swapped[1], swapped[2]);
+    expectRejected(join(swapped), "two entries swapped", "checksum mismatch");
+    std::vector<std::string> dup = lines;
+    dup.insert(dup.begin() + 1, lines[1]);
+    expectRejected(join(dup), "an entry twice", "entry count mismatch");
+
+    // Field edits on an entry line: E hash salt act wgt shr nb cost n ids
+    auto withField = [&](size_t field, const std::string &value) {
+        std::vector<std::string> ls = lines;
+        std::string &l = ls[1 + rng.index(6)];
+        size_t at = 0;
+        for (size_t f = 0; f < field; ++f)
+            at = l.find(' ', at) + 1;
+        size_t stop = l.find_first_of(" \n", at);
+        l.replace(at, stop - at, value);
+        return join(ls);
+    };
+    expectRejected(withField(3, "x"), "non-numeric act index",
+                   "malformed entry fields");
+    expectRejected(withField(7, "zz"), "non-numeric cost",
+                   "malformed entry fields");
+    expectRejected(withField(8, std::to_string((1 << 22) + 1)),
+                   "n above the bound", "node count above the limit");
+    expectRejected(withField(9, "-1"), "negative block id",
+                   "block id out of range");
+    std::vector<std::string> extra = lines;
+    extra[3].insert(extra[3].size() - 1, " 0");
+    expectRejected(join(extra), "an extra id", "entry 3: trailing tokens");
+    expectRejected(text + "junk\n", "garbage after END",
+                   "data after the END trailer");
+    expectRejected(text + "E", "unterminated garbage after END",
+                   "truncated: last line has no newline");
     std::remove(path.c_str());
 }
 

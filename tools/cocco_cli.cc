@@ -438,14 +438,13 @@ openCache(const CliArgs &a)
     auto cache =
         std::make_shared<EvalCache>(static_cast<size_t>(a.cacheSize));
     if (!a.cacheFile.empty()) {
-        int n = loadEvalCache(*cache, a.cacheFile);
+        std::string why;
+        int n = loadEvalCache(*cache, a.cacheFile, &why);
         if (n >= 0)
             std::fprintf(stderr, "cache: warm-started %d entries from %s\n",
                          n, a.cacheFile.c_str());
         else
-            std::fprintf(stderr,
-                         "cache: %s missing or unreadable, starting cold\n",
-                         a.cacheFile.c_str());
+            std::fprintf(stderr, "cache: starting cold: %s\n", why.c_str());
     }
     return cache;
 }
