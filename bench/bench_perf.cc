@@ -269,7 +269,7 @@ main(int argc, char **argv)
 
         double rate_off = 0.0, rate_on = 0.0;
         double best_off = 0.0, best_on = 0.0;
-        uint64_t pruned = 0, inc_hits = 0;
+        uint64_t pruned = 0;
         for (int r = 0; r < repeats; ++r) {
             { // exhaustive
                 CostModel model(g, accel);
@@ -305,15 +305,13 @@ main(int argc, char **argv)
                 rate_on = std::max(rate_on, n / (now() - t0));
                 best_on = best;
                 pruned = eng.boundRejections();
-                inc_hits = eng.recordBlocksReused();
             }
         }
         double speedup = rate_off > 0.0 ? rate_on / rate_off : 0.0;
         std::printf("pruning off: %.0f evals/s, on: %.0f evals/s "
-                    "(%.2fx; %llu pruned, %llu incremental block hits)\n",
+                    "(%.2fx; %llu pruned)\n",
                     rate_off, rate_on, speedup,
-                    static_cast<unsigned long long>(pruned),
-                    static_cast<unsigned long long>(inc_hits));
+                    static_cast<unsigned long long>(pruned));
         if (best_off != best_on) {
             std::fprintf(stderr,
                          "FAIL: pruning changed the search result "

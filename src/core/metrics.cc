@@ -60,8 +60,6 @@ metricsToJson(const std::string &generator,
         w.field("block_entries", r.cache.blockEntries);
         w.field("bound_rejections", r.cache.boundRejections);
         w.field("bound_skipped_samples", r.cache.boundSkippedSamples);
-        w.field("inc_blocks_reused", r.cache.incReusedBlocks);
-        w.field("inc_blocks_recosted", r.cache.incRecostBlocks);
         w.endObject();
         if (r.hasDeployment) {
             w.key("deployment").beginObject();

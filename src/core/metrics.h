@@ -20,7 +20,9 @@
  *       "cache": { "enabled": B, "hits": N, "misses": N,
  *                  "insertions": N, "evictions": N, "hit_rate": X,
  *                  "block_hits": N, "block_misses": N,
- *                  "entries": N, "block_entries": N },
+ *                  "entries": N, "block_entries": N,
+ *                  "bound_rejections": N,
+ *                  "bound_skipped_samples": N },
  *       "deployment": { "cores": N,
  *                       "crossbar_energy_share": X,
  *                       "crossbar_latency_share": X,

@@ -530,12 +530,11 @@ writeCheckpointBody(std::FILE *f, const SearchCheckpoint &c)
         std::fprintf(f,
                      "W 1 %lld %" PRIx64 " %" PRIu64 " %" PRIu64
                      " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                     " %" PRIu64 " %" PRIu64 " %d %lld %lld %lld\n",
+                     " %d %lld %lld %lld\n",
                      static_cast<long long>(c.tsCandidate), c.tsSubSeed,
                      c.tsBoundRejections, c.tsBoundSkippedSamples,
-                     c.tsIncReused, c.tsIncRecost, c.tsDelta.reports,
-                     c.tsDelta.nodesTouched, c.tsDelta.hwOnly,
-                     c.tsDelta.rewrites,
+                     c.tsDelta.reports, c.tsDelta.nodesTouched,
+                     c.tsDelta.hwOnly, c.tsDelta.rewrites,
                      static_cast<int>(c.tsBestBuffer.style),
                      static_cast<long long>(c.tsBestBuffer.actBytes),
                      static_cast<long long>(c.tsBestBuffer.weightBytes),
@@ -626,13 +625,12 @@ readCheckpointBody(std::FILE *f, SearchCheckpoint *out)
         if (std::fscanf(f,
                         "%lld %" SCNx64 " %" SCNu64 " %" SCNu64
                         " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                        " %" SCNu64 " %" SCNu64 " %d %lld %lld %lld",
+                        " %d %lld %lld %lld",
                         &cand, &c.tsSubSeed, &c.tsBoundRejections,
-                        &c.tsBoundSkippedSamples, &c.tsIncReused,
-                        &c.tsIncRecost, &c.tsDelta.reports,
+                        &c.tsBoundSkippedSamples, &c.tsDelta.reports,
                         &c.tsDelta.nodesTouched, &c.tsDelta.hwOnly,
                         &c.tsDelta.rewrites, &style, &act, &wgt,
-                        &shr) != 14 ||
+                        &shr) != 12 ||
             cand < 0 || (style != 0 && style != 1))
             return "corrupt two-step section";
         c.tsCandidate = cand;
@@ -680,7 +678,7 @@ loadCheckpoint(const std::string &path, SearchCheckpoint *out,
                std::string *err)
 {
     std::FILE *f = std::fopen(path.c_str(), "r");
-    auto fail = [&](const char *what) {
+    auto fail = [&](const std::string &what) {
         if (err)
             *err = path + ": " + what;
         if (f)
@@ -695,7 +693,9 @@ loadCheckpoint(const std::string &path, SearchCheckpoint *out,
         std::string(magic) != kCheckpointMagic)
         return fail("not a cocco checkpoint file");
     if (version != SearchCheckpoint::kVersion)
-        return fail("unsupported checkpoint format version");
+        return fail(strprintf("unsupported checkpoint format version %d "
+                              "(this build reads %d)",
+                              version, SearchCheckpoint::kVersion));
 
     SearchCheckpoint c;
     if (const char *why = readCheckpointBody(f, &c))

@@ -33,27 +33,6 @@ coreThroughput(const AcceleratorConfig &a)
     return a.macsPerCycle() * a.clockGhz;
 }
 
-/** Accumulate the monotonic counters of one inner run's stats. */
-void
-foldCacheStats(EvalCacheStats *acc, const EvalCacheStats &run)
-{
-    acc->hits += run.hits;
-    acc->misses += run.misses;
-    acc->insertions += run.insertions;
-    acc->evictions += run.evictions;
-    acc->blockHits += run.blockHits;
-    acc->blockMisses += run.blockMisses;
-    acc->blockInsertions += run.blockInsertions;
-    acc->blockEvictions += run.blockEvictions;
-    acc->boundRejections += run.boundRejections;
-    acc->boundSkippedSamples += run.boundSkippedSamples;
-    acc->incReusedBlocks += run.incReusedBlocks;
-    acc->incRecostBlocks += run.incRecostBlocks;
-    // Sizes are snapshots, not counters: keep the latest.
-    acc->entries = run.entries;
-    acc->blockEntries = run.blockEntries;
-}
-
 bool
 cancelled(const SearchSpec &spec)
 {
@@ -244,7 +223,7 @@ CoScheduler::greedy(const SearchSpec &spec)
             memo[slot] = greedyPlaceSearch(model_.model(t, core), space,
                                            spec.eval);
             res.samples += memo[slot].samples;
-            foldCacheStats(&res.cacheStats, memo[slot].cacheStats);
+            res.cacheStats += memo[slot].cacheStats;
             have[slot] = 1;
         }
         return memo[slot];
@@ -324,7 +303,7 @@ CoScheduler::searched(const SearchSpec &spec)
                 spec.algo, model_.model(t, reps[k]), space, spec);
             found[t][k] = searcher->run();
             res.samples += found[t][k].samples;
-            foldCacheStats(&res.cacheStats, found[t][k].cacheStats);
+            res.cacheStats += found[t][k].cacheStats;
         }
 
     // Stage 2: candidate shared buffers = the distinct winners.

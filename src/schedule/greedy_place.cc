@@ -168,8 +168,6 @@ greedyPlaceSearch(CostModel &model, const DseSpace &space,
     }
     if (eng.cache())
         res.cacheStats = eng.cache()->stats() - cache_start;
-    res.cacheStats.incReusedBlocks = eng.recordBlocksReused();
-    res.cacheStats.incRecostBlocks = eng.recordBlocksRecosted();
     res.deltaStats = eng.deltaStats();
     return res;
 }

@@ -58,7 +58,7 @@ struct SearchCheckpoint
     /** Persisted-format version (core/serialize). Bump on ANY change
      *  to this struct or its encoding; loaders reject other versions
      *  (a half-understood resume state would fork the run). */
-    static constexpr int kVersion = 2; ///< v2: portfolio racer section
+    static constexpr int kVersion = 3; ///< v3: no record counters in W
 
     std::string algo;   ///< driver key ("ga", "sa", "ts-random", ...)
     uint64_t fence = 0; ///< run-identity hash (checkpointFence below)
@@ -91,8 +91,6 @@ struct SearchCheckpoint
     BufferConfig tsBestBuffer;
     uint64_t tsBoundRejections = 0;
     uint64_t tsBoundSkippedSamples = 0;
-    uint64_t tsIncReused = 0;
-    uint64_t tsIncRecost = 0;
     DeltaStats tsDelta;
 
     // --- Portfolio: one nested per-racer snapshot each (never nested

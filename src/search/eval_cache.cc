@@ -45,9 +45,25 @@ EvalCacheStats::operator-(const EvalCacheStats &o) const
     d.blockEvictions -= o.blockEvictions;
     d.boundRejections -= o.boundRejections;
     d.boundSkippedSamples -= o.boundSkippedSamples;
-    d.incReusedBlocks -= o.incReusedBlocks;
-    d.incRecostBlocks -= o.incRecostBlocks;
     return d;
+}
+
+EvalCacheStats &
+EvalCacheStats::operator+=(const EvalCacheStats &o)
+{
+    hits += o.hits;
+    misses += o.misses;
+    insertions += o.insertions;
+    evictions += o.evictions;
+    blockHits += o.blockHits;
+    blockMisses += o.blockMisses;
+    blockInsertions += o.blockInsertions;
+    blockEvictions += o.blockEvictions;
+    boundRejections += o.boundRejections;
+    boundSkippedSamples += o.boundSkippedSamples;
+    entries = o.entries;
+    blockEntries = o.blockEntries;
+    return *this;
 }
 
 EvalCache::EvalCache(size_t capacity, int shards)

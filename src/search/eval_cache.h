@@ -63,15 +63,13 @@ struct EvalCacheStats
     uint64_t blockInsertions = 0;
     uint64_t blockEvictions = 0;
 
-    // Pruning / incremental re-evaluation accounting. The cache
+    // Pruning accounting. The cache
     // itself never fills these (stats() reports zeros): the search
     // drivers overlay them from the evaluation engine after taking
     // the per-run delta, so they flow with the rest of the cache
     // report whether or not a cache is in play.
     uint64_t boundRejections = 0;    ///< candidates skipped via bounds
     uint64_t boundSkippedSamples = 0; ///< samples folded without running
-    uint64_t incReusedBlocks = 0;    ///< blocks served from eval records
-    uint64_t incRecostBlocks = 0;    ///< blocks a record failed to cover
 
     // Snapshot sizes (not monotonic; a stat delta carries the
     // minuend's — i.e. end-of-run — sizes unchanged).
@@ -88,6 +86,10 @@ struct EvalCacheStats
     /** Counter-wise difference (for per-run deltas of a shared,
      *  long-lived cache). Sizes are copied from *this. */
     EvalCacheStats operator-(const EvalCacheStats &o) const;
+
+    /** Counter-wise sum (folding several runs into one report).
+     *  Sizes take @p o's, the later snapshot. */
+    EvalCacheStats &operator+=(const EvalCacheStats &o);
 };
 
 /** Two-level sharded LRU evaluation cache; see file comment. */

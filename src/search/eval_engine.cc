@@ -41,82 +41,6 @@ contextSalt(const CostModel &model, const DseSpace &space,
     return hashFinalize(h);
 }
 
-bool
-sameBuffer(const BufferConfig &a, const BufferConfig &b)
-{
-    return a.style == b.style && a.actBytes == b.actBytes &&
-           a.weightBytes == b.weightBytes && a.sharedBytes == b.sharedBytes;
-}
-
-/**
- * SubgraphCostCache adapter that consults a genome's previous
- * evaluation record before the shared block cache, and captures every
- * (block, cost) pair that flows through it — hits and misses alike —
- * into the next record. Single-threaded by construction (one view per
- * genome evaluation); the record it reads is immutable.
- */
-class RecordView final : public SubgraphCostCache
-{
-  public:
-    RecordView(const EvalRecord *prev, SubgraphCostCache *fallback,
-               EvalRecord *next, std::atomic<uint64_t> &reused,
-               std::atomic<uint64_t> &recosted)
-        : prev_(prev), fallback_(fallback), next_(next), reused_(reused),
-          recosted_(recosted)
-    {
-    }
-
-    bool
-    lookupBlock(const std::vector<NodeId> &nodes, const BufferConfig &buf,
-                SubgraphCost *out) override
-    {
-        if (prev_ && !nodes.empty()) {
-            // Blocks are disjoint, so the front node rejects every
-            // non-matching record slot in a single comparison.
-            for (size_t i = 0; i < prev_->blocks.size(); ++i) {
-                const std::vector<NodeId> &b = prev_->blocks[i];
-                if (b.front() == nodes.front() && b == nodes) {
-                    *out = prev_->costs[i];
-                    reused_.fetch_add(1, std::memory_order_relaxed);
-                    capture(nodes, *out);
-                    return true;
-                }
-            }
-            recosted_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (fallback_ && fallback_->lookupBlock(nodes, buf, out)) {
-            capture(nodes, *out);
-            return true;
-        }
-        return false;
-    }
-
-    void
-    insertBlock(const std::vector<NodeId> &nodes, const BufferConfig &buf,
-                const SubgraphCost &cost) override
-    {
-        capture(nodes, cost);
-        if (fallback_)
-            fallback_->insertBlock(nodes, buf, cost);
-    }
-
-  private:
-    void
-    capture(const std::vector<NodeId> &nodes, const SubgraphCost &cost)
-    {
-        if (nodes.empty())
-            return;
-        next_->blocks.push_back(nodes);
-        next_->costs.push_back(cost);
-    }
-
-    const EvalRecord *prev_;
-    SubgraphCostCache *fallback_;
-    EvalRecord *next_;
-    std::atomic<uint64_t> &reused_;
-    std::atomic<uint64_t> &recosted_;
-};
-
 } // namespace
 
 EvalEngine::EvalEngine(CostModel &model, const DseSpace &space,
@@ -189,31 +113,11 @@ EvalEngine::evaluateUncached(Genome &genome)
                                      : CostModel::CostScope::Full;
     GraphCost gc;
     if (cache_) {
-        // The cache's block level is the incremental-reuse path here:
-        // it serves unchanged blocks across genomes with full key
-        // verification, so a per-genome record would re-track the
-        // same information at a per-evaluation allocation cost.
+        // The cache's block level is the incremental-reuse path: it
+        // serves unchanged blocks across genomes with full key
+        // verification, so only the changed blocks are re-costed.
         EvalCache::BlockView blocks = cache_->blockView(modelSalt_);
         gc = model_.partitionCost(genome.part, buf, &blocks, scope);
-    } else if (opts_.pruning) {
-        // No cache: incremental re-evaluation through the genome's
-        // own record. Serve unchanged blocks from the parent's record
-        // (valid only under the same model + buffer), capture this
-        // evaluation's blocks into a fresh record for this genome's
-        // children.
-        const EvalRecord *prev = genome.evalRecord.get();
-        if (prev && (prev->modelSalt != modelSalt_ ||
-                     !sameBuffer(prev->buf, buf)))
-            prev = nullptr;
-        auto next = std::make_shared<EvalRecord>();
-        next->modelSalt = modelSalt_;
-        next->buf = buf;
-        next->blocks.reserve(prev ? prev->blocks.size() : 8);
-        next->costs.reserve(prev ? prev->costs.size() : 8);
-        RecordView view(prev, nullptr, next.get(), recordReused_,
-                        recordRecosted_);
-        gc = model_.partitionCost(genome.part, buf, &view, scope);
-        genome.evalRecord = std::move(next);
     } else {
         gc = model_.partitionCost(genome.part, buf, nullptr, scope);
     }
@@ -233,18 +137,6 @@ EvalEngine::noteDelta(const GeneDelta &delta)
         deltaHwOnly_.fetch_add(1, std::memory_order_relaxed);
     if (delta.partitionChanged && delta.nodes.empty())
         deltaRewrites_.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t
-EvalEngine::recordBlocksReused() const
-{
-    return recordReused_.load(std::memory_order_relaxed);
-}
-
-uint64_t
-EvalEngine::recordBlocksRecosted() const
-{
-    return recordRecosted_.load(std::memory_order_relaxed);
 }
 
 DeltaStats

@@ -26,9 +26,9 @@
  * misses additionally reuse per-subgraph cost contributions through
  * the cache's block level, so a genome that shares most blocks with
  * previously seen ones (the common case after one mutation) only
- * assembles the changed blocks. Pass a shared cache to warm-start
- * across engines/runs (e.g. two-step candidate sweeps, repeated CLI
- * runs via the on-disk format).
+ * assembles the changed blocks; without a cache every block is costed
+ * in full. Pass a shared cache to warm-start across engines/runs (e.g.
+ * two-step candidate sweeps, repeated CLI runs via the on-disk format).
  */
 
 #ifndef COCCO_SEARCH_EVAL_ENGINE_H
@@ -70,13 +70,13 @@ struct EvalOptions
     int threads = 1;             ///< total parallelism; <= 0 = all cores
 
     /**
-     * Bound-based pruning + incremental re-evaluation (CLI
-     * --no-prune clears it). Bounds may only skip work that cannot
-     * win: results are bit-identical either way, which is why the
-     * flag is absent from the evaluation-context salt — pruned and
-     * unpruned runs legitimately share cache entries. Off buys a
-     * slower run whose every intermediate is computed the long way,
-     * for benchmarking and for verifying that claim.
+     * Bound-based pruning (CLI --no-prune clears it). Bounds may
+     * only skip work that cannot win: results are bit-identical
+     * either way, which is why the flag is absent from the
+     * evaluation-context salt — pruned and unpruned runs
+     * legitimately share cache entries. Off buys a slower run whose
+     * every intermediate is computed the long way, for benchmarking
+     * and for verifying that claim.
      */
     bool pruning = true;
 
@@ -136,31 +136,6 @@ struct DeltaStats
     }
 };
 
-/**
- * Per-block costs captured by one genome evaluation, carried on the
- * genome (Genome::evalRecord) so a child produced by mutation can
- * re-cost only its changed blocks. Reuse is content-verified: a block
- * is served from the record only when its exact node vector matches
- * and the record was taken under the same model salt and buffer
- * configuration, so a record can speed evaluation up but never change
- * a value. Immutable once attached (parents share it with any number
- * of concurrently evaluated children).
- *
- * Records only run when the engine has no EvalCache: the cache's
- * block level already provides the same verified incremental reuse
- * (plus cross-genome sharing), so a record there would be duplicate
- * bookkeeping on every miss. Lookup is a linear scan — partitions
- * hold tens of blocks, and the blocks are disjoint, so comparing
- * front nodes rejects non-matches in one probe.
- */
-struct EvalRecord
-{
-    uint64_t modelSalt = 0; ///< graph + accelerator fingerprint
-    BufferConfig buf;       ///< configuration the costs were taken under
-    std::vector<std::vector<NodeId>> blocks; ///< evaluated node sets
-    std::vector<SubgraphCost> costs;         ///< parallel to blocks
-};
-
 /** Batched, thread-parallel genome evaluator. */
 class EvalEngine
 {
@@ -204,14 +179,6 @@ class EvalEngine
 
     /** Gene-change accounting accumulated from evaluate() deltas. */
     DeltaStats deltaStats() const;
-
-    /** Blocks served from a parent's evaluation record (incremental
-     *  re-evaluation) across this engine's lifetime. */
-    uint64_t recordBlocksReused() const;
-
-    /** Blocks a present record could not cover (the mutation's actual
-     *  re-cost work). */
-    uint64_t recordBlocksRecosted() const;
 
     /**
      * Evaluate one genome in the calling thread: decode its buffer,
@@ -314,8 +281,6 @@ class EvalEngine
     std::atomic<uint64_t> deltaNodes_{0};
     std::atomic<uint64_t> deltaHwOnly_{0};
     std::atomic<uint64_t> deltaRewrites_{0};
-    std::atomic<uint64_t> recordReused_{0};
-    std::atomic<uint64_t> recordRecosted_{0};
     std::atomic<uint64_t> boundRejections_{0};
 };
 

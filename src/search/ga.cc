@@ -114,10 +114,6 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     const uint64_t fence =
         ck ? gaCheckpointFence(model_, space_, opts_) : 0;
     uint64_t boundary = 0;
-    auto strip = [](Genome g) {
-        g.evalRecord = nullptr; // value-neutral accelerator; drop it
-        return g;
-    };
     auto snapshot = [&]() {
         SearchCheckpoint c;
         c.algo = "ga";
@@ -125,14 +121,14 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
         c.seed = opts_.seed;
         c.samples = res.samples;
         c.bestCost = res.bestCost;
-        c.best = strip(res.best);
+        c.best = res.best;
         c.trace = res.trace;
         c.points = res.points;
         c.rng = rng.state();
         c.streamCounter = boundary;
         c.sinceImprove = mon.samplesSinceImprove();
         for (const Scored &s : pop) {
-            c.population.push_back(strip(s.genome));
+            c.population.push_back(s.genome);
             c.popCosts.push_back(s.cost);
         }
         return c;
@@ -279,10 +275,6 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     }
     if (engine_.cache())
         res.cacheStats = engine_.cache()->stats() - cache_start;
-    // Incremental-recost accounting rides the cache report even when
-    // no cache is in play (the engine owns these counters).
-    res.cacheStats.incReusedBlocks = engine_.recordBlocksReused();
-    res.cacheStats.incRecostBlocks = engine_.recordBlocksRecosted();
     res.deltaStats = engine_.deltaStats();
     return res;
 }

@@ -9,14 +9,10 @@
 #ifndef COCCO_SEARCH_GENOME_H
 #define COCCO_SEARCH_GENOME_H
 
-#include <memory>
-
 #include "mem/buffer_config.h"
 #include "partition/partition.h"
 
 namespace cocco {
-
-struct EvalRecord;
 
 /** The hardware design space being searched. */
 struct DseSpace
@@ -42,17 +38,6 @@ struct Genome
     int actIdx = 0;    ///< global-buffer grid index (Separate)
     int weightIdx = 0; ///< weight-buffer grid index (Separate)
     int sharedIdx = 0; ///< shared-buffer grid index (Shared)
-
-    /**
-     * Per-block costs of this genome's most recent evaluation
-     * (search/eval_engine.h), inherited by copy when an operator
-     * derives a child from a parent, so re-evaluating the child
-     * re-costs only the blocks the mutation actually changed.
-     * Content-verified on use — never part of the genome's identity
-     * (hashing and equality ignore it) and never required for
-     * correctness; crossover children start from scratch (null).
-     */
-    std::shared_ptr<const EvalRecord> evalRecord;
 
     /** Decode the hardware part into a concrete configuration. */
     BufferConfig buffer(const DseSpace &space) const;

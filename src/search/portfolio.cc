@@ -649,7 +649,6 @@ class RaceController
                 sub.samples = r.result.samples;
                 sub.bestCost = r.result.bestCost;
                 sub.best = r.result.best;
-                sub.best.evalRecord = nullptr;
                 sub.trace = r.result.trace;
                 sub.points = r.result.points;
                 sub.hasTs = true;

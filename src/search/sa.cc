@@ -66,10 +66,6 @@ simulatedAnnealing(CostModel &model, const DseSpace &space,
     CheckpointHooks *ck = opts.checkpoint;
     const uint64_t fence = ck ? saCheckpointFence(model, space, opts) : 0;
     uint64_t boundary = 0;
-    auto strip = [](Genome g) {
-        g.evalRecord = nullptr;
-        return g;
-    };
     auto make_checkpoint = [&]() {
         SearchCheckpoint c;
         c.algo = "sa";
@@ -77,13 +73,13 @@ simulatedAnnealing(CostModel &model, const DseSpace &space,
         c.seed = opts.seed;
         c.samples = res.samples;
         c.bestCost = res.bestCost;
-        c.best = strip(res.best);
+        c.best = res.best;
         c.trace = res.trace;
         c.rng = rng.state();
         c.streamCounter = boundary;
         c.sinceImprove = mon.samplesSinceImprove();
         c.hasSa = true;
-        c.saCur = strip(cur);
+        c.saCur = cur;
         c.saCurCost = cur_cost;
         c.saT0 = t0;
         return c;
@@ -180,8 +176,6 @@ simulatedAnnealing(CostModel &model, const DseSpace &space,
     res.bestGraphCost = model.partitionCost(res.best.part, res.bestBuffer);
     if (engine.cache())
         res.cacheStats = engine.cache()->stats() - cache_start;
-    res.cacheStats.incReusedBlocks = engine.recordBlocksReused();
-    res.cacheStats.incRecostBlocks = engine.recordBlocksRecosted();
     res.deltaStats = engine.deltaStats();
     return res;
 }

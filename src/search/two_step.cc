@@ -82,7 +82,6 @@ runCandidates(CostModel &model, const DseSpace &space,
     for (size_t i = 0; i < all_nodes.size(); ++i)
         all_nodes[i] = static_cast<NodeId>(i);
     uint64_t bound_rejections = 0, bound_skipped = 0;
-    uint64_t inc_reused = 0, inc_recost = 0;
 
     // One worker pool shared by every inner GA: the candidate loop
     // must not pay thread spawn/join per hardware point.
@@ -130,8 +129,6 @@ runCandidates(CostModel &model, const DseSpace &space,
         mon.restoreStall(c.sinceImprove);
         bound_rejections = c.tsBoundRejections;
         bound_skipped = c.tsBoundSkippedSamples;
-        inc_reused = c.tsIncReused;
-        inc_recost = c.tsIncRecost;
     }
     auto snapshot = [&](size_t next_idx) {
         SearchCheckpoint c;
@@ -141,7 +138,6 @@ runCandidates(CostModel &model, const DseSpace &space,
         c.samples = global.samples;
         c.bestCost = global.bestCost;
         c.best = global.best;
-        c.best.evalRecord = nullptr;
         c.trace = global.trace;
         c.sinceImprove = mon.samplesSinceImprove();
         c.hasTs = true;
@@ -150,8 +146,6 @@ runCandidates(CostModel &model, const DseSpace &space,
         c.tsBestBuffer = global.bestBuffer;
         c.tsBoundRejections = bound_rejections;
         c.tsBoundSkippedSamples = bound_skipped;
-        c.tsIncReused = inc_reused;
-        c.tsIncRecost = inc_recost;
         c.tsDelta = global.deltaStats;
         return c;
     };
@@ -234,8 +228,6 @@ runCandidates(CostModel &model, const DseSpace &space,
         GeneticSearch search(model, fixed, ga, pool);
         SearchResult inner = search.run();
         global.deltaStats += inner.deltaStats;
-        inc_reused += inner.cacheStats.incReusedBlocks;
-        inc_recost += inner.cacheStats.incRecostBlocks;
 
         // Fold the inner (metric-only) trace into the global trace:
         // Formula 2 per candidate capacity when co-exploring (the
@@ -279,8 +271,6 @@ runCandidates(CostModel &model, const DseSpace &space,
         global.cacheStats = cache->stats() - cache_start;
     global.cacheStats.boundRejections = bound_rejections;
     global.cacheStats.boundSkippedSamples = bound_skipped;
-    global.cacheStats.incReusedBlocks = inc_reused;
-    global.cacheStats.incRecostBlocks = inc_recost;
     return global;
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core/cocco.h"
 #include "core/serialize.h"
@@ -246,47 +247,67 @@ TEST(Checkpoint, RequestFlagSavesWithoutStopping)
 
 TEST(Checkpoint, FileRoundTripResumes)
 {
-    Graph g = mediumGraph();
-    AcceleratorConfig accel;
-    SearchSpec spec = makeSpec("ga", 400);
-    CoccoResult straight = CoccoFramework(g, accel).explore(spec);
+    // One search per checkpoint section: GA fills the population (G),
+    // SA its chain state (V), two-step its sweep position (W).
+    const std::pair<const char *, int64_t> runs[] = {
+        {"ga", 400}, {"sa", 300}, {"ts-random", 300}};
+    for (const auto &[algo, budget] : runs) {
+        SCOPED_TRACE(algo);
+        Graph g = mediumGraph();
+        AcceleratorConfig accel;
+        SearchSpec spec = makeSpec(algo, budget);
+        CoccoResult straight = CoccoFramework(g, accel).explore(spec);
 
-    SearchCheckpoint saved;
-    bool haveSaved = false;
-    CancelAfter cancel(200);
-    CheckpointHooks hooks;
-    hooks.save = [&](const SearchCheckpoint &c) {
-        saved = c;
-        haveSaved = true;
-    };
-    SearchSpec interrupted = spec;
-    interrupted.eval.observer = &cancel;
-    interrupted.eval.checkpoint = &hooks;
-    CoccoFramework(g, accel).explore(interrupted);
-    ASSERT_TRUE(haveSaved);
+        SearchCheckpoint saved;
+        bool haveSaved = false;
+        CancelAfter cancel(budget / 2);
+        CheckpointHooks hooks;
+        hooks.save = [&](const SearchCheckpoint &c) {
+            saved = c;
+            haveSaved = true;
+        };
+        SearchSpec interrupted = spec;
+        interrupted.eval.observer = &cancel;
+        interrupted.eval.checkpoint = &hooks;
+        CoccoFramework(g, accel).explore(interrupted);
+        ASSERT_TRUE(haveSaved);
 
-    std::string path = "checkpoint_test_roundtrip.tmp";
-    ASSERT_TRUE(saveCheckpoint(saved, path));
+        std::string path = "checkpoint_test_roundtrip.tmp";
+        ASSERT_TRUE(saveCheckpoint(saved, path));
 
-    SearchCheckpoint loaded;
-    std::string err;
-    ASSERT_TRUE(loadCheckpoint(path, &loaded, &err)) << err;
-    EXPECT_EQ(loaded.algo, saved.algo);
-    EXPECT_EQ(loaded.fence, saved.fence);
-    EXPECT_EQ(loaded.samples, saved.samples);
-    EXPECT_EQ(loaded.bestCost, saved.bestCost); // hexfloat: bit-exact
-    EXPECT_EQ(loaded.rng, saved.rng);
-    EXPECT_EQ(loaded.streamCounter, saved.streamCounter);
-    ASSERT_EQ(loaded.population.size(), saved.population.size());
-    EXPECT_EQ(loaded.popCosts, saved.popCosts);
+        SearchCheckpoint loaded;
+        std::string err;
+        ASSERT_TRUE(loadCheckpoint(path, &loaded, &err)) << err;
+        std::remove(path.c_str());
+        EXPECT_EQ(loaded.algo, saved.algo);
+        EXPECT_EQ(loaded.fence, saved.fence);
+        EXPECT_EQ(loaded.samples, saved.samples);
+        EXPECT_EQ(loaded.bestCost, saved.bestCost); // hexfloat: bit-exact
+        EXPECT_EQ(loaded.rng, saved.rng);
+        EXPECT_EQ(loaded.streamCounter, saved.streamCounter);
+        ASSERT_EQ(loaded.population.size(), saved.population.size());
+        EXPECT_EQ(loaded.popCosts, saved.popCosts);
+        EXPECT_EQ(loaded.hasSa, saved.hasSa);
+        EXPECT_EQ(loaded.saCur.part.block, saved.saCur.part.block);
+        EXPECT_EQ(loaded.saCurCost, saved.saCurCost);
+        EXPECT_EQ(loaded.saT0, saved.saT0);
+        EXPECT_EQ(loaded.hasTs, saved.hasTs);
+        EXPECT_EQ(loaded.tsCandidate, saved.tsCandidate);
+        EXPECT_EQ(loaded.tsSubSeed, saved.tsSubSeed);
+        EXPECT_EQ(loaded.tsBestBuffer.totalBytes(),
+                  saved.tsBestBuffer.totalBytes());
+        EXPECT_EQ(loaded.tsBoundRejections, saved.tsBoundRejections);
+        EXPECT_EQ(loaded.tsDelta.reports, saved.tsDelta.reports);
+        EXPECT_EQ(loaded.tsDelta.rewrites, saved.tsDelta.rewrites);
 
-    CheckpointHooks resumeHooks;
-    resumeHooks.resume = &loaded;
-    SearchSpec resumedSpec = spec;
-    resumedSpec.eval.checkpoint = &resumeHooks;
-    CoccoResult resumed = CoccoFramework(g, accel).explore(resumedSpec);
-    expectSameRun(straight, resumed);
-    std::remove(path.c_str());
+        CheckpointHooks resumeHooks;
+        resumeHooks.resume = &loaded;
+        SearchSpec resumedSpec = spec;
+        resumedSpec.eval.checkpoint = &resumeHooks;
+        CoccoResult resumed =
+            CoccoFramework(g, accel).explore(resumedSpec);
+        expectSameRun(straight, resumed);
+    }
 }
 
 TEST(Checkpoint, LoaderRejectsCorruptFiles)
@@ -342,6 +363,26 @@ TEST(Checkpoint, LoaderRejectsCorruptFiles)
     err.clear();
     EXPECT_FALSE(loadCheckpoint(path, &out, &err));
     EXPECT_FALSE(err.empty());
+
+    // A file from another format version is refused with the reason,
+    // so a stale resume tells the user why it failed.
+    const std::string header =
+        "COCCO-CHECKPOINT " + std::to_string(SearchCheckpoint::kVersion);
+    ASSERT_EQ(text.compare(0, header.size(), header), 0);
+    const int stale = SearchCheckpoint::kVersion - 1;
+    text.replace(0, header.size(),
+                 "COCCO-CHECKPOINT " + std::to_string(stale));
+    outF = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(outF, nullptr);
+    std::fwrite(text.data(), 1, text.size(), outF);
+    std::fclose(outF);
+    err.clear();
+    EXPECT_FALSE(loadCheckpoint(path, &out, &err));
+    EXPECT_NE(err.find("unsupported checkpoint format version " +
+                       std::to_string(stale) + " (this build reads " +
+                       std::to_string(SearchCheckpoint::kVersion) + ")"),
+              std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 

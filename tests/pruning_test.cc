@@ -1,21 +1,19 @@
 /**
  * @file
- * Tests for bound-based pruning and incremental re-evaluation: the
- * roofline bounds must be admissible (never above the exact cost) on
- * randomized subgraphs across every platform preset and under a
- * heterogeneous deployment; pruned and unpruned searches must return
- * bit-identical results for all four registered algorithms; the
- * genome evaluation record must reproduce a from-scratch evaluation
- * exactly while reusing unchanged blocks; incumbent screening
- * (EvalEngine::evaluateBounded) must track the same incumbent as
- * exhaustive evaluation; and the pruning counters must flow through
- * the cache-stats delta and the JSON metrics document.
+ * Tests for bound-based pruning: the roofline bounds must be
+ * admissible (never above the exact cost) on randomized subgraphs
+ * across every platform preset and under a heterogeneous deployment;
+ * pruned and unpruned searches must return bit-identical results for
+ * all four registered algorithms, with and without the evaluation
+ * cache; incumbent screening (EvalEngine::evaluateBounded) must track
+ * the same incumbent as exhaustive evaluation; and the pruning
+ * counters must flow through the cache-stats delta and sum and the
+ * JSON metrics document.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -208,8 +206,8 @@ TEST(PruningSearch, BitIdenticalAcrossAllAlgorithms)
 
 TEST(PruningSearch, BitIdenticalWithoutCache)
 {
-    // The no-cache path is where the evaluation records run; identity
-    // must hold there too.
+    // Without a cache every block is costed in full; identity must
+    // hold there too.
     Graph g = smallGraph();
     AcceleratorConfig accel = platformPreset("simba");
     for (const char *algo : {"ga", "ts-random"}) {
@@ -232,52 +230,6 @@ TEST(PruningSearch, TwoStepBoundRejectionsFire)
     EXPECT_GT(on.cacheStats.boundSkippedSamples, 0u);
     EXPECT_EQ(off.cacheStats.boundRejections, 0u);
     EXPECT_EQ(off.cacheStats.boundSkippedSamples, 0u);
-}
-
-// --- Incremental re-evaluation ------------------------------------------
-
-TEST(PruningIncremental, RecordMatchesFromScratchEvaluation)
-{
-    Graph g = smallGraph();
-    AcceleratorConfig accel = platformPreset("simba");
-    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
-
-    CostModel model_rec(g, accel);
-    EvalOptions rec_opts;
-    rec_opts.cacheEnabled = false;
-    rec_opts.threads = 1;
-    rec_opts.pruning = true;
-    EvalEngine rec_engine(model_rec, space, rec_opts);
-
-    CostModel model_ref(g, accel);
-    EvalOptions ref_opts = rec_opts;
-    ref_opts.pruning = false;
-    EvalEngine ref_engine(model_ref, space, ref_opts);
-
-    Rng rng(23);
-    int mutations = 0;
-    for (int i = 0; i < 10; ++i) {
-        Genome parent = randomGenome(g, space, rng);
-        rec_engine.evaluate(parent);
-        ASSERT_NE(parent.evalRecord, nullptr);
-
-        // A child inherits the parent's record by copy; a mutation
-        // that keeps the buffer touches only some blocks.
-        Genome child = parent;
-        GeneDelta delta;
-        mutateModifyNode(g, child, rng, &delta);
-        Genome stripped = child;
-        stripped.evalRecord.reset();
-
-        double with_record = rec_engine.evaluate(child, &delta);
-        double from_scratch = ref_engine.evaluate(stripped);
-        EXPECT_EQ(with_record, from_scratch);
-        EXPECT_EQ(child.part.block, stripped.part.block);
-        ++mutations;
-    }
-    EXPECT_EQ(mutations, 10);
-    EXPECT_GT(rec_engine.recordBlocksReused(), 0u);
-    EXPECT_EQ(ref_engine.recordBlocksReused(), 0u);
 }
 
 // --- Incumbent screening -------------------------------------------------
@@ -350,17 +302,51 @@ TEST(PruningCounters, StatsDeltaCoversPruningFields)
     EvalCacheStats end, start;
     end.boundRejections = 10;
     end.boundSkippedSamples = 900;
-    end.incReusedBlocks = 70;
-    end.incRecostBlocks = 7;
     start.boundRejections = 4;
     start.boundSkippedSamples = 400;
-    start.incReusedBlocks = 30;
-    start.incRecostBlocks = 2;
     EvalCacheStats d = end - start;
     EXPECT_EQ(d.boundRejections, 6u);
     EXPECT_EQ(d.boundSkippedSamples, 500u);
-    EXPECT_EQ(d.incReusedBlocks, 40u);
-    EXPECT_EQ(d.incRecostBlocks, 5u);
+
+    // a += b adds every counter; the sizes are snapshots and take b's.
+    EvalCacheStats a, b;
+    a.hits = 1;
+    a.misses = 2;
+    a.insertions = 3;
+    a.evictions = 4;
+    a.blockHits = 5;
+    a.blockMisses = 6;
+    a.blockInsertions = 7;
+    a.blockEvictions = 8;
+    a.boundRejections = 9;
+    a.boundSkippedSamples = 10;
+    a.entries = 500;
+    a.blockEntries = 600;
+    b.hits = 100;
+    b.misses = 200;
+    b.insertions = 300;
+    b.evictions = 400;
+    b.blockHits = 500;
+    b.blockMisses = 600;
+    b.blockInsertions = 700;
+    b.blockEvictions = 800;
+    b.boundRejections = 900;
+    b.boundSkippedSamples = 1000;
+    b.entries = 11;
+    b.blockEntries = 12;
+    a += b;
+    EXPECT_EQ(a.hits, 101u);
+    EXPECT_EQ(a.misses, 202u);
+    EXPECT_EQ(a.insertions, 303u);
+    EXPECT_EQ(a.evictions, 404u);
+    EXPECT_EQ(a.blockHits, 505u);
+    EXPECT_EQ(a.blockMisses, 606u);
+    EXPECT_EQ(a.blockInsertions, 707u);
+    EXPECT_EQ(a.blockEvictions, 808u);
+    EXPECT_EQ(a.boundRejections, 909u);
+    EXPECT_EQ(a.boundSkippedSamples, 1010u);
+    EXPECT_EQ(a.entries, 11u);
+    EXPECT_EQ(a.blockEntries, 12u);
 }
 
 TEST(PruningCounters, MetricsJsonCarriesPruningFields)
@@ -370,21 +356,7 @@ TEST(PruningCounters, MetricsJsonCarriesPruningFields)
     m.cacheEnabled = true;
     m.cache.boundRejections = 3;
     m.cache.boundSkippedSamples = 120;
-    m.cache.incReusedBlocks = 44;
-    m.cache.incRecostBlocks = 5;
     std::string doc = metricsToJson("pruning_test", {m});
     EXPECT_NE(doc.find("\"bound_rejections\":3"), std::string::npos);
     EXPECT_NE(doc.find("\"bound_skipped_samples\":120"), std::string::npos);
-    EXPECT_NE(doc.find("\"inc_blocks_reused\":44"), std::string::npos);
-    EXPECT_NE(doc.find("\"inc_blocks_recosted\":5"), std::string::npos);
-}
-
-TEST(PruningCounters, GaReportsIncrementalReuseWithoutCache)
-{
-    // In the cache-off configuration the GA's incremental path is the
-    // evaluation record; its activity must surface in the run stats.
-    Graph g = smallGraph();
-    AcceleratorConfig accel = platformPreset("simba");
-    SearchResult res = runAlgo("ga", g, accel, true, 41, false);
-    EXPECT_GT(res.cacheStats.incReusedBlocks, 0u);
 }

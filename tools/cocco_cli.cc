@@ -226,8 +226,11 @@ parse(int argc, char **argv)
             a.deploymentFile = next();
         else if (f == "--timeline")
             a.timeline = true;
-        else if (f == "--style")
+        else if (f == "--style") {
             a.style = next();
+            if (a.style != "shared" && a.style != "separate")
+                usage();
+        }
         else if (f == "--samples")
             a.samples = std::atoll(next());
         else if (f == "--alpha")
@@ -272,9 +275,15 @@ parse(int argc, char **argv)
             a.jobs = std::atoi(next());
         else if (f == "--out")
             a.outDir = next();
-        else if (f == "--metric")
-            a.metric = std::string(next()) == "ema" ? Metric::EMA
-                                                    : Metric::Energy;
+        else if (f == "--metric") {
+            const std::string m = next();
+            if (m == "ema")
+                a.metric = Metric::EMA;
+            else if (m == "energy")
+                a.metric = Metric::Energy;
+            else
+                usage();
+        }
         else if (f == "--json")
             a.json = true;
         else if (f == "--no-prune")
@@ -463,11 +472,13 @@ closeCache(const CliArgs &a, const std::shared_ptr<EvalCache> &cache)
                      a.cacheFile.c_str());
 }
 
-/** Write the run's JSON metrics record (when --metrics-out given). */
+/** Write the run's JSON metrics record (when --metrics-out given):
+ *  samples, cache counters and the portfolio block come from the
+ *  search result @p r, as in `cocco run`. */
 void
 emitMetrics(const CliArgs &a, const std::string &name, double wall_seconds,
-            int64_t samples, double best_cost, bool cache_enabled,
-            const EvalCacheStats &stats, const DeploymentBreakdown &dep)
+            double best_cost, bool cache_enabled, const CoccoResult &r,
+            const DeploymentBreakdown &dep)
 {
     if (a.metricsOut.empty())
         return;
@@ -476,13 +487,14 @@ emitMetrics(const CliArgs &a, const std::string &name, double wall_seconds,
     m.model = a.model;
     m.threads = ThreadPool::resolveThreads(a.threads);
     m.seed = a.seed;
-    m.samples = samples;
+    m.samples = r.samples;
     m.bestCost = best_cost;
     m.wallSeconds = wall_seconds;
     m.cacheEnabled = cache_enabled;
-    m.cache = stats;
+    m.cache = r.cacheStats;
     m.hasDeployment = true;
     m.deployment = dep;
+    fillResultMetrics(r, false, &m);
     if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
         std::fprintf(stderr, "error: could not write metrics to %s\n",
                      a.metricsOut.c_str());
@@ -590,8 +602,7 @@ runPartition(CliArgs &a)
     // never touch the cache, so don't open (or rewrite) it for them.
     bool sampling = SearcherRegistry::instance().contains(a.algo);
     std::shared_ptr<EvalCache> cache = sampling ? openCache(a) : nullptr;
-    EvalCacheStats run_stats;
-    int64_t samples = 0;
+    CoccoResult res; // filled by the sampling searches only
     auto t0 = std::chrono::steady_clock::now();
 
     Partition p;
@@ -616,11 +627,10 @@ runPartition(CliArgs &a)
         fatalIf(runSpecError(spec));
         spec.eval.cacheEnabled = cache != nullptr;
         spec.eval.cache = cache;
-        CoccoResult r = cocco->explore(spec);
-        p = r.partition;
-        run_stats = r.cacheStats;
-        samples = r.samples;
-        printStopLine(r.stop);
+        res = cocco->explore(spec);
+        p = res.partition;
+        printStopLine(res.stop);
+        printRacerLines(res.racers);
     } else {
         usage();
     }
@@ -636,12 +646,12 @@ runPartition(CliArgs &a)
                     a.model.c_str(), a.algo.c_str(), p.blocks().size());
         printCost(c, buf, a.alpha, a.metric);
         printDeploymentLine(dep);
-        if (cache && samples > 0)
-            printCacheLine(run_stats);
+        if (cache && res.samples > 0)
+            printCacheLine(res.cacheStats);
     }
     printTimeline(a, model, p, buf);
-    emitMetrics(a, "partition-" + a.algo, wall, samples,
-                c.metricValue(a.metric), cache != nullptr, run_stats, dep);
+    emitMetrics(a, "partition-" + a.algo, wall, c.metricValue(a.metric),
+                cache != nullptr, res, dep);
     return 0;
 }
 
@@ -673,13 +683,14 @@ runCoExplore(CliArgs &a)
                     static_cast<long long>(r.samples));
         printCost(r.cost, r.buffer, a.alpha, a.metric);
         printDeploymentLine(r.deployment);
+        printRacerLines(r.racers);
         printStopLine(r.stop);
         if (cache)
             printCacheLine(r.cacheStats);
     }
     printTimeline(a, cocco->model(), r.partition, r.buffer);
-    emitMetrics(a, "coexplore-" + spec.algo, wall, r.samples, r.objective,
-                cache != nullptr, r.cacheStats, r.deployment);
+    emitMetrics(a, "coexplore-" + spec.algo, wall, r.objective,
+                cache != nullptr, r, r.deployment);
     return 0;
 }
 
