@@ -3,8 +3,8 @@
  * Google-benchmark microbenchmarks of the framework's hot paths: the
  * tile-flow derivation, subgraph profiling (with and without the
  * memoization cache), partition costing (plain and through a warm
- * block cache), structural and capacity repair, and one GA
- * generation. These are the kernels that bound how many samples per
+ * block cache), structural and capacity repair, crossover, and one
+ * GA generation. These are the kernels that bound how many samples per
  * second the search can evaluate.
  */
 
@@ -182,17 +182,23 @@ BENCHMARK(BM_RepairStructure);
 static void
 BM_CrossoverOperator(benchmark::State &state)
 {
+    // Arg 0: distinct random parents. Arg 1: identical partitions with
+    // different hardware genes, the pairing of a converged population.
     const Graph &g = resnet();
     DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
     Rng rng(7);
     Genome dad = randomGenome(g, space, rng);
     Genome mom = randomGenome(g, space, rng);
+    if (state.range(0) == 1) {
+        mom.part = dad.part;
+        mom.sharedIdx = (dad.sharedIdx + 1) % space.sharedGrid.count;
+    }
     for (auto _ : state) {
         Genome child = crossover(g, space, dad, mom, rng);
         benchmark::DoNotOptimize(child.part.numBlocks);
     }
 }
-BENCHMARK(BM_CrossoverOperator);
+BENCHMARK(BM_CrossoverOperator)->Arg(0)->Arg(1);
 
 static void
 BM_GaGeneration(benchmark::State &state)

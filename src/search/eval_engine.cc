@@ -135,7 +135,7 @@ EvalEngine::noteDelta(const GeneDelta &delta)
     deltaNodes_.fetch_add(delta.nodes.size(), std::memory_order_relaxed);
     if (delta.hwChanged && !delta.partitionChanged)
         deltaHwOnly_.fetch_add(1, std::memory_order_relaxed);
-    if (delta.partitionChanged && delta.nodes.empty())
+    if (delta.rewrite)
         deltaRewrites_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -122,7 +122,7 @@ struct DeltaStats
     uint64_t reports = 0;      ///< evaluations arriving with a delta
     uint64_t nodesTouched = 0; ///< total reassigned nodes across them
     uint64_t hwOnly = 0;       ///< deltas that touched hardware genes only
-    uint64_t rewrites = 0;     ///< global partition rewrites (crossover)
+    uint64_t rewrites = 0;     ///< crossover offspring (delta.rewrite)
 
     /** Counter-wise accumulation (e.g. across two-step inner GAs). */
     DeltaStats &

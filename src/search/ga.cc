@@ -17,6 +17,8 @@ gaParamsError(const GaParams &p)
         return "ga.population must be >= 2";
     if (p.tournament < 1)
         return "ga.tournament must be >= 1";
+    if (p.elite < 0 || p.elite > p.population)
+        return "ga.elite must be in [0, ga.population]";
     return "";
 }
 
@@ -250,8 +252,7 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
                       return a.cost < b.cost;
                   });
         pop.clear();
-        int elite = std::min<int>(opts_.elite, static_cast<int>(pool.size()));
-        for (int e = 0; e < elite; ++e)
+        for (int e = 0; e < opts_.elite; ++e) // elite <= population
             pop.push_back(pool[e]);
         while (static_cast<int>(pop.size()) < opts_.population)
             pop.push_back(tournament_pick(pool, rng));

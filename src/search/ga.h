@@ -83,7 +83,7 @@ struct GaParams
 };
 
 /** The GA block's rule: "" when a GA can run @p p, else the reason
- *  (population >= 2, tournament >= 1). */
+ *  (population >= 2, tournament >= 1, elite in [0, population]). */
 std::string gaParamsError(const GaParams &p);
 
 /** GA hyper-parameters: the shared evaluation core + the GA block. */

@@ -45,28 +45,35 @@ struct Genome
 
 /**
  * Change report filled by the variation operators: which genes a
- * crossover/mutation touched, so the evaluation layer knows how much
- * of a genome survived from its parent (incremental re-evaluation
- * accounting — the unchanged blocks' cost contributions come from the
- * EvalCache's block level instead of being recomputed).
+ * crossover/mutation chain touched. The evaluation engine only counts
+ * it (DeltaStats); no result depends on it.
  *
  * The report covers the operator's direct reassignments, pre-repair:
  * structural repair may ripple block renumbering further, which is
- * why the cache layers key on content, not on this report. An empty
- * `nodes` with `partitionChanged` set means a global rewrite
- * (crossover builds the child partition from scratch).
+ * why the cache layers key on content, not on this report. `rewrite`
+ * marks a global rewrite (crossover rebuilds the whole child
+ * partition); it stays set when a mutation later appends nodes.
  */
 struct GeneDelta
 {
     std::vector<NodeId> nodes;     ///< nodes the operator reassigned
     bool partitionChanged = false; ///< any partition gene touched
     bool hwChanged = false;        ///< any hardware gene touched
+    bool rewrite = false;          ///< crossover rewrote the partition
 
     /** Record the reassignment of one node. */
     void
     noteNode(NodeId v)
     {
         nodes.push_back(v);
+        partitionChanged = true;
+    }
+
+    /** Record a global partition rewrite (crossover). */
+    void
+    noteRewrite()
+    {
+        rewrite = true;
         partitionChanged = true;
     }
 

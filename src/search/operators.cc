@@ -108,59 +108,68 @@ crossover(const Graph &g, const DseSpace &space, const Genome &dad,
           const Genome &mom, Rng &rng, GeneDelta *delta)
 {
     if (delta) {
-        // The child partition is written from scratch; an empty node
-        // list with the flag set encodes the global rewrite.
-        delta->partitionChanged = true;
+        // The child partition is rebuilt from both parents.
+        delta->noteRewrite();
         if (space.searchHw)
             delta->noteHw();
     }
-    thread_local BlockLists dad_blocks, mom_blocks;
-    thread_local std::vector<NodeId> undecided;
-    thread_local std::vector<int> decided_blocks;
-    dad_blocks.build(dad.part);
-    mom_blocks.build(mom.part);
-
     Genome child;
-    std::vector<int> &block = child.part.block;
-    block.assign(g.size(), -1);
-    int next_block = 0;
+    if (dad.part.block == mom.part.block && dad.part.isCanonical(g)) {
+        // Identical parents: each block is reproduced whole on its
+        // smallest node's coin and never meets a decided node, so no
+        // merge coin is drawn, and repairing the relabelled canonical
+        // partition returns it. Draw the coins, keep the partition.
+        for (int b = 0; b < dad.part.numBlocks; ++b)
+            rng.bernoulli(0.5);
+        child.part = dad.part;
+    } else {
+        thread_local BlockLists dad_blocks, mom_blocks;
+        thread_local std::vector<NodeId> undecided;
+        thread_local std::vector<int> decided_blocks;
+        dad_blocks.build(dad.part);
+        mom_blocks.build(mom.part);
 
-    for (NodeId v = 0; v < g.size(); ++v) {
-        if (block[v] >= 0)
-            continue;
-        const bool from_dad = rng.bernoulli(0.5);
-        const BlockLists &lists = from_dad ? dad_blocks : mom_blocks;
-        const int sub = (from_dad ? dad.part : mom.part).block[v];
+        std::vector<int> &block = child.part.block;
+        block.assign(g.size(), -1);
+        int next_block = 0;
 
-        // Partition the reproduced subgraph into decided/undecided
-        // (v itself is undecided, so the latter is never empty).
-        undecided.clear();
-        decided_blocks.clear();
-        for (const NodeId *u = lists.begin(sub); u != lists.end(sub); ++u) {
-            if (block[*u] >= 0)
-                decided_blocks.push_back(block[*u]);
-            else
-                undecided.push_back(*u);
+        for (NodeId v = 0; v < g.size(); ++v) {
+            if (block[v] >= 0)
+                continue;
+            const bool from_dad = rng.bernoulli(0.5);
+            const BlockLists &lists = from_dad ? dad_blocks : mom_blocks;
+            const int sub = (from_dad ? dad.part : mom.part).block[v];
+
+            // Partition the reproduced subgraph into decided/undecided
+            // (v itself is undecided, so the latter is never empty).
+            undecided.clear();
+            decided_blocks.clear();
+            for (const NodeId *u = lists.begin(sub); u != lists.end(sub);
+                 ++u) {
+                if (block[*u] >= 0)
+                    decided_blocks.push_back(block[*u]);
+                else
+                    undecided.push_back(*u);
+            }
+            std::sort(decided_blocks.begin(), decided_blocks.end());
+            decided_blocks.erase(
+                std::unique(decided_blocks.begin(), decided_blocks.end()),
+                decided_blocks.end());
+
+            int target;
+            if (!decided_blocks.empty() && rng.bernoulli(0.5)) {
+                // Merge with one of the subgraphs the decided layers
+                // belong to (Figure 9(b), Child-2).
+                target = decided_blocks[rng.index(decided_blocks.size())];
+            } else {
+                // Split out a new subgraph (Child-1).
+                target = next_block++;
+            }
+            for (NodeId u : undecided)
+                block[u] = target;
         }
-        std::sort(decided_blocks.begin(), decided_blocks.end());
-        decided_blocks.erase(
-            std::unique(decided_blocks.begin(), decided_blocks.end()),
-            decided_blocks.end());
-
-        int target;
-        if (!decided_blocks.empty() && rng.bernoulli(0.5)) {
-            // Merge with one of the subgraphs the decided layers
-            // belong to (Figure 9(b), Child-2).
-            target = decided_blocks[rng.index(decided_blocks.size())];
-        } else {
-            // Split out a new subgraph (Child-1).
-            target = next_block++;
-        }
-        for (NodeId u : undecided)
-            block[u] = target;
+        child.part = repairStructure(g, std::move(child.part));
     }
-
-    child.part = repairStructure(g, std::move(child.part));
 
     if (space.searchHw) {
         child.actIdx = clampIdx((dad.actIdx + mom.actIdx + 1) / 2,

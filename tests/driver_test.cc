@@ -690,6 +690,11 @@ TEST(SpecRules, EachRuleRejectsWithItsReason)
          "ga.population must be >= 2"},
         {"ga tournament", [](SearchSpec &s) { s.ga.tournament = 0; },
          "ga.tournament must be >= 1"},
+        {"ga elite above population",
+         [](SearchSpec &s) { s.ga.elite = s.ga.population + 1; },
+         "ga.elite must be in [0, ga.population]"},
+        {"negative ga elite", [](SearchSpec &s) { s.ga.elite = -1; },
+         "ga.elite must be in [0, ga.population]"},
         {"sa neighborBatch",
          [](SearchSpec &s) {
              s.algo = "sa";

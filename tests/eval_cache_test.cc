@@ -774,10 +774,18 @@ TEST(GeneDelta, OperatorsReportTouchedGenes)
 
         GeneDelta cx;
         Genome other = randomGenome(g, space, rng);
-        crossover(g, space, base, other, rng, &cx);
+        Genome mixed = crossover(g, space, base, other, rng, &cx);
         EXPECT_TRUE(cx.partitionChanged);
         EXPECT_TRUE(cx.hwChanged);
-        EXPECT_TRUE(cx.nodes.empty()); // global rewrite marker
+        EXPECT_TRUE(cx.rewrite);
+        EXPECT_TRUE(cx.nodes.empty());
+        // A mutation after the crossover appends to the report; the
+        // rewrite flag survives it.
+        mutateSplitSubgraph(g, mixed, rng, &cx);
+        mutateModifyNode(g, mixed, rng, &cx);
+        EXPECT_TRUE(cx.rewrite);
+        EXPECT_FALSE(d.rewrite);
+        EXPECT_FALSE(dse.rewrite);
     }
 }
 
@@ -787,11 +795,15 @@ TEST(GeneDelta, SearchAccumulatesDeltaStats)
     CostModel model(g, AcceleratorConfig{});
     DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
     GaOptions opts = fastGa(300);
+    opts.crossoverRate = 1.0;
     SearchResult r = GeneticSearch(model, space, opts).run();
     // Every offspring evaluation carries a delta report (the initial
-    // population does not).
-    EXPECT_GT(r.deltaStats.reports, 0u);
-    EXPECT_GT(r.deltaStats.rewrites, 0u);
+    // population does not), and each counts as a rewrite, whatever
+    // mutation followed its crossover.
+    const uint64_t offspring = r.samples - opts.population;
+    EXPECT_GT(offspring, 0u);
+    EXPECT_EQ(r.deltaStats.reports, offspring);
+    EXPECT_EQ(r.deltaStats.rewrites, offspring);
 }
 
 // --- Metrics JSON ------------------------------------------------------------

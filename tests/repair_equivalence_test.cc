@@ -579,6 +579,59 @@ TEST_P(RepairEquivalence, OperatorsMatchReferenceDrawForDraw)
     }
 }
 
+TEST_P(RepairEquivalence, IdenticalParentCrossoverMatchesReference)
+{
+    // Equal canonical parents take crossover's copy path; equal but
+    // non-canonical ones (swapped ids, fixed runs) take the general
+    // one. Either way the child, numBlocks and draws match the
+    // reference, and the report matches a distinct-parent crossover's.
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    Rng rng(0x1dea + g_.size());
+    auto expectSame = [&](const Genome &dad, const Genome &mom,
+                          const char *kind) {
+        Rng r_new = rng, r_ref = rng;
+        GeneDelta got;
+        Genome child = crossover(g_, space, dad, mom, r_new, &got);
+        Genome want = ref::crossover(g_, dad, mom, r_ref);
+        ASSERT_EQ(child.part.block, want.part.block) << kind;
+        ASSERT_EQ(child.part.numBlocks, want.part.numBlocks) << kind;
+        ASSERT_EQ(r_new.state(), r_ref.state()) << kind << " draws";
+        EXPECT_EQ(child.sharedIdx, (dad.sharedIdx + mom.sharedIdx + 1) / 2)
+            << kind;
+
+        GeneDelta distinct;
+        Genome other = randomGenome(g_, space, r_ref);
+        crossover(g_, space, dad, other, r_ref, &distinct);
+        EXPECT_EQ(got.nodes, distinct.nodes) << kind;
+        EXPECT_EQ(got.partitionChanged, distinct.partitionChanged) << kind;
+        EXPECT_EQ(got.hwChanged, distinct.hwChanged) << kind;
+        EXPECT_EQ(got.rewrite, distinct.rewrite) << kind;
+        rng = r_new;
+    };
+
+    for (int i = 0; i < kRounds; ++i) {
+        Genome dad = randomGenome(g_, space, rng);
+        expectSame(dad, dad, "same genome");
+        Genome hw = dad;
+        hw.sharedIdx = (dad.sharedIdx + 1 + i) % space.sharedGrid.count;
+        expectSame(dad, hw, "other hardware genes");
+
+        const int k = dad.part.numBlocks;
+        if (k < 2)
+            continue;
+        const int x = static_cast<int>(rng.index(k));
+        const int y = (x + 1 + static_cast<int>(rng.index(k - 1))) % k;
+        Genome swapped = dad;
+        for (int &id : swapped.part.block)
+            id = id == x ? y : id == y ? x : id;
+        ASSERT_FALSE(swapped.part.isCanonical(g_));
+        expectSame(swapped, swapped, "swapped ids");
+    }
+    Genome runs;
+    runs.part = Partition::fixedRuns(g_, 3);
+    expectSame(runs, runs, "fixed runs");
+}
+
 BufferConfig
 sharedBuffer(int64_t kib)
 {

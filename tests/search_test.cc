@@ -301,6 +301,10 @@ TEST(GaDeath, RejectsBadOptions)
     o.population = 1;
     EXPECT_EXIT(GeneticSearch(model, space, o), ::testing::ExitedWithCode(1),
                 "population");
+    o.population = 4;
+    o.elite = 5;
+    EXPECT_EXIT(GeneticSearch(model, space, o), ::testing::ExitedWithCode(1),
+                "ga.elite must be in");
 }
 
 // --- SA ------------------------------------------------------------------------

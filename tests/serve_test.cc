@@ -323,18 +323,21 @@ TEST(Serve, RuleBoundarySpecsRunToTheEnd)
     opts.threadBudget = 2;
     JobManager manager(opts);
 
+    // GA runs at both ends of ga.elite; the others at the default.
+    const std::pair<const char *, int> runs[] = {
+        {"ga", 0}, {"ga", 2}, {"sa", 2}, {"ts-random", 2}, {"ts-grid", 2}};
     std::vector<int64_t> ids;
-    for (const char *algo : {"ga", "sa", "ts-random", "ts-grid"}) {
+    for (const auto &[algo, elite] : runs) {
         for (bool raced : {false, true}) {
             std::string text = strprintf(
                 R"({"model":"GoogleNet","samples":60,"seed":3,)"
                 R"("threads":1,"algo":"%s",)"
-                R"("ga":{"population":2,"tournament":1},)"
+                R"("ga":{"population":2,"tournament":1,"elite":%d},)"
                 R"("sa":{"neighborBatch":1},)"
                 R"("twoStep":{"population":2,"samplesPerCandidate":1},)"
                 R"("portfolio":{"racers":["%s"],"checkEvals":1,)"
                 R"("warmupEvals":0}})",
-                raced ? "portfolio" : algo, algo);
+                raced ? "portfolio" : algo, elite, algo);
             std::string err;
             int64_t id = manager.submit(parsedSpec(text), algo, &err);
             ASSERT_GT(id, 0) << text << ": " << err;
