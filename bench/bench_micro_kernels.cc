@@ -68,17 +68,33 @@ BENCHMARK(BM_BestSchemeMapper);
 static void
 BM_SubgraphProfileCold(benchmark::State &state)
 {
-    const Graph &g = resnet();
-    AcceleratorConfig accel;
-    std::vector<NodeId> sub = windowOf(g, 3, 8);
-    for (auto _ : state) {
-        state.PauseTiming();
-        CostModel model(g, accel); // fresh cache each iteration
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(model.profile(sub).actFootprintBytes);
+    // Arg 0: every block of one fixed canonical NasNet partition (a
+    // random genome's singletons and fused runs). Arg 1: one 8-layer
+    // ResNet50 window. Each iteration profiles them on a fresh model,
+    // so every profile misses the memo; the model's construction and
+    // destruction are timed too, spread over the blocks. The rate is
+    // profiles per second.
+    static const Graph nasnet = buildModel("NasNet");
+    const Graph &g = state.range(0) == 0 ? nasnet : resnet();
+    std::vector<std::vector<NodeId>> blocks;
+    if (state.range(0) == 0) {
+        DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+        Rng rng(13);
+        blocks = randomGenome(g, space, rng).part.blocks();
+    } else {
+        blocks.push_back(windowOf(g, 3, 8));
     }
+    AcceleratorConfig accel;
+    for (auto _ : state) {
+        CostModel model(g, accel);
+        for (const auto &blk : blocks)
+            benchmark::DoNotOptimize(model.profile(blk).actFootprintBytes);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(blocks.size()));
+    state.SetLabel(strprintf("%zu blocks", blocks.size()));
 }
-BENCHMARK(BM_SubgraphProfileCold);
+BENCHMARK(BM_SubgraphProfileCold)->Arg(0)->Arg(1);
 
 static void
 BM_SubgraphProfileCached(benchmark::State &state)

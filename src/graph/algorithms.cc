@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -190,39 +189,6 @@ QuotientGraph::drain()
             }
     }
     return next;
-}
-
-std::vector<NodeId>
-boundaryInputs(const Graph &g, const std::vector<NodeId> &nodes)
-{
-    std::unordered_set<NodeId> in_set(nodes.begin(), nodes.end());
-    std::unordered_set<NodeId> result;
-    for (NodeId v : nodes)
-        for (NodeId u : g.preds(v))
-            if (!in_set.count(u))
-                result.insert(u);
-    std::vector<NodeId> out(result.begin(), result.end());
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<NodeId>
-escapingOutputs(const Graph &g, const std::vector<NodeId> &nodes)
-{
-    std::unordered_set<NodeId> in_set(nodes.begin(), nodes.end());
-    std::vector<NodeId> out;
-    for (NodeId v : nodes) {
-        bool escapes = g.succs(v).empty();
-        for (NodeId w : g.succs(v))
-            if (!in_set.count(w)) {
-                escapes = true;
-                break;
-            }
-        if (escapes)
-            out.push_back(v);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 } // namespace cocco

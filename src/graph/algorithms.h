@@ -103,21 +103,6 @@ struct QuotientGraph
     int drain();
 };
 
-/**
- * For each node, the set of graph-input-reachable ancestors is implied;
- * this helper returns, for a node set S, the ids of *boundary inputs*:
- * producers outside S that feed some node in S (deduplicated, sorted).
- */
-std::vector<NodeId> boundaryInputs(const Graph &g,
-                                   const std::vector<NodeId> &nodes);
-
-/**
- * For a node set S, the ids of nodes in S whose output escapes S
- * (consumed by a node outside S, or a model output). Sorted ascending.
- */
-std::vector<NodeId> escapingOutputs(const Graph &g,
-                                    const std::vector<NodeId> &nodes);
-
 } // namespace cocco
 
 #endif // COCCO_GRAPH_ALGORITHMS_H

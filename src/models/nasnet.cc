@@ -16,6 +16,8 @@
  * Knobs: resolution, depth (cells per stage), widthMult (base F).
  */
 
+#include <algorithm>
+
 #include "models/builder_util.h"
 #include "models/models.h"
 
@@ -112,8 +114,12 @@ buildNasNet(const ModelParams &params)
 
     // Two stem reduction cells bring 166x166 down to 42x42.
     NodeId prev = stem;
-    NodeId cur = reductionCell(b, stem, stem, f0 / 4, "stem_r1");
-    NodeId nxt = reductionCell(b, prev, cur, f0 / 2, "stem_r2");
+    // Clamped like scaleChannels: a tiny widthMult must not derive a
+    // 0-channel layer.
+    NodeId cur =
+        reductionCell(b, stem, stem, std::max(1, f0 / 4), "stem_r1");
+    NodeId nxt =
+        reductionCell(b, prev, cur, std::max(1, f0 / 2), "stem_r2");
     prev = cur;
     cur = nxt;
 

@@ -140,7 +140,9 @@ buildRandWire(char variant, const ModelParams &params)
     ModelBuilder b(strprintf("RandWire-%c", variant));
 
     NodeId x = b.input(res, res, 3);
-    x = b.conv(x, c / 2, 3, 2, "stem");
+    // Clamped like scaleChannels: a tiny widthMult must not derive a
+    // 0-channel stem.
+    x = b.conv(x, std::max(1, c / 2), 3, 2, "stem");
 
     if (small) {
         // Small regime: conv2 is a plain conv stage; conv3-5 random.

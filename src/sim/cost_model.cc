@@ -1,12 +1,11 @@
 #include "sim/cost_model.h"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "graph/algorithms.h"
 #include "sim/mapper.h"
 #include "sim/multicore.h"
 #include "tileflow/footprint.h"
+#include "util/epoch_set.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -38,6 +37,65 @@ sortedNodes(const std::vector<NodeId> &nodes, std::vector<NodeId> &tmp)
     tmp = nodes;
     std::sort(tmp.begin(), tmp.end());
     return tmp;
+}
+
+/**
+ * The boundary terms of subgraph @p nodes (BoundProfile) in one pass
+ * over per-thread epoch stamps, plus, into @p glb_traffic when
+ * non-null, its global-buffer traffic: every tensor surfaced in the
+ * buffer is written once (from DRAM for boundary inputs, from the PE
+ * array for produced tensors) and read once per in-subgraph consumer;
+ * escaping tensors are additionally read for write-back.
+ */
+BoundProfile
+boundaryTerms(const Graph &g, const std::vector<NodeId> &nodes,
+              int64_t *glb_traffic)
+{
+    thread_local EpochSet in_set, boundary;
+    in_set.clear(g.size());
+    boundary.clear(g.size());
+    for (NodeId v : nodes)
+        in_set.insert(v);
+    auto consumers_in = [&](NodeId u) {
+        int64_t n = 0;
+        for (NodeId w : g.succs(u))
+            if (in_set.contains(w))
+                ++n;
+        return n;
+    };
+
+    BoundProfile bp;
+    int64_t glb = 0;
+    for (NodeId v : nodes) {
+        bp.weightBytes += g.weightBytes(v);
+        bp.macs += g.macs(v);
+        const int64_t consumers = consumers_in(v);
+        if (g.isInput(v)) {
+            // A model-input node fused into this subgraph still loads
+            // its tensor from DRAM (when anything here consumes it).
+            // It lives in DRAM already: nothing to write back.
+            if (consumers > 0)
+                bp.inBytes += g.outBytes(v);
+            glb += g.outBytes(v) * (1 + consumers);
+        } else {
+            // Escaping: consumed outside the subgraph, or a model
+            // output.
+            const auto &succs = g.succs(v);
+            bool escapes = succs.empty() ||
+                           consumers < static_cast<int64_t>(succs.size());
+            if (escapes)
+                bp.outBytes += g.outBytes(v);
+            glb += g.outBytes(v) * (1 + consumers + (escapes ? 1 : 0));
+        }
+        for (NodeId u : g.preds(v))
+            if (!in_set.contains(u) && boundary.insert(u)) {
+                bp.inBytes += g.outBytes(u);
+                glb += g.outBytes(u) * (1 + consumers_in(u));
+            }
+    }
+    if (glb_traffic)
+        *glb_traffic = glb;
+    return bp;
 }
 
 } // namespace
@@ -133,7 +191,7 @@ CostModel::boundProfile(const std::vector<NodeId> &nodes)
         bp.weightBytes = full->second.weightBytes;
         bp.macs = full->second.macs;
     } else {
-        bp = computeBoundProfile(nodes);
+        bp = boundaryTerms(g_, nodes, nullptr);
     }
     return shard.bounds.emplace(key, bp).first->second;
 }
@@ -159,86 +217,26 @@ CostModel::pruneStats() const
     return s;
 }
 
-BoundProfile
-CostModel::computeBoundProfile(const std::vector<NodeId> &nodes) const
-{
-    BoundProfile bp;
-    std::unordered_set<NodeId> in_set(nodes.begin(), nodes.end());
-
-    for (NodeId u : boundaryInputs(g_, nodes))
-        bp.inBytes += g_.outBytes(u);
-    for (NodeId v : escapingOutputs(g_, nodes)) {
-        // Model inputs live in DRAM already; nothing to write back.
-        if (!g_.isInput(v))
-            bp.outBytes += g_.outBytes(v);
-    }
-    for (NodeId v : nodes) {
-        bp.weightBytes += g_.weightBytes(v);
-        bp.macs += g_.macs(v);
-        // A model-input node fused into this subgraph still loads its
-        // tensor from DRAM (when anything here consumes it).
-        if (g_.isInput(v)) {
-            for (NodeId w : g_.succs(v))
-                if (in_set.count(w)) {
-                    bp.inBytes += g_.outBytes(v);
-                    break;
-                }
-        }
-    }
-    return bp;
-}
-
 SubgraphProfile
 CostModel::computeProfile(const std::vector<NodeId> &nodes) const
 {
     SubgraphProfile prof;
     prof.nodeCount = static_cast<int>(nodes.size());
 
-    std::unordered_set<NodeId> in_set(nodes.begin(), nodes.end());
-
-    BoundProfile bp = computeBoundProfile(nodes);
+    BoundProfile bp = boundaryTerms(g_, nodes, &prof.glbTraffic);
     prof.inBytes = bp.inBytes;
     prof.outBytes = bp.outBytes;
     prof.weightBytes = bp.weightBytes;
     prof.macs = bp.macs;
 
     uint64_t pruned = 0;
-    ExecutionScheme scheme =
-        bestScheme(g_, nodes, defaultTileCandidates(), pruning(), &pruned);
+    FlowFootprint f =
+        bestFootprint(g_, nodes, defaultTileCandidates(), pruning(), &pruned);
     if (pruned)
         schemesPruned_.fetch_add(pruned, std::memory_order_relaxed);
-    prof.actFootprintBytes = scheme.actFootprintBytes;
-    prof.numRegions = scheme.numRegions;
-    prof.outTile = scheme.outTile;
-
-    // Global-buffer traffic: every tensor surfaced in the buffer is
-    // written once (from DRAM for boundary inputs, from the PE array
-    // for produced tensors) and read once per in-subgraph consumer;
-    // escaping tensors are additionally read for write-back.
-    std::unordered_set<NodeId> boundary;
-    for (NodeId v : nodes)
-        for (NodeId u : g_.preds(v))
-            if (!in_set.count(u))
-                boundary.insert(u);
-    auto consumers_in = [&](NodeId u) {
-        int64_t n = 0;
-        for (NodeId w : g_.succs(u))
-            if (in_set.count(w))
-                ++n;
-        return n;
-    };
-    for (NodeId u : boundary)
-        prof.glbTraffic += g_.outBytes(u) * (1 + consumers_in(u));
-    for (NodeId v : nodes) {
-        bool escapes = g_.succs(v).empty();
-        for (NodeId w : g_.succs(v))
-            if (!in_set.count(w))
-                escapes = true;
-        if (g_.isInput(v))
-            escapes = false; // constant data: no write-back read
-        prof.glbTraffic +=
-            g_.outBytes(v) * (1 + consumers_in(v) + (escapes ? 1 : 0));
-    }
+    prof.actFootprintBytes = f.actFootprintBytes;
+    prof.numRegions = f.numRegions;
+    prof.outTile = f.outTile;
 
     // Weight-buffer traffic: one fill plus one streaming pass into the
     // PE-local scratchpads (weights are pinned across tile iterations).

@@ -394,8 +394,6 @@ class CostModel
     SubgraphCost assemble(const SubgraphProfile &prof,
                           const BufferConfig &buf) const;
     SubgraphProfile computeProfile(const std::vector<NodeId> &nodes) const;
-    BoundProfile computeBoundProfile(const std::vector<NodeId> &nodes)
-        const;
 
     const Graph &g_;
     AcceleratorConfig accel_;

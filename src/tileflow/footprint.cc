@@ -14,51 +14,44 @@ defaultTileCandidates()
     return candidates;
 }
 
+FlowFootprint
+bestFootprint(const Graph &g, const std::vector<NodeId> &nodes,
+              const std::vector<int> &candidates, bool prune,
+              uint64_t *schemes_pruned)
+{
+    if (candidates.empty())
+        panic("bestScheme needs at least one tile candidate");
+    thread_local std::vector<int> order;
+    order.assign(candidates.begin(), candidates.end());
+    std::sort(order.begin(), order.end(), std::greater<int>());
+
+    TileFlow &flow = TileFlow::local();
+    flow.index(g, nodes);
+    FlowFootprint best;
+    bool have = false;
+    for (int t : order) {
+        FlowFootprint f = flow.derive(
+            t, prune && have ? best.actFootprintBytes : -1);
+        if (f.aborted) {
+            if (schemes_pruned)
+                ++*schemes_pruned;
+            continue;
+        }
+        if (!have || f.actFootprintBytes < best.actFootprintBytes) {
+            best = f;
+            have = true;
+        }
+    }
+    return best;
+}
+
 ExecutionScheme
 bestScheme(const Graph &g, const std::vector<NodeId> &nodes,
            const std::vector<int> &candidates, bool prune,
            uint64_t *schemes_pruned)
 {
-    if (candidates.empty())
-        panic("bestScheme needs at least one tile candidate");
-
-    if (prune) {
-        // Largest tile first with a strict improve-only comparison:
-        // equivalent to the ascending walk below (minimal footprint,
-        // largest tile among ties), but every candidate after the
-        // first can abort its derivation at the incumbent footprint.
-        std::vector<int> order(candidates);
-        std::sort(order.begin(), order.end(), std::greater<int>());
-        ExecutionScheme best;
-        bool have = false;
-        for (int t : order) {
-            ExecutionScheme s = deriveConsumptionScheme(
-                g, nodes, t, have ? best.actFootprintBytes : -1);
-            if (s.aborted) {
-                if (schemes_pruned)
-                    ++*schemes_pruned;
-                continue;
-            }
-            if (!have || s.actFootprintBytes < best.actFootprintBytes) {
-                best = std::move(s);
-                have = true;
-            }
-        }
-        return best;
-    }
-
-    ExecutionScheme best;
-    bool have = false;
-    for (int t : candidates) {
-        ExecutionScheme s = deriveConsumptionScheme(g, nodes, t);
-        if (!have || s.actFootprintBytes < best.actFootprintBytes ||
-            (s.actFootprintBytes == best.actFootprintBytes &&
-             s.outTile > best.outTile)) {
-            best = std::move(s);
-            have = true;
-        }
-    }
-    return best;
+    int t = bestFootprint(g, nodes, candidates, prune, schemes_pruned).outTile;
+    return deriveConsumptionScheme(g, nodes, t);
 }
 
 } // namespace cocco

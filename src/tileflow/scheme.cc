@@ -1,11 +1,9 @@
 #include "tileflow/scheme.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdlib>
 
 #include "util/logging.h"
-#include "util/math_util.h"
 
 namespace cocco {
 
@@ -13,9 +11,9 @@ namespace {
 
 /** f_v(t) = F(v) + (t - 1) * s(v): input tile needed for t outputs. */
 int64_t
-inputTileFor(const Layer &consumer, int64_t t)
+inputTileFor(int kernel, int stride, int64_t t)
 {
-    return consumer.kernel + (t - 1) * static_cast<int64_t>(consumer.stride);
+    return kernel + (t - 1) * static_cast<int64_t>(stride);
 }
 
 } // namespace
@@ -29,215 +27,245 @@ ExecutionScheme::find(NodeId v) const
     return nullptr;
 }
 
-ExecutionScheme
-deriveConsumptionScheme(const Graph &g, const std::vector<NodeId> &nodes,
-                        int out_tile, int64_t abort_above)
+TileFlow &
+TileFlow::local()
 {
-    if (out_tile < 1)
-        panic("out_tile must be >= 1, got %d", out_tile);
-    if (nodes.empty())
-        panic("deriveConsumptionScheme on empty subgraph");
+    thread_local TileFlow flow;
+    return flow;
+}
 
-    std::unordered_set<NodeId> in_sub(nodes.begin(), nodes.end());
-    if (in_sub.size() != nodes.size())
-        panic("duplicate node ids in subgraph");
+void
+TileFlow::index(const Graph &g, const std::vector<NodeId> &nodes)
+{
+    if (nodes.empty())
+        panic("tile-flow derivation on an empty subgraph");
+    g_ = &g;
+    member_.clear(g.size());
+    if (pos_.size() < static_cast<size_t>(g.size()))
+        pos_.resize(g.size());
 
     // Extended set: boundary input tensors participate in the flow as
     // data sources with their own MAIN/SIDE regions.
-    std::vector<NodeId> extended;
-    std::unordered_set<NodeId> in_ext = in_sub;
+    nodes_.clear();
+    for (NodeId v : nodes) {
+        if (!member_.insert(v))
+            panic("duplicate node ids in subgraph");
+        nodes_.push_back(v);
+    }
     for (NodeId v : nodes)
         for (NodeId u : g.preds(v))
-            if (!in_sub.count(u) && in_ext.insert(u).second)
-                extended.push_back(u);
-    for (NodeId v : nodes)
-        extended.push_back(v);
-    std::sort(extended.begin(), extended.end());
+            if (!member_.contains(u))
+                nodes_.push_back(u);
+    std::sort(nodes_.begin(), nodes_.end());
+    nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+    const int n = static_cast<int>(nodes_.size());
+    for (int i = 0; i < n; ++i)
+        pos_[nodes_[i]] = i;
 
-    // In-subgraph children of each extended node: consumers that are
-    // members of the subgraph proper.
-    std::unordered_map<NodeId, std::vector<NodeId>> children;
-    for (NodeId u : extended) {
-        auto &ch = children[u];
-        for (NodeId w : g.succs(u))
-            if (in_sub.count(w))
-                ch.push_back(w);
+    // Per position: the layer terms, and the in-subgraph consumers
+    // (members of the subgraph proper) in successor order.
+    slots_.resize(n);
+    childStart_.resize(n + 1);
+    child_.clear();
+    for (int i = 0; i < n; ++i) {
+        const Layer &l = g.layer(nodes_[i]);
+        Slot &s = slots_[i];
+        s.outH = l.outH;
+        s.outW = l.outW;
+        s.outC = l.outC;
+        s.kernel = l.kernel;
+        s.stride = l.stride;
+        s.member = member_.contains(nodes_[i]);
+        s.overlap = 0;
+        childStart_[i] = static_cast<int>(child_.size());
+        for (NodeId w : g.succs(nodes_[i]))
+            if (member_.contains(w)) {
+                const Layer &lw = g.layer(w);
+                s.overlap = std::max(s.overlap, lw.kernel - lw.stride);
+                child_.push_back(pos_[w]);
+            }
     }
+    childStart_[n] = static_cast<int>(child_.size());
+}
 
-    ExecutionScheme scheme;
-    scheme.outTile = out_tile;
+FlowFootprint
+TileFlow::derive(int out_tile, int64_t abort_above)
+{
+    if (out_tile < 1)
+        panic("out_tile must be >= 1, got %d", out_tile);
+    FlowFootprint f;
+    f.outTile = out_tile;
 
-    // --- Stage 2: reverse topological derivation of Delta and x. ---
-    // Node ids are topologically ordered, so a reverse id sweep visits
-    // consumers before producers.
-    std::unordered_map<NodeId, NodeScheme> result;
-    int64_t running_footprint = 0;
-    for (auto it = extended.rbegin(); it != extended.rend(); ++it) {
-        NodeId u = *it;
-        const Layer &lu = g.layer(u);
-        NodeScheme ns;
-        ns.node = u;
-        ns.external = !in_sub.count(u);
-
-        const auto &ch = children[u];
-        if (ch.empty()) {
+    // Node ids are topologically ordered, so a descending sweep over
+    // the ascending positions visits consumers before producers.
+    for (int i = static_cast<int>(slots_.size()) - 1; i >= 0; --i) {
+        Slot &s = slots_[i];
+        const int *ch = child_.data() + childStart_[i];
+        const int *ch_end = child_.data() + childStart_[i + 1];
+        if (ch == ch_end) {
             // Stage-1: output node, Delta = x = out_tile (clipped).
-            ns.is_output = true;
-            ns.deltaH = std::min(out_tile, lu.outH);
-            ns.deltaW = std::min(out_tile, lu.outW);
-            ns.xH = ns.deltaH;
-            ns.xW = ns.deltaW;
+            s.deltaH = std::min(out_tile, s.outH);
+            s.deltaW = std::min(out_tile, s.outW);
+            s.xH = s.deltaH;
+            s.xW = s.deltaW;
         } else {
+            // Stage-2: Delta(u) = lcm_v Delta(v) s(v),
+            //          x(u) = max_v f_v(Delta(u) / s(v)).
             int64_t dh = 1, dw = 1;
-            for (NodeId v : ch) {
-                const Layer &lv = g.layer(v);
-                const NodeScheme &cs = result.at(v);
-                dh = lcm64(dh, static_cast<int64_t>(cs.deltaH) * lv.stride);
-                dw = lcm64(dw, static_cast<int64_t>(cs.deltaW) * lv.stride);
+            for (const int *c = ch; c != ch_end; ++c) {
+                const Slot &cs = slots_[*c];
+                dh = lcm64(dh, static_cast<int64_t>(cs.deltaH) * cs.stride);
+                dw = lcm64(dw, static_cast<int64_t>(cs.deltaW) * cs.stride);
             }
             int64_t xh = 1, xw = 1;
-            for (NodeId v : ch) {
-                const Layer &lv = g.layer(v);
-                xh = std::max(xh, inputTileFor(lv, dh / lv.stride));
-                xw = std::max(xw, inputTileFor(lv, dw / lv.stride));
+            for (const int *c = ch; c != ch_end; ++c) {
+                const Slot &cs = slots_[*c];
+                xh = std::max(
+                    xh, inputTileFor(cs.kernel, cs.stride, dh / cs.stride));
+                xw = std::max(
+                    xw, inputTileFor(cs.kernel, cs.stride, dw / cs.stride));
             }
             // Clip to the tensor extent: a tile can never exceed the
             // tensor, and once the whole tensor is resident no halo
             // bookkeeping is needed.
-            ns.deltaH = static_cast<int>(std::min<int64_t>(dh, lu.outH));
-            ns.deltaW = static_cast<int>(std::min<int64_t>(dw, lu.outW));
-            ns.xH = static_cast<int>(std::min<int64_t>(xh, lu.outH));
-            ns.xW = static_cast<int>(std::min<int64_t>(xw, lu.outW));
+            s.deltaH = static_cast<int>(std::min<int64_t>(dh, s.outH));
+            s.deltaW = static_cast<int>(std::min<int64_t>(dw, s.outW));
+            s.xH = static_cast<int>(std::min<int64_t>(xh, s.outH));
+            s.xW = static_cast<int>(std::min<int64_t>(xw, s.outW));
         }
-        result.emplace(u, ns);
 
-        if (abort_above >= 0) {
-            // Accumulate this node's MAIN + SIDE contribution with the
-            // exact region-pass formulas below; once the partial sum
-            // reaches the threshold the full footprint must too, so
-            // the stage-3 solve and region assembly are skipped.
-            int64_t main_b = static_cast<int64_t>(ns.xH) * ns.xW * lu.outC;
-            int overlap = 0;
-            for (NodeId v : children[u]) {
-                const Layer &lv = g.layer(v);
-                overlap = std::max(overlap, lv.kernel - lv.stride);
-            }
-            bool whole = (ns.xH >= lu.outH && ns.xW >= lu.outW);
-            int64_t side_b = 0;
-            if (overlap > 0 && !whole && lu.outW > ns.xW)
-                side_b = static_cast<int64_t>(overlap) *
-                         (lu.outW - ns.xW) * lu.outC;
-            running_footprint += main_b + side_b;
-            if (running_footprint >= abort_above) {
-                scheme.aborted = true;
-                scheme.actFootprintBytes = running_footprint;
-                return scheme;
-            }
+        // Memory regions (Section 3.2). MAIN holds the resident tile
+        // xH x xW x C. SIDE reserves the horizontal overlap (F - s rows
+        // of the part of the feature map outside the current tile) for
+        // nodes whose in-subgraph consumers have kernel > stride.
+        // Whole-tensor-resident nodes need no SIDE.
+        s.mainBytes = static_cast<int64_t>(s.xH) * s.xW * s.outC;
+        bool whole_resident = s.xH >= s.outH && s.xW >= s.outW;
+        s.sideBytes = 0;
+        if (s.overlap > 0 && !whole_resident && s.outW > s.xW)
+            s.sideBytes = static_cast<int64_t>(s.overlap) *
+                          (s.outW - s.xW) * s.outC;
+        f.actFootprintBytes += s.mainBytes + s.sideBytes;
+        f.numRegions += s.sideBytes > 0 ? 2 : 1;
+
+        // The footprint is a sum of non-negative terms: once the
+        // partial sum reaches the threshold the full one must too.
+        if (abort_above >= 0 && f.actFootprintBytes >= abort_above) {
+            f.aborted = true;
+            return f;
         }
     }
+    return f;
+}
 
+void
+TileFlow::solve(ExecutionScheme *scheme)
+{
     // --- Stage 3: minimal co-prime upd_num assignment. ---
     // Constraint per in-subgraph edge (u, v):
     //     upd(v) * Delta(v) * s(v) = upd(u) * Delta(u)
     // Define R(u) = upd(u) * Delta(u); then R(u) = R(v) * s(v) for
-    // every child v. Solve by BFS over the undirected constraint graph
-    // with exact rationals, then scale to the least integer solution.
-    // (Height-dimension Deltas; the paper presents the 1-D case.)
-    std::unordered_map<NodeId, Rational> rval;
+    // every child v. Solve by depth-first traversal of the undirected
+    // constraint graph with exact rationals, then scale to the least
+    // integer solution. (Height-dimension Deltas; the paper presents
+    // the 1-D case.)
+    const int n = static_cast<int>(slots_.size());
+    rate_.assign(n, Rational(1));
+    rated_.assign(n, 0);
     bool consistent = true;
-    for (NodeId seed : extended) {
-        if (rval.count(seed))
+    auto visit = [&](int w, const Rational &want) {
+        if (!rated_[w]) {
+            rated_[w] = 1;
+            rate_[w] = want;
+            stack_.push_back(w);
+        } else if (rate_[w] != want) {
+            consistent = false;
+        }
+    };
+    for (int seed = 0; seed < n; ++seed) {
+        if (rated_[seed])
             continue;
-        rval.emplace(seed, Rational(1));
-        std::vector<NodeId> queue{seed};
-        while (!queue.empty()) {
-            NodeId u = queue.back();
-            queue.pop_back();
-            Rational ru = rval.at(u);
+        rated_[seed] = 1;
+        stack_.assign(1, seed);
+        while (!stack_.empty()) {
+            int u = stack_.back();
+            stack_.pop_back();
+            Rational ru = rate_[u];
             // Children constraints: R(child) = R(u) / s(child).
-            for (NodeId v : children[u]) {
-                Rational want = ru / Rational(g.layer(v).stride);
-                auto it2 = rval.find(v);
-                if (it2 == rval.end()) {
-                    rval.emplace(v, want);
-                    queue.push_back(v);
-                } else if (it2->second != want) {
-                    consistent = false;
-                }
-            }
+            for (int e = childStart_[u]; e < childStart_[u + 1]; ++e)
+                visit(child_[e], ru / Rational(slots_[child_[e]].stride));
             // Parent constraints: R(parent) = R(u) * s(u); only edges
-            // whose consumer u is inside the subgraph participate.
-            if (in_sub.count(u)) {
-                Rational want = ru * Rational(g.layer(u).stride);
-                for (NodeId p : g.preds(u)) {
-                    if (!in_ext.count(p))
-                        continue;
-                    auto it2 = rval.find(p);
-                    if (it2 == rval.end()) {
-                        rval.emplace(p, want);
-                        queue.push_back(p);
-                    } else if (it2->second != want) {
-                        consistent = false;
-                    }
-                }
+            // whose consumer u is inside the subgraph participate, and
+            // all of its producers are extended nodes.
+            if (slots_[u].member) {
+                Rational want = ru * Rational(slots_[u].stride);
+                for (NodeId p : g_->preds(nodes_[u]))
+                    visit(pos_[p], want);
             }
         }
     }
-    scheme.updConsistent = consistent;
+    scheme->updConsistent = consistent;
 
+    // upd(u) = lambda * R(u) / Delta(u); choose the least lambda
+    // making every upd integral, then strip the common factor.
+    // Unsolvable systems keep upd = 1.
+    for (Slot &s : slots_)
+        s.updNum = 1;
     if (consistent) {
-        // upd(u) = lambda * R(u) / Delta(u); choose the least lambda
-        // making every upd integral, then strip the common factor.
         int64_t lambda = 1;
-        std::unordered_map<NodeId, Rational> upd_frac;
-        for (NodeId u : extended) {
-            Rational f = rval.at(u) / Rational(result.at(u).deltaH);
-            upd_frac.emplace(u, f);
-            lambda = lcm64(lambda, f.den());
+        for (int i = 0; i < n; ++i) {
+            rate_[i] = rate_[i] / Rational(slots_[i].deltaH);
+            lambda = lcm64(lambda, rate_[i].den());
         }
         int64_t common = 0;
-        for (NodeId u : extended) {
-            Rational f = upd_frac.at(u);
-            int64_t v = f.num() * (lambda / f.den());
-            result.at(u).updNum = v;
-            common = gcd64(common, std::llabs(v));
+        for (int i = 0; i < n; ++i) {
+            slots_[i].updNum = rate_[i].num() * (lambda / rate_[i].den());
+            common = gcd64(common, std::llabs(slots_[i].updNum));
         }
         if (common > 1)
-            for (NodeId u : extended)
-                result.at(u).updNum /= common;
+            for (Slot &s : slots_)
+                s.updNum /= common;
     }
 
-    // --- Memory regions (Section 3.2). ---
-    // MAIN holds the resident tile xH x xW x C. SIDE reserves the
-    // horizontal overlap (F - s rows of the part of the feature map
-    // outside the current tile) for nodes whose in-subgraph consumers
-    // have kernel > stride. Whole-tensor-resident nodes need no SIDE.
-    for (NodeId u : extended) {
-        NodeScheme &ns = result.at(u);
-        const Layer &lu = g.layer(u);
-        ns.mainBytes = static_cast<int64_t>(ns.xH) * ns.xW * lu.outC;
-        int overlap = 0;
-        for (NodeId v : children[u]) {
-            const Layer &lv = g.layer(v);
-            overlap = std::max(overlap, lv.kernel - lv.stride);
-        }
-        bool whole_resident = (ns.xH >= lu.outH && ns.xW >= lu.outW);
-        if (overlap > 0 && !whole_resident && lu.outW > ns.xW) {
-            ns.sideBytes = static_cast<int64_t>(overlap) *
-                           (lu.outW - ns.xW) * lu.outC;
-        }
-        scheme.actFootprintBytes += ns.mainBytes + ns.sideBytes;
-        scheme.numRegions += 1 + (ns.sideBytes > 0 ? 1 : 0);
-    }
-
-    scheme.nodes.reserve(extended.size());
     // Boundary inputs first, then members, each ascending by id.
-    for (NodeId u : extended)
-        if (result.at(u).external)
-            scheme.nodes.push_back(result.at(u));
-    for (NodeId u : extended)
-        if (!result.at(u).external)
-            scheme.nodes.push_back(result.at(u));
+    scheme->nodes.clear();
+    scheme->nodes.reserve(n);
+    for (bool members : {false, true})
+        for (int i = 0; i < n; ++i) {
+            const Slot &s = slots_[i];
+            if (s.member != members)
+                continue;
+            NodeScheme ns;
+            ns.node = nodes_[i];
+            ns.external = !s.member;
+            ns.is_output = childStart_[i] == childStart_[i + 1];
+            ns.deltaH = s.deltaH;
+            ns.deltaW = s.deltaW;
+            ns.xH = s.xH;
+            ns.xW = s.xW;
+            ns.updNum = s.updNum;
+            ns.mainBytes = s.mainBytes;
+            ns.sideBytes = s.sideBytes;
+            scheme->nodes.push_back(ns);
+        }
+}
+
+ExecutionScheme
+deriveConsumptionScheme(const Graph &g, const std::vector<NodeId> &nodes,
+                        int out_tile, int64_t abort_above)
+{
+    TileFlow &flow = TileFlow::local();
+    flow.index(g, nodes);
+    FlowFootprint f = flow.derive(out_tile, abort_above);
+
+    ExecutionScheme scheme;
+    scheme.outTile = f.outTile;
+    scheme.actFootprintBytes = f.actFootprintBytes;
+    scheme.aborted = f.aborted;
+    if (f.aborted)
+        return scheme;
+    scheme.numRegions = f.numRegions;
+    flow.solve(&scheme);
     return scheme;
 }
 

@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/epoch_set.h"
+#include "util/math_util.h"
 
 namespace cocco {
 
@@ -66,6 +68,82 @@ struct ExecutionScheme
 
     /** Entry for graph node @p v, or nullptr if absent. */
     const NodeScheme *find(NodeId v) const;
+};
+
+/** What stages 1-2 and the MAIN/SIDE pass yield for one output tile:
+ *  all the cost model reads of a scheme. */
+struct FlowFootprint
+{
+    int64_t actFootprintBytes = 0; ///< MAIN + SIDE total (see aborted)
+    int numRegions = 0;            ///< buffer regions required
+    int outTile = 1;               ///< stage-1 output tile size used
+
+    /** The running footprint reached the abort threshold: only
+     *  outTile and the partial actFootprintBytes (already >= the
+     *  threshold) are meaningful. */
+    bool aborted = false;
+};
+
+/**
+ * The derivation core over flat arrays indexed by position in the
+ * subgraph's ascending extended node list (boundary inputs and
+ * members). Membership is an epoch stamp, so nothing is cleared per
+ * call, and indexing a subgraph allocates nothing once the arrays have
+ * grown to the largest one seen.
+ *
+ * index() once per subgraph, then derive() once per candidate tile;
+ * solve() completes the last non-aborted derive() into a full
+ * ExecutionScheme. Use the calling thread's instance (local()) and
+ * never re-enter it: a caller holding an indexed subgraph must not
+ * call anything that indexes another one on the same thread
+ * (deriveConsumptionScheme, bestFootprint, bestScheme all do). Stamps
+ * stay valid across graphs of any size.
+ */
+class TileFlow
+{
+  public:
+    /** The calling thread's instance. */
+    static TileFlow &local();
+
+    /** Index subgraph @p nodes of @p g (any order, distinct, non-empty;
+     *  panics otherwise). @p g must outlive the derive/solve calls. */
+    void index(const Graph &g, const std::vector<NodeId> &nodes);
+
+    /**
+     * Stages 1-2 (Delta, x, clipping) and the MAIN/SIDE region pass of
+     * the indexed subgraph for output tile @p out_tile, sweeping
+     * consumers before producers. With @p abort_above >= 0 the sweep
+     * stops as soon as the running footprint reaches it (see
+     * deriveConsumptionScheme).
+     */
+    FlowFootprint derive(int out_tile, int64_t abort_above = -1);
+
+    /** Stage 3 and the per-node list of the last derive(), which must
+     *  not have aborted, into @p scheme. */
+    void solve(ExecutionScheme *scheme);
+
+  private:
+    /** One extended node: its layer terms and its derived values. */
+    struct Slot
+    {
+        int outH = 0, outW = 0, outC = 0, kernel = 0, stride = 0;
+        bool member = false; ///< in the subgraph proper, not an input
+        int overlap = 0;     ///< max (F - s) over in-subgraph consumers
+        int deltaH = 0, deltaW = 0, xH = 0, xW = 0;
+        int64_t mainBytes = 0, sideBytes = 0;
+        int64_t updNum = 1;
+    };
+
+    const Graph *g_ = nullptr;
+    EpochSet member_;             ///< the subgraph proper
+    std::vector<int> pos_;        ///< node id -> position (extended only)
+    std::vector<NodeId> nodes_;   ///< position -> node id, ascending
+    std::vector<Slot> slots_;     ///< per position
+    std::vector<int> childStart_; ///< CSR offsets into child_
+    std::vector<int> child_;      ///< positions of in-subgraph consumers
+    std::vector<Rational> rate_;  ///< stage 3: R(u), then R(u) / Delta(u)
+    std::vector<char> rated_;     ///< stage 3: R(u) assigned
+    std::vector<int> stack_;      ///< stage 3: traversal stack
 };
 
 /**

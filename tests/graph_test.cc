@@ -268,21 +268,3 @@ TEST(Algorithms, QuotientAcyclicity)
     EXPECT_FALSE(quotientIsAcyclic(g, {0, 1, 2, 1, 1}));
 }
 
-TEST(Algorithms, BoundaryInputs)
-{
-    Graph g = diamond();
-    EXPECT_EQ(boundaryInputs(g, {2, 3, 4}), std::vector<NodeId>{1});
-    EXPECT_EQ(boundaryInputs(g, {1}), std::vector<NodeId>{0});
-    EXPECT_TRUE(boundaryInputs(g, {0}).empty());
-    EXPECT_EQ(boundaryInputs(g, {4}), (std::vector<NodeId>{2, 3}));
-}
-
-TEST(Algorithms, EscapingOutputs)
-{
-    Graph g = diamond();
-    // a escapes {0,1} (consumed by b and c outside), and d is a model
-    // output.
-    EXPECT_EQ(escapingOutputs(g, {0, 1}), std::vector<NodeId>{1});
-    EXPECT_EQ(escapingOutputs(g, {2, 3, 4}), std::vector<NodeId>{4});
-    EXPECT_EQ(escapingOutputs(g, {1, 2}), (std::vector<NodeId>{1, 2}));
-}

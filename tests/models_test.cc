@@ -121,6 +121,21 @@ TEST_P(ModelProperty, ConcatChannelsSumProducers)
     }
 }
 
+TEST_P(ModelProperty, TinyWidthMultKeepsEveryLayerNonEmpty)
+{
+    // scaleChannels clamps to one channel; widths a builder derives
+    // from its result must stay clamped too, or Graph::addNode dies on
+    // a 0-channel layer inside a serve worker.
+    for (double mult : {1e-300, 1e-3, 0.02}) {
+        ModelParams p;
+        p.widthMult = mult;
+        Graph g = buildModel(GetParam(), p);
+        for (NodeId v = 0; v < g.size(); ++v)
+            EXPECT_GE(g.layer(v).outC, 1)
+                << "widthMult " << mult << ": " << g.layer(v).name;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelProperty,
                          ::testing::ValuesIn(allModelNames()),
                          [](const auto &info) {

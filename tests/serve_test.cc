@@ -352,6 +352,33 @@ TEST(Serve, RuleBoundarySpecsRunToTheEnd)
     }
 }
 
+TEST(Serve, TinyWidthMultSpecRunsAndTheServiceStaysUp)
+{
+    // NasNet at widthMult 0.02 derives a stem-cell width of 3 / 4
+    // channels; before the clamp that was a 0-channel layer whose
+    // fatal() took the worker, and the process, down.
+    JobManagerOptions opts;
+    opts.workers = 1;
+    opts.threadBudget = 1;
+    JobManager manager(opts);
+    const std::string tiny =
+        R"({"algo":"sa","workload":{"model":"NasNet",)"
+        R"("params":{"widthMult":0.02}},"samples":200,"seed":1,)"
+        R"("threads":1})";
+    std::vector<int64_t> ids;
+    for (const std::string &text : {tiny, gaSpecText(13)}) {
+        std::string err;
+        int64_t id = manager.submit(parsedSpec(text), "t", &err);
+        ASSERT_GT(id, 0) << text << ": " << err;
+        ids.push_back(id);
+    }
+    manager.drain();
+    for (int64_t id : ids) {
+        JobStatus s = manager.status(id);
+        EXPECT_EQ(s.state, JobState::Done) << s.name << ": " << s.error;
+    }
+}
+
 // --- Batch directory runner -------------------------------------------------
 
 TEST(Serve, BatchDrainsADirectoryAndRecordsFailures)

@@ -261,6 +261,48 @@ TEST(Profile, FusedPairHidesIntermediate)
     EXPECT_EQ(p.weightBytes, 2LL * 3 * 3 * 8 * 8);
 }
 
+TEST(Profile, BoundaryInputsAndEscapingOutputs)
+{
+    // in -> a -> {b, c} -> d: a feeds b and c, d is the model output.
+    Graph g("diamond");
+    g.addNode(mkLayer("in", LayerKind::Input, 16, 16, 8));
+    g.addNode(mkLayer("a", LayerKind::Conv, 16, 16, 8, 3, 1), {0});
+    g.addNode(mkLayer("b", LayerKind::Conv, 16, 16, 8, 3, 1), {1});
+    g.addNode(mkLayer("c", LayerKind::Conv, 16, 16, 8, 1, 1), {1});
+    g.addNode(mkLayer("d", LayerKind::Eltwise, 16, 16, 8), {2, 3});
+    CostModel model(g, {});
+    auto bytes = [&](std::initializer_list<NodeId> vs) {
+        int64_t n = 0;
+        for (NodeId v : vs)
+            n += g.outBytes(v);
+        return n;
+    };
+    struct Case
+    {
+        std::vector<NodeId> nodes;
+        int64_t in, out;
+    };
+    const Case cases[] = {
+        {{2, 3, 4}, bytes({1}), bytes({4})},
+        {{1}, bytes({0}), bytes({1})},
+        // The model input alone: nothing consumes it here, and it
+        // lives in DRAM already.
+        {{0}, 0, 0},
+        {{4}, bytes({2, 3}), bytes({4})},
+        // A fused model input is still loaded; a escapes to b and c.
+        {{0, 1}, bytes({0}), bytes({1})},
+        {{1, 2}, bytes({0}), bytes({1, 2})},
+    };
+    for (const Case &c : cases) {
+        const BoundProfile &bp = model.boundProfile(c.nodes);
+        EXPECT_EQ(bp.inBytes, c.in) << c.nodes.front();
+        EXPECT_EQ(bp.outBytes, c.out) << c.nodes.front();
+        const SubgraphProfile &p = model.profile(c.nodes);
+        EXPECT_EQ(p.inBytes, c.in) << c.nodes.front();
+        EXPECT_EQ(p.outBytes, c.out) << c.nodes.front();
+    }
+}
+
 TEST(Profile, MemoizationReturnsSameObject)
 {
     Graph g = chain();
