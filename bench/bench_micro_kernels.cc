@@ -10,6 +10,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <set>
+#include <utility>
+
+#include "graph/algorithms.h"
 #include "models/models.h"
 #include "partition/repair.h"
 #include "search/eval_cache.h"
@@ -181,19 +185,48 @@ BENCHMARK(BM_RepairToCapacity);
 static void
 BM_RepairStructure(benchmark::State &state)
 {
-    const Graph &g = resnet();
+    // Arg 0: ResNet50 with 12 random ids. Arg 1: each merge of two
+    // adjacent blocks of a canonical NasNet partition that closes a
+    // quotient cycle, one per iteration in turn: the inputs whose
+    // repair splits a block and resumes the drain.
+    static const Graph nasnet = buildModel("NasNet");
+    const Graph &g = state.range(0) == 0 ? resnet() : nasnet;
     Rng rng(5);
-    Partition junk;
-    junk.block.resize(g.size());
-    for (int &b : junk.block)
-        b = static_cast<int>(rng.index(12));
+    std::vector<Partition> inputs;
+    if (state.range(0) == 0) {
+        Partition junk;
+        junk.block.resize(g.size());
+        for (int &b : junk.block)
+            b = static_cast<int>(rng.index(12));
+        inputs.push_back(junk);
+    } else {
+        DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+        const Partition base = randomGenome(g, space, rng).part;
+        std::set<std::pair<int, int>> seen;
+        for (NodeId v = 0; v < g.size(); ++v)
+            for (NodeId u : g.preds(v)) {
+                const int a = base.block[u], b = base.block[v];
+                if (a == b || !seen.emplace(a, b).second)
+                    continue;
+                Partition merged = base;
+                for (int &id : merged.block)
+                    if (id == b)
+                        id = a;
+                if (!quotientIsAcyclic(g, merged.block))
+                    inputs.push_back(std::move(merged));
+            }
+        if (inputs.empty())
+            state.SkipWithError("no merge closes a quotient cycle");
+    }
+    size_t i = 0;
     for (auto _ : state) {
-        Partition p = junk;
+        Partition p = inputs[i++ % inputs.size()];
         p = repairStructure(g, std::move(p));
         benchmark::DoNotOptimize(p.numBlocks);
     }
+    state.counters["inputs"] = static_cast<double>(inputs.size());
 }
-BENCHMARK(BM_RepairStructure);
+BENCHMARK(BM_RepairStructure)->Arg(0)->Arg(1);
 
 static void
 BM_CrossoverOperator(benchmark::State &state)

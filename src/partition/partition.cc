@@ -34,25 +34,40 @@ Partition::fixedRuns(const Graph &g, int run_length)
 std::vector<std::vector<NodeId>>
 Partition::blocks() const
 {
-    // Count nodes per id, then turn each non-empty id's count into its
-    // index among the non-empty ids (empty ids of non-canonical input
-    // get no list; id order is kept).
-    thread_local std::vector<int> slot;
-    int nb = 0;
-    for (int b : block)
-        nb = std::max(nb, b + 1);
-    slot.assign(nb, 0);
-    for (int b : block)
-        ++slot[b];
-    std::vector<std::vector<NodeId>> out;
-    for (int &s : slot)
-        if (s > 0) {
-            out.emplace_back().reserve(s);
-            s = static_cast<int>(out.size()) - 1;
-        }
-    for (NodeId v = 0; v < static_cast<NodeId>(block.size()); ++v)
-        out[slot[block[v]]].push_back(v);
+    BlockLists lists;
+    lists.build(*this);
+    lists.dropEmpty();
+    std::vector<std::vector<NodeId>> out(lists.count());
+    for (int b = 0; b < lists.count(); ++b)
+        out[b].assign(lists.begin(b), lists.end(b));
     return out;
+}
+
+void
+BlockLists::build(const Partition &p)
+{
+    int nb = 0;
+    for (int b : p.block)
+        nb = std::max(nb, b + 1);
+    start.assign(nb + 1, 0);
+    for (int b : p.block)
+        ++start[b + 1];
+    for (int b = 0; b < nb; ++b)
+        start[b + 1] += start[b];
+    members.resize(p.block.size());
+    for (NodeId v = 0; v < static_cast<NodeId>(p.block.size()); ++v)
+        members[start[p.block[v]]++] = v;
+    // Filling advanced start[b] to block b's end; shift back.
+    for (int b = nb; b > 0; --b)
+        start[b] = start[b - 1];
+    start[0] = 0;
+}
+
+void
+BlockLists::dropEmpty()
+{
+    // start is non-decreasing and an empty range repeats its start.
+    start.erase(std::unique(start.begin(), start.end()), start.end());
 }
 
 std::vector<NodeId>

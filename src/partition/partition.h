@@ -77,6 +77,32 @@ struct Partition
     bool operator==(const Partition &o) const { return block == o.block; }
 };
 
+/**
+ * Node lists of every block id of a partition in CSR form: block b's
+ * nodes, ascending, are members[start[b] .. start[b + 1]). Ids with no
+ * nodes get empty ranges. Two vectors for the whole partition where
+ * Partition::blocks() makes one per block; build() reuses their
+ * storage.
+ */
+struct BlockLists
+{
+    std::vector<int> start;
+    std::vector<NodeId> members;
+
+    void build(const Partition &p);
+
+    /** Drop the empty ranges, so ranges are the non-empty ids in id
+     *  order (block b is then the b-th non-empty id). */
+    void dropEmpty();
+
+    /** Ranges: one past the largest id, or after dropEmpty() the
+     *  number of blocks. */
+    int count() const { return static_cast<int>(start.size()) - 1; }
+    int size(int b) const { return start[b + 1] - start[b]; }
+    const NodeId *begin(int b) const { return members.data() + start[b]; }
+    const NodeId *end(int b) const { return members.data() + start[b + 1]; }
+};
+
 } // namespace cocco
 
 #endif // COCCO_PARTITION_PARTITION_H

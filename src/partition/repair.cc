@@ -1,6 +1,9 @@
 #include "partition/repair.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <utility>
 
 #include "graph/algorithms.h"
 #include "util/logging.h"
@@ -10,69 +13,295 @@ namespace cocco {
 
 namespace {
 
+/** Nodes members[first .. second) of a member array. */
+using Range = std::pair<int, int>;
+
 /**
- * Reassign every block to the weak components it decomposes into. The
- * component holding a block's smallest node keeps the block's id; the
- * others take fresh ids max+1, max+2, ... in (block id, smallest node)
- * order.
+ * Split ranges[i], an ascending range of @p members, as splitAtMedian
+ * splits a block: its first floor(k/2) nodes, then the rest, come
+ * apart into weak components, appended to @p ranges in that order,
+ * each half's by smallest node. Every piece is a contiguous ascending
+ * range of the same slice, which is reordered in place; ranges[i] is
+ * left empty. It calls nothing, so callers may hand it their scratch.
  */
 void
-splitComponents(const Graph &g, Partition &p)
+splitRange(const Graph &g, std::vector<NodeId> &members,
+           std::vector<Range> &ranges, size_t i)
 {
-    thread_local std::vector<int> comp, compBlock, moved;
-    thread_local std::vector<NodeId> stack;
-    thread_local std::vector<char> kept;
+    // label[v] is -1 while v is an unvisited node of the half being
+    // labelled, else the index of its piece in ranges (0 if never
+    // labelled).
+    thread_local std::vector<int> label;
+    thread_local std::vector<NodeId> stack, tmp;
+    if (static_cast<int>(label.size()) < g.size())
+        label.resize(g.size(), 0);
+    const auto [s, e] = ranges[i];
+    const int mid = s + (e - s) / 2;
+    ranges[i] = {s, s};
+    const size_t first = ranges.size();
+    for (const auto &[hs, he] : {Range{s, mid}, Range{mid, e}}) {
+        for (int j = hs; j < he; ++j)
+            label[members[j]] = -1;
+        for (int j = hs; j < he; ++j) {
+            const NodeId seed = members[j];
+            if (label[seed] != -1)
+                continue;
+            const int c = static_cast<int>(ranges.size());
+            ranges.emplace_back(0, 0);
+            label[seed] = c;
+            stack.assign(1, seed);
+            while (!stack.empty()) {
+                NodeId v = stack.back();
+                stack.pop_back();
+                for (const auto *adj : {&g.preds(v), &g.succs(v)})
+                    for (NodeId w : *adj)
+                        if (label[w] == -1) {
+                            label[w] = c;
+                            stack.push_back(w);
+                        }
+            }
+        }
+    }
+    // Counting sort by piece: sizes, then [begin, cursor) ranges.
+    tmp.assign(members.begin() + s, members.begin() + e);
+    for (NodeId v : tmp)
+        ++ranges[label[v]].second;
+    int at = s;
+    for (size_t c = first; c < ranges.size(); ++c) {
+        const int k = ranges[c].second;
+        ranges[c] = {at, at};
+        at += k;
+    }
+    for (NodeId v : tmp)
+        members[ranges[label[v]].second++] = v;
+}
 
-    // One DFS over same-block edges, seeded in ascending node order,
-    // so components are numbered by their smallest node.
-    const int n = g.size();
-    comp.assign(n, -1);
-    compBlock.clear();
-    for (NodeId s = 0; s < n; ++s) {
-        if (comp[s] >= 0)
-            continue;
-        const int c = static_cast<int>(compBlock.size());
-        const int b = p.block[s];
-        compBlock.push_back(b);
-        comp[s] = c;
-        stack.assign(1, s);
-        while (!stack.empty()) {
-            NodeId v = stack.back();
-            stack.pop_back();
-            for (const auto *adj : {&g.preds(v), &g.succs(v)})
-                for (NodeId w : *adj)
-                    if (comp[w] < 0 && p.block[w] == b) {
-                        comp[w] = c;
-                        stack.push_back(w);
-                    }
+/**
+ * Scratch of one structural repair: the assignment's blocks as weak
+ * components over flat arrays, with their node ranges, in-degrees and
+ * Kahn's drain.
+ *
+ * A full pass numbers the components by smallest node, which is the
+ * drain's own priority (canonicalize()'s order), so the drain runs on
+ * component indices and its ranks are the canonical ids. When every
+ * quotient edge already ascends in that numbering, the ranks are the
+ * indices and nothing is drained at all.
+ *
+ * When the drain stalls on a quotient cycle, split() cuts one
+ * undrained component and resumes the drain where it stopped: drained
+ * components are upstream of every cycle, so they stay drained, and
+ * only what the pieces free can drain next. Pieces are appended after
+ * the existing components, so the ranks then only mark drained ones;
+ * one more full pass after the last split renumbers.
+ *
+ * id[c] is the block id that splitting one block at a time, with a
+ * fresh component relabelling after each split, gives component c
+ * (see ids() and split()). Ids only break ties between equally large
+ * split candidates, so they are computed on the first stall.
+ */
+struct ComponentDrain
+{
+    int count = 0;               ///< components
+    int drained = 0;             ///< components with rank >= 0
+    int maxId = 0;               ///< largest id in use (after ids())
+    std::vector<int> comp;       ///< node -> component
+    std::vector<int> root;       ///< union-find parent per node
+    std::vector<int> origin;     ///< component -> input block id
+    std::vector<Range> range;    ///< component -> its nodes in members
+    std::vector<NodeId> members; ///< each component's nodes, ascending
+    std::vector<int> indeg;      ///< in-edges from undrained components
+    std::vector<int> rank;       ///< drain position; -1 undrained
+    std::vector<int> id;         ///< split tie-break id, see above
+    std::vector<uint64_t> ready; ///< bit c: component c is ready
+    int readyCount = 0, readyLow = 0; ///< no ready bit below word readyLow
+    std::vector<int> moved;
+    std::vector<char> kept;
+
+    int size(int c) const { return range[c].second - range[c].first; }
+
+    /**
+     * Label the components of @p block (ids >= 0) by smallest node,
+     * list their members, count in-degrees and drain.
+     */
+    void
+    pass(const Graph &g, const std::vector<int> &block)
+    {
+        const int n = g.size();
+        // Union-find over same-block edges in ascending node order; the
+        // larger root links under the smaller, so a component's root
+        // is its smallest node.
+        root.resize(n);
+        auto find = [&](int v) {
+            while (root[v] != v)
+                v = root[v] = root[root[v]];
+            return v;
+        };
+        for (NodeId v = 0; v < n; ++v) {
+            if (block[v] < 0)
+                panic("repairStructure: negative block id %d", block[v]);
+            root[v] = v;
+            for (NodeId u : g.preds(v))
+                if (block[u] == block[v]) {
+                    const int ru = find(u), rv = find(v);
+                    root[std::max(ru, rv)] = std::min(ru, rv);
+                }
+        }
+        // Number the components at their roots, which come first; a
+        // node's predecessors are numbered before it, so in-degrees
+        // count in the same pass. range[c].second counts the nodes.
+        comp.resize(n);
+        origin.clear();
+        range.clear();
+        indeg.clear();
+        bool sorted = true; // every quotient edge ascends
+        for (NodeId v = 0; v < n; ++v) {
+            const int r = find(v);
+            if (r == v) {
+                comp[v] = static_cast<int>(origin.size());
+                origin.push_back(block[v]);
+                range.emplace_back(0, 0);
+                indeg.push_back(0);
+            } else {
+                comp[v] = comp[r];
+            }
+            const int c = comp[v];
+            ++range[c].second;
+            for (NodeId u : g.preds(v)) {
+                indeg[c] += comp[u] != c;
+                sorted &= comp[u] <= c;
+            }
+        }
+        count = static_cast<int>(origin.size());
+        rank.resize(count);
+        if (sorted) {
+            // Smallest-index-first Kahn takes the components in index
+            // order; nothing stalls, so no member lists are needed.
+            std::iota(rank.begin(), rank.end(), 0);
+            drained = count;
+            return;
+        }
+
+        // Members by counting sort: sizes become [begin, cursor)
+        // ranges, each ascending.
+        for (int c = 0, at = 0; c < count; ++c) {
+            const int k = range[c].second;
+            range[c] = {at, at};
+            at += k;
+        }
+        members.resize(n);
+        for (NodeId v = 0; v < n; ++v)
+            members[range[comp[v]].second++] = v;
+
+        rank.assign(count, -1);
+        drained = 0;
+        ready.assign((count + 63) / 64, 0);
+        readyCount = readyLow = 0;
+        for (int c = 0; c < count; ++c)
+            if (indeg[c] == 0)
+                markReady(c);
+        drain(g);
+    }
+
+    void
+    markReady(int c)
+    {
+        ready[c >> 6] |= uint64_t(1) << (c & 63);
+        readyLow = std::min(readyLow, c >> 6);
+        ++readyCount;
+    }
+
+    /** Kahn's algorithm over the ready set, smallest index first. */
+    void
+    drain(const Graph &g)
+    {
+        while (readyCount > 0) {
+            while (ready[readyLow] == 0)
+                ++readyLow;
+            uint64_t &word = ready[readyLow];
+            const int c = readyLow * 64 + __builtin_ctzll(word);
+            word &= word - 1;
+            --readyCount;
+            rank[c] = drained++;
+            for (int i = range[c].first; i < range[c].second; ++i)
+                for (NodeId w : g.succs(members[i])) {
+                    const int d = comp[w];
+                    if (d != c && --indeg[d] == 0)
+                        markReady(d);
+                }
         }
     }
 
-    int next = 0;
-    for (int b : p.block) {
-        if (b < 0)
-            panic("repairStructure: negative block id %d", b);
-        next = std::max(next, b + 1);
+    /**
+     * Ids after relabelling components: the one holding an input
+     * block's smallest node keeps the block's id, the others take
+     * max+1, max+2, ... in (block id, smallest node) order.
+     */
+    void
+    ids()
+    {
+        int next = 0;
+        for (int b : origin)
+            next = std::max(next, b + 1);
+        kept.assign(next, 0);
+        id.resize(count);
+        moved.clear();
+        for (int c = 0; c < count; ++c) {
+            if (kept[origin[c]]) {
+                moved.push_back(c);
+            } else {
+                kept[origin[c]] = 1;
+                id[c] = origin[c];
+            }
+        }
+        std::sort(moved.begin(), moved.end(), [&](int a, int c) {
+            return origin[a] != origin[c] ? origin[a] < origin[c] : a < c;
+        });
+        for (int c : moved)
+            id[c] = next++;
+        maxId = next - 1;
     }
-    kept.assign(next, 0);
-    moved.clear();
-    for (int c = 0; c < static_cast<int>(compBlock.size()); ++c) {
-        if (kept[compBlock[c]])
-            moved.push_back(c);
-        else
-            kept[compBlock[c]] = 1;
+
+    /**
+     * Split component @p b with splitRange and drain what the pieces
+     * free. Ids: the lower half's first piece keeps b's, the upper
+     * half's first takes max+1, the other pieces max+2, ... in piece
+     * order. b is left empty and counts as drained.
+     */
+    void
+    split(const Graph &g, int b)
+    {
+        const int mid = range[b].first + size(b) / 2;
+        const int first = count;
+        splitRange(g, members, range, b);
+        count = static_cast<int>(range.size());
+        indeg.resize(count);
+        rank.resize(count, -1);
+        id.resize(count);
+        ready.resize((count + 63) / 64, 0);
+        rank[b] = drained++;
+        int next = maxId + 2;
+        for (int c = first; c < count; ++c) {
+            for (int i = range[c].first; i < range[c].second; ++i)
+                comp[members[i]] = c;
+            id[c] = c == first                ? id[b]
+                    : range[c].first == mid ? maxId + 1
+                                            : next++;
+        }
+        maxId = next - 1;
+
+        // Resume: each piece waits for its in-edges from undrained
+        // components (other pieces included).
+        for (int c = first; c < count; ++c) {
+            indeg[c] = 0;
+            for (int i = range[c].first; i < range[c].second; ++i)
+                for (NodeId u : g.preds(members[i]))
+                    indeg[c] += comp[u] != c && rank[comp[u]] < 0;
+            if (indeg[c] == 0)
+                markReady(c);
+        }
+        drain(g);
     }
-    if (moved.empty())
-        return;
-    std::sort(moved.begin(), moved.end(), [&](int a, int c) {
-        return compBlock[a] != compBlock[c] ? compBlock[a] < compBlock[c]
-                                            : a < c;
-    });
-    for (int c : moved)
-        compBlock[c] = next++;
-    for (NodeId v = 0; v < n; ++v)
-        p.block[v] = compBlock[comp[v]];
-}
+};
 
 /** Split block @p b of @p p at its median node id into two blocks. */
 void
@@ -107,31 +336,36 @@ void
 refineToFit(const Graph &g, Partition &p, CostModel &model,
             const BufferConfig &buf)
 {
-    // Worklist: the blocks, then the pieces of each split entry, which
-    // is left empty.
-    std::vector<std::vector<NodeId>> work = p.blocks();
+    // Worklist of ranges of lists.members: the blocks, then the pieces
+    // of each split entry, which is left empty. A piece is a range of
+    // its block's slice, so nothing is allocated per block; fits()
+    // reads one reused vector (call-local, as fits is virtual).
+    BlockLists lists;
+    lists.build(p);
+    std::vector<Range> work;
+    for (int b = 0; b < lists.count(); ++b)
+        if (lists.size(b) > 0)
+            work.emplace_back(lists.start[b], lists.start[b + 1]);
+    std::vector<NodeId> nodes;
     bool split = false;
     for (size_t i = 0; i < work.size(); ++i) {
-        if (work[i].size() < 2 || model.fits(work[i], buf))
+        const auto [s, e] = work[i];
+        if (e - s < 2)
             continue;
-        std::vector<NodeId> lower = std::move(work[i]);
-        work[i].clear();
-        std::vector<NodeId> upper(lower.begin() + lower.size() / 2,
-                                  lower.end());
-        lower.resize(lower.size() / 2);
-        for (const auto *half : {&lower, &upper})
-            for (auto &piece : weakComponents(g, *half))
-                work.push_back(std::move(piece));
+        nodes.assign(lists.members.begin() + s, lists.members.begin() + e);
+        if (model.fits(nodes, buf))
+            continue;
+        splitRange(g, lists.members, work, i);
         split = true;
     }
     if (!split)
         return;
     int next = 0;
-    for (const auto &piece : work) {
-        if (piece.empty())
+    for (const auto &[s, e] : work) {
+        if (s == e)
             continue;
-        for (NodeId v : piece)
-            p.block[v] = next;
+        for (int i = s; i < e; ++i)
+            p.block[lists.members[i]] = next;
         ++next;
     }
     p.canonicalize(g);
@@ -182,31 +416,33 @@ repairStructure(const Graph &g, Partition p)
     if (static_cast<int>(p.block.size()) != g.size())
         panic("repairStructure: assignment size mismatch");
 
-    thread_local QuotientGraph q;
-    splitComponents(g, p);
-    while (true) {
-        q.build(g, p.block);
-        if (q.drain() == q.numBlocks)
-            break;
-        // Split the largest block Kahn's algorithm could not drain
-        // (ties to the smallest id); component-split the result so
-        // connectivity is restored before the next check.
-        int pick = -1, best = 0;
-        for (int b = 0; b < q.numBlocks; ++b)
-            if (q.rank[b] < 0 && q.size[b] > best) {
-                best = q.size[b];
-                pick = b;
-            }
-        if (best < 2)
-            panic("quotient cycle among singleton blocks");
-        splitAtMedian(p, q.ids[pick]);
-        splitComponents(g, p);
+    thread_local ComponentDrain r;
+    r.pass(g, p.block);
+    if (r.drained < r.count) {
+        r.ids();
+        do {
+            // Split the largest component the drain could not reach
+            // (ties to the smallest id).
+            int pick = -1, best = 0;
+            for (int c = 0; c < r.count; ++c)
+                if (r.rank[c] < 0 &&
+                    (r.size(c) > best ||
+                     (r.size(c) == best && r.id[c] < r.id[pick]))) {
+                    best = r.size(c);
+                    pick = c;
+                }
+            if (best < 2)
+                panic("quotient cycle among singleton blocks");
+            r.split(g, pick);
+        } while (r.drained < r.count);
+        // Pieces were numbered after the drained components; number
+        // the final blocks by smallest node for the canonical ranks.
+        p.block = r.comp;
+        r.pass(g, p.block);
     }
-    // The drain ran in canonicalize()'s order, so its ranks are the
-    // canonical ids.
     for (NodeId v = 0; v < g.size(); ++v)
-        p.block[v] = q.rank[q.dense[v]];
-    p.numBlocks = q.numBlocks;
+        p.block[v] = r.rank[r.comp[v]];
+    p.numBlocks = r.count;
     return p;
 }
 

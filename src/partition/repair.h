@@ -17,13 +17,20 @@ namespace cocco {
 
 /**
  * Structural repair:
- *  1. split every block into weakly-connected components;
- *  2. while the quotient graph is cyclic, split a block on a cycle at
- *     its topological median (strictly increases block count, so this
- *     terminates — all singletons are trivially acyclic);
+ *  1. split every block into weakly-connected components; the one
+ *     holding a block's smallest node keeps the block's id, the others
+ *     take fresh ids max+1, max+2, ... in (block id, smallest node)
+ *     order;
+ *  2. while the quotient graph is cyclic, take the largest block that
+ *     Kahn's drain cannot reach (it sits on a cycle or downstream of
+ *     one; ties go to the smallest id), move its upper half (by node
+ *     id) to a fresh id, and split each half into its components as
+ *     in step 1. Each round adds a block, so this terminates: all
+ *     singletons are trivially acyclic;
  *  3. canonicalize numbering.
  * Input ids must be non-negative but need not be dense. The result
- * always satisfies Partition::valid().
+ * always satisfies Partition::valid(). One component pass serves all
+ * three steps: after a split the drain resumes instead of restarting.
  */
 Partition repairStructure(const Graph &g, Partition p);
 

@@ -2,6 +2,7 @@
 
 #include "sim/cost_model.h"
 #include "util/hash.h"
+#include "util/logging.h"
 
 namespace cocco {
 
@@ -29,6 +30,31 @@ baseFence(const CostModel &model, const DseSpace &space,
 }
 
 } // namespace
+
+std::string
+checkpointGenomeError(const SearchCheckpoint &c, int nodes)
+{
+    auto wrong = [&](const Genome &g, const std::string &what) {
+        const size_t len = g.part.block.size();
+        return len == static_cast<size_t>(nodes)
+                   ? std::string()
+                   : strprintf("%s has %zu nodes, the model has %d",
+                               what.c_str(), len, nodes);
+    };
+    std::string err;
+    if (!c.best.part.block.empty())
+        err = wrong(c.best, "incumbent genome");
+    for (size_t i = 0; err.empty() && i < c.population.size(); ++i)
+        err = wrong(c.population[i], strprintf("population genome %zu", i));
+    if (err.empty() && c.hasSa)
+        err = wrong(c.saCur, "SA current genome");
+    for (size_t i = 0; err.empty() && i < c.racers.size(); ++i) {
+        err = checkpointGenomeError(c.racers[i], nodes);
+        if (!err.empty())
+            err = strprintf("racer %zu: ", i) + err;
+    }
+    return err;
+}
 
 uint64_t
 gaCheckpointFence(const CostModel &model, const DseSpace &space,

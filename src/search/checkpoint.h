@@ -128,6 +128,17 @@ struct CheckpointHooks
     bool saveOnStop = true;
 };
 
+/**
+ * Why @p c cannot resume a run over a graph of @p nodes nodes: its
+ * incumbent, a GA population genome, the SA current state, or one of
+ * those in a portfolio racer's body has another length. "" when every
+ * genome fits. An empty incumbent is allowed (no sample has beaten
+ * the infeasibility penalty yet). The file loader cannot check this
+ * (it knows no model), and a genome of another length would abort
+ * structural repair, so run it before resuming.
+ */
+std::string checkpointGenomeError(const SearchCheckpoint &c, int nodes);
+
 /** Fence hash for a GA run (model + space + result-affecting options
  *  + the GA knobs; threads/pruning excluded — see file comment). */
 uint64_t gaCheckpointFence(const CostModel &model, const DseSpace &space,

@@ -37,39 +37,6 @@ freshBlock(const Partition &p)
     return fresh;
 }
 
-/**
- * Node lists of every block id of a partition in CSR form: block b's
- * nodes, ascending, are members[start[b] .. start[b + 1]). Ids with no
- * nodes get empty ranges.
- */
-struct BlockLists
-{
-    std::vector<int> start;
-    std::vector<NodeId> members;
-
-    void
-    build(const Partition &p)
-    {
-        const int nb = freshBlock(p);
-        start.assign(nb + 1, 0);
-        for (int b : p.block)
-            ++start[b + 1];
-        for (int b = 0; b < nb; ++b)
-            start[b + 1] += start[b];
-        members.resize(p.block.size());
-        for (NodeId v = 0; v < static_cast<NodeId>(p.block.size()); ++v)
-            members[start[p.block[v]]++] = v;
-        // Filling advanced start[b] to block b's end; shift back.
-        for (int b = nb; b > 0; --b)
-            start[b] = start[b - 1];
-        start[0] = 0;
-    }
-
-    int size(int b) const { return start[b + 1] - start[b]; }
-    const NodeId *begin(int b) const { return members.data() + start[b]; }
-    const NodeId *end(int b) const { return members.data() + start[b + 1]; }
-};
-
 } // namespace
 
 Genome
@@ -213,7 +180,7 @@ mutateSplitSubgraph(const Graph &g, Genome &genome, Rng &rng,
 {
     thread_local BlockLists lists;
     lists.build(genome.part);
-    const int nb = static_cast<int>(lists.start.size()) - 1; // fresh id
+    const int nb = lists.count(); // fresh id
     size_t multi = 0;
     for (int b = 0; b < nb; ++b)
         multi += lists.size(b) >= 2;

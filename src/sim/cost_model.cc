@@ -381,9 +381,15 @@ CostModel::subgraphBound(const std::vector<NodeId> &nodes,
 SubgraphBound
 CostModel::partitionLowerBound(const Partition &p, const BufferConfig &buf)
 {
+    // As in partitionCost: call-local lists, one node vector.
+    BlockLists lists;
+    lists.build(p);
+    lists.dropEmpty();
+    std::vector<NodeId> nodes;
     SubgraphBound total;
-    for (const auto &blk : p.blocks()) {
-        SubgraphBound b = subgraphBound(blk, buf);
+    for (int i = 0; i < lists.count(); ++i) {
+        nodes.assign(lists.begin(i), lists.end(i));
+        SubgraphBound b = subgraphBound(nodes, buf);
         total.emaBytes += b.emaBytes;
         total.energyPj += b.energyPj;
         total.computeCycles += b.computeCycles;
@@ -448,18 +454,31 @@ CostModel::partitionCost(const Partition &p, const BufferConfig &buf,
     const bool objective_only = scope == CostScope::Objective;
     GraphCost total;
     total.feasible = true;
-    auto blocks = p.blocks();
+    // The blocks as ranges of one node array, each copied into `nodes`
+    // for the callees. Call-local, not thread_local: the callees are
+    // virtual, and the block cache pairs a lookup with the insert that
+    // follows it by the vector's address.
+    BlockLists lists;
+    lists.build(p);
+    lists.dropEmpty();
+    const int nb = lists.count();
+    std::vector<NodeId> nodes;
+    auto load = [&](int i) -> const std::vector<NodeId> & {
+        nodes.assign(lists.begin(i), lists.end(i));
+        return nodes;
+    };
     std::vector<SubgraphCost> costs;
-    costs.reserve(blocks.size());
-    for (const auto &blk : blocks) {
+    costs.reserve(nb);
+    for (int i = 0; i < nb; ++i) {
+        load(i);
         // Singletons skip the block cache: their profile is one table
         // load away, so assembling is cheaper than any probe.
         SubgraphCost c;
-        if (!block_cache || blk.size() == 1) {
-            c = subgraphCost(blk, buf);
-        } else if (!block_cache->lookupBlock(blk, buf, &c)) {
-            c = subgraphCost(blk, buf);
-            block_cache->insertBlock(blk, buf, c);
+        if (!block_cache || nodes.size() == 1) {
+            c = subgraphCost(nodes, buf);
+        } else if (!block_cache->lookupBlock(nodes, buf, &c)) {
+            c = subgraphCost(nodes, buf);
+            block_cache->insertBlock(nodes, buf, c);
         }
         ++total.subgraphs;
         costs.push_back(c);
@@ -487,11 +506,13 @@ CostModel::partitionCost(const Partition &p, const BufferConfig &buf,
     if (accel_.doubleBufferWeights) {
         int64_t cap = buf.style == BufferStyle::Shared ? buf.sharedBytes
                                                        : buf.weightBytes;
-        for (size_t i = 0; i + 1 < blocks.size(); ++i) {
-            int64_t wa =
-                ceilDiv(boundProfile(blocks[i]).weightBytes, accel_.cores);
-            int64_t wb = ceilDiv(boundProfile(blocks[i + 1]).weightBytes,
-                                 accel_.cores);
+        int64_t wb = 0; // block i + 1's shard, carried to the next pair
+        for (int i = 0; i + 1 < nb; ++i) {
+            int64_t wa = i > 0 ? wb
+                               : ceilDiv(boundProfile(load(i)).weightBytes,
+                                         accel_.cores);
+            wb = ceilDiv(boundProfile(load(i + 1)).weightBytes,
+                         accel_.cores);
             // Oversized singletons stream their weights in tiles (the
             // reload fallback) and are exempt from co-residency.
             if (wa > cap || wb > cap)
@@ -507,15 +528,20 @@ CostModel::partitionCost(const Partition &p, const BufferConfig &buf,
         return total;
 
     // Peak demand: each subgraph's activation traffic plus the next
-    // subgraph's weights, prefetched during this window.
-    for (size_t i = 0; i < blocks.size(); ++i) {
+    // subgraph's weights, prefetched during this window. Memo entries
+    // never move, so block i + 1's summary is kept for its own window.
+    const BoundProfile *ahead = nullptr;
+    for (int i = 0; i < nb; ++i) {
+        const BoundProfile *bp = ahead;
+        ahead = nullptr;
         if (!costs[i].feasible || costs[i].latencyCycles <= 0)
             continue;
-        const BoundProfile &bp = boundProfile(blocks[i]);
-        int64_t act_io = (bp.inBytes + bp.outBytes) * accel_.batch;
-        int64_t prefetch = i + 1 < blocks.size()
-                               ? boundProfile(blocks[i + 1]).weightBytes
-                               : 0;
+        if (!bp)
+            bp = &boundProfile(load(i));
+        int64_t act_io = (bp->inBytes + bp->outBytes) * accel_.batch;
+        if (i + 1 < nb)
+            ahead = &boundProfile(load(i + 1));
+        int64_t prefetch = ahead ? ahead->weightBytes : 0;
         double bw = static_cast<double>(act_io + prefetch) /
                     costs[i].latencyCycles * accel_.clockGhz;
         total.peakBwGBps = std::max(total.peakBwGBps, bw);

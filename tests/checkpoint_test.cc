@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -60,18 +61,18 @@ class CancelAfter : public SearchObserver
     void
     onBatchDone(int64_t samples, double) override
     {
-        seen_ = samples;
+        seen_.store(samples, std::memory_order_relaxed);
     }
 
     bool
     cancelled() override
     {
-        return seen_ >= after_;
+        return seen_.load(std::memory_order_relaxed) >= after_;
     }
 
   private:
     int64_t after_;
-    int64_t seen_ = 0;
+    std::atomic<int64_t> seen_{0}; ///< a portfolio reports from racers
 };
 
 /** Everything a run reports, compared exactly. */
@@ -384,6 +385,65 @@ TEST(Checkpoint, LoaderRejectsCorruptFiles)
               std::string::npos)
         << err;
     std::remove(path.c_str());
+}
+
+TEST(Checkpoint, GenomeOfAnotherLengthIsRejected)
+{
+    // Real snapshots of every driver pass; cutting any one genome
+    // (incumbent, a population entry, the SA state, a racer's) to 10
+    // nodes names that genome, as resuming it would abort repair.
+    Graph g = mediumGraph();
+    AcceleratorConfig accel;
+    auto snapshot = [&](const std::string &algo, int64_t budget) {
+        SearchCheckpoint saved;
+        CancelAfter cancel(budget / 2);
+        CheckpointHooks hooks;
+        hooks.save = [&](const SearchCheckpoint &c) { saved = c; };
+        SearchSpec spec = makeSpec(algo, budget);
+        spec.portfolio.racers = {"ga", "sa"};
+        spec.eval.observer = &cancel;
+        spec.eval.checkpoint = &hooks;
+        CoccoFramework(g, accel).explore(spec);
+        EXPECT_EQ(saved.algo, algo);
+        EXPECT_EQ(checkpointGenomeError(saved, g.size()), "") << algo;
+        return saved;
+    };
+    auto expectNamed = [&](const SearchCheckpoint &c, const char *what) {
+        const std::string err = checkpointGenomeError(c, g.size());
+        EXPECT_EQ(err, std::string(what) + " has 10 nodes, the model has " +
+                           std::to_string(g.size()));
+    };
+    auto cut = [](Genome &genome) { genome.part.block.resize(10); };
+
+    SearchCheckpoint ga = snapshot("ga", 400);
+    ASSERT_GT(ga.population.size(), 3u);
+    EXPECT_NE(checkpointGenomeError(ga, g.size() + 1), "");
+    SearchCheckpoint c = ga;
+    cut(c.best);
+    expectNamed(c, "incumbent genome");
+    c = ga;
+    cut(c.population[3]);
+    expectNamed(c, "population genome 3");
+    c = ga;
+    c.best = Genome(); // no incumbent yet
+    EXPECT_EQ(checkpointGenomeError(c, g.size()), "");
+
+    SearchCheckpoint sa = snapshot("sa", 300);
+    ASSERT_TRUE(sa.hasSa);
+    c = sa;
+    cut(c.saCur);
+    expectNamed(c, "SA current genome");
+
+    snapshot("ts-random", 300);
+
+    SearchCheckpoint race = snapshot("portfolio", 600);
+    ASSERT_EQ(race.racers.size(), 2u);
+    c = race;
+    c.racers[1] = sa; // a racer body with an SA section, whatever the race
+    cut(c.racers[1].saCur);
+    EXPECT_EQ(checkpointGenomeError(c, g.size()),
+              "racer 1: SA current genome has 10 nodes, the model has " +
+                  std::to_string(g.size()));
 }
 
 TEST(Checkpoint, LoaderRejectsOutOfRangeBlockIds)

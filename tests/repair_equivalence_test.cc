@@ -25,6 +25,7 @@
 
 #include "graph/algorithms.h"
 #include "models/models.h"
+#include "models/random_dag.h"
 #include "partition/repair.h"
 #include "search/operators.h"
 #include "sim/deployment.h"
@@ -579,6 +580,50 @@ TEST_P(RepairEquivalence, OperatorsMatchReferenceDrawForDraw)
     }
 }
 
+TEST_P(RepairEquivalence, SaMoveChainsMatchReference)
+{
+    // Consecutive moves drawn as simulatedAnnealing draws them, each
+    // applied to the previous result: merges of adjacent blocks of a
+    // canonical partition that close a quotient cycle make the repair
+    // split a block and resume its drain.
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    Rng rng(0x5a + g_.size());
+    Genome cur = randomGenome(g_, space, rng);
+    Rng r_new = rng, r_ref = rng;
+    int cyclic_merges = 0;
+    for (int i = 0; i < 300; ++i) {
+        const size_t move = r_new.index(3);
+        ASSERT_EQ(move, r_ref.index(3));
+        Genome a = cur, b = cur;
+        GeneDelta da, db;
+        switch (move) {
+          case 0:
+            mutateModifyNode(g_, a, r_new, &da);
+            ref::mutateModifyNode(g_, b, r_ref, &db);
+            break;
+          case 1:
+            mutateSplitSubgraph(g_, a, r_new, &da);
+            ref::mutateSplitSubgraph(g_, b, r_ref, &db);
+            break;
+          default:
+            mutateMergeSubgraph(g_, a, r_new, &da);
+            ref::mutateMergeSubgraph(g_, b, r_ref, &db);
+        }
+        ASSERT_EQ(a.part.block, b.part.block) << "move " << i << " kind "
+                                              << move;
+        ASSERT_EQ(a.part.numBlocks, b.part.numBlocks) << "move " << i;
+        ASSERT_EQ(da.nodes, db.nodes) << "move " << i;
+        ASSERT_EQ(r_new.state(), r_ref.state()) << "move " << i;
+        // A merge that closes no cycle leaves numBlocks - 1 blocks.
+        cyclic_merges += move == 2 && cur.part.numBlocks >= 2 &&
+                         a.part.numBlocks >= cur.part.numBlocks;
+        cur = std::move(a);
+    }
+    if (GetParam() == "NasNet" || GetParam() == "GoogleNet") {
+        EXPECT_GT(cyclic_merges, 0) << "no merge made the repair split";
+    }
+}
+
 TEST_P(RepairEquivalence, IdenticalParentCrossoverMatchesReference)
 {
     // Equal canonical parents take crossover's copy path; equal but
@@ -845,6 +890,27 @@ TEST_P(RepairEquivalence, IsCanonicalIffRepairKeepsThePartition)
     }
     EXPECT_GT(canonical, 0);
     EXPECT_LT(canonical, total);
+}
+
+TEST(RepairEquivalenceRandomDags, FewIdRepairsMatchReference)
+{
+    // Small random DAGs with two to four ids: long chains of splits
+    // among equally large blocks, where the pieces' ids break ties.
+    Rng rng(0xda6);
+    for (int i = 0; i < 400; ++i) {
+        RandomDagOptions o;
+        o.convNodes = 8 + static_cast<int>(rng.index(40));
+        const Graph g = buildRandomDag(i, o);
+        Partition p;
+        p.block.resize(g.size());
+        const size_t ids = 2 + rng.index(3);
+        for (int &b : p.block)
+            b = static_cast<int>(rng.index(ids));
+        Partition got = repairStructure(g, p);
+        Partition want = ref::repairStructure(g, p);
+        ASSERT_EQ(got.block, want.block) << "dag " << i << " " << p.str();
+        ASSERT_EQ(got.numBlocks, want.numBlocks) << "dag " << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, RepairEquivalence,

@@ -785,6 +785,10 @@ runSpec(CliArgs a)
             // silent cold start: the user asked to resume.
             if (!loadCheckpoint(a.checkpointFile, &resume, &ckerr))
                 fatal("%s", ckerr.c_str());
+            ckerr = checkpointGenomeError(
+                resume, run.framework()->model().graph().size());
+            if (!ckerr.empty())
+                fatal("%s: %s", a.checkpointFile.c_str(), ckerr.c_str());
             hooks.resume = &resume;
             std::fprintf(stderr,
                          "checkpoint: resuming \"%s\" from %s at %lld "
