@@ -46,6 +46,18 @@
  *               --cache-size N (evaluation-cache entries; 0 disables),
  *               --cache-file F (persist/warm-start the cache),
  *               --metrics-out F (write a JSON run-metrics report)
+ * Run flags (every search: run, coschedule, coexplore, partition
+ * --algo <driver>): --progress, --checkpoint F, --deterministic-race,
+ *               --frontier-out F
+ *
+ * One path from flags into a run: `coexplore` and `partition --algo
+ * <driver>` build the SearchSpec their flags describe (specFromArgs,
+ * the only place flags become one) and hand it to runSearch, the
+ * SpecRun path a `run --spec` document takes, so flags and documents
+ * cannot drift. `run` / `coschedule` take the run from the document
+ * and refuse a <model> and every flag but --json, --timeline,
+ * --metrics-out, --cache-file and the run flags; the flag modes refuse
+ * --spec. greedy / dp / enum are the one non-search path.
  *
  * The search subcommands all dispatch through the SearcherRegistry,
  * workloads through the ModelRegistry (or Graph JSON import),
@@ -55,6 +67,7 @@
  * first-class citizens of every mode.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -130,12 +143,14 @@ struct CliArgs
     int serveQueue = 64;    ///< serve: max queued jobs
     int jobs = 2;           ///< batch: concurrently running specs
     std::string outDir;     ///< batch: output directory ("" = spec dir)
+    std::vector<std::string> flags; ///< every flag given, in order
 };
 
-/** SIGINT latch for `run` / `batch` / `serve`: the first interrupt
- *  requests a cooperative stop (drivers cancel at the next batch
- *  boundary, partial metrics and checkpoints still flush); a second
- *  interrupt hard-exits — the escape hatch when a run is stuck. */
+/** SIGINT latch for every search, `batch` and `serve`: the first
+ *  interrupt requests a cooperative stop (drivers cancel at the next
+ *  batch boundary, partial metrics and checkpoints still flush); a
+ *  second interrupt hard-exits — the escape hatch when a run is
+ *  stuck. */
 std::atomic<bool> g_interrupted{false};
 
 extern "C" void
@@ -161,9 +176,11 @@ usage()
         "  dot       <model> [--runs L]\n"
         "  partition <model> --algo greedy|dp|enum|<search driver>\n"
         "  coexplore <model> [--style shared|separate] [--algo DRIVER]\n"
-        "  run       --spec FILE [--progress] [--checkpoint F]\n"
-        "            [--deterministic-race] [--frontier-out F]\n"
-        "  coschedule --spec FILE [--progress]  (workload_set specs)\n"
+        "            (their flags build the run spec that `run` reads)\n"
+        "  run       --spec FILE  (the document sets the run: a <model>\n"
+        "            and every flag but --json --timeline --metrics-out\n"
+        "            --cache-file and the last line's are refused)\n"
+        "  coschedule --spec FILE  (workload_set specs, same rules)\n"
         "  batch     <dir> [--jobs N] [--out DIR] [--progress]\n"
         "  serve     --port N | --stdio  [--serve-workers N] "
         "[--serve-queue N]\n"
@@ -177,7 +194,11 @@ usage()
         "       --timeline --cache-size N --cache-file F "
         "--metrics-out F\n"
         "       --no-prune (disable bound-based pruning; results are\n"
-        "                   bit-identical, only slower)\n");
+        "                   bit-identical, only slower)\n"
+        "every search (run, coschedule, coexplore, partition --algo "
+        "<driver>):\n"
+        "       --progress --checkpoint F --deterministic-race "
+        "--frontier-out F\n");
     std::exit(2);
 }
 
@@ -191,11 +212,12 @@ parse(int argc, char **argv)
     int i = 2;
     // The positional workload/file argument; optional, since
     // --model-file can address the workload instead.
-    if (a.command != "models" && a.command != "run" &&
-        a.command[0] != '-' && i < argc && argv[i][0] != '-')
+    if (a.command != "models" && a.command[0] != '-' && i < argc &&
+        argv[i][0] != '-')
         a.model = argv[i++];
     for (; i < argc; ++i) {
         std::string f = argv[i];
+        a.flags.push_back(f);
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
                 usage();
@@ -294,87 +316,114 @@ parse(int argc, char **argv)
     return a;
 }
 
-/** The workload addressed by the CLI flags: a registry model (with
- *  --model-seed) or an imported Graph JSON (--model-file). Updates
- *  a.model to the graph's name for reports/metrics. */
-Graph
-cliWorkload(CliArgs &a)
+/** The only flags `run` and `coschedule` read: the document sets the
+ *  rest of the run. */
+const char *const kDocumentFlags[] = {
+    "--spec", "--json", "--timeline", "--metrics-out", "--cache-file",
+    "--checkpoint", "--progress", "--deterministic-race", "--frontier-out"};
+
+/** Exit 2 naming the first argument the command would drop: `run` and
+ *  `coschedule` refuse a positional model and every flag outside
+ *  kDocumentFlags; the flag modes refuse --spec. */
+void
+refuseForeignFlags(const CliArgs &a)
 {
-    if (!a.modelFile.empty()) {
-        if (!a.model.empty())
-            fatal("give a model name or --model-file, not both");
-        Graph g;
-        std::string err;
-        if (!loadGraphJson(a.modelFile, &g, &err))
-            fatal("%s", err.c_str());
-        a.model = g.name();
-        return g;
+    const bool document = a.command == "run" || a.command == "coschedule";
+    std::string bad = document && !a.model.empty()
+                          ? "the positional model \"" + a.model + "\""
+                          : "";
+    for (const std::string &f : a.flags) {
+        const bool read = std::find(std::begin(kDocumentFlags),
+                                    std::end(kDocumentFlags),
+                                    f) != std::end(kDocumentFlags);
+        if (bad.empty() && (document ? !read : f == "--spec"))
+            bad = f;
     }
-    if (a.model.empty())
-        usage();
-    ModelParams params;
-    params.seed = a.modelSeed;
-    return buildModel(a.model, params);
+    if (bad.empty())
+        return;
+    std::fprintf(stderr,
+                 document ? "%s: %s is refused: the spec document sets "
+                            "the run\n"
+                          : "%s: %s is for `cocco run`; the flags are "
+                            "the run spec here\n",
+                 a.command.c_str(), bad.c_str());
+    std::exit(2);
 }
 
-/** The platform addressed by the CLI flags (--platform /
- *  --platform-file; default: the "simba" preset). */
-PlatformSpec
-cliPlatformSpec(const CliArgs &a)
+/** The SearchSpec the flags describe: the only place flags become one.
+ *  It starts from what an empty run-spec document means (so partition
+ *  runs get the documents' fixed 1 MB + 1.125 MB buffer) and adds what
+ *  the command implies (`partition` is partition-only, the rest
+ *  co-explore). Usage error without a workload; resolveWorkload vets
+ *  the rest of the workload flags, as it vets a document's. */
+SearchSpec
+specFromArgs(const CliArgs &a)
 {
-    PlatformSpec spec;
-    spec.preset = a.platform;
-    spec.file = a.platformFile;
+    if (a.model.empty() && a.modelFile.empty())
+        usage();
+    SearchSpec spec;
+    std::string err;
+    parseRunSpecText("{}", &spec, &err);
+    spec.algo = a.algo;
+    spec.workload.model = a.model;
+    spec.workload.file = a.modelFile;
+    spec.workload.params.seed = a.modelSeed;
+    spec.platform.preset = a.platform;
+    spec.platform.file = a.platformFile;
+    // resolveDeployment rejects combinations ("not several").
+    DeploymentSpec &dep = spec.deployment;
+    if (a.cores != 0) {
+        dep.inlineDesc = true;
+        dep.desc.cores = a.cores;
+    }
+    dep.preset = a.deployment;
+    dep.file = a.deploymentFile;
+    dep.enabled = dep.inlineDesc || !dep.preset.empty() || !dep.file.empty();
+    spec.style = a.style == "separate" ? BufferStyle::Separate
+                                       : BufferStyle::Shared;
+    spec.eval.coExplore = a.command != "partition";
+    spec.eval.sampleBudget = a.samples;
+    spec.eval.alpha = a.alpha;
+    spec.eval.metric = a.metric;
+    spec.eval.seed = a.seed;
+    spec.eval.threads = a.threads;
+    spec.eval.timeLimitSec = a.timeLimitSec;
+    spec.eval.stallLimit = a.stallLimit;
+    spec.eval.pruning = a.pruning;
+    spec.eval.cacheEnabled = a.cacheSize > 0;
+    if (a.cacheSize > 0)
+        spec.eval.cacheCapacity = static_cast<size_t>(a.cacheSize);
+    spec.sa.neighborBatch = a.neighborBatch;
     return spec;
 }
 
-/** cliPlatformSpec, resolved (fatal on any problem). */
-AcceleratorConfig
-cliPlatform(const CliArgs &a)
+/** The workload @p w addresses (fatal with resolveWorkload's reason,
+ *  the spec path's rule). */
+Graph
+cliWorkload(const WorkloadSpec &w)
+{
+    Graph g;
+    std::string err;
+    if (!resolveWorkload(w, &g, &err))
+        fatal("%s", err.c_str());
+    return g;
+}
+
+/** The framework over @p g on @p spec's platform and deployment
+ *  (fatal on a problem): a plain CostModel, or the composed
+ *  DeploymentCostModel when a deployment is in play. */
+std::unique_ptr<CoccoFramework>
+makeFramework(const Graph &g, const SearchSpec &spec)
 {
     AcceleratorConfig accel;
-    std::string err;
-    if (!resolvePlatform(cliPlatformSpec(a), &accel, &err))
-        fatal("%s", err.c_str());
-    return accel;
-}
-
-/** The deployment addressed by the CLI flags (--cores /
- *  --deployment / --deployment-file); disabled when none given.
- *  resolveDeployment rejects combinations ("not several"). */
-DeploymentSpec
-cliDeploymentSpec(const CliArgs &a)
-{
-    DeploymentSpec spec;
-    if (a.cores != 0) {
-        spec.enabled = true;
-        spec.inlineDesc = true;
-        spec.desc.cores = a.cores;
-    }
-    if (!a.deployment.empty()) {
-        spec.enabled = true;
-        spec.preset = a.deployment;
-    }
-    if (!a.deploymentFile.empty()) {
-        spec.enabled = true;
-        spec.file = a.deploymentFile;
-    }
-    return spec;
-}
-
-/** The framework over (workload, platform, deployment): a plain
- *  CostModel, or the composed DeploymentCostModel when a deployment
- *  is in play (fatal on a deployment problem). */
-std::unique_ptr<CoccoFramework>
-makeFramework(const Graph &g, const AcceleratorConfig &accel,
-              const DeploymentSpec &dspec)
-{
-    if (!dspec.enabled)
-        return std::make_unique<CoccoFramework>(g, accel);
     DeploymentConfig dep;
     std::string err;
-    if (!resolveDeployment(dspec, accel, &dep, &err))
+    if (!resolvePlatform(spec.platform, &accel, &err) ||
+        (spec.deployment.enabled &&
+         !resolveDeployment(spec.deployment, accel, &dep, &err)))
         fatal("%s", err.c_str());
+    if (!spec.deployment.enabled)
+        return std::make_unique<CoccoFramework>(g, accel);
     return std::make_unique<CoccoFramework>(g, dep);
 }
 
@@ -409,92 +458,52 @@ printTimeline(const CliArgs &a, CostModel &model, const Partition &p,
     std::printf("timeline:\n%s", tl.gantt().c_str());
 }
 
-/** Spec assembled from plain CLI flags (partition/coexplore modes),
- *  with the workload, platform and deployment the flags address.
- *  Call after cliWorkload, which vets the workload flags. */
-SearchSpec
-specFromArgs(const CliArgs &a)
-{
-    SearchSpec spec;
-    spec.algo = a.algo;
-    if (a.modelFile.empty()) {
-        spec.workload.model = a.model;
-        spec.workload.params.seed = a.modelSeed;
-    } else {
-        spec.workload.file = a.modelFile;
-    }
-    spec.platform = cliPlatformSpec(a);
-    spec.deployment = cliDeploymentSpec(a);
-    spec.eval.sampleBudget = a.samples;
-    spec.eval.alpha = a.alpha;
-    spec.eval.metric = a.metric;
-    spec.eval.seed = a.seed;
-    spec.eval.threads = a.threads;
-    spec.eval.timeLimitSec = a.timeLimitSec;
-    spec.eval.stallLimit = a.stallLimit;
-    spec.eval.pruning = a.pruning;
-    spec.sa.neighborBatch = a.neighborBatch;
-    return spec;
-}
-
-/** Build the run's evaluation cache per the CLI knobs; warm-start
- *  from --cache-file when it exists. Null when caching is off. */
+/** An evaluation cache of @p capacity entries (null when 0: caching
+ *  off), warm-started from @p file when that exists. */
 std::shared_ptr<EvalCache>
-openCache(const CliArgs &a)
+openCache(int64_t capacity, const std::string &file)
 {
-    if (a.cacheSize <= 0)
+    if (capacity <= 0)
         return nullptr;
-    auto cache =
-        std::make_shared<EvalCache>(static_cast<size_t>(a.cacheSize));
-    if (!a.cacheFile.empty()) {
+    auto cache = std::make_shared<EvalCache>(static_cast<size_t>(capacity));
+    if (!file.empty()) {
         std::string why;
-        int n = loadEvalCache(*cache, a.cacheFile, &why);
+        int n = loadEvalCache(*cache, file, &why);
         if (n >= 0)
             std::fprintf(stderr, "cache: warm-started %d entries from %s\n",
-                         n, a.cacheFile.c_str());
+                         n, file.c_str());
         else
             std::fprintf(stderr, "cache: starting cold: %s\n", why.c_str());
     }
     return cache;
 }
 
-/** Persist the cache back to --cache-file (when both are in play). */
+/** Persist the cache back to @p file (when both are in play). */
 void
-closeCache(const CliArgs &a, const std::shared_ptr<EvalCache> &cache)
+closeCache(const std::string &file, const std::shared_ptr<EvalCache> &cache)
 {
-    if (!cache || a.cacheFile.empty())
+    if (!cache || file.empty())
         return;
-    if (saveEvalCache(*cache, a.cacheFile))
+    if (saveEvalCache(*cache, file))
         std::fprintf(stderr, "cache: saved %zu entries to %s\n",
-                     cache->size(), a.cacheFile.c_str());
+                     cache->size(), file.c_str());
     else
-        std::fprintf(stderr, "cache: could not write %s\n",
-                     a.cacheFile.c_str());
+        std::fprintf(stderr, "cache: could not write %s\n", file.c_str());
 }
 
-/** Write the run's JSON metrics record (when --metrics-out given):
- *  samples, cache counters and the portfolio block come from the
- *  search result @p r, as in `cocco run`. */
+/** Write @p m to --metrics-out (when given), labelled
+ *  "<command>-<algo>" ("spec-<algo>" under `run`), with the
+ *  invocation's thread count, wall time and cache flag. */
 void
-emitMetrics(const CliArgs &a, const std::string &name, double wall_seconds,
-            double best_cost, bool cache_enabled, const CoccoResult &r,
-            const DeploymentBreakdown &dep)
+writeMetrics(const CliArgs &a, RunMetrics m, const SearchSpec &spec,
+             double wall_seconds, bool cache_enabled)
 {
     if (a.metricsOut.empty())
         return;
-    RunMetrics m;
-    m.name = name;
-    m.model = a.model;
-    m.threads = ThreadPool::resolveThreads(a.threads);
-    m.seed = a.seed;
-    m.samples = r.samples;
-    m.bestCost = best_cost;
+    m.name = (a.command == "run" ? "spec" : a.command) + "-" + spec.algo;
+    m.threads = ThreadPool::resolveThreads(spec.eval.threads);
     m.wallSeconds = wall_seconds;
     m.cacheEnabled = cache_enabled;
-    m.cache = r.cacheStats;
-    m.hasDeployment = true;
-    m.deployment = dep;
-    fillResultMetrics(r, false, &m);
     if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
         std::fprintf(stderr, "error: could not write metrics to %s\n",
                      a.metricsOut.c_str());
@@ -586,111 +595,73 @@ printStopLine(StopReason stop)
         std::fprintf(stderr, "stopped early: %s\n", stopReasonName(stop));
 }
 
-int
-runPartition(CliArgs &a)
+/** Human-mode stdout report of a solo run: the command's headline,
+ *  the cost table and the lines every run prints. */
+void
+printSolo(const CliArgs &a, const std::string &model,
+          const SearchSpec &spec, const CoccoResult &r)
 {
-    Graph g = cliWorkload(a);
-    std::unique_ptr<CoccoFramework> cocco =
-        makeFramework(g, cliPlatform(a), cliDeploymentSpec(a));
-    CostModel &model = cocco->model();
-    BufferConfig buf;
-    buf.style = BufferStyle::Separate;
-    buf.actBytes = 1024 * 1024;
-    buf.weightBytes = 1152 * 1024;
-
-    // Only the sampling searches evaluate genomes; greedy/dp/enum
-    // never touch the cache, so don't open (or rewrite) it for them.
-    bool sampling = SearcherRegistry::instance().contains(a.algo);
-    std::shared_ptr<EvalCache> cache = sampling ? openCache(a) : nullptr;
-    CoccoResult res; // filled by the sampling searches only
-    auto t0 = std::chrono::steady_clock::now();
-
-    Partition p;
-    if (a.algo == "greedy") {
-        p = greedyPartition(g, model, buf, a.metric);
-    } else if (a.algo == "dp") {
-        p = dpPartition(g, model, buf, a.metric);
-    } else if (a.algo == "enum") {
-        EnumerationResult r = enumeratePartition(g, model, buf, a.metric);
-        if (!r.complete) {
-            std::fprintf(stderr,
-                         "enumeration exceeded its budget (%lld states)\n",
-                         static_cast<long long>(r.statesVisited));
-            return 1;
-        }
-        p = r.best;
-    } else if (sampling) {
-        // Any registered driver, partition-only under the fixed buffer.
-        SearchSpec spec = specFromArgs(a);
-        spec.eval.coExplore = false;
-        spec.fixedBuffer = buf;
-        fatalIf(runSpecError(spec));
-        spec.eval.cacheEnabled = cache != nullptr;
-        spec.eval.cache = cache;
-        res = cocco->explore(spec);
-        p = res.partition;
-        printStopLine(res.stop);
-        printRacerLines(res.racers);
-    } else {
-        usage();
-    }
-
-    double wall = secondsSince(t0);
-    closeCache(a, cache);
-    GraphCost c = model.partitionCost(p, buf);
-    DeploymentBreakdown dep = model.breakdown(p, buf);
-    if (a.json) {
-        std::printf("%s\n", partitionToJson(g, p).c_str());
-    } else {
-        std::printf("%s: %s partition -> %zu subgraphs\n",
-                    a.model.c_str(), a.algo.c_str(), p.blocks().size());
-        printCost(c, buf, a.alpha, a.metric);
-        printDeploymentLine(dep);
-        if (cache && res.samples > 0)
-            printCacheLine(res.cacheStats);
-    }
-    printTimeline(a, model, p, buf);
-    emitMetrics(a, "partition-" + a.algo, wall, c.metricValue(a.metric),
-                cache != nullptr, res, dep);
-    return 0;
+    const char *name = model.c_str(), *algo = spec.algo.c_str();
+    const long long samples = r.samples;
+    if (a.command == "partition")
+        std::printf("%s: %s partition -> %zu subgraphs\n", name, algo,
+                    r.partition.blocks().size());
+    else if (a.command == "coexplore")
+        std::printf("%s: %s recommends buffer %s after %lld samples\n",
+                    name, algo, r.buffer.str().c_str(), samples);
+    else
+        std::printf("%s: %s (%s) -> buffer %s after %lld samples\n", name,
+                    algo,
+                    spec.eval.coExplore ? "co-explore" : "partition-only",
+                    r.buffer.str().c_str(), samples);
+    printCost(r.cost, r.buffer, spec.eval.alpha, spec.eval.metric);
+    printDeploymentLine(r.deployment);
+    printRacerLines(r.racers);
+    if (spec.paretoMode)
+        printFrontierLine(r);
 }
 
+/** `partition --algo greedy|dp|enum`: the one non-search path (no
+ *  samples, no cache, no observer) under the flags' fixed buffer. */
 int
-runCoExplore(CliArgs &a)
+runPartitioner(const CliArgs &a)
 {
-    Graph g = cliWorkload(a);
-    AcceleratorConfig accel = cliPlatform(a);
-    std::unique_ptr<CoccoFramework> cocco =
-        makeFramework(g, accel, cliDeploymentSpec(a));
-    SearchSpec spec = specFromArgs(a);
-    spec.eval.coExplore = true;
-    spec.style = a.style == "separate" ? BufferStyle::Separate
-                                       : BufferStyle::Shared;
-    fatalIf(runSpecError(spec));
-    std::shared_ptr<EvalCache> cache = openCache(a);
-    spec.eval.cacheEnabled = cache != nullptr;
-    spec.eval.cache = cache;
+    const SearchSpec spec = specFromArgs(a);
+    Graph g = cliWorkload(spec.workload);
+    std::unique_ptr<CoccoFramework> cocco = makeFramework(g, spec);
+    CostModel &model = cocco->model();
+    CoccoResult r;
+    r.buffer = spec.fixedBuffer;
     auto t0 = std::chrono::steady_clock::now();
-    CoccoResult r = cocco->explore(spec);
-    double wall = secondsSince(t0);
-    closeCache(a, cache);
-    if (a.json) {
-        std::printf("%s\n", resultToJson(g, r).c_str());
+    if (a.algo == "greedy") {
+        r.partition = greedyPartition(g, model, r.buffer, a.metric);
+    } else if (a.algo == "dp") {
+        r.partition = dpPartition(g, model, r.buffer, a.metric);
     } else {
-        std::printf("%s: %s recommends buffer %s after %lld samples\n",
-                    a.model.c_str(), spec.algo.c_str(),
-                    r.buffer.str().c_str(),
-                    static_cast<long long>(r.samples));
-        printCost(r.cost, r.buffer, a.alpha, a.metric);
-        printDeploymentLine(r.deployment);
-        printRacerLines(r.racers);
-        printStopLine(r.stop);
-        if (cache)
-            printCacheLine(r.cacheStats);
+        EnumerationResult e = enumeratePartition(g, model, r.buffer, a.metric);
+        if (!e.complete) {
+            std::fprintf(stderr,
+                         "enumeration exceeded its budget (%lld states)\n",
+                         static_cast<long long>(e.statesVisited));
+            return 1;
+        }
+        r.partition = e.best;
     }
-    printTimeline(a, cocco->model(), r.partition, r.buffer);
-    emitMetrics(a, "coexplore-" + spec.algo, wall, r.objective,
-                cache != nullptr, r, r.deployment);
+    double wall = secondsSince(t0);
+    r.cost = model.partitionCost(r.partition, r.buffer);
+    r.deployment = model.breakdown(r.partition, r.buffer);
+    if (a.json)
+        std::printf("%s\n", partitionToJson(g, r.partition).c_str());
+    else
+        printSolo(a, g.name(), spec, r);
+    printTimeline(a, model, r.partition, r.buffer);
+    RunMetrics m;
+    m.model = g.name();
+    m.seed = spec.eval.seed;
+    m.bestCost = r.cost.metricValue(a.metric);
+    m.hasDeployment = true;
+    m.deployment = r.deployment;
+    writeMetrics(a, m, spec, wall, false);
     return 0;
 }
 
@@ -718,29 +689,16 @@ printScheduleLines(SpecRun &run)
     }
 }
 
-/** `cocco run --spec FILE` and `cocco coschedule --spec FILE`: the
- *  declarative path, through the same SpecRun as `cocco serve`. The
- *  document is authoritative for the search configuration; the
- *  command line only adds output/persistence knobs. `coschedule`
- *  insists on a "workload_set" and labels its metrics
- *  "coschedule-<algo>". */
+/** The one path from a SearchSpec to a search's output, shared by
+ *  `run`, `coschedule`, `coexplore` and `partition --algo <driver>`,
+ *  and the same SpecRun as `cocco serve`: prepare, the progress and
+ *  SIGINT observer, checkpoint hooks, the cache, run, the report and
+ *  the metrics record. The command picks only its headline, its
+ *  --json form and its metrics label. @p where prefixes prepare()'s
+ *  errors (the document's path, or "" for the flag modes). */
 int
-runSpec(CliArgs a)
+runSearch(const CliArgs &a, SearchSpec spec, const std::string &where)
 {
-    const bool coschedule = a.command == "coschedule";
-    if (a.specFile.empty())
-        fatal("%s needs --spec FILE", a.command.c_str());
-    JsonValue doc;
-    std::string err;
-    if (!loadJsonFile(a.specFile, &doc, &err))
-        fatal("%s", err.c_str());
-    SearchSpec spec;
-    if (!parseRunSpec(doc, &spec, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    if (coschedule && !spec.workloadSet.enabled())
-        fatal("%s: coschedule needs a \"workload_set\" with >= 2 "
-              "tenants (one tenant is a plain run; use `cocco run`)",
-              a.specFile.c_str());
     if (a.deterministicRace)
         spec.portfolio.deterministicRace = true;
     if (!a.frontierOut.empty() && !spec.paretoMode)
@@ -753,9 +711,9 @@ runSpec(CliArgs a)
                      "only covers samples after the resume point\n");
 
     SpecRun run;
-    err = run.prepare(spec);
+    std::string err = run.prepare(spec);
     if (!err.empty())
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
+        fatal("%s%s", where.c_str(), err.c_str());
     SearchSpec &rs = run.spec();
 
     // The progress/interrupt observer: --progress streams NDJSON
@@ -816,8 +774,8 @@ runSpec(CliArgs a)
 
     std::shared_ptr<EvalCache> cache;
     if (rs.eval.cacheEnabled) {
-        a.cacheSize = static_cast<int64_t>(rs.eval.cacheCapacity);
-        cache = openCache(a);
+        cache = openCache(static_cast<int64_t>(rs.eval.cacheCapacity),
+                          a.cacheFile);
         rs.eval.cache = cache;
         rs.eval.cacheEnabled = cache != nullptr;
     }
@@ -825,28 +783,21 @@ runSpec(CliArgs a)
     auto t0 = std::chrono::steady_clock::now();
     run.run();
     double wall = secondsSince(t0);
-    closeCache(a, cache);
+    closeCache(a.cacheFile, cache);
 
     RunMetrics m = run.metrics();
     if (a.json) {
-        std::printf("%s\n", run.resultJson().c_str());
+        const std::string json =
+            a.command == "partition"
+                ? partitionToJson(run.framework()->model().graph(),
+                                  run.result().partition)
+                : run.resultJson();
+        std::printf("%s\n", json.c_str());
     } else {
-        if (run.coSchedule()) {
+        if (run.coSchedule())
             printScheduleLines(run);
-        } else {
-            const CoccoResult &r = run.result();
-            std::printf("%s: %s (%s) -> buffer %s after %lld samples\n",
-                        run.modelName().c_str(), rs.algo.c_str(),
-                        rs.eval.coExplore ? "co-explore"
-                                          : "partition-only",
-                        r.buffer.str().c_str(),
-                        static_cast<long long>(r.samples));
-            printCost(r.cost, r.buffer, rs.eval.alpha, rs.eval.metric);
-            printDeploymentLine(r.deployment);
-            printRacerLines(r.racers);
-            if (rs.paretoMode)
-                printFrontierLine(r);
-        }
+        else
+            printSolo(a, run.modelName(), rs, run.result());
         printStopLine(run.stop());
         if (cache)
             printCacheLine(m.cache);
@@ -862,17 +813,7 @@ runSpec(CliArgs a)
         if (!a.frontierOut.empty() && rs.paretoMode)
             emitFrontierCsv(a.frontierOut, run.result());
     }
-
-    if (!a.metricsOut.empty()) {
-        if (coschedule)
-            m.name = "coschedule-" + rs.algo;
-        m.threads = ThreadPool::resolveThreads(rs.eval.threads);
-        m.wallSeconds = wall;
-        m.cacheEnabled = cache != nullptr;
-        if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
-            std::fprintf(stderr, "error: could not write metrics to %s\n",
-                         a.metricsOut.c_str());
-    }
+    writeMetrics(a, m, rs, wall, cache != nullptr);
 
     // A run that ended for good (budget/stall) leaves no checkpoint
     // behind — resuming a finished run would be a silent no-op.
@@ -880,6 +821,29 @@ runSpec(CliArgs a)
                        run.stop() == StopReason::Stalled))
         std::remove(a.checkpointFile.c_str());
     return g_interrupted.load(std::memory_order_relaxed) ? 130 : 0;
+}
+
+/** `cocco run --spec FILE` and `cocco coschedule --spec FILE`: the
+ *  document is the search (runSearch); the command line adds only
+ *  output and persistence knobs. `coschedule` insists on a
+ *  "workload_set". */
+int
+runDocument(const CliArgs &a)
+{
+    if (a.specFile.empty())
+        fatal("%s needs --spec FILE", a.command.c_str());
+    JsonValue doc;
+    std::string err;
+    if (!loadJsonFile(a.specFile, &doc, &err))
+        fatal("%s", err.c_str());
+    SearchSpec spec;
+    if (!parseRunSpec(doc, &spec, &err))
+        fatal("%s: %s", a.specFile.c_str(), err.c_str());
+    if (a.command == "coschedule" && !spec.workloadSet.enabled())
+        fatal("%s: coschedule needs a \"workload_set\" with >= 2 "
+              "tenants (one tenant is a plain run; use `cocco run`)",
+              a.specFile.c_str());
+    return runSearch(a, spec, a.specFile + ": ");
 }
 
 /** `cocco batch <dir>`: drain a directory of run specs through one
@@ -935,7 +899,7 @@ runServe(const CliArgs &a)
     opts.cacheEnabled = a.cacheSize > 0;
     if (a.cacheSize > 0)
         opts.cacheCapacity = static_cast<size_t>(a.cacheSize);
-    opts.cache = openCache(a);
+    opts.cache = openCache(a.cacheSize, a.cacheFile);
     JobManager manager(opts);
 
     int rc = 0;
@@ -960,7 +924,7 @@ runServe(const CliArgs &a)
         manager.cancelAll();
         manager.drain();
     }
-    closeCache(a, manager.cache());
+    closeCache(a.cacheFile, manager.cache());
     return rc;
 }
 
@@ -1205,11 +1169,21 @@ int
 main(int argc, char **argv)
 {
     CliArgs a = parse(argc, argv);
+    const bool partitioner =
+        a.command == "partition" &&
+        (a.algo == "greedy" || a.algo == "dp" || a.algo == "enum");
+    const bool document = a.command == "run" || a.command == "coschedule";
+    const bool flag_search =
+        (a.command == "coexplore" || a.command == "partition") &&
+        !partitioner;
+    if (document || flag_search || partitioner)
+        refuseForeignFlags(a);
 
-    // Graceful-interrupt modes only: elsewhere the default SIGINT
+    // Graceful-interrupt modes: every search, batch and serve.
+    // Elsewhere (greedy/dp/enum included) the default SIGINT
     // disposition (kill) is the right behavior.
-    if (a.command == "run" || a.command == "coschedule" ||
-        a.command == "batch" || a.command == "serve")
+    if (document || flag_search || a.command == "batch" ||
+        a.command == "serve")
         std::signal(SIGINT, onSigint);
 
     if (a.command == "models" || a.command == "--list-models") {
@@ -1254,8 +1228,8 @@ main(int argc, char **argv)
         std::printf("%s\n", deploymentToJson(desc).c_str());
         return 0;
     }
-    if (a.command == "run" || a.command == "coschedule")
-        return runSpec(a);
+    if (document)
+        return runDocument(a);
     if (a.command == "batch")
         return runBatch(a);
     if (a.command == "serve")
@@ -1266,7 +1240,7 @@ main(int argc, char **argv)
         return validateMetrics(a.model);
     }
     if (a.command == "describe") {
-        Graph g = cliWorkload(a);
+        Graph g = cliWorkload(specFromArgs(a).workload);
         std::printf("%s\n%s", g.str().c_str(),
                     computeStats(g).str().c_str());
         return 0;
@@ -1288,26 +1262,25 @@ main(int argc, char **argv)
         return 0;
     }
     if (a.command == "export-model") {
-        Graph g = cliWorkload(a);
+        Graph g = cliWorkload(specFromArgs(a).workload);
         std::printf("%s\n", graphToJson(g).c_str());
         return 0;
     }
     if (a.command == "timeline") {
-        Graph g = cliWorkload(a);
-        AcceleratorConfig accel = cliPlatform(a);
-        CostModel model(g, accel);
-        BufferConfig buf;
-        buf.style = BufferStyle::Separate;
-        buf.actBytes = 1024 * 1024;
-        buf.weightBytes = 1152 * 1024;
-        Partition p = greedyPartition(g, model, buf, a.metric);
-        Timeline tl = buildTimeline(model, p, buf);
-        std::printf("%s: greedy partition timeline\n%s", a.model.c_str(),
+        // On the framework `partition --algo greedy` builds, so a
+        // deployment gets its per-core lanes.
+        const SearchSpec spec = specFromArgs(a);
+        Graph g = cliWorkload(spec.workload);
+        std::unique_ptr<CoccoFramework> cocco = makeFramework(g, spec);
+        const BufferConfig &buf = spec.fixedBuffer;
+        Partition p = greedyPartition(g, cocco->model(), buf, a.metric);
+        Timeline tl = buildTimeline(cocco->model(), p, buf);
+        std::printf("%s: greedy partition timeline\n%s", g.name().c_str(),
                     tl.gantt().c_str());
         return 0;
     }
     if (a.command == "dot") {
-        Graph g = cliWorkload(a);
+        Graph g = cliWorkload(specFromArgs(a).workload);
         if (a.runs > 0) {
             Partition p = Partition::fixedRuns(g, a.runs);
             p.canonicalize(g);
@@ -1317,9 +1290,13 @@ main(int argc, char **argv)
         }
         return 0;
     }
-    if (a.command == "partition")
-        return runPartition(a);
-    if (a.command == "coexplore")
-        return runCoExplore(a);
+    if (partitioner)
+        return runPartitioner(a);
+    if (flag_search) {
+        if (a.command == "partition" &&
+            !SearcherRegistry::instance().contains(a.algo))
+            usage();
+        return runSearch(a, specFromArgs(a), "");
+    }
     usage();
 }
