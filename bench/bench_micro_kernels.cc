@@ -3,8 +3,8 @@
  * Google-benchmark microbenchmarks of the framework's hot paths: the
  * tile-flow derivation, subgraph profiling (with and without the
  * memoization cache), partition costing (plain and through a warm
- * block cache), structural and capacity repair, crossover, and one
- * GA generation. These are the kernels that bound how many samples per
+ * block cache), structural and capacity repair, crossover, the three
+ * partition mutations, and one GA generation. These are the kernels that bound how many samples per
  * second the search can evaluate.
  */
 
@@ -19,6 +19,7 @@
 #include "search/eval_cache.h"
 #include "search/ga.h"
 #include "search/operators.h"
+#include "search/sa.h"
 #include "sim/cost_model.h"
 #include "tileflow/footprint.h"
 #include "util/logging.h"
@@ -248,6 +249,38 @@ BM_CrossoverOperator(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CrossoverOperator)->Arg(0)->Arg(1);
+
+static void
+BM_Mutate(benchmark::State &state)
+{
+    // Arg 0 modify-node, 1 split-subgraph, 2 merge-subgraph, each
+    // applied to a copy of the state a short SA run over NasNet ends
+    // with: a canonical (flagged) genome, so this is the repair an SA
+    // move pays.
+    static const Graph g = buildModel("NasNet");
+    static const Genome base = [] {
+        CostModel model(g, AcceleratorConfig{});
+        SaOptions o;
+        o.sampleBudget = 300;
+        o.seed = 4;
+        return simulatedAnnealing(
+                   model, DseSpace::paperSpace(BufferStyle::Shared), o)
+            .best;
+    }();
+    if (!base.part.canonical())
+        state.SkipWithError("the SA state is not flagged canonical");
+    using Op = void (*)(const Graph &, Genome &, Rng &, GeneDelta *);
+    const Op ops[] = {mutateModifyNode, mutateSplitSubgraph,
+                      mutateMergeSubgraph};
+    const Op op = ops[state.range(0)];
+    Rng rng(13);
+    for (auto _ : state) {
+        Genome genome = base;
+        op(g, genome, rng, nullptr);
+        benchmark::DoNotOptimize(genome.part.numBlocks);
+    }
+}
+BENCHMARK(BM_Mutate)->Arg(0)->Arg(1)->Arg(2);
 
 static void
 BM_GaGeneration(benchmark::State &state)

@@ -15,6 +15,7 @@ Partition::singletons(const Graph &g)
     for (NodeId v = 0; v < g.size(); ++v)
         p.block[v] = v;
     p.numBlocks = g.size();
+    p.markCanonical(); // node ids are topological
     return p;
 }
 
@@ -47,8 +48,11 @@ void
 BlockLists::build(const Partition &p)
 {
     int nb = 0;
-    for (int b : p.block)
-        nb = std::max(nb, b + 1);
+    if (p.canonical())
+        nb = p.numBlocks; // ids are exactly [0, numBlocks)
+    else
+        for (int b : p.block)
+            nb = std::max(nb, b + 1);
     start.assign(nb + 1, 0);
     for (int b : p.block)
         ++start[b + 1];
@@ -80,8 +84,50 @@ Partition::blockNodes(int b) const
     return out;
 }
 
+namespace {
+
+/** Whether each of the @p num_blocks ids of a dense assignment holds
+ *  one weak component: a union-find over same-block edges leaves one
+ *  root per id. */
+bool
+blocksConnected(const Graph &g, const std::vector<int> &block,
+                int num_blocks)
+{
+    thread_local std::vector<int> root;
+    const int n = g.size();
+    root.resize(n);
+    auto find = [&](int v) {
+        while (root[v] != v)
+            v = root[v] = root[root[v]];
+        return v;
+    };
+    int roots = n;
+    for (NodeId v = 0; v < n; ++v) {
+        root[v] = v;
+        for (NodeId u : g.preds(v))
+            if (block[u] == block[v]) {
+                const int ru = find(u), rv = find(v);
+                if (ru != rv) {
+                    root[std::max(ru, rv)] = std::min(ru, rv);
+                    --roots;
+                }
+            }
+    }
+    return roots == num_blocks;
+}
+
+} // namespace
+
 void
 Partition::canonicalize(const Graph &g)
+{
+    renumber(g);
+    if (blocksConnected(g, block, numBlocks))
+        markCanonical();
+}
+
+void
+Partition::renumber(const Graph &g)
 {
     if (static_cast<int>(block.size()) != g.size())
         panic("partition size %zu != graph size %d", block.size(), g.size());
@@ -92,8 +138,9 @@ Partition::canonicalize(const Graph &g)
     q.build(g, block);
     if (q.drain() != q.numBlocks)
         panic("canonicalize on a cyclic quotient graph");
+    int *ids = block.data();
     for (NodeId v = 0; v < g.size(); ++v)
-        block[v] = q.rank[q.dense[v]];
+        ids[v] = q.rank[q.dense[v]];
     numBlocks = q.numBlocks;
 }
 
@@ -112,6 +159,23 @@ Partition::valid(const Graph &g) const
 
 bool
 Partition::isCanonical(const Graph &g) const
+{
+    return isCanonical(g, block, numBlocks);
+}
+
+bool
+Partition::checkCanonical(const Graph &g)
+{
+    if (isCanonical(g))
+        markCanonical();
+    else
+        block.drop();
+    return canonical();
+}
+
+bool
+Partition::isCanonical(const Graph &g, const std::vector<int> &block,
+                       int numBlocks)
 {
     const int n = g.size();
     if (static_cast<int>(block.size()) != n || numBlocks < 0 ||

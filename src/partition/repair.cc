@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <utility>
 
 #include "graph/algorithms.h"
+#include "util/epoch_set.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 
@@ -322,17 +324,96 @@ splitAtMedian(Partition &p, int b)
 }
 
 /**
- * Split every multi-node block that does not fit @p buf until each
- * piece fits or is a singleton, touching each block once. A block
- * splits as splitAtMedian splits it (its first floor(k/2) nodes stay),
- * and each half into its weak components. Node ids are topological,
- * so every edge between the halves runs from the lower to the upper
- * one and a split of an acyclic partition never closes a quotient
- * cycle; fits is pure and a block's pieces depend only on the block.
- * So the result equals splitting one block at a time with a full
- * structural repair and a fresh sweep after each split.
+ * Scratch of one local repair (repairLocally): the touched nodes'
+ * pieces, and Kahn's smallest-node-first drain over the window of the
+ * input's canonical order that the edit can disturb.
+ *
+ * Items are the input's untouched blocks, indexed by their id, and the
+ * pieces, indexed k + piece. The drain starts at the first position a
+ * piece could take; every earlier block keeps its id. It "sees" an
+ * untouched block (counts its in-edges from unplaced items) when the
+ * scan of the input's order reaches it or when a placed item feeds
+ * it. A block that nothing placed in the window feeds waits only on
+ * blocks before the start, so by the input's Kahn order (readyAt(j) <=
+ * start <= scan) it has a larger smallest node than the block at the
+ * scan: the ready item with the smallest node is taken only while it
+ * is no larger than that block's, and the scan advances otherwise.
+ * Once every piece is placed, the scan has passed the touched ids and
+ * the placed blocks are exactly the untouched ones before the scan,
+ * the rest of the order is the input's, shifted by the change in
+ * block count.
  */
-void
+struct LocalDrain
+{
+    enum : uint8_t { kUnseen, kSeen, kPlaced, kTouched };
+
+    EpochSet touched;             ///< nodes of the touched input blocks
+    std::vector<NodeId> nodes;    ///< touched nodes, ascending
+    std::vector<int> piece;       ///< touched node -> piece
+    std::vector<NodeId> members;  ///< each piece's nodes, contiguous
+    std::vector<int> start;       ///< piece -> its first slot in members
+    std::vector<uint8_t> state;   ///< per item
+    std::vector<int> indeg;       ///< in-edges from unplaced items
+    std::vector<int> newId;       ///< per placed item
+    std::vector<NodeId> heap;     ///< ready items by smallest node
+
+    /**
+     * Label the touched nodes' weak components under their (edited)
+     * ids, numbered by smallest node. @return the piece count.
+     */
+    int
+    label(const Graph &g, const std::vector<int> &block)
+    {
+        touched.clear(g.size());
+        if (piece.size() < static_cast<size_t>(g.size()))
+            piece.resize(g.size());
+        for (NodeId v : nodes) {
+            touched.insert(v);
+            piece[v] = -1;
+        }
+        members.clear();
+        start.clear();
+        for (NodeId seed : nodes) {
+            if (piece[seed] >= 0)
+                continue;
+            const int c = static_cast<int>(start.size());
+            start.push_back(static_cast<int>(members.size()));
+            piece[seed] = c;
+            members.push_back(seed);
+            for (size_t i = start[c]; i < members.size(); ++i) {
+                const NodeId x = members[i];
+                for (const auto *adj : {&g.preds(x), &g.succs(x)})
+                    for (NodeId w : *adj)
+                        if (touched.contains(w) && piece[w] < 0 &&
+                            block[w] == block[x]) {
+                            piece[w] = c;
+                            members.push_back(w);
+                        }
+            }
+        }
+        const int pieces = static_cast<int>(start.size());
+        start.push_back(static_cast<int>(members.size()));
+        return pieces;
+    }
+};
+
+/**
+ * Split every multi-node block of the canonical partition @p p that
+ * does not fit @p buf until each piece fits or is a singleton,
+ * touching each block once. A block splits as splitAtMedian splits it
+ * (its first floor(k/2) nodes stay), and each half into its weak
+ * components. Node ids are topological, so every edge between the
+ * halves runs from the lower to the upper one and a split of an
+ * acyclic partition never closes a quotient cycle; fits is pure and a
+ * block's pieces depend only on the block. So the result equals
+ * splitting one block at a time with a full structural repair and a
+ * fresh sweep after each split.
+ *
+ * @return whether a block split. The blocks and pieces then hold
+ * dense ids out of order, and the caller renumbers them
+ * (Partition::renumber); no flag is set.
+ */
+bool
 refineToFit(const Graph &g, Partition &p, CostModel &model,
             const BufferConfig &buf)
 {
@@ -359,16 +440,17 @@ refineToFit(const Graph &g, Partition &p, CostModel &model,
         split = true;
     }
     if (!split)
-        return;
+        return false;
+    int *ids = p.block.data();
     int next = 0;
     for (const auto &[s, e] : work) {
         if (s == e)
             continue;
         for (int i = s; i < e; ++i)
-            p.block[lists.members[i]] = next;
+            ids[lists.members[i]] = next;
         ++next;
     }
-    p.canonicalize(g);
+    return true;
 }
 
 /**
@@ -440,24 +522,190 @@ repairStructure(const Graph &g, Partition p)
         p.block = r.comp;
         r.pass(g, p.block);
     }
+    int *ids = p.block.data();
     for (NodeId v = 0; v < g.size(); ++v)
-        p.block[v] = r.rank[r.comp[v]];
+        ids[v] = r.rank[r.comp[v]];
     p.numBlocks = r.count;
+    p.markCanonical();
     return p;
+}
+
+RepairPathCounts &
+repairPathCounts()
+{
+    thread_local RepairPathCounts counts;
+    return counts;
+}
+
+bool
+repairLocally(const Graph &g, Partition &p, const BlockLists &before,
+              std::initializer_list<int> touched)
+{
+    thread_local LocalDrain d;
+    const std::vector<int> &block = p.block;
+    const int k = p.numBlocks;
+    const int num_touched = static_cast<int>(touched.size());
+    int lo = k, hi = -1;
+    d.nodes.clear();
+    for (int t : touched) {
+        lo = std::min(lo, t);
+        hi = std::max(hi, t);
+        d.nodes.insert(d.nodes.end(), before.begin(t), before.end(t));
+    }
+    std::sort(d.nodes.begin(), d.nodes.end());
+    const int pieces = d.label(g, block);
+    d.state.assign(k + pieces, LocalDrain::kUnseen);
+    for (int t : touched)
+        d.state[t] = LocalDrain::kTouched; // never an item
+
+    auto item_of = [&](NodeId w) {
+        return d.touched.contains(w) ? k + d.piece[w] : block[w];
+    };
+    auto old_min = [&](int b) { return *before.begin(b); };
+    auto min_of = [&](int item) {
+        return item < k ? old_min(item) : d.members[d.start[item - k]];
+    };
+    auto for_members = [&](int item, auto &&fn) {
+        if (item < k) {
+            for (const NodeId *x = before.begin(item); x != before.end(item);
+                 ++x)
+                fn(*x);
+        } else {
+            for (int i = d.start[item - k]; i < d.start[item - k + 1]; ++i)
+                fn(d.members[i]);
+        }
+    };
+
+    // The first position a piece could take: past its untouched
+    // predecessors' ids and past the blocks with smaller smallest
+    // nodes that the input drained after them. Earlier blocks keep
+    // their ids.
+    int first = lo;
+    for (int c = 0; c < pieces; ++c) {
+        int r = 0;
+        for_members(k + c, [&](NodeId y) {
+            for (NodeId u : g.preds(y))
+                if (!d.touched.contains(u))
+                    r = std::max(r, block[u] + 1);
+        });
+        const NodeId m = min_of(k + c);
+        while (r < first && old_min(r) < m)
+            ++r;
+        first = std::min(first, r);
+    }
+
+    // W: the pieces and the untouched ids in [first, hi]. Their inputs
+    // lie in W or before it, so once the scan has passed hi, unplaced
+    // W items with none ready are stuck on a quotient cycle.
+    auto in_w = [&](int item) { return item >= k || item <= hi; };
+    int unplaced_w = pieces + (hi - first + 1) - num_touched;
+    int ready_w = 0;
+    auto later = std::greater<NodeId>();
+    auto push = [&](int item) {
+        d.heap.push_back(min_of(item));
+        std::push_heap(d.heap.begin(), d.heap.end(), later);
+        ready_w += in_w(item);
+    };
+    auto see = [&](int item) {
+        int deg = 0;
+        for_members(item, [&](NodeId y) {
+            for (NodeId u : g.preds(y)) {
+                const int c = item_of(u);
+                deg += c != item && d.state[c] != LocalDrain::kPlaced;
+            }
+        });
+        d.indeg[item] = deg;
+        d.state[item] = LocalDrain::kSeen;
+        if (deg == 0)
+            push(item);
+    };
+
+    std::fill(d.state.begin(), d.state.begin() + first,
+              LocalDrain::kPlaced);
+    d.indeg.resize(k + pieces);
+    d.newId.resize(k + pieces);
+    d.heap.clear();
+    for (int c = 0; c < pieces; ++c)
+        see(k + c);
+
+    int scan = first, pos = first, placed = 0, max_placed = -1;
+    int pieces_left = pieces;
+    for (;;) {
+        if (scan > hi) {
+            if (pieces_left == 0 && max_placed < scan &&
+                placed == scan - first - num_touched)
+                break;
+            if (unplaced_w > 0 && ready_w == 0) {
+                ++repairPathCounts().cyclic;
+                return false;
+            }
+        }
+        if (scan < k && (d.heap.empty() || d.heap.front() > old_min(scan))) {
+            if (d.state[scan] == LocalDrain::kUnseen)
+                see(scan);
+            ++scan;
+            continue;
+        }
+        if (d.heap.empty())
+            panic("repairLocally: the drain stalled");
+        std::pop_heap(d.heap.begin(), d.heap.end(), later);
+        const int c = item_of(d.heap.back());
+        d.heap.pop_back();
+        if (in_w(c)) {
+            --ready_w;
+            --unplaced_w;
+        }
+        d.newId[c] = pos++;
+        for_members(c, [&](NodeId y) {
+            for (NodeId w : g.succs(y)) {
+                const int e = item_of(w);
+                if (e == c)
+                    continue;
+                if (d.state[e] == LocalDrain::kUnseen)
+                    see(e); // counts c's edges too
+                if (--d.indeg[e] == 0)
+                    push(e);
+            }
+        });
+        d.state[c] = LocalDrain::kPlaced;
+        if (c < k) {
+            ++placed;
+            max_placed = std::max(max_placed, c);
+        } else {
+            --pieces_left;
+        }
+    }
+
+    const int shift = pos - scan;
+    int *ids = p.block.data();
+    for (NodeId v = 0; v < g.size(); ++v) {
+        if (d.touched.contains(v))
+            ids[v] = d.newId[k + d.piece[v]];
+        else if (ids[v] >= first)
+            ids[v] = ids[v] < scan ? d.newId[ids[v]] : ids[v] + shift;
+    }
+    p.numBlocks = k - num_touched + pieces;
+    p.markCanonical();
+    ++repairPathCounts().local;
+    return true;
 }
 
 Partition
 repairToCapacity(const Graph &g, Partition p, CostModel &model,
                  const BufferConfig &buf)
 {
-    // Genomes from the operators, randomGenome and cache hits are
-    // already canonical; only other input pays for the full repair.
-    if (!p.isCanonical(g))
+    // Genomes from the operators, randomGenome and cache hits carry
+    // the canonical flag; only other input pays for the full repair.
+    if (!p.canonical())
         p = repairStructure(g, std::move(p));
-    do
-        refineToFit(g, p, model, buf);
-    while (model.accel().doubleBufferWeights &&
-           splitPrefetchVictim(g, p, model, buf));
+    do {
+        // The pieces are weak components of canonical blocks: only
+        // their order needs recomputing.
+        if (refineToFit(g, p, model, buf))
+            p.renumber(g);
+    } while (model.accel().doubleBufferWeights &&
+             splitPrefetchVictim(g, p, model, buf));
+    p.markCanonical();
     return p;
 }
 

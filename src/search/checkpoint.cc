@@ -32,24 +32,40 @@ baseFence(const CostModel &model, const DseSpace &space,
 } // namespace
 
 std::string
-checkpointGenomeError(const SearchCheckpoint &c, int nodes)
+checkpointGenomeError(SearchCheckpoint &c, const Graph &g)
 {
-    auto wrong = [&](const Genome &g, const std::string &what) {
-        const size_t len = g.part.block.size();
+    const int nodes = g.size();
+    auto wrong = [&](const Genome &genome, const std::string &what) {
+        const size_t len = genome.part.block.size();
         return len == static_cast<size_t>(nodes)
                    ? std::string()
                    : strprintf("%s has %zu nodes, the model has %d",
                                what.c_str(), len, nodes);
     };
+    // Operator inputs: the check also sets their canonical flag.
+    auto uncanonical = [&](Genome &genome, const std::string &what) {
+        return genome.part.checkCanonical(g)
+                   ? std::string()
+                   : strprintf("%s is not a canonical partition (structural "
+                               "repair would renumber or split it)",
+                               what.c_str());
+    };
     std::string err;
     if (!c.best.part.block.empty())
         err = wrong(c.best, "incumbent genome");
-    for (size_t i = 0; err.empty() && i < c.population.size(); ++i)
-        err = wrong(c.population[i], strprintf("population genome %zu", i));
-    if (err.empty() && c.hasSa)
+    for (size_t i = 0; err.empty() && i < c.population.size(); ++i) {
+        const std::string what = strprintf("population genome %zu", i);
+        err = wrong(c.population[i], what);
+        if (err.empty())
+            err = uncanonical(c.population[i], what);
+    }
+    if (err.empty() && c.hasSa) {
         err = wrong(c.saCur, "SA current genome");
+        if (err.empty())
+            err = uncanonical(c.saCur, "SA current genome");
+    }
     for (size_t i = 0; err.empty() && i < c.racers.size(); ++i) {
-        err = checkpointGenomeError(c.racers[i], nodes);
+        err = checkpointGenomeError(c.racers[i], g);
         if (!err.empty())
             err = strprintf("racer %zu: ", i) + err;
     }

@@ -129,15 +129,19 @@ struct CheckpointHooks
 };
 
 /**
- * Why @p c cannot resume a run over a graph of @p nodes nodes: its
- * incumbent, a GA population genome, the SA current state, or one of
- * those in a portfolio racer's body has another length. "" when every
- * genome fits. An empty incumbent is allowed (no sample has beaten
- * the infeasibility penalty yet). The file loader cannot check this
- * (it knows no model), and a genome of another length would abort
- * structural repair, so run it before resuming.
+ * Why @p c cannot resume a run over @p g: its incumbent, a GA
+ * population genome, the SA current state, or one of those in a
+ * portfolio racer's body has another length, or a population genome
+ * or SA state (the operators' inputs) is not canonical
+ * (Partition::isCanonical). "" when every genome fits; the check then
+ * leaves those inputs flagged canonical (Partition::checkCanonical),
+ * so the operators repair them locally. An empty incumbent is allowed
+ * (no sample has beaten the infeasibility penalty yet). The file
+ * loader cannot check this (it knows no model), and a genome of
+ * another length would abort structural repair, so run it before
+ * resuming.
  */
-std::string checkpointGenomeError(const SearchCheckpoint &c, int nodes);
+std::string checkpointGenomeError(SearchCheckpoint &c, const Graph &g);
 
 /** Fence hash for a GA run (model + space + result-affecting options
  *  + the GA knobs; threads/pruning excluded — see file comment). */

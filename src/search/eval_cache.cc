@@ -86,7 +86,8 @@ EvalCache::keyMatches(const Entry &e, const KeyView &key) const
 }
 
 bool
-EvalCache::lookup(const KeyView &key, Partition *repaired, double *cost)
+EvalCache::lookup(const KeyView &key, const Graph &graph, Partition *repaired,
+                  double *cost)
 {
     GenomeShard &shard =
         shards_[key.hash % static_cast<uint64_t>(shardCount_)];
@@ -96,10 +97,21 @@ EvalCache::lookup(const KeyView &key, Partition *repaired, double *cost)
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
+    Entry &e = *it->second;
+    if (e.canon == Canon::Unchecked)
+        e.canon = Partition::isCanonical(graph, e.repairedBlock,
+                                         e.numBlocks)
+                      ? Canon::Canonical
+                      : Canon::Refused;
+    if (e.canon == Canon::Refused) {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+    }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    const Entry &e = *it->second;
     repaired->block = e.repairedBlock;
     repaired->numBlocks = e.numBlocks;
+    if (e.canon == Canon::Canonical)
+        repaired->markCanonical();
     *cost = e.cost;
     hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -118,6 +130,7 @@ EvalCache::insert(const KeyView &key, const Partition &repaired, double cost)
     e.repairedBlock = repaired.block;
     e.numBlocks = repaired.numBlocks;
     e.cost = cost;
+    e.canon = repaired.canonical() ? Canon::Canonical : Canon::Plain;
     insertEntry(std::move(e));
 }
 

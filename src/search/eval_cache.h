@@ -99,6 +99,16 @@ class EvalCache
     static constexpr size_t kDefaultCapacity = 1 << 15;
     static constexpr int kDefaultShards = 16;
 
+    /** What a hit on an entry may claim about its repaired partition
+     *  (Partition::canonical()). */
+    enum class Canon : uint8_t
+    {
+        Unchecked, ///< from a file: checked on its first hit
+        Canonical, ///< inserted flagged, or passed the check
+        Plain,     ///< inserted unflagged: hits carry no flag
+        Refused,   ///< failed the check: every hit is served as a miss
+    };
+
     /** One persisted/cached genome evaluation. */
     struct Entry
     {
@@ -110,6 +120,7 @@ class EvalCache
         int actIdx = 0;            ///< live hardware genes; dead genes
         int weightIdx = 0;         ///< are normalized to 0 by the caller
         int sharedIdx = 0;
+        Canon canon = Canon::Unchecked; ///< not persisted (fills padding)
 
         // Payload.
         std::vector<int> repairedBlock; ///< post in-situ-tuning blocks
@@ -141,11 +152,19 @@ class EvalCache
     /**
      * Genome lookup. On a hit, writes the cached repaired partition
      * into @p repaired and the objective into @p cost, refreshes the
-     * entry's recency, and returns true.
+     * entry's recency, and returns true. The partition carries the
+     * canonical flag when the entry was inserted flagged. An entry
+     * loaded from a file is checked on its first hit
+     * (Partition::isCanonical over @p graph, the graph the key's
+     * partitions belong to): a canonical one is served flagged from
+     * then on, any other is served as a miss, so the evaluation that
+     * follows replaces it.
      */
-    bool lookup(const KeyView &key, Partition *repaired, double *cost);
+    bool lookup(const KeyView &key, const Graph &graph, Partition *repaired,
+                double *cost);
 
-    /** Record one evaluation: key -> (repaired partition, cost). */
+    /** Record one evaluation: key -> (repaired partition, cost); the
+     *  partition's canonical flag is kept for later hits. */
     void insert(const KeyView &key, const Partition &repaired, double cost);
 
     // --- Block level. Entries are fenced by a model salt (graph +
@@ -237,7 +256,8 @@ class EvalCache
      *  shard lock is held). */
     void forEachEntry(const std::function<void(const Entry &)> &fn) const;
 
-    /** Insert a deserialized entry verbatim (keeps entry.hash). */
+    /** Insert a deserialized entry verbatim (keeps entry.hash; a
+     *  loader leaves entry.canon Unchecked). */
     void insertEntry(Entry entry);
 
   private:

@@ -161,7 +161,7 @@ EvalEngine::evaluate(Genome &genome, const GeneDelta *delta)
     uint64_t hash = genomeHash(genome);
     double cost = 0.0;
     if (cache_->lookup(makeKey(hash, genome.part.block, genome),
-                       &genome.part, &cost))
+                       model_.graph(), &genome.part, &cost))
         return cost;
 
     // Snapshot the pre-repair key material: evaluation mutates the

@@ -173,8 +173,13 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
         size_t n = static_cast<size_t>(opts_.population);
         size_t n_seed = std::min(seeds.size(), n);
         std::vector<Scored> init(n);
-        for (size_t i = 0; i < n_seed; ++i)
+        for (size_t i = 0; i < n_seed; ++i) {
+            // A seed comes from outside the search, perhaps flagged on
+            // another graph: it enters unflagged and takes the full
+            // structural repair.
             init[i].genome = seeds[i];
+            init[i].genome.part.block = seeds[i].part.block.ids();
+        }
         complete = engine_.forEachStream(n, [&](size_t i, Rng &r) {
             if (i >= n_seed)
                 init[i].genome = randomGenome(model_.graph(), space_, r);

@@ -81,7 +81,7 @@ crossover(const Graph &g, const DseSpace &space, const Genome &dad,
             delta->noteHw();
     }
     Genome child;
-    if (dad.part.block == mom.part.block && dad.part.isCanonical(g)) {
+    if (dad.part.canonical() && dad.part.block == mom.part.block) {
         // Identical parents: each block is reproduced whole on its
         // smallest node's coin and never meets a decided node, so no
         // merge coin is drawn, and repairing the relabelled canonical
@@ -96,8 +96,8 @@ crossover(const Graph &g, const DseSpace &space, const Genome &dad,
         dad_blocks.build(dad.part);
         mom_blocks.build(mom.part);
 
-        std::vector<int> &block = child.part.block;
-        block.assign(g.size(), -1);
+        child.part.block.assign(g.size(), -1);
+        int *block = child.part.block.data();
         int next_block = 0;
 
         for (NodeId v = 0; v < g.size(); ++v) {
@@ -152,6 +152,7 @@ crossover(const Graph &g, const DseSpace &space, const Genome &dad,
 void
 mutateModifyNode(const Graph &g, Genome &genome, Rng &rng, GeneDelta *delta)
 {
+    const Partition &part = genome.part; // reads keep the flag
     NodeId v = static_cast<NodeId>(rng.index(g.size()));
 
     // Candidate targets, in draw order: blocks of predecessors, blocks
@@ -159,18 +160,28 @@ mutateModifyNode(const Graph &g, Genome &genome, Rng &rng, GeneDelta *delta)
     const auto &preds = g.preds(v);
     const auto &succs = g.succs(v);
     size_t pick = rng.index(preds.size() + succs.size() + 1);
+    const bool local = part.canonical();
+    const int fresh = local ? part.numBlocks : freshBlock(part);
     int target;
     if (pick < preds.size())
-        target = genome.part.block[preds[pick]];
+        target = part.block[preds[pick]];
     else if (pick < preds.size() + succs.size())
-        target = genome.part.block[succs[pick - preds.size()]];
+        target = part.block[succs[pick - preds.size()]];
     else
-        target = freshBlock(genome.part);
-    if (target == genome.part.block[v])
+        target = fresh;
+    const int from = part.block[v];
+    if (target == from)
         return; // node keeps its block: genome unchanged
     if (delta)
         delta->noteNode(v);
+    thread_local BlockLists lists;
+    if (local)
+        lists.build(part);
     genome.part.block[v] = target;
+    if (local && (target == fresh
+                      ? repairLocally(g, genome.part, lists, {from})
+                      : repairLocally(g, genome.part, lists, {from, target})))
+        return;
     genome.part = repairStructure(g, std::move(genome.part));
 }
 
@@ -179,6 +190,7 @@ mutateSplitSubgraph(const Graph &g, Genome &genome, Rng &rng,
                     GeneDelta *delta)
 {
     thread_local BlockLists lists;
+    const bool local = genome.part.canonical();
     lists.build(genome.part);
     const int nb = lists.count(); // fresh id
     size_t multi = 0;
@@ -194,12 +206,15 @@ mutateSplitSubgraph(const Graph &g, Genome &genome, Rng &rng,
         ++b;
     // Split at a random interior point of the id-sorted node list.
     size_t cut = 1 + rng.index(lists.size(b) - 1);
+    int *block = genome.part.block.data();
     for (const NodeId *v = lists.begin(b) + cut; v != lists.end(b); ++v) {
         if (delta)
             delta->noteNode(*v);
-        genome.part.block[*v] = nb;
+        block[*v] = nb;
     }
-    genome.part = repairStructure(g, std::move(genome.part));
+    // Node ids are topological, so the split closes no cycle.
+    if (!local || !repairLocally(g, genome.part, lists, {b}))
+        genome.part = repairStructure(g, std::move(genome.part));
 }
 
 void
@@ -210,28 +225,41 @@ mutateMergeSubgraph(const Graph &g, Genome &genome, Rng &rng,
     // adjacent blocks keeps the result connected (structural repair
     // handles any cycle fallout).
     const std::vector<int> &block = genome.part.block;
+    // edges_before[v]: inter-block edges into the nodes before v.
+    thread_local std::vector<size_t> edges_before;
+    edges_before.resize(g.size() + 1);
     size_t edges = 0;
-    for (NodeId v = 0; v < g.size(); ++v)
+    for (NodeId v = 0; v < g.size(); ++v) {
+        edges_before[v] = edges;
         for (NodeId u : g.preds(v))
             edges += block[u] != block[v];
+    }
+    edges_before[g.size()] = edges;
     if (edges == 0)
         return;
     size_t k = rng.index(edges);
+    const NodeId v = static_cast<NodeId>(
+        std::upper_bound(edges_before.begin(), edges_before.end(), k) -
+        edges_before.begin() - 1);
+    k -= edges_before[v];
     int a = -1, b = -1;
-    for (NodeId v = 0; v < g.size() && a < 0; ++v)
-        for (NodeId u : g.preds(v))
-            if (block[u] != block[v] && k-- == 0) {
-                a = block[u];
-                b = block[v];
-                break;
-            }
-    for (NodeId v = 0; v < g.size(); ++v)
-        if (genome.part.block[v] == b) {
-            if (delta)
-                delta->noteNode(v);
-            genome.part.block[v] = a;
+    for (NodeId u : g.preds(v))
+        if (block[u] != block[v] && k-- == 0) {
+            a = block[u];
+            b = block[v];
+            break;
         }
-    genome.part = repairStructure(g, std::move(genome.part));
+    const bool local = genome.part.canonical();
+    thread_local BlockLists lists;
+    lists.build(genome.part);
+    int *ids = genome.part.block.data();
+    for (const NodeId *x = lists.begin(b); x != lists.end(b); ++x) {
+        if (delta)
+            delta->noteNode(*x);
+        ids[*x] = a;
+    }
+    if (!local || !repairLocally(g, genome.part, lists, {a, b}))
+        genome.part = repairStructure(g, std::move(genome.part));
 }
 
 void

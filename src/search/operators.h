@@ -4,8 +4,11 @@
  * random initialization, the subgraph-reproducing crossover, and the
  * four mutations (modify-node, split-subgraph, merge-subgraph,
  * mutation-DSE). Every operator returns a structurally valid genome
- * (operators call the repair pipeline); capacity enforcement happens
- * at evaluation time (in-situ tuning).
+ * flagged canonical (operators call the repair pipeline); capacity
+ * enforcement happens at evaluation time (in-situ tuning). On a
+ * flagged input the three partition mutations repair only the blocks
+ * they touched (repairLocally), and crossover of identical flagged
+ * parents copies the partition.
  */
 
 #ifndef COCCO_SEARCH_OPERATORS_H

@@ -73,10 +73,16 @@ runCandidates(CostModel &model, const DseSpace &space,
     // skip replicates the un-run GA's observable effects exactly — the
     // folded trace entries, monitor bookkeeping, and the candidate's
     // seed draw — so pruned and unpruned sweeps stay bit-identical.
-    // Guarded off under an observer or wall-clock limit, where an
+    // An observer does not change that: inner GAs see only its
+    // cancelled(), and its callbacks (the folded samples) are the same
+    // either way, so a cancel that moves only through them lands on
+    // the same sample; an asynchronous one (SIGINT, a job cancel, a
+    // race's regrant) moves a stop point that depends on timing
+    // anyway, and a race's culls wait at milestone rendezvous inside
+    // those callbacks. Guarded off under a wall-clock limit, where an
     // inner run could legitimately be cut short mid-batch.
-    const bool can_reject = opts.pruning && !opts.observer &&
-                            opts.timeLimitSec == 0.0 && opts.alpha >= 0.0;
+    const bool can_reject = opts.pruning && opts.timeLimitSec == 0.0 &&
+                            opts.alpha >= 0.0;
     std::vector<NodeId> all_nodes(
         static_cast<size_t>(model.graph().size()));
     for (size_t i = 0; i < all_nodes.size(); ++i)

@@ -3,8 +3,7 @@
  * The multi-tenant job runner behind `cocco serve` and `cocco batch`:
  * a bounded queue of run specs drained by a fixed set of worker
  * threads, every job evaluating over ONE process-wide EvalCache so
- * tenants warm each other's searches — the "many users, one warm
- * process" shape ROADMAP item 1 asks for.
+ * tenants warm each other's searches: many users, one warm process.
  *
  * Admission control: submit() rejects (rather than queues) when
  * runSpecError (search/driver.h) finds the spec unrunnable — the same

@@ -76,7 +76,7 @@ hashCombine(uint64_t a, uint64_t b)
 uint64_t
 hashPartition(uint64_t h, const Partition &p)
 {
-    return hashIntVector(h, p.block);
+    return hashIntVector(h, p.block.ids());
 }
 
 uint64_t

@@ -405,11 +405,11 @@ TEST(Checkpoint, GenomeOfAnotherLengthIsRejected)
         spec.eval.checkpoint = &hooks;
         CoccoFramework(g, accel).explore(spec);
         EXPECT_EQ(saved.algo, algo);
-        EXPECT_EQ(checkpointGenomeError(saved, g.size()), "") << algo;
+        EXPECT_EQ(checkpointGenomeError(saved, g), "") << algo;
         return saved;
     };
-    auto expectNamed = [&](const SearchCheckpoint &c, const char *what) {
-        const std::string err = checkpointGenomeError(c, g.size());
+    auto expectNamed = [&](SearchCheckpoint c, const char *what) {
+        const std::string err = checkpointGenomeError(c, g);
         EXPECT_EQ(err, std::string(what) + " has 10 nodes, the model has " +
                            std::to_string(g.size()));
     };
@@ -417,7 +417,11 @@ TEST(Checkpoint, GenomeOfAnotherLengthIsRejected)
 
     SearchCheckpoint ga = snapshot("ga", 400);
     ASSERT_GT(ga.population.size(), 3u);
-    EXPECT_NE(checkpointGenomeError(ga, g.size() + 1), "");
+    RandomDagOptions o;
+    o.convNodes = 25;
+    const Graph other = buildRandomDag(21, o);
+    ASSERT_NE(other.size(), g.size());
+    EXPECT_NE(checkpointGenomeError(ga, other), "");
     SearchCheckpoint c = ga;
     cut(c.best);
     expectNamed(c, "incumbent genome");
@@ -426,7 +430,7 @@ TEST(Checkpoint, GenomeOfAnotherLengthIsRejected)
     expectNamed(c, "population genome 3");
     c = ga;
     c.best = Genome(); // no incumbent yet
-    EXPECT_EQ(checkpointGenomeError(c, g.size()), "");
+    EXPECT_EQ(checkpointGenomeError(c, g), "");
 
     SearchCheckpoint sa = snapshot("sa", 300);
     ASSERT_TRUE(sa.hasSa);
@@ -441,9 +445,79 @@ TEST(Checkpoint, GenomeOfAnotherLengthIsRejected)
     c = race;
     c.racers[1] = sa; // a racer body with an SA section, whatever the race
     cut(c.racers[1].saCur);
-    EXPECT_EQ(checkpointGenomeError(c, g.size()),
+    EXPECT_EQ(checkpointGenomeError(c, g),
               "racer 1: SA current genome has 10 nodes, the model has " +
                   std::to_string(g.size()));
+}
+
+/** @p p with two block ids swapped: the first pair that keeps it
+ *  valid (precedence holds), else ids 0 and 1. Never canonical. */
+Partition
+swappedIds(const Graph &g, const Partition &p)
+{
+    auto swap = [&](int x, int y) {
+        Partition q = p;
+        for (int &id : q.block)
+            id = id == x ? y : id == y ? x : id;
+        return q;
+    };
+    for (int x = 0; x < p.numBlocks; ++x)
+        for (int y = x + 1; y < p.numBlocks; ++y)
+            if (Partition q = swap(x, y); q.valid(g))
+                return q;
+    return swap(0, 1);
+}
+
+TEST(Checkpoint, NonCanonicalGenomeIsRejected)
+{
+    // A loaded checkpoint carries no canonical flags: the check proves
+    // canonicity of the operators' inputs (population, SA state) once,
+    // flags them, and refuses a genome that repair would renumber.
+    Graph g = mediumGraph();
+    AcceleratorConfig accel;
+    auto snapshot = [&](const std::string &algo, int64_t budget) {
+        SearchCheckpoint saved;
+        CancelAfter cancel(budget / 2);
+        CheckpointHooks hooks;
+        hooks.save = [&](const SearchCheckpoint &c) { saved = c; };
+        SearchSpec spec = makeSpec(algo, budget);
+        spec.eval.observer = &cancel;
+        spec.eval.checkpoint = &hooks;
+        CoccoFramework(g, accel).explore(spec);
+        // As a file would hand them back: block vectors, no flags.
+        for (Genome *genome : {&saved.best, &saved.saCur})
+            genome->part.block = std::vector<int>(genome->part.block);
+        for (Genome &genome : saved.population)
+            genome.part.block = std::vector<int>(genome.part.block);
+        return saved;
+    };
+
+    SearchCheckpoint ga = snapshot("ga", 400);
+    ASSERT_GT(ga.population.size(), 3u);
+    SearchCheckpoint c = ga;
+    c.population[3].part = swappedIds(g, ga.population[3].part);
+    ASSERT_FALSE(c.population[3].part.isCanonical(g));
+    EXPECT_EQ(checkpointGenomeError(c, g),
+              "population genome 3 is not a canonical partition "
+              "(structural repair would renumber or split it)");
+    c = ga;
+    for (const Genome &genome : c.population)
+        EXPECT_FALSE(genome.part.canonical());
+    EXPECT_EQ(checkpointGenomeError(c, g), "");
+    for (const Genome &genome : c.population)
+        EXPECT_TRUE(genome.part.canonical());
+
+    SearchCheckpoint sa = snapshot("sa", 300);
+    ASSERT_TRUE(sa.hasSa);
+    c = sa;
+    c.saCur.part = swappedIds(g, sa.saCur.part);
+    ASSERT_FALSE(c.saCur.part.isCanonical(g));
+    EXPECT_EQ(checkpointGenomeError(c, g),
+              "SA current genome is not a canonical partition "
+              "(structural repair would renumber or split it)");
+    c = sa;
+    EXPECT_EQ(checkpointGenomeError(c, g), "");
+    EXPECT_TRUE(c.saCur.part.canonical());
 }
 
 TEST(Checkpoint, LoaderRejectsOutOfRangeBlockIds)

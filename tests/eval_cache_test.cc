@@ -234,6 +234,10 @@ keyOf(uint64_t hash, const std::vector<int> &block)
 
 TEST(EvalCache, HitMissAccounting)
 {
+    // Inserted entries are served as inserted: the graph a lookup
+    // names is read only by the first hit of an entry loaded from a
+    // file.
+    const Graph g = smallGraph();
     EvalCache cache(/*capacity=*/8, /*shards=*/1);
     std::vector<int> k1{0, 1, 2};
     Partition repaired;
@@ -242,16 +246,16 @@ TEST(EvalCache, HitMissAccounting)
 
     Partition out;
     double cost = 0.0;
-    EXPECT_FALSE(cache.lookup(keyOf(1, k1), &out, &cost));
+    EXPECT_FALSE(cache.lookup(keyOf(1, k1), g, &out, &cost));
     cache.insert(keyOf(1, k1), repaired, 3.5);
-    ASSERT_TRUE(cache.lookup(keyOf(1, k1), &out, &cost));
+    ASSERT_TRUE(cache.lookup(keyOf(1, k1), g, &out, &cost));
     EXPECT_EQ(cost, 3.5);
     EXPECT_EQ(out.block, repaired.block);
     EXPECT_EQ(out.numBlocks, 2);
 
     // Same hash, different key material: collision-safe miss.
     std::vector<int> k2{0, 1, 3};
-    EXPECT_FALSE(cache.lookup(keyOf(1, k2), &out, &cost));
+    EXPECT_FALSE(cache.lookup(keyOf(1, k2), g, &out, &cost));
 
     EvalCacheStats s = cache.stats();
     EXPECT_EQ(s.hits, 1u);
@@ -264,6 +268,7 @@ TEST(EvalCache, HitMissAccounting)
 
 TEST(EvalCache, LruEvictionOrder)
 {
+    const Graph g = smallGraph();
     EvalCache cache(/*capacity=*/2, /*shards=*/1);
     Partition p;
     p.block = {0};
@@ -276,14 +281,37 @@ TEST(EvalCache, LruEvictionOrder)
     // Touch A so B becomes least recently used, then overflow.
     Partition out;
     double cost;
-    ASSERT_TRUE(cache.lookup(keyOf(10, ka), &out, &cost));
+    ASSERT_TRUE(cache.lookup(keyOf(10, ka), g, &out, &cost));
     cache.insert(keyOf(30, kc), p, 3.0);
 
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_TRUE(cache.lookup(keyOf(10, ka), &out, &cost));  // kept
-    EXPECT_TRUE(cache.lookup(keyOf(30, kc), &out, &cost));  // kept
-    EXPECT_FALSE(cache.lookup(keyOf(20, kb), &out, &cost)); // evicted
+    EXPECT_TRUE(cache.lookup(keyOf(10, ka), g, &out, &cost));  // kept
+    EXPECT_TRUE(cache.lookup(keyOf(30, kc), g, &out, &cost));  // kept
+    EXPECT_FALSE(cache.lookup(keyOf(20, kb), g, &out, &cost)); // evicted
     EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(EvalCache, HitsCarryTheInsertedFlag)
+{
+    // The engine inserts what evaluation returned; a hit hands on the
+    // canonical flag exactly when the inserted partition carried it.
+    Graph g = smallGraph();
+    EvalCache cache(8, 1);
+    const Partition flagged = Partition::singletons(g);
+    Partition plain = flagged;
+    plain.block = std::vector<int>(flagged.block); // same ids, no flag
+    std::vector<int> ka(g.size(), 0), kb(g.size(), 1);
+    cache.insert(keyOf(1, ka), flagged, 1.0);
+    cache.insert(keyOf(2, kb), plain, 2.0);
+    Partition out;
+    double cost = 0.0;
+    for (int round = 0; round < 2; ++round) {
+        ASSERT_TRUE(cache.lookup(keyOf(1, ka), g, &out, &cost));
+        EXPECT_TRUE(out.canonical());
+        ASSERT_TRUE(cache.lookup(keyOf(2, kb), g, &out, &cost));
+        EXPECT_FALSE(out.canonical()); // never re-checked
+        EXPECT_EQ(out.block, flagged.block);
+    }
 }
 
 TEST(EvalCache, StatsDeltaSubtraction)
@@ -477,11 +505,12 @@ TEST(Search, SaAndTwoStepReportCacheStats)
 TEST(Persistence, EntryLevelRoundTripIsExact)
 {
     std::string path = tmpPath("roundtrip.evalcache");
+    // The looked-up entry's first hit checks it against g: a canonical
+    // partition, so it hits.
+    const Graph g = smallGraph();
     EvalCache cache(64, 1);
-    Partition rep;
-    rep.block = {0, 0, 1, 2};
-    rep.numBlocks = 3;
-    std::vector<int> key{0, 1, 2, 3};
+    const Partition rep = Partition::singletons(g);
+    std::vector<int> key(g.size(), 0);
     EvalCache::KeyView kv{/*hash=*/0xabcdef01ULL, /*salt=*/77, key, 1, 2, 0};
     cache.insert(kv, rep, 0.1 + 0.2); // value with no short decimal form
     // Repaired == key (stored as "="), and the edge costs: infeasible,
@@ -500,10 +529,61 @@ TEST(Persistence, EntryLevelRoundTripIsExact)
 
     Partition out;
     double cost = 0.0;
-    ASSERT_TRUE(loaded.lookup(kv, &out, &cost));
+    ASSERT_TRUE(loaded.lookup(kv, g, &out, &cost));
     EXPECT_EQ(cost, 0.1 + 0.2);
     EXPECT_EQ(out.block, rep.block);
-    EXPECT_EQ(out.numBlocks, 3);
+    EXPECT_EQ(out.numBlocks, rep.numBlocks);
+    std::remove(path.c_str());
+}
+
+TEST(Persistence, LoadedEntriesAreCheckedOnTheirFirstHit)
+{
+    // A file carries no canonical flags, and loading checks nothing per
+    // entry: an entry whose repaired partition is valid but not
+    // canonical (two ids swapped) loads like any other. Its first hit
+    // checks it and serves it as a miss, leaving the caller's
+    // partition alone; it is never handed on. A canonical entry's
+    // first hit flags it.
+    std::string path = tmpPath("checked.evalcache");
+    Graph g = smallGraph();
+    const Partition good = Partition::singletons(g);
+    Partition swapped = good;
+    for (int &id : swapped.block)
+        id = id == 3 ? 4 : id == 4 ? 3 : id;
+    ASSERT_FALSE(swapped.isCanonical(g));
+    std::vector<int> kgood(g.size(), 0), kbad(g.size(), 1);
+    {
+        EvalCache cache(64, 1);
+        cache.insert(keyOf(1, kgood), good, 1.0);
+        cache.insert(keyOf(2, kbad), swapped, 2.0);
+        ASSERT_TRUE(saveEvalCache(cache, path));
+    }
+
+    EvalCache loaded(64, 1);
+    ASSERT_EQ(loadEvalCache(loaded, path), 2);
+    Partition out;
+    double cost = 0.0;
+    const Partition before = Partition::fixedRuns(g, 2);
+    for (int round = 0; round < 2; ++round) {
+        Partition mine = before;
+        EXPECT_FALSE(loaded.lookup(keyOf(2, kbad), g, &mine, &cost));
+        EXPECT_EQ(mine.block, before.block);
+        EXPECT_FALSE(mine.canonical());
+    }
+    ASSERT_TRUE(loaded.lookup(keyOf(1, kgood), g, &out, &cost));
+    EXPECT_EQ(out.block, good.block);
+    EXPECT_TRUE(out.canonical());
+    EXPECT_EQ(cost, 1.0);
+    EvalCacheStats s = loaded.stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 2u);
+
+    // The evaluation that follows the miss replaces the entry.
+    loaded.insert(keyOf(2, kbad), good, 2.5);
+    ASSERT_TRUE(loaded.lookup(keyOf(2, kbad), g, &out, &cost));
+    EXPECT_TRUE(out.canonical());
+    EXPECT_EQ(cost, 2.5);
+    EXPECT_EQ(loaded.size(), 2u);
     std::remove(path.c_str());
 }
 

@@ -16,6 +16,7 @@
 #include "partition/greedy.h"
 #include "partition/partition.h"
 #include "partition/repair.h"
+#include "search/operators.h"
 #include "util/random.h"
 
 using namespace cocco;
@@ -141,6 +142,123 @@ TEST(PartitionDeath, RepairRejectsNegativeIds)
     Partition p;
     p.block = {0, -1, 1, 1, 2}; // repair's id-indexed scratch needs ids >= 0
     EXPECT_DEATH(repairStructure(g, p), "negative block id");
+}
+
+// --- The canonical flag ------------------------------------------------------
+
+TEST(CanonicalFlag, EveryProducerSetsIt)
+{
+    Graph g = diamond();
+    EXPECT_FALSE(Partition().canonical());
+    EXPECT_FALSE(Partition::fixedRuns(g, 5).canonical());
+    EXPECT_TRUE(Partition::singletons(g).canonical());
+
+    Partition junk;
+    junk.block = {4, 4, 2, 0, 0}; // {b} before {in, a}, {c, d} fused
+    EXPECT_FALSE(junk.canonical());
+    Partition repaired = repairStructure(g, junk);
+    EXPECT_TRUE(repaired.canonical());
+    EXPECT_TRUE(repaired.isCanonical(g));
+
+    // canonicalize sets it only when every block is connected.
+    Partition connected;
+    connected.block = {7, 7, 3, 9, 9}; // {in, a} {b} {c, d}
+    connected.canonicalize(g);
+    EXPECT_TRUE(connected.canonical());
+    EXPECT_TRUE(connected.isCanonical(g));
+    Partition runs = Partition::fixedRuns(g, 2); // {b, c} are siblings
+    runs.canonicalize(g);
+    EXPECT_FALSE(runs.canonical());
+    EXPECT_FALSE(runs.isCanonical(g));
+
+    // The checked boundary: set exactly when isCanonical holds.
+    Partition loaded;
+    loaded.block = std::vector<int>(connected.block);
+    loaded.numBlocks = connected.numBlocks;
+    EXPECT_FALSE(loaded.canonical());
+    EXPECT_TRUE(loaded.checkCanonical(g));
+    EXPECT_TRUE(loaded.canonical());
+    loaded.block[0] = 1; // precedence broken
+    EXPECT_FALSE(loaded.checkCanonical(g));
+    EXPECT_FALSE(loaded.canonical());
+
+    // Capacity repair and the mutation operators hand on flagged
+    // partitions, whichever path they took.
+    CostModel model(g, AcceleratorConfig{});
+    EXPECT_TRUE(repairToCapacity(g, junk, model, roomyBuffer()).canonical());
+    EXPECT_TRUE(repairToCapacity(g, runs, model, roomyBuffer()).canonical());
+    Rng rng(3);
+    for (int i = 0; i < 30; ++i) {
+        Genome genome;
+        genome.part = i % 2 ? repairStructure(g, junk)
+                            : Partition::fixedRuns(g, 1 + i % 4);
+        switch (i % 3) {
+          case 0:
+            mutateModifyNode(g, genome, rng);
+            break;
+          case 1:
+            mutateSplitSubgraph(g, genome, rng);
+            break;
+          default:
+            mutateMergeSubgraph(g, genome, rng);
+        }
+        if (genome.part.canonical())
+            EXPECT_TRUE(genome.part.isCanonical(g)) << i;
+        else // an unflagged input left unchanged
+            EXPECT_EQ(i % 2, 0) << i;
+    }
+}
+
+TEST(CanonicalFlag, MutableAccessClearsItAndCopiesKeepIt)
+{
+    Graph g = diamond();
+    const Partition base = Partition::singletons(g);
+    auto clears = [&](auto &&access) {
+        Partition p = base;
+        EXPECT_TRUE(p.canonical());
+        access(p);
+        return !p.canonical();
+    };
+    EXPECT_TRUE(clears([](Partition &p) { p.block[0] = 0; }));
+    EXPECT_TRUE(clears([](Partition &p) {
+        for (int &b : p.block)
+            (void)b;
+    }));
+    EXPECT_TRUE(clears([](Partition &p) { p.block.begin(); }));
+    EXPECT_TRUE(clears([](Partition &p) { p.block.end(); }));
+    EXPECT_TRUE(clears([](Partition &p) { p.block.resize(5); }));
+    EXPECT_TRUE(clears([](Partition &p) { p.block.assign(5, 0); }));
+    EXPECT_TRUE(clears([](Partition &p) { p.block.back(); }));
+    EXPECT_TRUE(clears([](Partition &p) { p.block.data(); }));
+    EXPECT_TRUE(clears([](Partition &p) { p.block = {0, 1, 2, 3, 4}; }));
+    EXPECT_TRUE(clears(
+        [](Partition &p) { p.block = std::vector<int>{0, 1, 2, 3, 4}; }));
+    EXPECT_TRUE(clears([](Partition &p) { p.numBlocks = 4; }));
+
+    // Reads through a const reference keep it.
+    Partition p = base;
+    const Partition &view = p;
+    int sum = view.block[4] + view.block.back() + view.block.front();
+    for (int b : view.block)
+        sum += b;
+    const std::vector<int> &ids = p.block;
+    sum += ids[1] + static_cast<int>(view.block.size());
+    EXPECT_EQ(sum, 4 + 4 + 0 + 10 + 1 + 5);
+    EXPECT_TRUE(p.canonical());
+    EXPECT_TRUE(p.block == base.block);
+
+    // Copies keep it, by construction, assignment and move.
+    Partition copy = base;
+    EXPECT_TRUE(copy.canonical());
+    Partition assigned;
+    assigned = base;
+    EXPECT_TRUE(assigned.canonical());
+    Partition moved = std::move(copy);
+    EXPECT_TRUE(moved.canonical());
+    Genome genome;
+    genome.part = base;
+    Genome other = genome;
+    EXPECT_TRUE(other.part.canonical());
 }
 
 // --- Structural repair -------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -230,6 +231,48 @@ TEST(PruningSearch, TwoStepBoundRejectionsFire)
     EXPECT_GT(on.cacheStats.boundSkippedSamples, 0u);
     EXPECT_EQ(off.cacheStats.boundRejections, 0u);
     EXPECT_EQ(off.cacheStats.boundSkippedSamples, 0u);
+}
+
+TEST(PruningSearch, TwoStepScreensUnderACancelOnlyObserver)
+{
+    // An observer whose cancelled() never fires, as the CLI attaches
+    // for SIGINT: the sweep still screens candidates, and the pruned
+    // sweep matches the unpruned one.
+    class CancelOnly : public SearchObserver
+    {
+      public:
+        bool cancelled() override { return flag.load(); }
+        std::atomic<bool> flag{false};
+    };
+    Graph g = smallGraph();
+    AcceleratorConfig accel = platformPreset("simba");
+    auto run = [&](const char *algo, bool pruning) {
+        CostModel model(g, accel);
+        DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+        CancelOnly observer;
+        SearchSpec spec;
+        spec.algo = algo;
+        spec.eval.sampleBudget = 800;
+        spec.eval.seed = 9;
+        spec.eval.threads = 1;
+        spec.eval.pruning = pruning;
+        spec.eval.observer = &observer;
+        spec.twoStep.population = 10;
+        spec.twoStep.samplesPerCandidate = 100;
+        return SearcherRegistry::instance()
+            .make(algo, model, space, spec)
+            ->run();
+    };
+    for (const char *algo : {"ts-random", "ts-grid"}) {
+        SearchResult on = run(algo, true);
+        SearchResult off = run(algo, false);
+        EXPECT_TRUE(sameSearchResult(off, on)) << algo;
+        EXPECT_EQ(off.cacheStats.boundRejections, 0u) << algo;
+        if (std::string(algo) == "ts-random") {
+            EXPECT_GT(on.cacheStats.boundRejections, 0u);
+            EXPECT_GT(on.cacheStats.boundSkippedSamples, 0u);
+        }
+    }
 }
 
 // --- Incumbent screening -------------------------------------------------

@@ -580,18 +580,28 @@ TEST_P(RepairEquivalence, OperatorsMatchReferenceDrawForDraw)
     }
 }
 
+/** Moves per SA chain: the irregular models that meet cyclic merges
+ *  run longer chains. */
+int
+saChainMoves(const std::string &model)
+{
+    return model == "NasNet" || model == "GoogleNet" ? 1000 : 300;
+}
+
 TEST_P(RepairEquivalence, SaMoveChainsMatchReference)
 {
     // Consecutive moves drawn as simulatedAnnealing draws them, each
     // applied to the previous result: merges of adjacent blocks of a
     // canonical partition that close a quotient cycle make the repair
-    // split a block and resume its drain.
+    // split a block and resume its drain. Every input after the first
+    // carries the canonical flag, so the live operators repair
+    // locally, falling back to the full repair on a cycle.
     DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
     Rng rng(0x5a + g_.size());
     Genome cur = randomGenome(g_, space, rng);
     Rng r_new = rng, r_ref = rng;
     int cyclic_merges = 0;
-    for (int i = 0; i < 300; ++i) {
+    for (int i = 0; i < saChainMoves(GetParam()); ++i) {
         const size_t move = r_new.index(3);
         ASSERT_EQ(move, r_ref.index(3));
         Genome a = cur, b = cur;
@@ -621,6 +631,46 @@ TEST_P(RepairEquivalence, SaMoveChainsMatchReference)
     }
     if (GetParam() == "NasNet" || GetParam() == "GoogleNet") {
         EXPECT_GT(cyclic_merges, 0) << "no merge made the repair split";
+    }
+}
+
+TEST_P(RepairEquivalence, SaMovesRepairLocally)
+{
+    // The chain of SaMoveChainsMatchReference (same seed and draws),
+    // counted by repair path: every move that edits a flagged
+    // partition goes through repairLocally, which repairs most of them
+    // itself (at least 80% on NasNet and GoogleNet); the rest close a
+    // quotient cycle and take the full repair.
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    Rng rng(0x5a + g_.size());
+    Genome cur = randomGenome(g_, space, rng);
+    const RepairPathCounts start = repairPathCounts();
+    int edits = 0;
+    for (int i = 0; i < saChainMoves(GetParam()); ++i) {
+        ASSERT_TRUE(cur.part.canonical()) << "move " << i;
+        GeneDelta delta;
+        switch (rng.index(3)) {
+          case 0:
+            mutateModifyNode(g_, cur, rng, &delta);
+            break;
+          case 1:
+            mutateSplitSubgraph(g_, cur, rng, &delta);
+            break;
+          default:
+            mutateMergeSubgraph(g_, cur, rng, &delta);
+        }
+        edits += !delta.nodes.empty();
+    }
+    ASSERT_TRUE(cur.part.canonical());
+    const uint64_t local = repairPathCounts().local - start.local;
+    const uint64_t cyclic = repairPathCounts().cyclic - start.cyclic;
+    EXPECT_EQ(local + cyclic, static_cast<uint64_t>(edits));
+    EXPECT_GT(local * 2, static_cast<uint64_t>(edits))
+        << local << " of " << edits << " moves repaired locally";
+    if (GetParam() == "NasNet" || GetParam() == "GoogleNet") {
+        EXPECT_GE(local * 10, static_cast<uint64_t>(edits) * 8)
+            << local << " of " << edits << " moves repaired locally";
+        EXPECT_GT(cyclic, 0u) << "no merge closed a quotient cycle";
     }
 }
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/cocco.h"
+#include "partition/repair.h"
 #include "search/operators.h"
 #include "search/sa.h"
 #include "search/two_step.h"
@@ -26,6 +28,36 @@ fastGa(int64_t budget = 600)
     o.sampleBudget = budget;
     o.seed = 7;
     return o;
+}
+
+/** Six nodes wired as a chain, or as two inputs whose conv branches
+ *  meet at an add. */
+Graph
+sixNodes(bool chain)
+{
+    auto layer = [](const std::string &name, LayerKind kind) {
+        Layer l;
+        l.name = name;
+        l.kind = kind;
+        l.outH = l.outW = 16;
+        l.outC = 8;
+        l.kernel = kind == LayerKind::Conv ? 3 : 1;
+        return l;
+    };
+    Graph g(chain ? "chain" : "two-branches");
+    g.addNode(layer("in", LayerKind::Input));
+    if (chain) {
+        for (NodeId v = 1; v < 6; ++v)
+            g.addNode(layer("conv" + std::to_string(v), LayerKind::Conv),
+                      {v - 1});
+        return g;
+    }
+    g.addNode(layer("in2", LayerKind::Input));
+    g.addNode(layer("a", LayerKind::Conv), {0});
+    g.addNode(layer("b", LayerKind::Conv), {1});
+    g.addNode(layer("add", LayerKind::Eltwise), {2, 3});
+    g.addNode(layer("out", LayerKind::Conv), {4});
+    return g;
 }
 
 } // namespace
@@ -392,6 +424,37 @@ TEST(Framework, PartitionOnlyUsesFixedBuffer)
     EXPECT_EQ(r.buffer.actBytes, buf.actBytes);
     EXPECT_EQ(r.buffer.weightBytes, buf.weightBytes);
     EXPECT_TRUE(r.cost.feasible);
+}
+
+TEST(Framework, SeedsEnterUnflagged)
+{
+    // The canonical flag certifies a partition for the graph it was
+    // built on. A seed flagged on another graph of the same size is not
+    // trusted: the search repairs it in full, exactly as it does the
+    // same seed without the flag.
+    const Graph a = sixNodes(true), b = sixNodes(false);
+    Partition runs;
+    runs.block = {0, 0, 1, 1, 2, 2};
+    runs.numBlocks = 3;
+    const Partition flagged = repairStructure(a, runs);
+    ASSERT_EQ(flagged.block, runs.block);
+    ASSERT_TRUE(flagged.canonical());
+    ASSERT_FALSE(flagged.isCanonical(b)); // b's two inputs share a block
+    Partition plain = flagged;
+    plain.block = flagged.block.ids(); // same ids, no flag
+    ASSERT_FALSE(plain.canonical());
+
+    CoccoFramework cocco(b, AcceleratorConfig{});
+    GaOptions o = fastGa(300);
+    o.recordPoints = true;
+    const CoccoResult r = cocco.coExplore(BufferStyle::Shared, o, {flagged});
+    const CoccoResult ref = cocco.coExplore(BufferStyle::Shared, o, {plain});
+    EXPECT_TRUE(r.partition.isCanonical(b));
+    EXPECT_EQ(r.partition.block, ref.partition.block);
+    EXPECT_EQ(r.objective, ref.objective);
+    ASSERT_EQ(r.points.size(), ref.points.size());
+    for (size_t i = 0; i < r.points.size(); ++i)
+        EXPECT_EQ(r.points[i].metric, ref.points[i].metric) << "sample " << i;
 }
 
 TEST(Framework, CoExploreBeatsWorstFixedConfig)

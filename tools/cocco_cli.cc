@@ -744,7 +744,7 @@ runSearch(const CliArgs &a, SearchSpec spec, const std::string &where)
             if (!loadCheckpoint(a.checkpointFile, &resume, &ckerr))
                 fatal("%s", ckerr.c_str());
             ckerr = checkpointGenomeError(
-                resume, run.framework()->model().graph().size());
+                resume, run.framework()->model().graph());
             if (!ckerr.empty())
                 fatal("%s: %s", a.checkpointFile.c_str(), ckerr.c_str());
             hooks.resume = &resume;

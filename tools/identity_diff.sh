@@ -9,8 +9,12 @@
 # code, the --metrics-out document with "wall_seconds" masked, every
 # other file the case writes (a --frontier-out CSV, a --cache-file)
 # and stderr sorted by line. A usage error's text is documentation,
-# so it compares as one line. Exits 0 when every case matches, 1 on
-# any difference, 2 on a usage error.
+# so it compares as one line. A case named in intended.txt beside
+# CASES (one "<name> <reason>" per line) may differ: it is reported
+# as INTENDED. An entry whose case matches in both modes, or names no
+# case, is STALE: once a change is in the merge base its entries must
+# go. Exits 0 when every unlisted case matches and no entry is stale,
+# 1 otherwise, 2 on a usage error.
 set -u
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -24,6 +28,13 @@ for f in "$old" "$new" "$cases"; do
   [ -e "$f" ] || { echo "identity: no such file: $f" >&2; exit 2; }
 done
 specs=$(dirname "$cases")
+intended=" "
+if [ -f "$specs/intended.txt" ]; then
+  while read -r name _; do
+    case "$name" in ''|'#'*) continue ;; esac
+    intended="$intended$name "
+  done < "$specs/intended.txt"
+fi
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -50,6 +61,19 @@ run() {
   fi
 }
 
+# run_warm BIN DIR ARGS...: run twice in one directory, so the second
+# run starts from the files (a --cache-file) the first one wrote; the
+# first run's outputs are kept as cold.*.
+run_warm() {
+  local bin=$1 dir=$2
+  shift 2
+  run "$bin" "$dir" "$@"
+  for f in stdout stderr rc metrics.json; do
+    [ -f "$dir/$f" ] && mv "$dir/$f" "$dir/cold.$f"
+  done
+  run "$bin" "$dir" "$@"
+}
+
 # portfolio_only DIR: keep only the exit code and the metrics
 # "portfolio" block.
 portfolio_only() {
@@ -59,14 +83,17 @@ portfolio_only() {
   find "$dir" -type f ! -name rc ! -name portfolio -delete
 }
 
-# mask_schedule DIR: drop what the thread schedule moves on a threaded
-# run: the cache hit counts (concurrent misses of one genome) and a
-# portfolio racer's thread grant (when a culled racer's threads go).
+# mask_schedule DIR [computed]: drop what the thread schedule moves on
+# a threaded run: the cache hit counts (concurrent misses of one
+# genome) and a portfolio racer's thread grant (when a culled racer's
+# threads go); with "computed", the computed-evaluation count too (two
+# workers that miss one genome at once both evaluate it).
 mask_schedule() {
-  local dir=$1
+  local dir=$1 evals='total|cached'
+  [ "${2:-}" = computed ] && evals='total|computed|cached'
   sed -i '/^cache: [0-9]*\/[0-9]* evaluations served/d' "$dir/stderr"
   [ -f "$dir/metrics.json" ] && sed -i -E \
-    -e 's/"evals_(total|cached)":[0-9]+/"evals_\1":0/g' \
+    -e "s/\"evals_($evals)\":[0-9]+/\"evals_\\1\":0/g" \
     -e 's/"cache":\{[^}]*\}/"cache":{}/' \
     -e 's/"threads":[0-9]+,"regrants":[0-9]+/"threads":0,"regrants":0/g' \
     "$dir/metrics.json"
@@ -74,6 +101,8 @@ mask_schedule() {
 
 total=0
 failed=0
+allowed=0
+differed=" "
 while read -r compare name rest; do
   case "$compare" in ''|'#'*) continue ;; esac
   read -ra args <<< "$rest"
@@ -88,15 +117,25 @@ while read -r compare name rest; do
       bin=$old
       [ "$side" = new ] && bin=$new
       dir="$work/$side/$name.$mode"
-      run "$bin" "$dir" "${args[@]}" $json
+      if [ "$compare" = warm ]; then
+        run_warm "$bin" "$dir" "${args[@]}" $json
+      else
+        run "$bin" "$dir" "${args[@]}" $json
+      fi
       case "$compare" in
         portfolio) portfolio_only "$dir" ;;
         threaded) mask_schedule "$dir" ;;
+        threaded-ga) mask_schedule "$dir" computed ;;
       esac
     done
     total=$((total + 1))
     if out=$(diff -r "$work/old/$name.$mode" "$work/new/$name.$mode"); then
       echo "same    $name ($mode)"
+    elif [[ "$intended" == *" $name "* ]]; then
+      allowed=$((allowed + 1))
+      differed="$differed$name "
+      echo "INTENDED $name ($mode)"
+      echo "$out" | head -20 | sed 's/^/    /'
     else
       failed=$((failed + 1))
       echo "DIFFERS $name ($mode)"
@@ -105,5 +144,13 @@ while read -r compare name rest; do
   done
 done < "$cases"
 
-echo "identity: $total runs, $failed differ"
-[ "$failed" -eq 0 ]
+stale=0
+for name in $intended; do
+  if [[ "$differed" != *" $name "* ]]; then
+    stale=$((stale + 1))
+    echo "STALE   $name: listed in intended.txt but no run differs"
+  fi
+done
+
+echo "identity: $total runs, $failed differ, $allowed intended, $stale stale"
+[ "$failed" -eq 0 ] && [ "$stale" -eq 0 ]
