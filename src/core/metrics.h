@@ -7,80 +7,12 @@
  * so the perf trajectory is tracked from structured data instead of
  * stdout scraping.
  *
- * Schema (version 1):
- * {
- *   "schema_version": 1,
- *   "generator": "<tool name>",
- *   "runs": [
- *     {
- *       "name": "...", "model": "...",
- *       "threads": N, "seed": N, "samples": N,
- *       "best_cost": X, "wall_seconds": X,
- *       "evals_total": N, "evals_computed": N, "evals_cached": N,
- *       "cache": { "enabled": B, "hits": N, "misses": N,
- *                  "insertions": N, "evictions": N, "hit_rate": X,
- *                  "block_hits": N, "block_misses": N,
- *                  "entries": N, "block_entries": N,
- *                  "bound_rejections": N,
- *                  "bound_skipped_samples": N },
- *       "deployment": { "cores": N,
- *                       "crossbar_energy_share": X,
- *                       "crossbar_latency_share": X,
- *                       "core_utilization": [X, ...] },   // optional
- *       "job": { "id": N, "tenant": "...", "state": "...",
- *                "queued_seconds": X },                   // optional
- *       "tenants": { "count": N, "sla_violations": N,
- *                    "mean_latency_ms": X,
- *                    "list": [ { "name": "...", "core": N,
- *                                "arrival_rate_hz": X,
- *                                "sla_latency_ms": X,
- *                                "latency_ms": X, "energy_pj": X,
- *                                "sla_violation": B }, ... ] },
- *                                                         // optional
- *       "portfolio": { "winner": "...",
- *                      "racers": [ { "algo": "...", "samples": N,
- *                                    "best_cost": X,
- *                                    "improvements": N,
- *                                    "wall_seconds": X, "threads": N,
- *                                    "regrants": N, "culled": B,
- *                                    "winner": B, "stop": "..." },
- *                                  ... ] },                // optional
- *       "pareto": { "frontier_size": N, "hypervolume": X,
- *                   "frontier": [ { "buffer_bytes": N,
- *                                   "energy_pj": X,
- *                                   "latency_cycles": X,
- *                                   "metric": X, "sample": N },
- *                                 ... ] },                 // optional
- *       "extra": { "<key>": X, ... }
- *     }, ...
- *   ]
- * }
- *
- * The "deployment" object appears when the producing run evaluated a
- * CoccoResult (the CLI search modes and the deployment-aware bench
- * harnesses) so the multi-core trajectory — per-core utilization and
- * the crossbar's energy/latency share — is machine-checkable.
- *
- * The "job" object appears when the run went through the exploration
- * service (`cocco serve` / `cocco batch`): job id, tenant label,
- * terminal state ("done"/"cancelled"/"failed") and queue latency.
- * Solo `cocco run` documents omit it, keeping their exact prior
- * shape.
- *
- * The "tenants" object appears when the run co-scheduled a
- * WorkloadSet (`cocco coschedule`, a `workload_set` run spec through
- * any frontend): per-tenant effective latency/energy and SLA verdict,
- * plus the schedule-level violation count.
- *
- * The "portfolio" object appears when the run raced several searchers
- * (algo "portfolio"): the winning racer plus each racer's evaluation
- * count, improvement count, final cost, thread grant, regrant count,
- * cull verdict, and stop reason.
- *
- * The "pareto" object appears when the run asked for the frontier
- * ("mode": "pareto"): the non-dominated {buffer, energy, latency}
- * points collected over the whole run plus the normalized
- * hypervolume.
+ * Schema (version 1): {"schema_version": 1, "generator": "<tool>",
+ * "runs": [ ... ]}, one object per RunMetrics. Its keys are written
+ * down once, as the field list in metrics.cc (runFields), which
+ * metricsToJson writes from and metricsFromJson reads from. A run's
+ * optional objects ("deployment", "job", "tenants", "portfolio",
+ * "pareto") appear when their has* flag below is set.
  */
 
 #ifndef COCCO_CORE_METRICS_H
@@ -95,6 +27,9 @@
 #include "sim/cost_model.h"
 
 namespace cocco {
+
+class JsonValue;
+class JsonWriter;
 
 /** One run's worth of metrics (one element of the "runs" array). */
 struct RunMetrics
@@ -187,6 +122,25 @@ struct RunMetrics
 /** Serialize a metrics document (schema above). */
 std::string metricsToJson(const std::string &generator,
                           const std::vector<RunMetrics> &runs);
+
+/**
+ * The strict inverse of metricsToJson, over the same field list
+ * (`cocco validate-metrics`): fill *generator and *runs from @p doc.
+ * Writing back what was read must give @p doc again, as parsed JSON,
+ * so a missing, unknown, duplicate or mistyped key, an integer outside
+ * its type and a derived field (evals_*, hit_rate, count,
+ * frontier_size) that disagrees with its sources are all rejected; so
+ * are a deployment without one core_utilization entry per core and a
+ * portfolio winner that no racer is flagged as. @return false with
+ * *err naming the key's path ("runs[0].cache.hits"), the outputs
+ * untouched.
+ */
+bool metricsFromJson(const JsonValue &doc, std::string *generator,
+                     std::vector<RunMetrics> *runs, std::string *err);
+
+/** Write @p d as the metrics document's "deployment" object, at the
+ *  writer's position (resultToJson's block too). */
+void writeDeploymentJson(JsonWriter &w, const DeploymentBreakdown &d);
 
 /** Write a metrics document to @p path. @return false on I/O error. */
 bool writeMetricsFile(const std::string &path, const std::string &generator,

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/metrics.h"
 #include "graph/graph_json.h"
 #include "util/hash.h"
 #include "util/json.h"
@@ -89,17 +90,8 @@ resultToJson(const Graph &g, const CoccoResult &r)
     w.endObject();
     w.field("objective", r.objective);
     w.field("samples", r.samples);
-    w.key("deployment").beginObject();
-    w.field("cores", r.deployment.cores);
-    w.field("crossbar_energy_pj", r.deployment.crossbarEnergyPj);
-    w.field("crossbar_cycles", r.deployment.crossbarCycles);
-    w.field("crossbar_energy_share", r.deployment.crossbarEnergyShare);
-    w.field("crossbar_latency_share", r.deployment.crossbarLatencyShare);
-    w.key("core_utilization").beginArray();
-    for (double u : r.deployment.coreUtilization)
-        w.value(u);
-    w.endArray();
-    w.endObject();
+    w.key("deployment");
+    writeDeploymentJson(w, r.deployment);
     w.key("subgraphs").beginArray();
     for (const auto &blk : r.partition.blocks()) {
         w.beginArray();

@@ -268,11 +268,12 @@ JsonValue::makeBool(bool v)
 }
 
 JsonValue
-JsonValue::makeNumber(double v)
+JsonValue::makeNumber(double v, std::string text)
 {
     JsonValue j;
     j.type_ = Type::Number;
     j.num_ = v;
+    j.str_ = std::move(text);
     return j;
 }
 
@@ -632,7 +633,7 @@ class JsonParser
         std::string tok = text_.substr(start, pos_ - start);
         if (!validNumberToken(tok))
             return fail(strprintf("bad number '%s'", tok.c_str()));
-        *out = JsonValue::makeNumber(std::strtod(tok.c_str(), nullptr));
+        *out = JsonValue::makeNumber(std::strtod(tok.c_str(), nullptr), tok);
         return true;
     }
 

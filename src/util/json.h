@@ -98,6 +98,10 @@ class JsonValue
     /** number() rounded to int64 (panics when out of exact range). */
     int64_t integer() const;
     const std::string &str() const;
+    /** A parsed number's source text, for readers that need more
+     *  digits than a double holds ("18446744073709551615"); empty for
+     *  other values and for numbers built without one. */
+    std::string numberText() const { return isNumber() ? str_ : ""; }
     const std::vector<JsonValue> &array() const;
     const std::vector<std::pair<std::string, JsonValue>> &members() const;
 
@@ -107,7 +111,7 @@ class JsonValue
     /** Construction (used by the parser and tests). */
     static JsonValue makeNull();
     static JsonValue makeBool(bool v);
-    static JsonValue makeNumber(double v);
+    static JsonValue makeNumber(double v, std::string text = {});
     static JsonValue makeString(std::string v);
     static JsonValue makeArray(std::vector<JsonValue> v);
     static JsonValue
@@ -117,7 +121,7 @@ class JsonValue
     Type type_ = Type::Null;
     bool bool_ = false;
     double num_ = 0.0;
-    std::string str_;
+    std::string str_; ///< a string, or a number's source text
     std::vector<JsonValue> arr_;
     std::vector<std::pair<std::string, JsonValue>> obj_;
 };

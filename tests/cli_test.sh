@@ -16,6 +16,8 @@
 #    naming the argument); `timeline` honours the deployment flags;
 #    the workload flags obey the spec rule (--model-file with
 #    --model-seed exits 1 with its reason).
+# 4. `validate-metrics` accepts what every run mode writes and exits 1
+#    with `fatal: <file>: <reason>` on a document no writer produces.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -204,6 +206,51 @@ rc=0
   2> seed.log || rc=$?
 [ "$rc" -eq 1 ] && grep -q 'do not apply to a "file" workload' seed.log ||
   fail "--model-file with --model-seed was not refused by the spec rule"
+
+# --- 4. validate-metrics ----------------------------------------------
+# validates NAME ARGS...: the run's --metrics-out document validates.
+validates() {
+  local name=$1 out
+  shift
+  "$cocco" "$@" --metrics-out "$name.metrics" > /dev/null 2>&1 ||
+    fail "$name: run exited $?"
+  out=$("$cocco" validate-metrics "$name.metrics" 2>&1)
+  [ "$out" = "$name.metrics: ok (cocco_cli, 1 run)" ] ||
+    fail "$name: validate-metrics printed '$out'"
+}
+echo '{"model": "GoogleNet", "algo": "ga", "mode": "pareto",
+       "samples": 400, "ga": {"population": 20}}' > pareto.spec.json
+validates pareto run --spec pareto.spec.json
+echo '{"model": "GoogleNet", "algo": "portfolio", "samples": 400,
+       "portfolio": {"deterministicRace": true}}' > portfolio.spec.json
+validates portfolio run --spec portfolio.spec.json
+echo '{"model": "GoogleNet", "samples": 400,
+       "deployment": {"cores": 2}}' > deployment.spec.json
+validates deployment run --spec deployment.spec.json
+echo '{"workload_set": [
+         {"name": "vision", "model": "GoogleNet",
+          "arrival_rate_hz": 40.0, "sla_latency_ms": 18.0},
+         {"name": "mobile", "model": "MobileNetV2",
+          "arrival_rate_hz": 25.0, "sla_latency_ms": 30.0}],
+       "deployment": "big-little", "samples": 200,
+       "ga": {"population": 12}}' > coschedule.spec.json
+validates coschedule coschedule --spec coschedule.spec.json
+validates max-seed coexplore GoogleNet --samples 50 \
+  --seed 18446744073709551615
+
+# invalid FILE REASON: exit 1 with "fatal: FILE:" and REASON.
+invalid() {
+  local rc=0
+  "$cocco" validate-metrics "$1" > /dev/null 2> invalid.log || rc=$?
+  [ "$rc" -eq 1 ] && grep -qF "fatal: $1:" invalid.log &&
+    grep -qF -- "$2" invalid.log ||
+    fail "validate-metrics $1: exit $rc, '$(cat invalid.log)'"
+}
+sed 's/"model":/"bogus":1,"model":/' deployment.metrics > unknown-key.json
+invalid unknown-key.json 'unknown key "runs[0].bogus"'
+echo '[]' > array-root.json
+invalid array-root.json 'must be a JSON object'
+invalid no-such.json 'cannot read file'
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_test: $failures failure(s)" >&2

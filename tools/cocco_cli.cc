@@ -928,241 +928,6 @@ runServe(const CliArgs &a)
     return rc;
 }
 
-/** `cocco validate-metrics FILE`: structural check of a metrics
- *  document (core/metrics schema v1) using the JSON parser — what CI
- *  runs against every uploaded artifact. */
-int
-validateMetrics(const std::string &path)
-{
-    JsonValue doc;
-    std::string err;
-    if (!loadJsonFile(path, &doc, &err))
-        fatal("%s", err.c_str());
-    if (!doc.isObject())
-        fatal("%s: document must be an object", path.c_str());
-
-    const JsonValue *version = doc.find("schema_version");
-    if (!version || !version->isNumber() || version->number() != 1.0)
-        fatal("%s: schema_version must be 1", path.c_str());
-    const JsonValue *generator = doc.find("generator");
-    if (!generator || !generator->isString())
-        fatal("%s: missing \"generator\"", path.c_str());
-    const JsonValue *runs = doc.find("runs");
-    if (!runs || !runs->isArray())
-        fatal("%s: missing \"runs\" array", path.c_str());
-
-    static const char *string_fields[] = {"name", "model"};
-    static const char *number_fields[] = {"threads", "seed", "samples",
-                                          "best_cost", "wall_seconds"};
-    int i = 0;
-    for (const JsonValue &run : runs->array()) {
-        if (!run.isObject())
-            fatal("%s: runs[%d] is not an object", path.c_str(), i);
-        for (const char *f : string_fields)
-            if (!run.find(f) || !run.find(f)->isString())
-                fatal("%s: runs[%d] missing string \"%s\"", path.c_str(),
-                      i, f);
-        for (const char *f : number_fields)
-            if (!run.find(f) || !run.find(f)->isNumber())
-                fatal("%s: runs[%d] missing number \"%s\"", path.c_str(),
-                      i, f);
-        const JsonValue *cache = run.find("cache");
-        if (!cache || !cache->isObject())
-            fatal("%s: runs[%d] missing \"cache\" object", path.c_str(), i);
-        // The deployment block is optional; when present it must be
-        // well-formed (cores + shares + the per-core utilization list).
-        if (const JsonValue *dep = run.find("deployment")) {
-            if (!dep->isObject())
-                fatal("%s: runs[%d] \"deployment\" is not an object",
-                      path.c_str(), i);
-            static const char *dep_numbers[] = {"cores",
-                                                "crossbar_energy_share",
-                                                "crossbar_latency_share"};
-            for (const char *f : dep_numbers)
-                if (!dep->find(f) || !dep->find(f)->isNumber())
-                    fatal("%s: runs[%d] deployment missing number "
-                          "\"%s\"",
-                          path.c_str(), i, f);
-            const JsonValue *util = dep->find("core_utilization");
-            if (!util || !util->isArray())
-                fatal("%s: runs[%d] deployment missing "
-                      "\"core_utilization\" array",
-                      path.c_str(), i);
-            if (static_cast<int>(util->array().size()) !=
-                static_cast<int>(dep->find("cores")->number()))
-                fatal("%s: runs[%d] deployment core_utilization has "
-                      "%zu entries for %d cores",
-                      path.c_str(), i, util->array().size(),
-                      static_cast<int>(dep->find("cores")->number()));
-        }
-        // The job block is optional too (serve/batch documents); when
-        // present it must carry the full serving context.
-        if (const JsonValue *job = run.find("job")) {
-            if (!job->isObject())
-                fatal("%s: runs[%d] \"job\" is not an object",
-                      path.c_str(), i);
-            static const char *job_numbers[] = {"id", "queued_seconds"};
-            for (const char *f : job_numbers)
-                if (!job->find(f) || !job->find(f)->isNumber())
-                    fatal("%s: runs[%d] job missing number \"%s\"",
-                          path.c_str(), i, f);
-            static const char *job_strings[] = {"tenant", "state"};
-            for (const char *f : job_strings)
-                if (!job->find(f) || !job->find(f)->isString())
-                    fatal("%s: runs[%d] job missing string \"%s\"",
-                          path.c_str(), i, f);
-        }
-        // The tenants block is optional (co-schedule documents); when
-        // present its list must be per-tenant complete and match the
-        // declared count.
-        if (const JsonValue *ten = run.find("tenants")) {
-            if (!ten->isObject())
-                fatal("%s: runs[%d] \"tenants\" is not an object",
-                      path.c_str(), i);
-            static const char *ten_numbers[] = {"count", "sla_violations",
-                                                "mean_latency_ms"};
-            for (const char *f : ten_numbers)
-                if (!ten->find(f) || !ten->find(f)->isNumber())
-                    fatal("%s: runs[%d] tenants missing number \"%s\"",
-                          path.c_str(), i, f);
-            const JsonValue *list = ten->find("list");
-            if (!list || !list->isArray())
-                fatal("%s: runs[%d] tenants missing \"list\" array",
-                      path.c_str(), i);
-            if (static_cast<int>(list->array().size()) !=
-                static_cast<int>(ten->find("count")->number()))
-                fatal("%s: runs[%d] tenants list has %zu entries for "
-                      "count %d",
-                      path.c_str(), i, list->array().size(),
-                      static_cast<int>(ten->find("count")->number()));
-            int j = 0;
-            for (const JsonValue &t : list->array()) {
-                if (!t.isObject())
-                    fatal("%s: runs[%d] tenants list[%d] is not an "
-                          "object",
-                          path.c_str(), i, j);
-                if (!t.find("name") || !t.find("name")->isString())
-                    fatal("%s: runs[%d] tenants list[%d] missing string "
-                          "\"name\"",
-                          path.c_str(), i, j);
-                static const char *entry_numbers[] = {
-                    "core", "arrival_rate_hz", "sla_latency_ms",
-                    "latency_ms", "energy_pj"};
-                for (const char *f : entry_numbers)
-                    if (!t.find(f) || !t.find(f)->isNumber())
-                        fatal("%s: runs[%d] tenants list[%d] missing "
-                              "number \"%s\"",
-                              path.c_str(), i, j, f);
-                if (!t.find("sla_violation") ||
-                    !t.find("sla_violation")->isBool())
-                    fatal("%s: runs[%d] tenants list[%d] missing bool "
-                          "\"sla_violation\"",
-                          path.c_str(), i, j);
-                ++j;
-            }
-        }
-        // The portfolio block is optional (portfolio runs); when
-        // present it must name the winner and carry a complete
-        // per-racer record list.
-        if (const JsonValue *pf = run.find("portfolio")) {
-            if (!pf->isObject())
-                fatal("%s: runs[%d] \"portfolio\" is not an object",
-                      path.c_str(), i);
-            if (!pf->find("winner") || !pf->find("winner")->isString())
-                fatal("%s: runs[%d] portfolio missing string "
-                      "\"winner\"",
-                      path.c_str(), i);
-            const JsonValue *racers = pf->find("racers");
-            if (!racers || !racers->isArray() ||
-                racers->array().empty())
-                fatal("%s: runs[%d] portfolio missing non-empty "
-                      "\"racers\" array",
-                      path.c_str(), i);
-            int j = 0;
-            bool winner_seen = false;
-            for (const JsonValue &rc : racers->array()) {
-                if (!rc.isObject())
-                    fatal("%s: runs[%d] portfolio racers[%d] is not an "
-                          "object",
-                          path.c_str(), i, j);
-                static const char *racer_strings[] = {"algo", "stop"};
-                for (const char *f : racer_strings)
-                    if (!rc.find(f) || !rc.find(f)->isString())
-                        fatal("%s: runs[%d] portfolio racers[%d] "
-                              "missing string \"%s\"",
-                              path.c_str(), i, j, f);
-                static const char *racer_numbers[] = {
-                    "samples", "best_cost", "improvements",
-                    "wall_seconds", "threads", "regrants"};
-                for (const char *f : racer_numbers)
-                    if (!rc.find(f) || !rc.find(f)->isNumber())
-                        fatal("%s: runs[%d] portfolio racers[%d] "
-                              "missing number \"%s\"",
-                              path.c_str(), i, j, f);
-                static const char *racer_bools[] = {"culled", "winner"};
-                for (const char *f : racer_bools)
-                    if (!rc.find(f) || !rc.find(f)->isBool())
-                        fatal("%s: runs[%d] portfolio racers[%d] "
-                              "missing bool \"%s\"",
-                              path.c_str(), i, j, f);
-                if (rc.find("winner")->boolean() &&
-                    rc.find("algo")->str() == pf->find("winner")->str())
-                    winner_seen = true;
-                ++j;
-            }
-            if (!winner_seen)
-                fatal("%s: runs[%d] portfolio \"winner\" names no "
-                      "winning racer",
-                      path.c_str(), i);
-        }
-        // The pareto block is optional (pareto-mode runs); when
-        // present its frontier must match the declared size and every
-        // point must be complete.
-        if (const JsonValue *pa = run.find("pareto")) {
-            if (!pa->isObject())
-                fatal("%s: runs[%d] \"pareto\" is not an object",
-                      path.c_str(), i);
-            static const char *pareto_numbers[] = {"frontier_size",
-                                                   "hypervolume"};
-            for (const char *f : pareto_numbers)
-                if (!pa->find(f) || !pa->find(f)->isNumber())
-                    fatal("%s: runs[%d] pareto missing number \"%s\"",
-                          path.c_str(), i, f);
-            const JsonValue *front = pa->find("frontier");
-            if (!front || !front->isArray())
-                fatal("%s: runs[%d] pareto missing \"frontier\" array",
-                      path.c_str(), i);
-            if (static_cast<int>(front->array().size()) !=
-                static_cast<int>(pa->find("frontier_size")->number()))
-                fatal("%s: runs[%d] pareto frontier has %zu entries "
-                      "for frontier_size %d",
-                      path.c_str(), i, front->array().size(),
-                      static_cast<int>(
-                          pa->find("frontier_size")->number()));
-            int j = 0;
-            for (const JsonValue &pt : front->array()) {
-                if (!pt.isObject())
-                    fatal("%s: runs[%d] pareto frontier[%d] is not an "
-                          "object",
-                          path.c_str(), i, j);
-                static const char *point_numbers[] = {
-                    "buffer_bytes", "energy_pj", "latency_cycles",
-                    "metric", "sample"};
-                for (const char *f : point_numbers)
-                    if (!pt.find(f) || !pt.find(f)->isNumber())
-                        fatal("%s: runs[%d] pareto frontier[%d] "
-                              "missing number \"%s\"",
-                              path.c_str(), i, j, f);
-                ++j;
-            }
-        }
-        ++i;
-    }
-    std::printf("%s: ok (%s, %d run%s)\n", path.c_str(),
-                generator->str().c_str(), i, i == 1 ? "" : "s");
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1237,7 +1002,17 @@ main(int argc, char **argv)
     if (a.command == "validate-metrics") {
         if (a.model.empty())
             usage();
-        return validateMetrics(a.model);
+        JsonValue doc;
+        std::string generator, err;
+        std::vector<RunMetrics> runs;
+        if (!loadJsonFile(a.model, &doc, &err))
+            fatal("%s", err.c_str());
+        if (!metricsFromJson(doc, &generator, &runs, &err))
+            fatal("%s: %s", a.model.c_str(), err.c_str());
+        std::printf("%s: ok (%s, %zu run%s)\n", a.model.c_str(),
+                    generator.c_str(), runs.size(),
+                    runs.size() == 1 ? "" : "s");
+        return 0;
     }
     if (a.command == "describe") {
         Graph g = cliWorkload(specFromArgs(a).workload);
