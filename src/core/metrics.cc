@@ -1,7 +1,6 @@
 #include "core/metrics.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <limits>
 #include <type_traits>
@@ -297,16 +296,9 @@ class MetricsWalk
             jsonReadString(m, path.c_str(), &x, err_);
         else if constexpr (std::is_same_v<T, bool>)
             jsonReadBool(m, path.c_str(), &x, err_);
-        else if constexpr (std::is_integral_v<T>) {
-            // An integer literal reads exactly from its source text,
-            // so a uint64 seed keeps every digit past 2^53.
-            const std::string t = m.numberText();
-            auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), x);
-            if (t.empty() || end != t.data() + t.size())
-                jsonReadIntAs(m, path.c_str(), &x, err_);
-            else if (ec != std::errc())
-                fail(strprintf("\"%s\" is out of range", path.c_str()));
-        } else if (m.isNull()) // the writer's non-finite number
+        else if constexpr (std::is_integral_v<T>)
+            jsonReadIntAs(m, path.c_str(), &x, err_);
+        else if (m.isNull()) // the writer's non-finite number
             x = std::numeric_limits<double>::quiet_NaN();
         else
             jsonReadNumber(m, path.c_str(), &x, err_);

@@ -1,5 +1,6 @@
 #include "search/checkpoint.h"
 
+#include "search/pareto.h"
 #include "sim/cost_model.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -30,6 +31,133 @@ baseFence(const CostModel &model, const DseSpace &space,
 }
 
 } // namespace
+
+RunRecord::RunRecord(EvalEngine &engine, Rng &rng, const char *algo,
+                     uint64_t fence, Section section, bool recordPoints)
+    : RunRecord(engine.model(), engine.space(), engine.options(),
+                engine.monitor(), engine.cache().get(), algo, fence,
+                std::move(section))
+{
+    engine_ = &engine;
+    rng_ = &rng;
+    pareto_ = opts_.pareto;
+    recordPoints_ = recordPoints;
+}
+
+RunRecord::RunRecord(CostModel &model, const DseSpace &space,
+                     const EvalOptions &opts, SearchMonitor &monitor,
+                     EvalCache *cache, const char *algo, uint64_t fence,
+                     Section section)
+    : model_(model), space_(space), opts_(opts), mon_(monitor),
+      cache_(cache), cacheStart_(cache ? cache->stats() : EvalCacheStats()),
+      algo_(algo), fence_(fence), section_(std::move(section))
+{
+}
+
+bool
+RunRecord::record(const Genome &genome, double cost)
+{
+    ++res_.samples;
+    const bool improved = cost < res_.bestCost;
+    if (improved) {
+        res_.bestCost = cost;
+        res_.best = genome;
+    }
+    res_.trace.push_back({res_.samples, res_.bestCost});
+    mon_.recordSample(res_.trace.back(), improved);
+    if (recordPoints_ || pareto_) {
+        const BufferConfig buf = genome.buffer(space_);
+        const GraphCost gc = model_.partitionCost(genome.part, buf);
+        const double metric = gc.metricValue(opts_.metric);
+        if (recordPoints_)
+            res_.points.push_back({res_.samples, metric, buf.totalBytes()});
+        if (pareto_ && gc.feasible)
+            pareto_->offer({buf.totalBytes(), gc.energyPj, gc.latencyCycles,
+                            metric, res_.samples});
+    }
+    return improved;
+}
+
+SearchCheckpoint
+RunRecord::snapshot() const
+{
+    SearchCheckpoint c;
+    c.algo = algo_;
+    c.fence = fence_;
+    c.seed = opts_.seed;
+    copyShared(res_, c);
+    if (rng_)
+        c.rng = rng_->state();
+    c.streamCounter = boundary_;
+    c.sinceImprove = mon_.samplesSinceImprove();
+    section_(c);
+    return c;
+}
+
+const SearchCheckpoint *
+RunRecord::resume()
+{
+    const CheckpointHooks *ck = opts_.checkpoint;
+    if (!ck || !ck->resume)
+        return nullptr;
+    const SearchCheckpoint &c = *ck->resume;
+    if (c.algo != algo_ || c.fence != fence_)
+        fatal("checkpoint does not match this run (saved by \"%s\", "
+              "fence mismatch or different configuration)",
+              c.algo.c_str());
+    copyShared(c, res_);
+    if (rng_)
+        rng_->setState(c.rng);
+    if (engine_)
+        engine_->setStreamCounter(boundary_ = c.streamCounter);
+    mon_.restoreStall(c.sinceImprove);
+    return &c;
+}
+
+void
+RunRecord::boundary()
+{
+    // The live counter runs ahead of the boundary while a batch is in
+    // flight (discarded partial batches included), so capture it here.
+    if (engine_)
+        boundary_ = engine_->streamCounter();
+    CheckpointHooks *ck = opts_.checkpoint;
+    if (ck && ck->save &&
+        ck->request.exchange(false, std::memory_order_acq_rel))
+        ck->save(held_ ? *held_ : snapshot());
+}
+
+void
+RunRecord::hold()
+{
+    if (opts_.checkpoint && opts_.checkpoint->save)
+        held_ = snapshot();
+}
+
+SearchResult
+RunRecord::finish(const BufferConfig *heldBuffer)
+{
+    res_.stop = mon_.stopReason();
+    // The killed-job path: persist the last boundary, from which a
+    // resume replays the rest bit-identically. (A budget or stall end
+    // is final; nothing is left to resume.)
+    CheckpointHooks *ck = opts_.checkpoint;
+    if (ck && ck->save && ck->saveOnStop &&
+        (res_.stop == StopReason::Cancelled ||
+         res_.stop == StopReason::TimeLimit) &&
+        (held_ || (engine_ && res_.samples > 0)))
+        ck->save(held_ ? *held_ : snapshot());
+    if (heldBuffer ? res_.bestCost < kInfeasiblePenalty : res_.samples > 0) {
+        res_.bestBuffer = heldBuffer ? *heldBuffer : res_.best.buffer(space_);
+        res_.bestGraphCost =
+            model_.partitionCost(res_.best.part, res_.bestBuffer);
+    }
+    if (cache_)
+        res_.cacheStats = cache_->stats() - cacheStart_;
+    if (engine_)
+        res_.deltaStats = engine_->deltaStats();
+    return std::move(res_);
+}
 
 std::string
 checkpointGenomeError(SearchCheckpoint &c, const Graph &g)

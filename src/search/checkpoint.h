@@ -12,8 +12,9 @@
  * (master RNG, engine stream counter, incumbent, trace, per-algorithm
  * working state), and nothing timing-dependent is.
  *
- * Drivers see checkpointing through CheckpointHooks on
- * EvalOptions::checkpoint:
+ * Callers reach checkpointing through CheckpointHooks on
+ * EvalOptions::checkpoint, and drivers through RunRecord, which serves
+ * the hooks for every one of them:
  *   - hooks.resume:   a snapshot to restore before the first batch;
  *   - hooks.request:  set from any thread to ask for a snapshot at the
  *                     next boundary (served once, then auto-cleared);
@@ -42,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,6 +128,105 @@ struct CheckpointHooks
     /** Snapshot the last boundary when the run stops early
      *  (Cancelled / TimeLimit) — the resume-after-kill path. */
     bool saveOnStop = true;
+};
+
+/**
+ * The run state every search driver shares, and the bookkeeping over
+ * it: record samples (count, incumbent, trace, monitor, and the one
+ * re-cost that feeds ga.recordPoints points and pareto offers), fill
+ * and restore the shared snapshot fields with the algo/fence check,
+ * save snapshots on request and on an early stop, finish the result.
+ *
+ * An engine run (GA, SA) evaluates through an EvalEngine and a master
+ * Rng; its live state at a stop is its last boundary. A folding run
+ * (the two-step sweep) records inner runs' traces, whose samples they
+ * offered themselves; a candidate cut short leaves folded samples past
+ * the boundary, so the sweep hold()s a snapshot before each candidate.
+ */
+class RunRecord
+{
+  public:
+    /** Writes the driver's own section into a snapshot. */
+    using Section = std::function<void(SearchCheckpoint &)>;
+
+    /** An engine run; @p fence matters only under checkpoint hooks. */
+    RunRecord(EvalEngine &engine, Rng &rng, const char *algo,
+              uint64_t fence, Section section, bool recordPoints = false);
+
+    /** A folding run over @p cache, the one its inner runs share. */
+    RunRecord(CostModel &model, const DseSpace &space,
+              const EvalOptions &opts, SearchMonitor &monitor,
+              EvalCache *cache, const char *algo, uint64_t fence,
+              Section section);
+
+    const SearchResult &result() const { return res_; }
+
+    /** No early stop tripped and budget remains. */
+    bool
+    running() const
+    {
+        return !mon_.shouldStop() && res_.samples < opts_.sampleBudget;
+    }
+
+    /** Record one sample of cost @p cost, whose genome becomes the
+     *  incumbent if it improves on it. @return whether it did. */
+    bool record(const Genome &genome, double cost);
+
+    /** Announce a finished batch to the observer. */
+    void batchDone() { mon_.batchDone(res_.samples, res_.bestCost); }
+
+    /** Restore the shared fields from the hooks' resume snapshot
+     *  (fatal when it is another run's). @return it, for the driver's
+     *  own section; null for a fresh run. */
+    const SearchCheckpoint *resume();
+
+    /** The live state is a batch boundary: capture the engine's stream
+     *  counter, then serve a pending checkpoint request. */
+    void boundary();
+
+    /** Keep the live state as the snapshot that requests and an early
+     *  stop save. */
+    void hold();
+
+    /** End the run and hand back its result. An early stop saves the
+     *  held snapshot, else an engine run's live state once it has a
+     *  sample. The incumbent is costed at @p heldBuffer (a folding
+     *  run's) once feasible, else at its decoded buffer once the run
+     *  has a sample. */
+    SearchResult finish(const BufferConfig *heldBuffer = nullptr);
+
+    /** Copy the fields a snapshot and a result share (samples,
+     *  incumbent, trace, points) from one to the other, either way. */
+    template <typename From, typename To>
+    static void
+    copyShared(const From &from, To &to)
+    {
+        to.samples = from.samples;
+        to.bestCost = from.bestCost;
+        to.best = from.best;
+        to.trace = from.trace;
+        to.points = from.points;
+    }
+
+  private:
+    SearchCheckpoint snapshot() const;
+
+    CostModel &model_;
+    const DseSpace &space_;
+    const EvalOptions &opts_;
+    SearchMonitor &mon_;
+    EvalEngine *engine_ = nullptr;
+    Rng *rng_ = nullptr;
+    ParetoArchive *pareto_ = nullptr; ///< an engine run's offers
+    bool recordPoints_ = false;
+    EvalCache *cache_;
+    EvalCacheStats cacheStart_;
+    std::string algo_;
+    uint64_t fence_;
+    Section section_;
+    uint64_t boundary_ = 0; ///< stream counter at the last boundary
+    std::optional<SearchCheckpoint> held_;
+    SearchResult res_;
 };
 
 /**

@@ -275,13 +275,6 @@ EvalCache::stats() const
 }
 
 void
-EvalCache::resetStats()
-{
-    hits_ = misses_ = insertions_ = evictions_ = 0;
-    blockHits_ = blockMisses_ = blockInsertions_ = blockEvictions_ = 0;
-}
-
-void
 EvalCache::clear()
 {
     for (GenomeShard &shard : shards_) {

@@ -242,9 +242,6 @@ class EvalCache
     /** Counter snapshot (entries/blockEntries filled in). */
     EvalCacheStats stats() const;
 
-    /** Zero every counter (entry contents are untouched). */
-    void resetStats();
-
     /** Drop every entry at both levels (counters are untouched). */
     void clear();
 

@@ -212,12 +212,6 @@ EvalEngine::boundRejections() const
     return boundRejections_.load(std::memory_order_relaxed);
 }
 
-Rng
-EvalEngine::streamRng(uint64_t index) const
-{
-    return Rng(mixStream(opts_.seed, streamCounter_ + index));
-}
-
 bool
 EvalEngine::forEachStream(size_t n,
                           const std::function<void(size_t, Rng &)> &fn)

@@ -247,9 +247,6 @@ class EvalEngine
     bool forEachStream(size_t n,
                        const std::function<void(size_t, Rng &)> &fn);
 
-    /** RNG stream for the i-th element of the *next* batch. */
-    Rng streamRng(uint64_t index) const;
-
     /** The stream counter (checkpointing: capture it at a completed
      *  batch boundary — forEachStream advances it up front, so after
      *  a discarded partial batch the live value is already past the

@@ -5,7 +5,6 @@
 #include "partition/repair.h"
 #include "search/checkpoint.h"
 #include "search/operators.h"
-#include "search/pareto.h"
 #include "util/logging.h"
 
 namespace cocco {
@@ -57,11 +56,6 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     // from per-offspring streams inside the engine, so population
     // batches parallelize without perturbing this sequence.
     Rng rng(opts_.seed);
-    SearchResult res;
-    SearchMonitor &mon = engine_.monitor();
-    EvalCacheStats cache_start;
-    if (engine_.cache())
-        cache_start = engine_.cache()->stats();
 
     struct Scored
     {
@@ -71,29 +65,21 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     std::vector<Scored> pop;
     pop.reserve(opts_.population);
 
-    auto record = [&](const Scored &s) {
-        ++res.samples;
-        bool improved = s.cost < res.bestCost;
-        if (improved) {
-            res.bestCost = s.cost;
-            res.best = s.genome;
-        }
-        res.trace.push_back({res.samples, res.bestCost});
-        mon.recordSample(res.trace.back(), improved);
-        if (opts_.recordPoints || opts_.pareto) {
-            BufferConfig buf = s.genome.buffer(space_);
-            GraphCost gc = model_.partitionCost(s.genome.part, buf);
-            if (opts_.recordPoints)
-                res.points.push_back({res.samples,
-                                      gc.metricValue(opts_.metric),
-                                      buf.totalBytes()});
-            if (opts_.pareto && gc.feasible)
-                opts_.pareto->offer({buf.totalBytes(), gc.energyPj,
-                                     gc.latencyCycles,
-                                     gc.metricValue(opts_.metric),
-                                     res.samples});
-        }
-    };
+    // Snapshots are taken at generation boundaries (after selection
+    // refilled the population), where (rng, stream counter,
+    // population, incumbent, trace) form a consistent serial state.
+    // The population is the GA's own section.
+    RunRecord rec(
+        engine_, rng, "ga",
+        opts_.checkpoint ? gaCheckpointFence(model_, space_, opts_) : 0,
+        [&](SearchCheckpoint &c) {
+            for (const Scored &s : pop) {
+                c.population.push_back(s.genome);
+                c.popCosts.push_back(s.cost);
+            }
+        },
+        opts_.recordPoints);
+    const SearchResult &res = rec.result();
 
     auto tournament_pick = [&](const std::vector<Scored> &pool,
                                Rng &r) -> const Scored & {
@@ -106,69 +92,19 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
         return *best;
     };
 
-    // --- Checkpointing: snapshots are taken only at generation
-    //     boundaries (after selection refilled the population), where
-    //     (rng, stream counter, population, incumbent, trace) form a
-    //     consistent serial state. `boundary` holds the stream counter
-    //     captured there — the live counter is already past it while a
-    //     batch is in flight, including discarded partial ones. ---
-    CheckpointHooks *ck = opts_.checkpoint;
-    const uint64_t fence =
-        ck ? gaCheckpointFence(model_, space_, opts_) : 0;
-    uint64_t boundary = 0;
-    auto snapshot = [&]() {
-        SearchCheckpoint c;
-        c.algo = "ga";
-        c.fence = fence;
-        c.seed = opts_.seed;
-        c.samples = res.samples;
-        c.bestCost = res.bestCost;
-        c.best = res.best;
-        c.trace = res.trace;
-        c.points = res.points;
-        c.rng = rng.state();
-        c.streamCounter = boundary;
-        c.sinceImprove = mon.samplesSinceImprove();
-        for (const Scored &s : pop) {
-            c.population.push_back(s.genome);
-            c.popCosts.push_back(s.cost);
-        }
-        return c;
-    };
-    auto serve_request = [&]() {
-        if (ck && ck->save &&
-            ck->request.exchange(false, std::memory_order_acq_rel))
-            ck->save(snapshot());
-    };
-
     // --- Initialization: resume from a checkpoint, or run one batch
     //     through the engine (optionally seeded with external
     //     results). A batch cut short by a hard stop is discarded
     //     whole: which elements ran depends on timing, so recording
     //     any of them would break determinism. ---
-    bool complete;
-    if (ck && ck->resume) {
-        const SearchCheckpoint &c = *ck->resume;
-        if (c.algo != "ga" || c.fence != fence)
-            fatal("checkpoint does not match this run (saved by \"%s\", "
-                  "fence mismatch or different configuration)",
-                  c.algo.c_str());
-        if (c.population.size() != static_cast<size_t>(opts_.population) ||
-            c.popCosts.size() != c.population.size())
+    bool complete = true;
+    if (const SearchCheckpoint *c = rec.resume()) {
+        if (c->population.size() != static_cast<size_t>(opts_.population) ||
+            c->popCosts.size() != c->population.size())
             fatal("checkpoint population does not match the configured "
                   "GA population");
-        res.samples = c.samples;
-        res.bestCost = c.bestCost;
-        res.best = c.best;
-        res.trace = c.trace;
-        res.points = c.points;
-        rng.setState(c.rng);
-        engine_.setStreamCounter(c.streamCounter);
-        boundary = c.streamCounter;
-        mon.restoreStall(c.sinceImprove);
-        for (size_t i = 0; i < c.population.size(); ++i)
-            pop.push_back({c.population[i], c.popCosts[i]});
-        complete = true;
+        for (size_t i = 0; i < c->population.size(); ++i)
+            pop.push_back({c->population[i], c->popCosts[i]});
     } else {
         size_t n = static_cast<size_t>(opts_.population);
         size_t n_seed = std::min(seeds.size(), n);
@@ -187,23 +123,19 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
         });
         if (complete) {
             for (Scored &s : init) {
-                record(s);
+                rec.record(s.genome, s.cost);
                 pop.push_back(std::move(s));
             }
-            mon.batchDone(res.samples, res.bestCost);
-            boundary = engine_.streamCounter();
-            serve_request();
+            rec.batchDone();
+            rec.boundary();
         }
     }
 
     // --- Generations. ---
-    while (complete && !mon.shouldStop() &&
-           res.samples < opts_.sampleBudget) {
+    while (complete && rec.running()) {
         size_t want = static_cast<size_t>(
             std::min<int64_t>(opts_.population,
                               opts_.sampleBudget - res.samples));
-        if (want == 0)
-            break;
 
         // Offspring are produced *and* evaluated inside the batch:
         // slot i draws its crossover/mutation decisions from stream i
@@ -244,8 +176,8 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
         if (!complete)
             break; // partial batch: discard and end the run
         for (const Scored &sc : offspring)
-            record(sc);
-        mon.batchDone(res.samples, res.bestCost);
+            rec.record(sc.genome, sc.cost);
+        rec.batchDone();
 
         // --- Tournament selection over the merged pool, keeping the
         //     elite unconditionally. ---
@@ -262,27 +194,9 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
         while (static_cast<int>(pop.size()) < opts_.population)
             pop.push_back(tournament_pick(pool, rng));
 
-        boundary = engine_.streamCounter();
-        serve_request();
+        rec.boundary();
     }
-
-    res.stop = mon.stopReason();
-    // The killed-job path: the run ended early, so persist the last
-    // boundary — resuming from it replays the rest bit-identically.
-    // (A budget/stall end is final; nothing left to resume.)
-    if (ck && ck->save && ck->saveOnStop && !pop.empty() &&
-        (res.stop == StopReason::Cancelled ||
-         res.stop == StopReason::TimeLimit))
-        ck->save(snapshot());
-    if (res.samples > 0) {
-        res.bestBuffer = res.best.buffer(space_);
-        res.bestGraphCost =
-            model_.partitionCost(res.best.part, res.bestBuffer);
-    }
-    if (engine_.cache())
-        res.cacheStats = engine_.cache()->stats() - cache_start;
-    res.deltaStats = engine_.deltaStats();
-    return res;
+    return rec.finish();
 }
 
 } // namespace cocco

@@ -268,14 +268,4 @@ ParetoArchive::hypervolume() const
     return hv;
 }
 
-std::vector<SamplePoint>
-ParetoArchive::samplePoints() const
-{
-    std::vector<SamplePoint> out;
-    out.reserve(entries_.size());
-    for (const ParetoEntry &e : entries_)
-        out.push_back({e.sample, e.metric, e.bufferBytes});
-    return out;
-}
-
 } // namespace cocco

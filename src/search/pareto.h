@@ -110,10 +110,6 @@ class ParetoArchive
      */
     double hypervolume() const;
 
-    /** 2D (capacity, metric) projection of the frontier in the shape
-     *  paretoFront()/selectByAlpha() consume. */
-    std::vector<SamplePoint> samplePoints() const;
-
   private:
     void truncate();
 

@@ -646,11 +646,7 @@ class RaceController
                 // two-step drivers).
                 sub.algo = r.algo;
                 sub.seed = seed;
-                sub.samples = r.result.samples;
-                sub.bestCost = r.result.bestCost;
-                sub.best = r.result.best;
-                sub.trace = r.result.trace;
-                sub.points = r.result.points;
+                RunRecord::copyShared(r.result, sub);
                 sub.hasTs = true;
                 sub.tsBestBuffer = r.result.bestBuffer;
             } else if (r.stashValid) {
@@ -777,11 +773,7 @@ PortfolioSearcher::synthesizeTerminal(const SearchCheckpoint &sub,
                                       int state) const
 {
     SearchResult r;
-    r.best = sub.best;
-    r.bestCost = sub.bestCost;
-    r.samples = sub.samples;
-    r.trace = sub.trace;
-    r.points = sub.points;
+    RunRecord::copyShared(sub, r);
     r.stop = state == SearchCheckpoint::kRacerCulled
                  ? StopReason::Cancelled
                  : StopReason::BudgetExhausted;

@@ -60,7 +60,6 @@ runCandidates(CostModel &model, const DseSpace &space,
               const std::vector<HwPoint> &candidates,
               const TwoStepOptions &opts, const char *algo)
 {
-    SearchResult global;
     uint64_t sub_seed = opts.seed;
     SearchMonitor mon(opts.observer, opts.timeLimitSec, opts.stallLimit);
     InnerCancel inner_cancel(opts.observer);
@@ -99,75 +98,48 @@ runCandidates(CostModel &model, const DseSpace &space,
     std::shared_ptr<EvalCache> cache = opts.cache;
     if (!cache && opts.cacheEnabled)
         cache = std::make_shared<EvalCache>(opts.cacheCapacity);
-    EvalCacheStats cache_start;
-    if (cache)
-        cache_start = cache->stats();
 
-    // --- Checkpointing at candidate boundaries: the sweep's serial
-    //     state between candidates is (index, sub_seed, folded trace,
-    //     incumbent, counters). Inner GAs run without hooks of their
-    //     own, so an interrupt mid-candidate resumes by re-running
-    //     that candidate wholly from the pre-candidate snapshot —
-    //     `pending` — which is exactly what the uninterrupted run did
-    //     too (bit-identity holds either way). A candidate that DID
-    //     finish advances `pending` past itself so a later save never
-    //     redoes completed work. ---
-    CheckpointHooks *ck = opts.checkpoint;
-    const uint64_t fence =
-        ck ? twoStepCheckpointFence(model, space, opts, algo) : 0;
-    size_t start_idx = 0;
-    if (ck && ck->resume) {
-        const SearchCheckpoint &c = *ck->resume;
-        if (c.algo != algo || c.fence != fence)
-            fatal("checkpoint does not match this run (saved by \"%s\", "
-                  "fence mismatch or different configuration)",
-                  c.algo.c_str());
-        if (!c.hasTs)
+    // --- Checkpointing at candidate boundaries: the sweep's own
+    //     section between candidates is (next candidate, sub_seed,
+    //     the incumbent's buffer, the folded counters). Inner GAs run
+    //     without hooks of their own, so an interrupt mid-candidate
+    //     resumes by re-running that candidate wholly from the
+    //     snapshot held before it — which is exactly what the
+    //     uninterrupted run did too (bit-identity holds either way).
+    //     A candidate that DID finish holds a snapshot past itself so
+    //     a later save never redoes completed work. ---
+    size_t next = 0;
+    BufferConfig best_buf; // the incumbent's candidate buffer
+    DeltaStats delta;
+    RunRecord rec(
+        model, space, opts, mon, cache.get(), algo,
+        opts.checkpoint ? twoStepCheckpointFence(model, space, opts, algo)
+                        : 0,
+        [&](SearchCheckpoint &c) {
+            c.hasTs = true;
+            c.tsCandidate = static_cast<int64_t>(next);
+            c.tsSubSeed = sub_seed;
+            c.tsBestBuffer = best_buf;
+            c.tsBoundRejections = bound_rejections;
+            c.tsBoundSkippedSamples = bound_skipped;
+            c.tsDelta = delta;
+        });
+    const SearchResult &global = rec.result();
+    if (const SearchCheckpoint *c = rec.resume()) {
+        if (!c->hasTs)
             fatal("checkpoint is missing the two-step state section");
-        global.samples = c.samples;
-        global.bestCost = c.bestCost;
-        global.best = c.best;
-        global.bestBuffer = c.tsBestBuffer;
-        global.trace = c.trace;
-        global.deltaStats = c.tsDelta;
-        sub_seed = c.tsSubSeed;
-        start_idx = static_cast<size_t>(c.tsCandidate);
-        mon.restoreStall(c.sinceImprove);
-        bound_rejections = c.tsBoundRejections;
-        bound_skipped = c.tsBoundSkippedSamples;
+        next = static_cast<size_t>(c->tsCandidate);
+        sub_seed = c->tsSubSeed;
+        best_buf = c->tsBestBuffer;
+        bound_rejections = c->tsBoundRejections;
+        bound_skipped = c->tsBoundSkippedSamples;
+        delta = c->tsDelta;
     }
-    auto snapshot = [&](size_t next_idx) {
-        SearchCheckpoint c;
-        c.algo = algo;
-        c.fence = fence;
-        c.seed = opts.seed;
-        c.samples = global.samples;
-        c.bestCost = global.bestCost;
-        c.best = global.best;
-        c.trace = global.trace;
-        c.sinceImprove = mon.samplesSinceImprove();
-        c.hasTs = true;
-        c.tsCandidate = static_cast<int64_t>(next_idx);
-        c.tsSubSeed = sub_seed;
-        c.tsBestBuffer = global.bestBuffer;
-        c.tsBoundRejections = bound_rejections;
-        c.tsBoundSkippedSamples = bound_skipped;
-        c.tsDelta = global.deltaStats;
-        return c;
-    };
-    SearchCheckpoint pending;
-    bool have_pending = false;
 
-    for (size_t idx = start_idx; idx < candidates.size(); ++idx) {
-        if (mon.shouldStop() || global.samples >= opts.sampleBudget)
-            break;
-        if (ck && ck->save) {
-            pending = snapshot(idx);
-            have_pending = true;
-            if (ck->request.exchange(false, std::memory_order_acq_rel))
-                ck->save(pending);
-        }
-        const HwPoint &pt = candidates[idx];
+    while (next < candidates.size() && rec.running()) {
+        rec.hold();
+        rec.boundary();
+        const HwPoint &pt = candidates[next++];
         BufferConfig buf = decode(space, pt);
 
         if (can_reject && global.bestCost < kInfeasiblePenalty) {
@@ -192,17 +164,10 @@ runCandidates(CostModel &model, const DseSpace &space,
                 ++sub_seed; // consume the candidate's seed draw
                 ++bound_rejections;
                 bound_skipped += static_cast<uint64_t>(folded);
-                for (int64_t s = 0; s < folded; ++s) {
-                    ++global.samples;
-                    global.trace.push_back(
-                        {global.samples, global.bestCost});
-                    mon.recordSample(global.trace.back(), false);
-                }
-                mon.batchDone(global.samples, global.bestCost);
-                if (ck && ck->save) {
-                    pending = snapshot(idx + 1);
-                    have_pending = true;
-                }
+                for (int64_t s = 0; s < folded; ++s)
+                    rec.record(global.best, kInfeasiblePenalty);
+                rec.batchDone();
+                rec.hold();
                 continue;
             }
         }
@@ -233,7 +198,7 @@ runCandidates(CostModel &model, const DseSpace &space,
         DseSpace fixed = DseSpace::fixedSpace(buf);
         GeneticSearch search(model, fixed, ga, pool);
         SearchResult inner = search.run();
-        global.deltaStats += inner.deltaStats;
+        delta += inner.deltaStats;
 
         // Fold the inner (metric-only) trace into the global trace:
         // Formula 2 per candidate capacity when co-exploring (the
@@ -242,42 +207,24 @@ runCandidates(CostModel &model, const DseSpace &space,
             double cost = tp.bestCost;
             if (opts.coExplore && cost < kInfeasiblePenalty)
                 cost = buf.totalBytes() + opts.alpha * cost;
-            ++global.samples;
-            bool improved = cost < global.bestCost;
-            if (improved) {
-                global.bestCost = cost;
-                global.best = inner.best;
-                global.bestBuffer = buf;
-            }
-            global.trace.push_back({global.samples, global.bestCost});
-            mon.recordSample(global.trace.back(), improved);
+            if (rec.record(inner.best, cost))
+                best_buf = buf;
         }
-        mon.batchDone(global.samples, global.bestCost);
+        rec.batchDone();
 
-        // Only a full inner run advances the boundary: one cut short
-        // (cancel / time limit) folded a timing-dependent partial
-        // trace, so the pre-candidate snapshot stays authoritative and
-        // a resume re-runs this candidate from scratch.
-        if (ck && ck->save && inner.stop == StopReason::BudgetExhausted) {
-            pending = snapshot(idx + 1);
-            have_pending = true;
-        }
+        // Only a full inner run moves the held snapshot past it: one
+        // cut short (cancel / time limit) folded a timing-dependent
+        // partial trace, so the snapshot before the candidate stays
+        // authoritative and a resume re-runs it from scratch.
+        if (inner.stop == StopReason::BudgetExhausted)
+            rec.hold();
     }
 
-    global.stop = mon.stopReason();
-    if (ck && ck->save && ck->saveOnStop && have_pending &&
-        (global.stop == StopReason::Cancelled ||
-         global.stop == StopReason::TimeLimit))
-        ck->save(pending);
-    if (global.bestCost < kInfeasiblePenalty) {
-        global.bestGraphCost =
-            model.partitionCost(global.best.part, global.bestBuffer);
-    }
-    if (cache)
-        global.cacheStats = cache->stats() - cache_start;
-    global.cacheStats.boundRejections = bound_rejections;
-    global.cacheStats.boundSkippedSamples = bound_skipped;
-    return global;
+    SearchResult res = rec.finish(&best_buf);
+    res.deltaStats = delta;
+    res.cacheStats.boundRejections = bound_rejections;
+    res.cacheStats.boundSkippedSamples = bound_skipped;
+    return res;
 }
 
 /**

@@ -711,16 +711,14 @@ jsonReadNumber(const JsonValue &v, const char *key, double *out,
 }
 
 bool
-jsonReadInt(const JsonValue &v, const char *key, int64_t *out,
-            std::string *err)
+jsonReadWholeNumber(const JsonValue &v, const char *key, double *out,
+                    std::string *err)
 {
-    double d = 0.0;
-    if (!jsonReadNumber(v, key, &d, err))
+    if (!jsonReadNumber(v, key, out, err))
         return false;
-    if (std::floor(d) != d || std::abs(d) > 9007199254740992.0)
+    if (std::floor(*out) != *out || std::abs(*out) > 9007199254740992.0)
         return jsonFail(err,
                           strprintf("\"%s\" must be an integer", key));
-    *out = static_cast<int64_t>(d);
     return true;
 }
 

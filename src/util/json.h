@@ -11,6 +11,7 @@
 #ifndef COCCO_UTIL_JSON_H
 #define COCCO_UTIL_JSON_H
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -71,8 +72,9 @@ class JsonWriter
  * One parsed JSON value. Type accessors panic on mismatch (callers
  * check the type, or use the checked find()/lookup patterns), so a
  * malformed document can never be silently misread. Object member
- * order is preserved. Numbers are stored as double: integers are
- * exact up to 2^53, which covers every knob in our schemas.
+ * order is preserved. Numbers are stored as double (exact up to 2^53)
+ * together with their source text, from which the integer readers
+ * below read integer literals exactly.
  */
 class JsonValue
 {
@@ -145,8 +147,6 @@ bool loadJsonFile(const std::string &path, JsonValue *out,
 // Each returns false on a type mismatch and sets *err (when non-null
 // and still empty) to a '"key" must be ...' message, so schemas built
 // on top reject malformed documents instead of misreading them.
-// jsonReadInt additionally requires exactness (2^53 bound): casting an
-// out-of-range double to an integer is undefined behavior.
 
 /** The shared failure path of the strict parsers: record @p what in
  *  *err (when non-null and still empty — the first error wins) and
@@ -157,33 +157,46 @@ bool jsonReadString(const JsonValue &v, const char *key, std::string *out,
                     std::string *err);
 bool jsonReadNumber(const JsonValue &v, const char *key, double *out,
                     std::string *err);
-bool jsonReadInt(const JsonValue &v, const char *key, int64_t *out,
-                 std::string *err);
 bool jsonReadBool(const JsonValue &v, const char *key, bool *out,
                   std::string *err);
 
-/** jsonReadInt + a range check against T ('"key" is out of range'). */
+/** A number that is not an integer literal ("2e2", "1.0"): its value
+ *  when that is a whole number within 2^53 (beyond, a double has lost
+ *  digits), else '"key" must be an integer'. */
+bool jsonReadWholeNumber(const JsonValue &v, const char *key, double *out,
+                         std::string *err);
+
+/**
+ * Read @p v as a T. An integer literal reads exactly from its source
+ * text ("18446744073709551615" fills a uint64 seed), and one outside T
+ * is '"key" is out of range'; any other number goes through
+ * jsonReadWholeNumber, then the same range check.
+ */
 template <typename T>
 bool
 jsonReadIntAs(const JsonValue &v, const char *key, T *out, std::string *err)
 {
-    int64_t i = 0;
-    if (!jsonReadInt(v, key, &i, err))
+    const std::string text = v.numberText();
+    const char *end = text.data() + text.size();
+    T x{};
+    const auto [stop, ec] = std::from_chars(text.data(), end, x);
+    double d = 0.0;
+    const bool literal = !text.empty() && stop == end;
+    if (!literal && !jsonReadWholeNumber(v, key, &d, err))
         return false;
-    bool in_range =
-        std::is_unsigned<T>::value
-            ? i >= 0 &&
-                  static_cast<uint64_t>(i) <=
-                      static_cast<uint64_t>(std::numeric_limits<T>::max())
-            : i >= static_cast<int64_t>(std::numeric_limits<T>::min()) &&
-                  i <= static_cast<int64_t>(std::numeric_limits<T>::max());
-    if (!in_range) {
-        if (err && err->empty())
-            *err = std::string("\"") + key + "\" is out of range";
-        return false;
-    }
-    *out = static_cast<T>(i);
+    if (literal ? ec != std::errc()
+                : d < static_cast<double>(std::numeric_limits<T>::min()) ||
+                      d > static_cast<double>(std::numeric_limits<T>::max()))
+        return jsonFail(err, std::string("\"") + key + "\" is out of range");
+    *out = literal ? x : static_cast<T>(d);
     return true;
+}
+
+inline bool
+jsonReadInt(const JsonValue &v, const char *key, int64_t *out,
+            std::string *err)
+{
+    return jsonReadIntAs(v, key, out, err);
 }
 
 } // namespace cocco

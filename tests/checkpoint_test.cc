@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -89,22 +90,30 @@ expectSameRun(const CoccoResult &a, const CoccoResult &b)
         EXPECT_EQ(a.trace[i].sample, b.trace[i].sample);
         EXPECT_EQ(a.trace[i].bestCost, b.trace[i].bestCost) << "i=" << i;
     }
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (size_t i = 0; i < a.points.size(); ++i) {
+        EXPECT_EQ(a.points[i].sample, b.points[i].sample);
+        EXPECT_EQ(a.points[i].metric, b.points[i].metric) << "i=" << i;
+        EXPECT_EQ(a.points[i].bufferBytes, b.points[i].bufferBytes);
+    }
 }
 
-/** Run @p algo straight, then cancelled-at-half + resumed, and
+/** Run @p spec straight, then cancelled-at-half + resumed, and
  *  require the resumed run to match the straight one exactly.
  *  @p resumeThreads exercises resume under a different thread count
  *  (results must not depend on it). */
 void
-checkResumeIdentity(const std::string &algo, int64_t budget,
-                    int resumeThreads)
+checkResumeIdentity(const SearchSpec &spec, int resumeThreads)
 {
     Graph g = mediumGraph();
     AcceleratorConfig accel;
 
-    SearchSpec spec = makeSpec(algo, budget);
+    const std::string &algo = spec.algo;
+    const int64_t budget = spec.eval.sampleBudget;
     CoccoResult straight = CoccoFramework(g, accel).explore(spec);
     EXPECT_EQ(straight.stop, StopReason::BudgetExhausted);
+    EXPECT_EQ(straight.points.size(),
+              spec.ga.recordPoints ? static_cast<size_t>(budget) : 0u);
 
     // Cancel mid-run; saveOnStop persists the state at the boundary.
     SearchCheckpoint saved;
@@ -189,34 +198,50 @@ TEST(Checkpoint, FenceCoversRunIdentity)
 
 TEST(Checkpoint, GaResumeBitIdentical)
 {
-    checkResumeIdentity("ga", 400, 2);
+    checkResumeIdentity(makeSpec("ga", 400), 2);
 }
 
 TEST(Checkpoint, GaResumeAcrossThreadCounts)
 {
-    checkResumeIdentity("ga", 400, 1);
+    checkResumeIdentity(makeSpec("ga", 400), 1);
 }
 
 TEST(Checkpoint, SaResumeBitIdentical)
 {
-    checkResumeIdentity("sa", 300, 2);
+    checkResumeIdentity(makeSpec("sa", 300), 2);
 }
 
 TEST(Checkpoint, TsRandomResumeBitIdentical)
 {
-    checkResumeIdentity("ts-random", 300, 2);
+    checkResumeIdentity(makeSpec("ts-random", 300), 2);
 }
 
 TEST(Checkpoint, TsGridResumeBitIdentical)
 {
-    checkResumeIdentity("ts-grid", 300, 2);
+    checkResumeIdentity(makeSpec("ts-grid", 300), 2);
 }
 
-TEST(Checkpoint, RequestFlagSavesWithoutStopping)
+TEST(Checkpoint, GaResumeKeepsRecordedPoints)
+{
+    // The Figure 13 points ride in the checkpoint (its P section): a
+    // resumed run keeps the recorded prefix and appends the rest.
+    SearchSpec spec = makeSpec("ga", 400);
+    spec.ga.recordPoints = true;
+    checkResumeIdentity(spec, 2);
+}
+
+/** Every driver serves a checkpoint request at its own boundary: a
+ *  generation (GA), a sweep (SA), a candidate (two-step). */
+class CheckpointRequest : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(CheckpointRequest, RequestFlagSavesWithoutStopping)
 {
     Graph g = mediumGraph();
     AcceleratorConfig accel;
-    SearchSpec spec = makeSpec("ga", 400);
+    const std::string algo = GetParam();
+    SearchSpec spec = makeSpec(algo, algo == "ga" ? 400 : 300);
     CoccoResult straight = CoccoFramework(g, accel).explore(spec);
 
     SearchCheckpoint saved;
@@ -235,6 +260,7 @@ TEST(Checkpoint, RequestFlagSavesWithoutStopping)
     // The snapshot must not perturb the run...
     expectSameRun(straight, full);
     ASSERT_TRUE(haveSaved);
+    EXPECT_EQ(saved.algo, algo);
     EXPECT_LT(saved.samples, spec.eval.sampleBudget);
 
     // ...and resuming from it must land on the same final result.
@@ -245,6 +271,15 @@ TEST(Checkpoint, RequestFlagSavesWithoutStopping)
     CoccoResult resumed = CoccoFramework(g, accel).explore(resumedSpec);
     expectSameRun(straight, resumed);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, CheckpointRequest,
+    ::testing::Values("ga", "sa", "ts-random", "ts-grid"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        std::string name = info.param;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(Checkpoint, FileRoundTripResumes)
 {

@@ -5,17 +5,18 @@
 #
 # 1. The flag modes and run-spec documents are one path: `coexplore`
 #    prints the same --json as `run --spec` on the equivalent
-#    document, and `partition --algo sa` writes the same metrics as a
+#    document (a number flag reads as its key does), and
+#    `partition --algo sa` writes the same metrics as a
 #    "mode": "partition" document (name and wall time masked).
 # 2. The run flags work on the flag modes: a --time-limit stop leaves
 #    a --checkpoint that resumes to the uninterrupted result,
 #    --progress streams NDJSON, and SIGINT exits 130 with the metrics
 #    and the cache file written.
 # 3. `run` / `coschedule` refuse a positional model and every flag
-#    they do not read, and the flag modes refuse --spec (exit 2,
-#    naming the argument); `timeline` honours the deployment flags;
-#    the workload flags obey the spec rule (--model-file with
-#    --model-seed exits 1 with its reason).
+#    they do not read, and the flag modes refuse --spec and a
+#    malformed number (exit 2, naming the argument); `timeline`
+#    honours the deployment flags; the workload flags obey the spec
+#    rule (--model-file with --model-seed exits 1 with its reason).
 # 4. `validate-metrics` accepts what every run mode writes and exits 1
 #    with `fatal: <file>: <reason>` on a document no writer produces.
 set -u
@@ -65,6 +66,9 @@ same_json ts-grid coexplore GoogleNet --algo ts-grid --samples 10000 \
     "style": "separate"}'
 same_json cores2 coexplore GoogleNet --samples 500 --cores 2 -- \
   '{"model": "GoogleNet", "samples": 500, "deployment": {"cores": 2}}'
+# A flag reads its value as the document reads the key.
+same_json exponent coexplore GoogleNet --samples 2e2 -- \
+  '{"model": "GoogleNet", "samples": 2e2}'
 
 mask() { sed -E 's/"(name|wall_seconds)":[^,}]*/"\1":0/g' "$1"; }
 echo '{"model": "GoogleNet", "algo": "sa", "mode": "partition",
@@ -183,6 +187,12 @@ done <<'EOF'
 --serve-workers 2
 --serve-queue 8
 EOF
+# A malformed number is refused by the flag's name, not read as its
+# leading digits (or, for a negative seed, wrapped around).
+refused --cores coexplore GoogleNet --cores 2x
+refused --threads coexplore GoogleNet --threads 2junk
+refused --alpha coexplore GoogleNet --alpha 0.002abc
+refused --seed coexplore GoogleNet --seed -1
 "$cocco" run --spec s.json --json --timeline --metrics-out s.metrics \
   --cache-file s.evalcache --checkpoint s.ck --progress \
   --deterministic-race --frontier-out s.csv > /dev/null 2>&1 ||

@@ -573,6 +573,24 @@ TEST(SpecJson, OutOfRangeIntegersAreErrorsNotCrashes)
     ASSERT_TRUE(parseJson(R"({"samples": 1e300})", &v, &err));
     EXPECT_FALSE(searchSpecFromJson(v, &spec, &err));
     EXPECT_NE(err.find("integer"), std::string::npos) << err;
+
+    // An integer literal reads exactly from its text: the whole uint64
+    // seed range, with no rounding past 2^53.
+    err.clear();
+    ASSERT_TRUE(parseJson(R"({"seed": 18446744073709551615})", &v, &err));
+    ASSERT_TRUE(searchSpecFromJson(v, &spec, &err)) << err;
+    EXPECT_EQ(spec.eval.seed, 18446744073709551615ULL);
+    ASSERT_TRUE(parseJson(R"({"seed": 9007199254740993})", &v, &err));
+    ASSERT_TRUE(searchSpecFromJson(v, &spec, &err)) << err;
+    EXPECT_EQ(spec.eval.seed, 9007199254740993ULL);
+    for (const char *doc :
+         {R"({"seed": 18446744073709551616})", R"({"seed": -1})"}) {
+        err.clear();
+        ASSERT_TRUE(parseJson(doc, &v, &err));
+        EXPECT_FALSE(searchSpecFromJson(v, &spec, &err)) << doc;
+        EXPECT_NE(err.find("\"seed\" is out of range"), std::string::npos)
+            << doc << ": " << err;
+    }
 }
 
 TEST(SpecJson, TypeMismatchesAreErrors)

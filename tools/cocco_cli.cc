@@ -77,6 +77,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "core/cocco.h"
 #include "core/metrics.h"
@@ -202,6 +203,28 @@ usage()
     std::exit(2);
 }
 
+/** Read a numeric flag's value by the rule its document key follows
+ *  (jsonReadIntAs, jsonReadNumber), under the flag's name: "2e2" is
+ *  200, "2x" is no number. A malformed value exits 2, naming it. */
+template <typename T>
+void
+readFlag(const std::string &flag, const char *text, T *out)
+{
+    JsonValue v;
+    std::string err;
+    const char *kind = std::is_integral_v<T> ? "an integer" : "a number";
+    if (!parseJson(text, &v, &err) || !v.isNumber())
+        err = "\"" + flag + "\" must be " + kind;
+    else if constexpr (std::is_integral_v<T>)
+        jsonReadIntAs(v, flag.c_str(), out, &err);
+    else
+        jsonReadNumber(v, flag.c_str(), out, &err);
+    if (err.empty())
+        return;
+    std::fprintf(stderr, "cocco: %s (got '%s')\n", err.c_str(), text);
+    std::exit(2);
+}
+
 CliArgs
 parse(int argc, char **argv)
 {
@@ -228,7 +251,7 @@ parse(int argc, char **argv)
         else if (f == "--model-file")
             a.modelFile = next();
         else if (f == "--model-seed")
-            a.modelSeed = std::strtoull(next(), nullptr, 10);
+            readFlag(f, next(), &a.modelSeed);
         else if (f == "--platform")
             a.platform = next();
         else if (f == "--platform-file")
@@ -237,7 +260,7 @@ parse(int argc, char **argv)
             // Strict: a zero/negative/garbage count silently meaning
             // "no deployment" would fake a scale-out experiment.
             const char *v = next();
-            a.cores = std::atoi(v);
+            readFlag(f, v, &a.cores);
             if (a.cores < 1)
                 fatal("--cores must be a positive integer (got '%s')",
                       v);
@@ -254,23 +277,23 @@ parse(int argc, char **argv)
                 usage();
         }
         else if (f == "--samples")
-            a.samples = std::atoll(next());
+            readFlag(f, next(), &a.samples);
         else if (f == "--alpha")
-            a.alpha = std::atof(next());
+            readFlag(f, next(), &a.alpha);
         else if (f == "--seed")
-            a.seed = std::strtoull(next(), nullptr, 10);
+            readFlag(f, next(), &a.seed);
         else if (f == "--runs")
-            a.runs = std::atoi(next());
+            readFlag(f, next(), &a.runs);
         else if (f == "--threads")
-            a.threads = std::atoi(next());
+            readFlag(f, next(), &a.threads);
         else if (f == "--neighbor-batch")
-            a.neighborBatch = std::atoi(next());
+            readFlag(f, next(), &a.neighborBatch);
         else if (f == "--time-limit")
-            a.timeLimitSec = std::atof(next());
+            readFlag(f, next(), &a.timeLimitSec);
         else if (f == "--stall-limit")
-            a.stallLimit = std::atoll(next());
+            readFlag(f, next(), &a.stallLimit);
         else if (f == "--cache-size")
-            a.cacheSize = std::atoll(next());
+            readFlag(f, next(), &a.cacheSize);
         else if (f == "--cache-file")
             a.cacheFile = next();
         else if (f == "--metrics-out")
@@ -288,13 +311,13 @@ parse(int argc, char **argv)
         else if (f == "--stdio")
             a.stdio = true;
         else if (f == "--port")
-            a.port = std::atoi(next());
+            readFlag(f, next(), &a.port);
         else if (f == "--serve-workers")
-            a.serveWorkers = std::atoi(next());
+            readFlag(f, next(), &a.serveWorkers);
         else if (f == "--serve-queue")
-            a.serveQueue = std::atoi(next());
+            readFlag(f, next(), &a.serveQueue);
         else if (f == "--jobs")
-            a.jobs = std::atoi(next());
+            readFlag(f, next(), &a.jobs);
         else if (f == "--out")
             a.outDir = next();
         else if (f == "--metric") {
