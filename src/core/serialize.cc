@@ -863,16 +863,6 @@ resolveDeployment(const DeploymentSpec &spec, const AcceleratorConfig &base,
 }
 
 bool
-saveDeploymentJson(const DeploymentDesc &desc, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << deploymentToJson(desc) << '\n';
-    return static_cast<bool>(out);
-}
-
-bool
 loadDeploymentJson(const std::string &path, DeploymentDesc *out,
                    std::string *err)
 {

@@ -140,11 +140,6 @@ bool resolveDeployment(const DeploymentSpec &spec,
                        const AcceleratorConfig &base,
                        DeploymentConfig *out, std::string *err);
 
-/** Write deploymentToJson(desc) to @p path. @return false on I/O
- *  failure. */
-bool saveDeploymentJson(const DeploymentDesc &desc,
-                        const std::string &path);
-
 /** Read + parse + validate the deployment document at @p path.
  *  @return false with *err set. */
 bool loadDeploymentJson(const std::string &path, DeploymentDesc *out,

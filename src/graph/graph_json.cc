@@ -4,8 +4,7 @@
 #include <fstream>
 #include <set>
 
-#include "util/json.h"
-#include "util/logging.h"
+#include "util/field_walk.h"
 
 namespace cocco {
 
@@ -13,185 +12,131 @@ namespace {
 
 constexpr int kGraphSchemaVersion = 1;
 
+/** One "nodes" entry: a layer and its preds, by index. */
+struct GraphNode
+{
+    Layer layer;
+    std::vector<NodeId> preds;
+};
+
+/** A cocco-graph document, as its field list reads and writes it. */
+struct GraphDoc
+{
+    int version = kGraphSchemaVersion;
+    std::string name;
+    std::vector<GraphNode> nodes;
+};
+
+const Name<LayerKind> kLayerKinds[] = {
+    {layerKindName(LayerKind::Input), LayerKind::Input},
+    {layerKindName(LayerKind::Conv), LayerKind::Conv},
+    {layerKindName(LayerKind::DWConv), LayerKind::DWConv},
+    {layerKindName(LayerKind::Pool), LayerKind::Pool},
+    {layerKindName(LayerKind::Eltwise), LayerKind::Eltwise},
+    {layerKindName(LayerKind::Concat), LayerKind::Concat},
+    {layerKindName(LayerKind::Matmul), LayerKind::Matmul},
+};
+
+/** The document, written down once. A future schema_version is
+ *  refused before its nodes are read. */
+template <typename V, typename D>
+void
+docFields(V &v, D &d)
+{
+    v.field("schema_version", d.version);
+    v.rule(d.version == kGraphSchemaVersion
+               ? ""
+               : strprintf("unsupported \"schema_version\" %d (this build "
+                           "reads %d)",
+                           d.version, kGraphSchemaVersion));
+    v.field("name", d.name);
+    v.objects("nodes", d.nodes, [&](auto &n) {
+        v.field("name", n.layer.name);
+        v.choice("kind", n.layer.kind, kLayerKinds);
+        v.field("outH", n.layer.outH, atLeast(1));
+        v.field("outW", n.layer.outW, atLeast(1));
+        v.field("outC", n.layer.outC, atLeast(1));
+        v.field(opt("kernel"), n.layer.kernel, atLeast(1));
+        v.field(opt("stride"), n.layer.stride, atLeast(1));
+        v.list(opt("preds"), n.preds);
+    });
+}
+
+/** The rules the lines cannot see: a name, at least one node, unique
+ *  node names, and preds that are distinct earlier nodes, none on an
+ *  input node and at least one on every other. */
+std::string
+graphError(const GraphDoc &d)
+{
+    if (d.name.empty())
+        return "\"name\" must not be empty";
+    if (d.nodes.empty())
+        return "\"nodes\" must not be empty";
+    std::set<std::string> seen;
+    for (size_t i = 0; i < d.nodes.size(); ++i) {
+        const GraphNode &n = d.nodes[i];
+        for (size_t j = 0; j < n.preds.size(); ++j) {
+            const NodeId u = n.preds[j];
+            if (u < 0 || static_cast<size_t>(u) >= i)
+                return strprintf(
+                    "\"nodes[%zu].preds\": pred %d is not an earlier node "
+                    "(documents must be topologically ordered; cycles "
+                    "cannot be expressed)",
+                    i, u);
+            // A repeated pred would double-count the producer's
+            // channels in every derived weight/MAC figure.
+            if (std::find(n.preds.begin(), n.preds.begin() + j, u) !=
+                n.preds.begin() + j)
+                return strprintf("\"nodes[%zu].preds\": duplicate pred %d",
+                                 i, u);
+        }
+        const bool input = n.layer.kind == LayerKind::Input;
+        if (input && !n.preds.empty())
+            return strprintf("\"nodes[%zu]\": an input node cannot have "
+                             "preds",
+                             i);
+        if (!input && n.preds.empty())
+            return strprintf("\"nodes[%zu]\": a non-input node needs at "
+                             "least one pred",
+                             i);
+        if (!seen.insert(n.layer.name).second)
+            return strprintf("\"nodes[%zu].name\": duplicate node name "
+                             "\"%s\"",
+                             i, n.layer.name.c_str());
+    }
+    return "";
+}
+
 } // namespace
 
 std::string
 graphToJson(const Graph &g)
 {
+    GraphDoc d;
+    d.name = g.name();
+    for (NodeId v = 0; v < g.size(); ++v)
+        d.nodes.push_back({g.layer(v), g.preds(v)});
     JsonWriter w;
-    w.beginObject();
-    w.field("schema_version", kGraphSchemaVersion);
-    w.field("name", g.name());
-    w.key("nodes").beginArray();
-    for (NodeId v = 0; v < g.size(); ++v) {
-        const Layer &l = g.layer(v);
-        w.beginObject();
-        w.field("name", l.name);
-        w.field("kind", layerKindName(l.kind));
-        w.field("outH", l.outH);
-        w.field("outW", l.outW);
-        w.field("outC", l.outC);
-        w.field("kernel", l.kernel);
-        w.field("stride", l.stride);
-        w.key("preds").beginArray();
-        for (NodeId u : g.preds(v))
-            w.value(u);
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
+    FieldWalk<false> walk(&w);
+    walk.members([&] { docFields(walk, d); });
     return w.str();
 }
-
-namespace {
-
-/** Parse one "nodes" entry; @p index is the node's id-to-be. */
-bool
-nodeFromJson(const JsonValue &v, int index, Layer *layer,
-             std::vector<NodeId> *preds, std::string *err)
-{
-    auto bad = [&](const std::string &what) {
-        if (err && err->empty())
-            *err = strprintf("nodes[%d]: %s", index, what.c_str());
-        return false;
-    };
-    if (!v.isObject())
-        return bad("must be an object");
-
-    bool has_name = false, has_kind = false, has_h = false, has_w = false,
-         has_c = false;
-    for (const auto &[k, val] : v.members()) {
-        bool ok;
-        std::string field_err;
-        if (k == "name") {
-            ok = jsonReadString(val, "name", &layer->name, &field_err);
-            has_name = ok;
-        } else if (k == "kind") {
-            std::string kind;
-            ok = jsonReadString(val, "kind", &kind, &field_err);
-            if (ok && !layerKindFromName(kind, &layer->kind))
-                return bad(strprintf("unknown layer kind \"%s\"",
-                                     kind.c_str()));
-            has_kind = ok;
-        } else if (k == "outH") {
-            ok = jsonReadIntAs(val, "outH", &layer->outH, &field_err);
-            has_h = ok;
-        } else if (k == "outW") {
-            ok = jsonReadIntAs(val, "outW", &layer->outW, &field_err);
-            has_w = ok;
-        } else if (k == "outC") {
-            ok = jsonReadIntAs(val, "outC", &layer->outC, &field_err);
-            has_c = ok;
-        } else if (k == "kernel") {
-            ok = jsonReadIntAs(val, "kernel", &layer->kernel, &field_err);
-        } else if (k == "stride") {
-            ok = jsonReadIntAs(val, "stride", &layer->stride, &field_err);
-        } else if (k == "preds") {
-            if (!val.isArray())
-                return bad("\"preds\" must be an array");
-            for (const JsonValue &p : val.array()) {
-                int64_t u = 0;
-                if (!jsonReadInt(p, "preds", &u, &field_err))
-                    return bad(field_err);
-                if (u < 0 || u >= index)
-                    return bad(strprintf(
-                        "pred %lld is not an earlier node (documents "
-                        "must be topologically ordered; cycles cannot "
-                        "be expressed)",
-                        static_cast<long long>(u)));
-                NodeId id = static_cast<NodeId>(u);
-                // A repeated pred would double-count the producer's
-                // channels in every derived weight/MAC figure.
-                if (std::find(preds->begin(), preds->end(), id) !=
-                    preds->end())
-                    return bad(strprintf("duplicate pred %lld",
-                                         static_cast<long long>(u)));
-                preds->push_back(id);
-            }
-            ok = true;
-        } else {
-            return bad(strprintf("unknown key \"%s\"", k.c_str()));
-        }
-        if (!ok)
-            return bad(field_err);
-    }
-
-    if (!has_name || !has_kind || !has_h || !has_w || !has_c)
-        return bad("\"name\", \"kind\", \"outH\", \"outW\" and \"outC\" "
-                   "are required");
-    if (layer->outH < 1 || layer->outW < 1 || layer->outC < 1 ||
-        layer->kernel < 1 || layer->stride < 1)
-        return bad("shape, kernel and stride must be >= 1");
-    if (layer->kind == LayerKind::Input && !preds->empty())
-        return bad("an input node cannot have preds");
-    if (layer->kind != LayerKind::Input && preds->empty())
-        return bad("a non-input node needs at least one pred");
-    return true;
-}
-
-} // namespace
 
 bool
 graphFromJson(const JsonValue &doc, Graph *out, std::string *err)
 {
-    auto bad = [&](const std::string &what) {
-        return jsonFail(err, what);
-    };
-    if (!doc.isObject())
-        return bad("graph document must be a JSON object");
-
-    std::string name;
-    const JsonValue *nodes = nullptr;
-    bool has_version = false;
-    for (const auto &[k, v] : doc.members()) {
-        if (k == "schema_version") {
-            int64_t version = 0;
-            if (!jsonReadInt(v, "schema_version", &version, err))
-                return false;
-            if (version != kGraphSchemaVersion)
-                return bad(strprintf(
-                    "unsupported schema_version %lld (this build reads "
-                    "%d)",
-                    static_cast<long long>(version), kGraphSchemaVersion));
-            has_version = true;
-        } else if (k == "name") {
-            if (!jsonReadString(v, "name", &name, err))
-                return false;
-        } else if (k == "nodes") {
-            if (!v.isArray())
-                return bad("\"nodes\" must be an array");
-            nodes = &v;
-        } else {
-            return bad(strprintf("unknown graph key \"%s\"", k.c_str()));
-        }
-    }
-    if (!has_version)
-        return bad("missing \"schema_version\"");
-    if (name.empty())
-        return bad("missing \"name\"");
-    if (!nodes)
-        return bad("missing \"nodes\"");
-
-    Graph g(name);
-    std::set<std::string> seen;
-    int index = 0;
-    for (const JsonValue &nv : nodes->array()) {
-        Layer layer;
-        std::vector<NodeId> preds;
-        if (!nodeFromJson(nv, index, &layer, &preds, err))
-            return false;
-        if (!seen.insert(layer.name).second)
-            return bad(strprintf("nodes[%d]: duplicate node name \"%s\"",
-                                 index, layer.name.c_str()));
-        // Every addNode precondition was checked above, so this
-        // cannot fatal on user input.
-        g.addNode(layer, preds);
-        ++index;
-    }
-    if (g.size() == 0)
-        return bad("\"nodes\" must not be empty");
-
+    GraphDoc d;
+    std::string why;
+    FieldWalk<true> walk("graph", &why);
+    if (walk.read(doc, "", [&] { walk.members([&] { docFields(walk, d); }); }))
+        why = graphError(d);
+    if (!why.empty())
+        return jsonFail(err, why);
+    Graph g(d.name);
+    // Every addNode precondition was checked above, so this cannot
+    // fatal on user input.
+    for (const GraphNode &n : d.nodes)
+        g.addNode(n.layer, n.preds);
     *out = std::move(g);
     return true;
 }

@@ -26,23 +26,6 @@ layerKindName(LayerKind kind)
     panic("unknown LayerKind %d", static_cast<int>(kind));
 }
 
-bool
-layerKindFromName(const std::string &name, LayerKind *out)
-{
-    static const LayerKind kinds[] = {
-        LayerKind::Input, LayerKind::Conv,    LayerKind::DWConv,
-        LayerKind::Pool,  LayerKind::Eltwise, LayerKind::Concat,
-        LayerKind::Matmul,
-    };
-    for (LayerKind kind : kinds) {
-        if (name == layerKindName(kind)) {
-            *out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
 int64_t
 Layer::outBytes() const
 {

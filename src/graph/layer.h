@@ -35,10 +35,6 @@ enum class LayerKind
 /** @return a short stable name for @p kind ("conv", "pool", ...). */
 const char *layerKindName(LayerKind kind);
 
-/** Reverse of layerKindName: parse @p name into *out.
- *  @return false when @p name is not a layer kind. */
-bool layerKindFromName(const std::string &name, LayerKind *out);
-
 /**
  * One layer of the network: the vertex payload of the computation
  * graph. Spatial kernel/stride are square (F x F / s); the tile-flow

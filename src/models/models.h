@@ -53,6 +53,14 @@ struct ModelParams
      *  seed fully deterministic — random graph (same seed, same
      *  wiring, on every platform and in every run). */
     uint64_t seed = 1;
+
+    bool
+    operator==(const ModelParams &o) const
+    {
+        return batch == o.batch && resolution == o.resolution &&
+               seqLen == o.seqLen && depth == o.depth &&
+               widthMult == o.widthMult && seed == o.seed;
+    }
 };
 
 /** Which ModelParams fields a builder reads (ModelInfo::knobs bits). */
@@ -196,6 +204,16 @@ std::vector<std::string> allModelNames();
  */
 bool modelParamsFromJson(const JsonValue &doc, ModelParams *params,
                          std::string *err);
+
+template <bool Reading>
+class FieldWalk;
+
+/** The "params" block's field list (util/field_walk.h), for the
+ *  documents that nest one: a run spec's workload and a workload-set
+ *  tenant. A writer writes only the knobs that differ from their
+ *  defaults. */
+void modelParamsFields(FieldWalk<false> &v, const ModelParams &p);
+void modelParamsFields(FieldWalk<true> &v, ModelParams &p);
 
 /**
  * A declarative workload address: either a registered model name

@@ -9,8 +9,7 @@
 
 #include "models/models.h"
 
-#include "util/json.h"
-#include "util/logging.h"
+#include "util/field_walk.h"
 
 namespace cocco {
 
@@ -132,45 +131,50 @@ allModelNames()
     return ModelRegistry::instance().keys();
 }
 
+namespace {
+
+/** The "params" block, written down once. A writer writes only the
+ *  knobs that differ from their defaults. */
+template <typename V, typename P>
+void
+paramsFields(V &v, P &p)
+{
+    static const ModelParams d;
+    v.field(opt("batch", p.batch != d.batch), p.batch, atLeast(1));
+    v.field(opt("resolution", p.resolution != d.resolution), p.resolution,
+            atLeast(0));
+    v.field(opt("seqLen", p.seqLen != d.seqLen), p.seqLen, atLeast(0));
+    v.field(opt("depth", p.depth != d.depth), p.depth, atLeast(0));
+    v.field(opt("widthMult", p.widthMult != d.widthMult), p.widthMult,
+            above(0));
+    v.field(opt("seed", p.seed != d.seed), p.seed);
+}
+
+} // namespace
+
+void
+modelParamsFields(FieldWalk<false> &v, const ModelParams &p)
+{
+    paramsFields(v, p);
+}
+
+void
+modelParamsFields(FieldWalk<true> &v, ModelParams &p)
+{
+    paramsFields(v, p);
+}
+
 bool
 modelParamsFromJson(const JsonValue &doc, ModelParams *params,
                     std::string *err)
 {
-    auto bad = [&](const std::string &what) {
-        return jsonFail(err, what);
-    };
-    if (!doc.isObject())
-        return bad("\"params\" must be an object");
-    // Each knob: type/exactness check, then its domain bound.
-    auto knob = [&](const JsonValue &v, const char *key, int *out,
-                    int min) {
-        return jsonReadIntAs(v, key, out, err) &&
-               (*out >= min ||
-                bad(strprintf("\"%s\" must be >= %d", key, min)));
-    };
-    for (const auto &[k, v] : doc.members()) {
-        bool ok;
-        if (k == "batch")
-            ok = knob(v, "params.batch", &params->batch, 1);
-        else if (k == "resolution")
-            ok = knob(v, "params.resolution", &params->resolution, 0);
-        else if (k == "seqLen")
-            ok = knob(v, "params.seqLen", &params->seqLen, 0);
-        else if (k == "depth")
-            ok = knob(v, "params.depth", &params->depth, 0);
-        else if (k == "widthMult")
-            ok = jsonReadNumber(v, "params.widthMult",
-                                &params->widthMult, err) &&
-                 (params->widthMult > 0.0 ||
-                  bad("\"params.widthMult\" must be > 0"));
-        else if (k == "seed")
-            ok = jsonReadIntAs(v, "params.seed", &params->seed, err);
-        else
-            ok = bad(strprintf("unknown \"params\" key \"%s\"",
-                               k.c_str()));
-        if (!ok)
-            return false;
-    }
+    ModelParams p = *params;
+    std::string why;
+    FieldWalk<true> v("params", &why);
+    if (!v.read(doc, "params",
+                [&] { v.members([&] { paramsFields(v, p); }); }))
+        return jsonFail(err, why);
+    *params = p;
     return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "search/checkpoint.h"
 #include "search/eval_engine.h"
 
 namespace cocco {
@@ -67,33 +68,26 @@ SearchResult
 greedyPlaceSearch(CostModel &model, const DseSpace &space,
                   const EvalOptions &opts)
 {
-    EvalEngine eng(model, space, opts);
-    SearchMonitor &mon = eng.monitor();
-    SearchResult res;
-    EvalCacheStats cache_start;
-    if (eng.cache())
-        cache_start = eng.cache()->stats();
+    // Deterministic and cheap to rerun, so it serves no checkpoint:
+    // with the hooks cleared the record neither saves nor resumes.
+    EvalOptions own = opts;
+    own.checkpoint = nullptr;
+    EvalEngine eng(model, space, own);
+    RunRecord rec(eng, nullptr, "greedy-place", 0, {});
+    const SearchResult &res = rec.result();
 
     const Graph &g = model.graph();
     const int64_t budget = std::max<int64_t>(opts.sampleBudget, 1);
 
-    // Evaluate one genome through the engine (repairs in place),
-    // recording the sample like every other strategy. Returns the
-    // cost, or stops contributing once the budget ran out.
+    // Evaluate one genome through the engine (repairs in place) and
+    // record the sample like every other strategy.
     auto evaluate = [&](Genome &x) {
         double c = eng.evaluate(x);
-        ++res.samples;
-        bool improved = c < res.bestCost;
-        if (improved) {
-            res.bestCost = c;
-            res.best = x;
-        }
-        res.trace.push_back({res.samples, res.bestCost});
-        mon.recordSample(res.trace.back(), improved);
+        rec.record(x, c);
         return c;
     };
     auto exhausted = [&] {
-        return res.samples >= budget || mon.shouldStop();
+        return res.samples >= budget || eng.monitor().shouldStop();
     };
 
     // --- Buffer pick: two independent axis sweeps on singletons. ---
@@ -160,16 +154,7 @@ greedyPlaceSearch(CostModel &model, const DseSpace &space,
         }
     }
 
-    res.stop = mon.stopReason();
-    if (res.samples > 0) {
-        res.bestBuffer = res.best.buffer(space);
-        res.bestGraphCost =
-            model.partitionCost(res.best.part, res.bestBuffer);
-    }
-    if (eng.cache())
-        res.cacheStats = eng.cache()->stats() - cache_start;
-    res.deltaStats = eng.deltaStats();
-    return res;
+    return rec.finish();
 }
 
 void

@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "util/json.h"
-#include "util/logging.h"
+#include "util/field_walk.h"
 
 namespace cocco {
 
@@ -58,107 +57,56 @@ validateWorkloadSet(const WorkloadSet &set, std::string *err)
     return true;
 }
 
+namespace {
+
+/** The section, written down once: an array of tenants. A writer
+ *  writes a workload's model or file only when given, and its params
+ *  only when they differ from the defaults. */
+template <typename V, typename S>
+void
+setFields(V &v, S &set)
+{
+    v.items(set.tenants, [&](auto &t) {
+        v.members([&] {
+            auto &w = t.workload;
+            v.field(opt("name"), t.name);
+            v.field(opt("model", !w.model.empty()), w.model);
+            v.field(opt("file", !w.file.empty()), w.file);
+            v.object(opt("params", !(w.params == ModelParams())),
+                     [&] { modelParamsFields(v, w.params); });
+            v.field("arrival_rate_hz", t.arrivalRateHz);
+            v.field("sla_latency_ms", t.slaLatencyMs);
+        });
+    });
+}
+
+} // namespace
+
+void
+workloadSetFields(FieldWalk<true> &v, WorkloadSet &set)
+{
+    setFields(v, set);
+}
+
 bool
 workloadSetFromJson(const JsonValue &v, WorkloadSet *out, std::string *err)
 {
     WorkloadSet set;
-    if (!v.isArray())
-        return bad(err, "\"workload_set\" must be an array of tenants");
-    for (size_t i = 0; i < v.array().size(); ++i) {
-        const JsonValue &tv = v.array()[i];
-        std::string who = strprintf("workload_set[%zu]", i);
-        if (!tv.isObject())
-            return bad(err, who + " must be an object");
-        TenantSpec t;
-        bool saw_rate = false, saw_sla = false;
-        for (const auto &[k, mv] : tv.members()) {
-            std::string key = who + "." + k;
-            if (k == "name") {
-                if (!jsonReadString(mv, key.c_str(), &t.name, err))
-                    return false;
-            } else if (k == "model") {
-                if (!jsonReadString(mv, key.c_str(), &t.workload.model,
-                                    err))
-                    return false;
-            } else if (k == "file") {
-                if (!jsonReadString(mv, key.c_str(), &t.workload.file,
-                                    err))
-                    return false;
-            } else if (k == "params") {
-                if (!modelParamsFromJson(mv, &t.workload.params, err))
-                    return false;
-            } else if (k == "arrival_rate_hz") {
-                if (!jsonReadNumber(mv, key.c_str(), &t.arrivalRateHz,
-                                    err))
-                    return false;
-                saw_rate = true;
-            } else if (k == "sla_latency_ms") {
-                if (!jsonReadNumber(mv, key.c_str(), &t.slaLatencyMs, err))
-                    return false;
-                saw_sla = true;
-            } else {
-                return bad(err, strprintf("unknown workload_set key "
-                                          "\"%s\" (tenant %zu)",
-                                          k.c_str(), i));
-            }
-        }
-        if (!saw_rate)
-            return bad(err, who + " is missing \"arrival_rate_hz\"");
-        if (!saw_sla)
-            return bad(err, who + " is missing \"sla_latency_ms\"");
-        set.tenants.push_back(std::move(t));
-    }
-    if (!validateWorkloadSet(set, err))
-        return false;
+    std::string why;
+    FieldWalk<true> walk("workload_set", &why);
+    if (!walk.read(v, "workload_set", [&] { setFields(walk, set); }) ||
+        !validateWorkloadSet(set, &why))
+        return bad(err, why);
     *out = std::move(set);
     return true;
-}
-
-void
-workloadSetToJson(JsonWriter &w, const WorkloadSet &set)
-{
-    const ModelParams defaults;
-    w.beginArray();
-    for (const TenantSpec &t : set.tenants) {
-        w.beginObject();
-        w.field("name", t.name);
-        if (!t.workload.model.empty())
-            w.field("model", t.workload.model);
-        if (!t.workload.file.empty())
-            w.field("file", t.workload.file);
-        const ModelParams &p = t.workload.params;
-        if (p.batch != defaults.batch ||
-            p.resolution != defaults.resolution ||
-            p.seqLen != defaults.seqLen || p.depth != defaults.depth ||
-            p.widthMult != defaults.widthMult ||
-            p.seed != defaults.seed) {
-            w.key("params").beginObject();
-            if (p.batch != defaults.batch)
-                w.field("batch", p.batch);
-            if (p.resolution != defaults.resolution)
-                w.field("resolution", p.resolution);
-            if (p.seqLen != defaults.seqLen)
-                w.field("seqLen", p.seqLen);
-            if (p.depth != defaults.depth)
-                w.field("depth", p.depth);
-            if (p.widthMult != defaults.widthMult)
-                w.field("widthMult", p.widthMult);
-            if (p.seed != defaults.seed)
-                w.field("seed", p.seed);
-            w.endObject();
-        }
-        w.field("arrival_rate_hz", t.arrivalRateHz);
-        w.field("sla_latency_ms", t.slaLatencyMs);
-        w.endObject();
-    }
-    w.endArray();
 }
 
 std::string
 workloadSetJson(const WorkloadSet &set)
 {
     JsonWriter w;
-    workloadSetToJson(w, set);
+    FieldWalk<false> walk(&w);
+    setFields(walk, set);
     return w.str();
 }
 

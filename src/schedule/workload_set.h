@@ -25,7 +25,6 @@
 namespace cocco {
 
 class JsonValue;
-class JsonWriter;
 
 /** One tenant: a named workload with serving requirements. */
 struct TenantSpec
@@ -63,10 +62,15 @@ bool validateWorkloadSet(const WorkloadSet &set, std::string *err);
 bool workloadSetFromJson(const JsonValue &v, WorkloadSet *out,
                          std::string *err);
 
-/** Serialize the section (round-trips through workloadSetFromJson). */
-void workloadSetToJson(JsonWriter &w, const WorkloadSet &set);
+template <bool Reading>
+class FieldWalk;
 
-/** The section as a standalone document (for tests / tooling). */
+/** The section read as a run spec's "workload_set" field
+ *  (util/field_walk.h); validateWorkloadSet runs after the walk. */
+void workloadSetFields(FieldWalk<true> &v, WorkloadSet &set);
+
+/** The section as a standalone document (round-trips through
+ *  workloadSetFromJson). */
 std::string workloadSetJson(const WorkloadSet &set);
 
 } // namespace cocco

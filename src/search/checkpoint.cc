@@ -32,14 +32,14 @@ baseFence(const CostModel &model, const DseSpace &space,
 
 } // namespace
 
-RunRecord::RunRecord(EvalEngine &engine, Rng &rng, const char *algo,
+RunRecord::RunRecord(EvalEngine &engine, Rng *rng, const char *algo,
                      uint64_t fence, Section section, bool recordPoints)
     : RunRecord(engine.model(), engine.space(), engine.options(),
                 engine.monitor(), engine.cache().get(), algo, fence,
                 std::move(section))
 {
     engine_ = &engine;
-    rng_ = &rng;
+    rng_ = rng;
     pareto_ = opts_.pareto;
     recordPoints_ = recordPoints;
 }
@@ -66,8 +66,14 @@ RunRecord::record(const Genome &genome, double cost)
     res_.trace.push_back({res_.samples, res_.bestCost});
     mon_.recordSample(res_.trace.back(), improved);
     if (recordPoints_ || pareto_) {
+        // An archive offer reads only what Objective scope completes
+        // for a feasible partition; a recorded point keeps an
+        // infeasible sample's metric, a partial sum there.
         const BufferConfig buf = genome.buffer(space_);
-        const GraphCost gc = model_.partitionCost(genome.part, buf);
+        const GraphCost gc = model_.partitionCost(
+            genome.part, buf, nullptr,
+            recordPoints_ ? CostModel::CostScope::Full
+                          : CostModel::CostScope::Objective);
         const double metric = gc.metricValue(opts_.metric);
         if (recordPoints_)
             res_.points.push_back({res_.samples, metric, buf.totalBytes()});

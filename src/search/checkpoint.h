@@ -149,8 +149,9 @@ class RunRecord
     /** Writes the driver's own section into a snapshot. */
     using Section = std::function<void(SearchCheckpoint &)>;
 
-    /** An engine run; @p fence matters only under checkpoint hooks. */
-    RunRecord(EvalEngine &engine, Rng &rng, const char *algo,
+    /** An engine run (with the driver's @p rng, if it draws one);
+     *  @p fence matters only under checkpoint hooks. */
+    RunRecord(EvalEngine &engine, Rng *rng, const char *algo,
               uint64_t fence, Section section, bool recordPoints = false);
 
     /** A folding run over @p cache, the one its inner runs share. */

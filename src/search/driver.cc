@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "schedule/greedy_place.h"
-#include "util/json.h"
-#include "util/logging.h"
+#include "util/field_walk.h"
 
 namespace cocco {
 
@@ -273,374 +272,143 @@ SearcherRegistry::summary(const std::string &key) const
 
 namespace {
 
-/** Collects type errors while walking the spec document (sticky-err
- *  wrappers over the util/json checked readers). */
-struct SpecReader
-{
-    std::string err;
+/** "mode": Unset keeps the spec's own. */
+enum class Mode { Unset, CoExplore, Partition, Pareto };
 
-    bool
-    bad(const std::string &what)
-    {
-        if (err.empty())
-            err = what;
-        return false;
-    }
-
-    bool
-    readString(const JsonValue &v, const char *key, std::string *out)
-    {
-        return jsonReadString(v, key, out, &err);
-    }
-
-    bool
-    readNumber(const JsonValue &v, const char *key, double *out)
-    {
-        return jsonReadNumber(v, key, out, &err);
-    }
-
-    bool
-    readInt(const JsonValue &v, const char *key, int64_t *out)
-    {
-        return jsonReadInt(v, key, out, &err);
-    }
-
-    template <typename T>
-    bool
-    readIntAs(const JsonValue &v, const char *key, T *out)
-    {
-        return jsonReadIntAs(v, key, out, &err);
-    }
-
-    bool
-    readBool(const JsonValue &v, const char *key, bool *out)
-    {
-        return jsonReadBool(v, key, out, &err);
-    }
-
-    bool
-    readWorkload(const JsonValue &v, WorkloadSpec *out)
-    {
-        if (!v.isObject())
-            return bad("\"workload\" must be an object");
-        for (const auto &[k, val] : v.members()) {
-            bool ok;
-            if (k == "model")
-                ok = readString(val, "workload.model", &out->model);
-            else if (k == "file")
-                ok = readString(val, "workload.file", &out->file);
-            else if (k == "params")
-                ok = modelParamsFromJson(val, &out->params, &err);
-            else
-                ok = bad(strprintf("unknown \"workload\" key \"%s\"",
-                                   k.c_str()));
-            if (!ok)
-                return false;
-        }
-        if (!out->model.empty() && !out->file.empty())
-            return bad("\"workload\" must give \"model\" or \"file\", "
-                       "not both");
-        return true;
-    }
-
-    bool
-    readPlatform(const JsonValue &v, PlatformSpec *out)
-    {
-        return platformSpecFromJson(v, "platform", out, &err);
-    }
-
-    bool
-    readMetric(const JsonValue &v, Metric *out)
-    {
-        std::string s;
-        if (!readString(v, "metric", &s))
-            return false;
-        if (s == "energy")
-            *out = Metric::Energy;
-        else if (s == "ema")
-            *out = Metric::EMA;
-        else
-            return bad("\"metric\" must be \"energy\" or \"ema\"");
-        return true;
-    }
-
-    bool
-    readStyle(const JsonValue &v, const char *key, BufferStyle *out)
-    {
-        std::string s;
-        if (!readString(v, key, &s))
-            return false;
-        if (s == "shared")
-            *out = BufferStyle::Shared;
-        else if (s == "separate")
-            *out = BufferStyle::Separate;
-        else
-            return bad(strprintf(
-                "\"%s\" must be \"shared\" or \"separate\"", key));
-        return true;
-    }
-
-    bool
-    readBuffer(const JsonValue &v, BufferConfig *out)
-    {
-        if (!v.isObject())
-            return bad("\"buffer\" must be an object");
-        for (const auto &[k, val] : v.members()) {
-            if (k == "style") {
-                if (!readStyle(val, "buffer.style", &out->style))
-                    return false;
-            } else if (k == "actBytes") {
-                if (!readIntAs(val, "buffer.actBytes", &out->actBytes))
-                    return false;
-            } else if (k == "weightBytes") {
-                if (!readIntAs(val, "buffer.weightBytes",
-                               &out->weightBytes))
-                    return false;
-            } else if (k == "sharedBytes") {
-                if (!readIntAs(val, "buffer.sharedBytes",
-                               &out->sharedBytes))
-                    return false;
-            } else {
-                return bad(strprintf("unknown \"buffer\" key \"%s\"",
-                                     k.c_str()));
-            }
-        }
-        return true;
-    }
-
-    bool
-    readGa(const JsonValue &v, GaParams *out)
-    {
-        if (!v.isObject())
-            return bad("\"ga\" must be an object");
-        for (const auto &[k, val] : v.members()) {
-            bool ok;
-            if (k == "population")
-                ok = readIntAs(val, "ga.population", &out->population);
-            else if (k == "crossoverRate")
-                ok = readNumber(val, "ga.crossoverRate",
-                                &out->crossoverRate);
-            else if (k == "mutPartitionRate")
-                ok = readNumber(val, "ga.mutPartitionRate",
-                                &out->mutPartitionRate);
-            else if (k == "mutDseRate")
-                ok = readNumber(val, "ga.mutDseRate", &out->mutDseRate);
-            else if (k == "tournament")
-                ok = readIntAs(val, "ga.tournament", &out->tournament);
-            else if (k == "elite")
-                ok = readIntAs(val, "ga.elite", &out->elite);
-            else if (k == "recordPoints")
-                ok = readBool(val, "ga.recordPoints", &out->recordPoints);
-            else
-                return bad(strprintf("unknown \"ga\" key \"%s\"",
-                                     k.c_str()));
-            if (!ok)
-                return false;
-        }
-        return true;
-    }
-
-    bool
-    readSa(const JsonValue &v, SaParams *out)
-    {
-        if (!v.isObject())
-            return bad("\"sa\" must be an object");
-        for (const auto &[k, val] : v.members()) {
-            bool ok;
-            if (k == "tempStartFrac")
-                ok = readNumber(val, "sa.tempStartFrac",
-                                &out->tempStartFrac);
-            else if (k == "tempEndFrac")
-                ok = readNumber(val, "sa.tempEndFrac", &out->tempEndFrac);
-            else if (k == "dseMutationRate")
-                ok = readNumber(val, "sa.dseMutationRate",
-                                &out->dseMutationRate);
-            else if (k == "neighborBatch")
-                ok = readIntAs(val, "sa.neighborBatch",
-                               &out->neighborBatch);
-            else
-                return bad(strprintf("unknown \"sa\" key \"%s\"",
-                                     k.c_str()));
-            if (!ok)
-                return false;
-        }
-        return true;
-    }
-
-    bool
-    readPortfolio(const JsonValue &v, PortfolioParams *out)
-    {
-        if (!v.isObject())
-            return bad("\"portfolio\" must be an object");
-        for (const auto &[k, val] : v.members()) {
-            bool ok = true;
-            if (k == "racers") {
-                if (!val.isArray())
-                    return bad("\"portfolio.racers\" must be an array "
-                               "of algorithm names");
-                out->racers.clear();
-                for (const JsonValue &e : val.array()) {
-                    std::string racer;
-                    if (!readString(e, "portfolio.racers[]", &racer))
-                        return false;
-                    out->racers.push_back(std::move(racer));
-                }
-                if (out->racers.empty())
-                    return bad("\"portfolio.racers\" must not be empty");
-            } else if (k == "deterministicRace") {
-                ok = readBool(val, "portfolio.deterministicRace",
-                              &out->deterministicRace);
-            } else if (k == "checkEvals") {
-                ok = readInt(val, "portfolio.checkEvals",
-                             &out->checkEvals);
-            } else if (k == "warmupEvals") {
-                ok = readInt(val, "portfolio.warmupEvals",
-                             &out->warmupEvals);
-            } else {
-                return bad(strprintf("unknown \"portfolio\" key \"%s\"",
-                                     k.c_str()));
-            }
-            if (!ok)
-                return false;
-        }
-        return true;
-    }
-
-    bool
-    readTwoStep(const JsonValue &v, TwoStepParams *out)
-    {
-        if (!v.isObject())
-            return bad("\"twoStep\" must be an object");
-        for (const auto &[k, val] : v.members()) {
-            bool ok;
-            if (k == "samplesPerCandidate")
-                ok = readInt(val, "twoStep.samplesPerCandidate",
-                             &out->samplesPerCandidate);
-            else if (k == "population")
-                ok = readIntAs(val, "twoStep.population",
-                               &out->population);
-            else
-                return bad(strprintf("unknown \"twoStep\" key \"%s\"",
-                                     k.c_str()));
-            if (!ok)
-                return false;
-        }
-        return true;
-    }
+const Name<Mode> kModes[] = {
+    {"coexplore", Mode::CoExplore}, {"co-explore", Mode::CoExplore},
+    {"partition", Mode::Partition}, {"partition-only", Mode::Partition},
+    {"pareto", Mode::Pareto},
 };
+
+const Name<Metric> kMetrics[] = {
+    {"energy", Metric::Energy},
+    {"ema", Metric::EMA},
+};
+
+const Name<BufferStyle> kStyles[] = {
+    {"shared", BufferStyle::Shared},
+    {"separate", BufferStyle::Separate},
+};
+
+/** What the rules after the walk need to know of the document. */
+struct SpecKeys
+{
+    bool model = false, workload = false, workloadSet = false;
+    Mode mode = Mode::Unset;
+};
+
+/** The run-spec document, written down once (it is only read). */
+void
+specFields(FieldWalk<true> &v, SearchSpec &s, SpecKeys &k)
+{
+    // "model" is shorthand for workload.model.
+    k.model = v.field(opt("model"), s.workload.model);
+    k.workload = v.object(opt("workload"), [&] {
+        v.field(opt("model"), s.workload.model);
+        v.field(opt("file"), s.workload.file);
+        v.object(opt("params"),
+                 [&] { modelParamsFields(v, s.workload.params); });
+    });
+    k.workloadSet = v.at(opt("workload_set"),
+                         [&] { workloadSetFields(v, s.workloadSet); });
+    v.at(opt("platform"), [&] { platformAddress(v, s.platform); });
+    v.at(opt("deployment"), [&] { deploymentAddress(v, s.deployment); });
+    v.field(opt("algo"), s.algo);
+    v.choice(opt("mode"), k.mode, kModes);
+    v.choice(opt("style"), s.style, kStyles);
+    v.object(opt("buffer"), [&] {
+        v.choice(opt("style"), s.fixedBuffer.style, kStyles);
+        v.field(opt("actBytes"), s.fixedBuffer.actBytes);
+        v.field(opt("weightBytes"), s.fixedBuffer.weightBytes);
+        v.field(opt("sharedBytes"), s.fixedBuffer.sharedBytes);
+    });
+    EvalOptions &e = s.eval;
+    v.field(opt("samples"), e.sampleBudget);
+    v.field(opt("seed"), e.seed);
+    v.field(opt("alpha"), e.alpha);
+    v.choice(opt("metric"), e.metric, kMetrics);
+    v.field(opt("threads"), e.threads);
+    v.field(opt("inSituSplit"), e.inSituSplit);
+    v.field(opt("pruning"), e.pruning);
+    v.field(opt("cacheEnabled"), e.cacheEnabled);
+    v.field(opt("cacheCapacity"), e.cacheCapacity);
+    v.field(opt("timeLimitSec"), e.timeLimitSec);
+    v.field(opt("stallLimit"), e.stallLimit);
+    v.object(opt("ga"), [&] {
+        v.field(opt("population"), s.ga.population);
+        v.field(opt("crossoverRate"), s.ga.crossoverRate);
+        v.field(opt("mutPartitionRate"), s.ga.mutPartitionRate);
+        v.field(opt("mutDseRate"), s.ga.mutDseRate);
+        v.field(opt("tournament"), s.ga.tournament);
+        v.field(opt("elite"), s.ga.elite);
+        v.field(opt("recordPoints"), s.ga.recordPoints);
+    });
+    v.object(opt("sa"), [&] {
+        v.field(opt("tempStartFrac"), s.sa.tempStartFrac);
+        v.field(opt("tempEndFrac"), s.sa.tempEndFrac);
+        v.field(opt("dseMutationRate"), s.sa.dseMutationRate);
+        v.field(opt("neighborBatch"), s.sa.neighborBatch);
+    });
+    v.object(opt("twoStep"), [&] {
+        v.field(opt("samplesPerCandidate"), s.twoStep.samplesPerCandidate);
+        v.field(opt("population"), s.twoStep.population);
+    });
+    v.object(opt("portfolio"), [&] {
+        if (v.list(opt("racers"), s.portfolio.racers))
+            v.rule(s.portfolio.racers.empty()
+                       ? "\"portfolio.racers\" must not be empty"
+                       : "");
+        v.field(opt("deterministicRace"), s.portfolio.deterministicRace);
+        v.field(opt("checkEvals"), s.portfolio.checkEvals);
+        v.field(opt("warmupEvals"), s.portfolio.warmupEvals);
+    });
+}
+
+/** The rules that span the document's keys, run after the walk; they
+ *  then settle "mode" and a one-tenant set. "" or the reason. */
+std::string
+specRuleError(SearchSpec &s, const SpecKeys &k)
+{
+    std::string why;
+    if (k.workloadSet && !validateWorkloadSet(s.workloadSet, &why))
+        return why;
+    if (k.model && k.workload)
+        return "give \"model\" (shorthand) or a \"workload\" section, not "
+               "both";
+    if (k.workload && !s.workload.model.empty() && !s.workload.file.empty())
+        return "\"workload\" must give \"model\" or \"file\", not both";
+    if (k.workloadSet && (k.model || k.workload))
+        return "\"workload_set\" replaces \"model\"/\"workload\"; give one "
+               "or the other, not both";
+    // Frontier mode is co-exploration by definition: the archive spans
+    // the capacity grid.
+    if (k.mode != Mode::Unset)
+        s.eval.coExplore = k.mode != Mode::Partition;
+    if (k.mode == Mode::Pareto)
+        s.paretoMode = true;
+    // A one-tenant set degenerates to the plain workload spelling, so
+    // every frontend treats the two identically (bit-for-bit).
+    if (s.workloadSet.size() == 1) {
+        s.workload = s.workloadSet.tenants[0].workload;
+        s.workloadSet.tenants.clear();
+    }
+    return "";
+}
 
 } // namespace
 
 bool
 searchSpecFromJson(const JsonValue &doc, SearchSpec *spec, std::string *err)
 {
-    SpecReader r;
-    if (!doc.isObject()) {
-        if (err)
-            *err = "run spec must be a JSON object";
-        return false;
-    }
-    bool model_key = false, workload_key = false, set_key = false;
-    for (const auto &[k, v] : doc.members()) {
-        bool ok = true;
-        if (k == "model") {
-            // Shorthand for workload.model.
-            ok = r.readString(v, "model", &spec->workload.model);
-            model_key = true;
-        } else if (k == "workload") {
-            ok = r.readWorkload(v, &spec->workload);
-            workload_key = true;
-        } else if (k == "workload_set") {
-            ok = workloadSetFromJson(v, &spec->workloadSet, &r.err);
-            set_key = true;
-        } else if (k == "platform") {
-            ok = r.readPlatform(v, &spec->platform);
-        } else if (k == "deployment") {
-            ok = deploymentSpecFromJson(v, &spec->deployment, &r.err);
-        } else if (k == "algo") {
-            ok = r.readString(v, "algo", &spec->algo);
-        } else if (k == "mode") {
-            std::string mode;
-            ok = r.readString(v, "mode", &mode);
-            if (ok) {
-                if (mode == "coexplore" || mode == "co-explore") {
-                    spec->eval.coExplore = true;
-                } else if (mode == "partition" ||
-                           mode == "partition-only") {
-                    spec->eval.coExplore = false;
-                } else if (mode == "pareto") {
-                    // Frontier mode is co-exploration by definition:
-                    // the archive spans the capacity grid.
-                    spec->eval.coExplore = true;
-                    spec->paretoMode = true;
-                } else {
-                    ok = r.bad("\"mode\" must be \"coexplore\", "
-                               "\"partition\", or \"pareto\"");
-                }
-            }
-        } else if (k == "style") {
-            ok = r.readStyle(v, "style", &spec->style);
-        } else if (k == "buffer") {
-            ok = r.readBuffer(v, &spec->fixedBuffer);
-        } else if (k == "samples") {
-            ok = r.readInt(v, "samples", &spec->eval.sampleBudget);
-        } else if (k == "seed") {
-            ok = r.readIntAs(v, "seed", &spec->eval.seed);
-        } else if (k == "alpha") {
-            ok = r.readNumber(v, "alpha", &spec->eval.alpha);
-        } else if (k == "metric") {
-            ok = r.readMetric(v, &spec->eval.metric);
-        } else if (k == "threads") {
-            ok = r.readIntAs(v, "threads", &spec->eval.threads);
-        } else if (k == "inSituSplit") {
-            ok = r.readBool(v, "inSituSplit", &spec->eval.inSituSplit);
-        } else if (k == "pruning") {
-            ok = r.readBool(v, "pruning", &spec->eval.pruning);
-        } else if (k == "cacheEnabled") {
-            ok = r.readBool(v, "cacheEnabled", &spec->eval.cacheEnabled);
-        } else if (k == "cacheCapacity") {
-            ok = r.readIntAs(v, "cacheCapacity",
-                             &spec->eval.cacheCapacity);
-        } else if (k == "timeLimitSec") {
-            ok = r.readNumber(v, "timeLimitSec", &spec->eval.timeLimitSec);
-        } else if (k == "stallLimit") {
-            ok = r.readInt(v, "stallLimit", &spec->eval.stallLimit);
-        } else if (k == "ga") {
-            ok = r.readGa(v, &spec->ga);
-        } else if (k == "sa") {
-            ok = r.readSa(v, &spec->sa);
-        } else if (k == "twoStep") {
-            ok = r.readTwoStep(v, &spec->twoStep);
-        } else if (k == "portfolio") {
-            ok = r.readPortfolio(v, &spec->portfolio);
-        } else {
-            ok = r.bad(strprintf("unknown run-spec key \"%s\"", k.c_str()));
-        }
-        if (!ok) {
-            if (err)
-                *err = r.err;
-            return false;
-        }
-    }
-    if (model_key && workload_key) {
-        if (err)
-            *err = "give \"model\" (shorthand) or a \"workload\" "
-                   "section, not both";
-        return false;
-    }
-    if (set_key && (model_key || workload_key)) {
-        if (err)
-            *err = "\"workload_set\" replaces \"model\"/\"workload\"; "
-                   "give one or the other, not both";
-        return false;
-    }
-    // A one-tenant set degenerates to the plain workload spelling, so
-    // every frontend treats the two identically (bit-for-bit).
-    if (spec->workloadSet.size() == 1) {
-        spec->workload = spec->workloadSet.tenants[0].workload;
-        spec->workloadSet.tenants.clear();
-    }
-    return true;
+    SpecKeys k;
+    std::string why;
+    FieldWalk<true> v("run-spec", &why);
+    if (v.read(doc, "", [&] { v.members([&] { specFields(v, *spec, k); }); }))
+        why = specRuleError(*spec, k);
+    if (!why.empty() && err)
+        *err = why;
+    return why.empty();
 }
 
 std::string

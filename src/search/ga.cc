@@ -70,7 +70,7 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     // population, incumbent, trace) form a consistent serial state.
     // The population is the GA's own section.
     RunRecord rec(
-        engine_, rng, "ga",
+        engine_, &rng, "ga",
         opts_.checkpoint ? gaCheckpointFence(model_, space_, opts_) : 0,
         [&](SearchCheckpoint &c) {
             for (const Scored &s : pop) {

@@ -36,7 +36,7 @@ simulatedAnnealing(CostModel &model, const DseSpace &space,
     // Snapshots are taken at sweep boundaries (see GA). SA's own
     // section is its current state, and t0 rides along because the
     // temperature schedule is frozen from the very first evaluation.
-    RunRecord rec(engine, rng, "sa",
+    RunRecord rec(engine, &rng, "sa",
                   opts.checkpoint ? saCheckpointFence(model, space, opts)
                                   : 0,
                   [&](SearchCheckpoint &c) {

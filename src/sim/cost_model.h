@@ -287,11 +287,13 @@ class CostModel
 
     /**
      * How much of partitionCost a caller needs. Objective restricts
-     * the result to the fields the search objective reads (feasible,
-     * emaBytes, energyPj): per-block work stops as soon as the
-     * partition is known infeasible and the bandwidth summaries are
-     * skipped. Every field that is produced is bit-identical to a
-     * Full evaluation.
+     * the result to the fields the search objective and a frontier
+     * point read: per-block work stops as soon as the partition is
+     * known infeasible, and the bandwidth summaries (avgBwGBps,
+     * peakBwGBps) are skipped. For a feasible partition every other
+     * field (feasible, subgraphs, emaBytes, energyPj, latencyCycles)
+     * is complete and bit-identical to a Full evaluation; for an
+     * infeasible one only `feasible` is.
      */
     enum class CostScope
     {

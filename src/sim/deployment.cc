@@ -4,8 +4,7 @@
 
 #include "sim/multicore.h"
 #include "util/hash.h"
-#include "util/json.h"
-#include "util/logging.h"
+#include "util/field_walk.h"
 
 namespace cocco {
 
@@ -150,172 +149,80 @@ deploymentPreset(const std::string &name)
 
 // --- JSON --------------------------------------------------------------------
 
+namespace {
+
+/** "cores" against "corePlatforms": given beside the list, the two
+ *  agree; without "cores", the list sets it. */
 std::string
-deploymentToJson(const DeploymentDesc &desc)
+settleCores(DeploymentDesc &d, bool coresGiven, const FieldWalk<true> &v)
 {
-    JsonWriter w;
-    w.beginObject();
-    w.field("cores", desc.cores);
+    const int n = static_cast<int>(d.corePlatforms.size());
+    if (n > 0 && coresGiven && d.cores != n)
+        return strprintf("\"%s\" (%d) disagrees with the \"%s\" list (%d "
+                         "entries)",
+                         v.pathOf("cores").c_str(), d.cores,
+                         v.pathOf("corePlatforms").c_str(), n);
+    if (n > 0)
+        d.cores = n;
+    return "";
+}
+
+/** The deployment document, written down once. */
+template <typename V, typename D>
+void
+fields(V &v, D &d)
+{
+    v.base("base", d, DeploymentRegistry::instance(), "deployment");
+    const bool cores = v.field(opt("cores"), d.cores, atLeast(1));
     // Only explicit interconnect knobs are written: an unset knob
     // means "inherit the core platform's crossbar" and must stay
     // unset across a round trip.
-    if (desc.interconnect.bytesPerCycle > 0.0 ||
-        desc.interconnect.pjPerByteHop >= 0.0) {
-        w.key("interconnect").beginObject();
-        if (desc.interconnect.bytesPerCycle > 0.0)
-            w.field("bytesPerCycle", desc.interconnect.bytesPerCycle);
-        if (desc.interconnect.pjPerByteHop >= 0.0)
-            w.field("pjPerByteHop", desc.interconnect.pjPerByteHop);
-        w.endObject();
-    }
-    if (!desc.corePlatforms.empty()) {
-        w.key("corePlatforms").beginArray();
-        for (const PlatformSpec &p : desc.corePlatforms) {
-            if (!p.file.empty()) {
-                w.beginObject();
-                w.field("file", p.file);
-                w.endObject();
-            } else if (p.inlineConfig) {
-                acceleratorToJson(w, p.config);
-            } else {
-                w.value(p.preset.empty() ? "simba" : p.preset);
-            }
-        }
-        w.endArray();
-    }
-    w.endObject();
-    return w.str();
-}
-
-namespace {
-
-bool
-interconnectFromJson(const JsonValue &doc, InterconnectConfig *out,
-                     std::string *err)
-{
-    if (!doc.isObject())
-        return jsonFail(err, "\"interconnect\" must be an object");
-    for (const auto &[k, v] : doc.members()) {
-        bool ok;
-        if (k == "bytesPerCycle") {
-            ok = jsonReadNumber(v, "interconnect.bytesPerCycle",
-                                &out->bytesPerCycle, err) &&
-                 (out->bytesPerCycle > 0.0 ||
-                  jsonFail(err,
-                           "\"interconnect.bytesPerCycle\" must be > 0"));
-        } else if (k == "pjPerByteHop") {
-            ok = jsonReadNumber(v, "interconnect.pjPerByteHop",
-                                &out->pjPerByteHop, err) &&
-                 (out->pjPerByteHop >= 0.0 ||
-                  jsonFail(err,
-                           "\"interconnect.pjPerByteHop\" must be >= 0"));
-        } else {
-            ok = jsonFail(err, strprintf(
-                                   "unknown \"interconnect\" key \"%s\"",
-                                   k.c_str()));
-        }
-        if (!ok)
-            return false;
-    }
-    return true;
+    auto &ic = d.interconnect;
+    const bool bw = ic.bytesPerCycle > 0.0, pj = ic.pjPerByteHop >= 0.0;
+    v.object(opt("interconnect", bw || pj), [&] {
+        v.field(opt("bytesPerCycle", bw), ic.bytesPerCycle, above(0));
+        v.field(opt("pjPerByteHop", pj), ic.pjPerByteHop, atLeast(0));
+    });
+    v.list(opt("corePlatforms", !d.corePlatforms.empty()), d.corePlatforms,
+           [&](auto &p) { platformAddress(v, p); });
+    if constexpr (V::kReading)
+        v.rule(settleCores(d, cores, v));
 }
 
 } // namespace
+
+std::string
+deploymentToJson(const DeploymentDesc &desc)
+{
+    // A core that names no platform runs the default preset.
+    DeploymentDesc named = desc;
+    for (PlatformSpec &p : named.corePlatforms)
+        if (p.preset.empty())
+            p.preset = "simba";
+    JsonWriter w;
+    FieldWalk<false> v(&w);
+    v.members([&] { fields(v, named); });
+    return w.str();
+}
 
 bool
 deploymentFromJson(const JsonValue &doc, DeploymentDesc *out,
                    std::string *err)
 {
-    if (!doc.isObject())
-        return jsonFail(err, "deployment document must be a JSON object");
-
-    // "base" selects the starting description, so read it first
-    // regardless of member order.
     DeploymentDesc desc;
-    if (const JsonValue *base = doc.find("base")) {
-        std::string name;
-        if (!jsonReadString(*base, "deployment.base", &name, err))
-            return false;
-        if (!DeploymentRegistry::instance().find(name, &desc))
-            return jsonFail(err,
-                            strprintf("unknown deployment \"%s\" (known: "
-                                      "%s)",
-                                      name.c_str(),
-                                      knownDeployments().c_str()));
-    }
-
-    bool cores_given = false;
-    for (const auto &[k, v] : doc.members()) {
-        bool ok;
-        if (k == "base") {
-            ok = true; // consumed above
-        } else if (k == "cores") {
-            cores_given = true;
-            ok = jsonReadIntAs(v, "cores", &desc.cores, err) &&
-                 (desc.cores >= 1 ||
-                  jsonFail(err, "\"cores\" must be >= 1"));
-        } else if (k == "interconnect") {
-            ok = interconnectFromJson(v, &desc.interconnect, err);
-        } else if (k == "corePlatforms") {
-            if (!v.isArray())
-                return jsonFail(err, "\"corePlatforms\" must be an array");
-            desc.corePlatforms.clear();
-            int idx = 0;
-            ok = true;
-            for (const JsonValue &e : v.array()) {
-                PlatformSpec p;
-                std::string what = strprintf("corePlatforms[%d]", idx++);
-                if (!platformSpecFromJson(e, what.c_str(), &p, err)) {
-                    ok = false;
-                    break;
-                }
-                desc.corePlatforms.push_back(std::move(p));
-            }
-        } else {
-            ok = jsonFail(err, strprintf("unknown deployment key \"%s\"",
-                                         k.c_str()));
-        }
-        if (!ok)
-            return false;
-    }
-
-    if (!desc.corePlatforms.empty()) {
-        int n = static_cast<int>(desc.corePlatforms.size());
-        if (cores_given && desc.cores != n)
-            return jsonFail(
-                err, strprintf("\"cores\" (%d) disagrees with the "
-                               "\"corePlatforms\" list (%d entries)",
-                               desc.cores, n));
-        desc.cores = n;
-    }
-    if (desc.cores < 1)
-        return jsonFail(err, "\"cores\" must be >= 1");
-
+    std::string why;
+    FieldWalk<true> v("deployment", &why);
+    if (!v.read(doc, "", [&] { v.members([&] { fields(v, desc); }); }))
+        return jsonFail(err, why);
     *out = desc;
     return true;
 }
 
-bool
-deploymentSpecFromJson(const JsonValue &v, DeploymentSpec *out,
-                       std::string *err)
+void
+deploymentAddress(FieldWalk<true> &v, DeploymentSpec &d)
 {
-    out->enabled = true;
-    if (v.isString()) {
-        out->preset = v.str();
-        return true;
-    }
-    if (!v.isObject())
-        return jsonFail(err,
-                        "\"deployment\" must be a preset name or an "
-                        "object");
-    if (const JsonValue *file = v.find("file")) {
-        if (v.members().size() != 1)
-            return jsonFail(err, "a \"deployment\" file reference must "
-                                 "not carry other keys");
-        return jsonReadString(*file, "deployment.file", &out->file, err);
-    }
-    out->inlineDesc = true;
-    return deploymentFromJson(v, &out->desc, err);
+    d.enabled = true;
+    v.address(d.preset, d.file, d.inlineDesc, [&] { fields(v, d.desc); });
 }
 
 // --- Resolved configuration --------------------------------------------------

@@ -158,13 +158,13 @@ std::string deploymentToJson(const DeploymentDesc &desc);
 bool deploymentFromJson(const JsonValue &doc, DeploymentDesc *out,
                         std::string *err);
 
-/**
- * Parse a deployment *address* as it appears in a run spec: a preset
- * name string, a {"file": PATH} reference, or an inline description.
- * Sets out->enabled. @return false with *err set on any problem.
- */
-bool deploymentSpecFromJson(const JsonValue &v, DeploymentSpec *out,
-                            std::string *err);
+template <bool Reading>
+class FieldWalk;
+
+/** A deployment address as a run spec gives one, read as a field
+ *  (util/field_walk.h): a preset name, a lone {"file": PATH}, or an
+ *  inline deployment document. Sets d.enabled. */
+void deploymentAddress(FieldWalk<true> &v, DeploymentSpec &d);
 
 /**
  * The resolved form: one single-core AcceleratorConfig per core plus

@@ -1,7 +1,6 @@
 #include "sim/platform.h"
 
-#include "util/json.h"
-#include "util/logging.h"
+#include "util/field_walk.h"
 
 namespace cocco {
 
@@ -119,185 +118,84 @@ platformPreset(const std::string &name)
     return out;
 }
 
+namespace {
+
+/** The platform document, written down once. */
+template <typename V, typename A>
+void
+fields(V &v, A &a)
+{
+    v.base("base", a, PlatformRegistry::instance(), "platform");
+    // Positive integer dimensions and positive physical rates.
+    v.field(opt("peRows"), a.peRows, atLeast(1));
+    v.field(opt("peCols"), a.peCols, atLeast(1));
+    v.field(opt("macsPerPe"), a.macsPerPe, atLeast(1));
+    v.field(opt("clockGhz"), a.clockGhz, above(0));
+    v.field(opt("dramGBpsPerCore"), a.dramGBpsPerCore, above(0));
+    v.field(opt("maxRegions"), a.maxRegions, atLeast(1));
+    v.field(opt("channelAlign"), a.channelAlign, atLeast(1));
+    v.field(opt("doubleBufferWeights"), a.doubleBufferWeights);
+    v.field(opt("cores"), a.cores, atLeast(1));
+    v.field(opt("batch"), a.batch, atLeast(1));
+    v.field(opt("crossbarBytesPerCycle"), a.crossbarBytesPerCycle,
+            above(0));
+    // Every energy term: zeroing one is a valid what-if; a negative
+    // energy is not.
+    v.object(opt("energy"), [&] {
+        v.field(opt("dramPjPerByte"), a.energy.dramPjPerByte, atLeast(0));
+        v.field(opt("sramBasePjPerByte"), a.energy.sramBasePjPerByte,
+                atLeast(0));
+        v.field(opt("sramSlopePjPerByte"), a.energy.sramSlopePjPerByte,
+                atLeast(0));
+        v.field(opt("macPj"), a.energy.macPj, atLeast(0));
+        v.field(opt("crossbarPjPerByte"), a.energy.crossbarPjPerByte,
+                atLeast(0));
+        v.field(opt("sramAreaMm2PerMB"), a.energy.sramAreaMm2PerMB,
+                atLeast(0));
+    });
+}
+
+template <typename V, typename P>
+void
+address(V &v, P &p)
+{
+    v.address(p.preset, p.file, p.inlineConfig,
+              [&] { fields(v, p.config); });
+}
+
+} // namespace
+
+void
+platformAddress(FieldWalk<false> &v, const PlatformSpec &p)
+{
+    address(v, p);
+}
+
+void
+platformAddress(FieldWalk<true> &v, PlatformSpec &p)
+{
+    address(v, p);
+}
+
 std::string
 acceleratorToJson(const AcceleratorConfig &accel)
 {
     JsonWriter w;
-    acceleratorToJson(w, accel);
+    FieldWalk<false> v(&w);
+    v.members([&] { fields(v, accel); });
     return w.str();
 }
-
-void
-acceleratorToJson(JsonWriter &w, const AcceleratorConfig &accel)
-{
-    w.beginObject();
-    w.field("peRows", accel.peRows);
-    w.field("peCols", accel.peCols);
-    w.field("macsPerPe", accel.macsPerPe);
-    w.field("clockGhz", accel.clockGhz);
-    w.field("dramGBpsPerCore", accel.dramGBpsPerCore);
-    w.field("maxRegions", accel.maxRegions);
-    w.field("channelAlign", accel.channelAlign);
-    w.field("doubleBufferWeights", accel.doubleBufferWeights);
-    w.field("cores", accel.cores);
-    w.field("batch", accel.batch);
-    w.field("crossbarBytesPerCycle", accel.crossbarBytesPerCycle);
-    w.key("energy").beginObject();
-    w.field("dramPjPerByte", accel.energy.dramPjPerByte);
-    w.field("sramBasePjPerByte", accel.energy.sramBasePjPerByte);
-    w.field("sramSlopePjPerByte", accel.energy.sramSlopePjPerByte);
-    w.field("macPj", accel.energy.macPj);
-    w.field("crossbarPjPerByte", accel.energy.crossbarPjPerByte);
-    w.field("sramAreaMm2PerMB", accel.energy.sramAreaMm2PerMB);
-    w.endObject();
-    w.endObject();
-}
-
-namespace {
-
-bool
-energyFromJson(const JsonValue &doc, EnergyModel *out, std::string *err)
-{
-    auto bad = [&](const std::string &what) {
-        return jsonFail(err, what);
-    };
-    if (!doc.isObject())
-        return bad("\"energy\" must be an object");
-    // Every energy term: a number >= 0 (zeroing a term is a valid
-    // what-if; a negative energy is not).
-    auto term = [&](const JsonValue &v, const char *key, double *field) {
-        std::string full = std::string("energy.") + key;
-        return jsonReadNumber(v, full.c_str(), field, err) &&
-               (*field >= 0.0 ||
-                bad(strprintf("\"%s\" must be >= 0", full.c_str())));
-    };
-    for (const auto &[k, v] : doc.members()) {
-        bool ok;
-        if (k == "dramPjPerByte")
-            ok = term(v, "dramPjPerByte", &out->dramPjPerByte);
-        else if (k == "sramBasePjPerByte")
-            ok = term(v, "sramBasePjPerByte", &out->sramBasePjPerByte);
-        else if (k == "sramSlopePjPerByte")
-            ok = term(v, "sramSlopePjPerByte", &out->sramSlopePjPerByte);
-        else if (k == "macPj")
-            ok = term(v, "macPj", &out->macPj);
-        else if (k == "crossbarPjPerByte")
-            ok = term(v, "crossbarPjPerByte", &out->crossbarPjPerByte);
-        else if (k == "sramAreaMm2PerMB")
-            ok = term(v, "sramAreaMm2PerMB", &out->sramAreaMm2PerMB);
-        else
-            ok = bad(strprintf("unknown \"energy\" key \"%s\"",
-                               k.c_str()));
-        if (!ok)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
 
 bool
 acceleratorFromJson(const JsonValue &doc, AcceleratorConfig *out,
                     std::string *err)
 {
-    auto bad = [&](const std::string &what) {
-        return jsonFail(err, what);
-    };
-    if (!doc.isObject())
-        return bad("platform document must be a JSON object");
-
-    // "base" selects the starting configuration, so read it first
-    // regardless of member order.
     AcceleratorConfig accel;
-    if (const JsonValue *base = doc.find("base")) {
-        std::string name;
-        if (!jsonReadString(*base, "base", &name, err))
-            return false;
-        if (!PlatformRegistry::instance().find(name, &accel))
-            return bad(strprintf("unknown platform \"%s\" (known: %s)",
-                                 name.c_str(), knownPlatforms().c_str()));
-    }
-
-    // Positive integer dimensions and positive physical rates.
-    auto dim = [&](const JsonValue &v, const char *key, int *field) {
-        return jsonReadIntAs(v, key, field, err) &&
-               (*field >= 1 ||
-                bad(strprintf("\"%s\" must be >= 1", key)));
-    };
-    auto rate = [&](const JsonValue &v, const char *key, double *field) {
-        return jsonReadNumber(v, key, field, err) &&
-               (*field > 0.0 ||
-                bad(strprintf("\"%s\" must be > 0", key)));
-    };
-    for (const auto &[k, v] : doc.members()) {
-        bool ok;
-        if (k == "base")
-            ok = true; // consumed above
-        else if (k == "peRows")
-            ok = dim(v, "peRows", &accel.peRows);
-        else if (k == "peCols")
-            ok = dim(v, "peCols", &accel.peCols);
-        else if (k == "macsPerPe")
-            ok = dim(v, "macsPerPe", &accel.macsPerPe);
-        else if (k == "clockGhz")
-            ok = rate(v, "clockGhz", &accel.clockGhz);
-        else if (k == "dramGBpsPerCore")
-            ok = rate(v, "dramGBpsPerCore", &accel.dramGBpsPerCore);
-        else if (k == "maxRegions")
-            ok = dim(v, "maxRegions", &accel.maxRegions);
-        else if (k == "channelAlign")
-            ok = dim(v, "channelAlign", &accel.channelAlign);
-        else if (k == "doubleBufferWeights")
-            ok = jsonReadBool(v, "doubleBufferWeights",
-                              &accel.doubleBufferWeights, err);
-        else if (k == "cores")
-            ok = dim(v, "cores", &accel.cores);
-        else if (k == "batch")
-            ok = dim(v, "batch", &accel.batch);
-        else if (k == "crossbarBytesPerCycle")
-            ok = rate(v, "crossbarBytesPerCycle",
-                      &accel.crossbarBytesPerCycle);
-        else if (k == "energy")
-            ok = energyFromJson(v, &accel.energy, err);
-        else
-            ok = bad(strprintf("unknown platform key \"%s\"",
-                               k.c_str()));
-        if (!ok)
-            return false;
-    }
-
+    std::string why;
+    FieldWalk<true> v("platform", &why);
+    if (!v.read(doc, "", [&] { v.members([&] { fields(v, accel); }); }))
+        return jsonFail(err, why);
     *out = accel;
-    return true;
-}
-
-bool
-platformSpecFromJson(const JsonValue &v, const char *what,
-                     PlatformSpec *out, std::string *err)
-{
-    if (v.isString()) {
-        out->preset = v.str();
-        return true;
-    }
-    if (!v.isObject())
-        return jsonFail(err,
-                        strprintf("\"%s\" must be a preset name or an "
-                                  "object",
-                                  what));
-    if (const JsonValue *file = v.find("file")) {
-        if (v.members().size() != 1)
-            return jsonFail(err,
-                            strprintf("a \"%s\" file reference must not "
-                                      "carry other keys",
-                                      what));
-        std::string key = std::string(what) + ".file";
-        return jsonReadString(*file, key.c_str(), &out->file, err);
-    }
-    // Anything else is an inline configuration (optionally based on a
-    // preset via "base"); its own parser is strict.
-    std::string sub;
-    if (!acceleratorFromJson(v, &out->config, &sub))
-        return jsonFail(err, strprintf("%s: %s", what, sub.c_str()));
-    out->inlineConfig = true;
     return true;
 }
 

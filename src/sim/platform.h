@@ -101,13 +101,6 @@ AcceleratorConfig platformPreset(const std::string &name);
 /** Serialize a full platform description (every field + energy). */
 std::string acceleratorToJson(const AcceleratorConfig &accel);
 
-class JsonWriter;
-
-/** Write the same full description as one object into an open writer
- *  (used where a platform nests inside a larger document, e.g. a
- *  deployment's corePlatforms list). */
-void acceleratorToJson(JsonWriter &w, const AcceleratorConfig &accel);
-
 /**
  * Populate an AcceleratorConfig from a parsed platform document (the
  * schema above). Strict: unknown keys, type mismatches and physically
@@ -117,16 +110,14 @@ void acceleratorToJson(JsonWriter &w, const AcceleratorConfig &accel);
 bool acceleratorFromJson(const JsonValue &doc, AcceleratorConfig *out,
                          std::string *err);
 
-/**
- * Parse a platform *address* value as it appears in run-spec and
- * deployment documents: a preset name string, a {"file": PATH}
- * reference, or an inline configuration object (optionally based on a
- * preset via "base"). @p what names the value in error messages
- * ("platform", "deployment.corePlatforms[2]", ...). @return false
- * with *err set on any problem.
- */
-bool platformSpecFromJson(const JsonValue &v, const char *what,
-                          PlatformSpec *out, std::string *err);
+template <bool Reading>
+class FieldWalk;
+
+/** A platform address as run-spec and deployment documents give one,
+ *  walked as a field (util/field_walk.h): a preset name, a lone
+ *  {"file": PATH}, or an inline platform document. */
+void platformAddress(FieldWalk<false> &v, const PlatformSpec &p);
+void platformAddress(FieldWalk<true> &v, PlatformSpec &p);
 
 } // namespace cocco
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -417,18 +418,27 @@ class JsonParser
             *out = JsonValue::makeObject(std::move(members));
             return true;
         }
+        // Keys seen so far in this object.
+        std::unordered_set<std::string> seen;
         for (;;) {
             skipWs();
             std::string key;
             if (!parseString(&key))
                 return false;
+            if (!seen.insert(key).second)
+                return fail(strprintf("duplicate key \"%s\"",
+                                      JsonWriter::escape(pathOf(&key))
+                                          .c_str()));
             skipWs();
             if (pos_ >= text_.size() || text_[pos_] != ':')
                 return fail("expected ':' after object key");
             ++pos_;
             skipWs();
             JsonValue v;
-            if (!parseValue(&v))
+            at_.push_back({&key, 0});
+            const bool ok = parseValue(&v);
+            at_.pop_back();
+            if (!ok)
                 return false;
             members.emplace_back(std::move(key), std::move(v));
             skipWs();
@@ -447,6 +457,18 @@ class JsonParser
         }
     }
 
+    /** The full path of the key @p key in the value being parsed
+     *  ("ga.population", "nodes[3].name"). */
+    std::string
+    pathOf(const std::string *key) const
+    {
+        std::string path;
+        for (const auto &[k, i] : at_)
+            path += k ? (path.empty() ? "" : ".") + *k
+                      : strprintf("[%zu]", i);
+        return path.empty() ? *key : path + "." + *key;
+    }
+
     bool
     parseArray(JsonValue *out)
     {
@@ -461,7 +483,10 @@ class JsonParser
         for (;;) {
             skipWs();
             JsonValue v;
-            if (!parseValue(&v))
+            at_.push_back({nullptr, items.size()});
+            const bool ok = parseValue(&v);
+            at_.pop_back();
+            if (!ok)
                 return false;
             items.push_back(std::move(v));
             skipWs();
@@ -643,6 +668,8 @@ class JsonParser
     std::string *err_;
     size_t pos_ = 0;
     int depth_ = 0;
+    /** Where the parse is: a member's key, or an element's index. */
+    std::vector<std::pair<const std::string *, size_t>> at_;
 };
 
 } // namespace

@@ -130,8 +130,8 @@ class JsonValue
 
 /**
  * Parse a complete JSON document (strict: no comments, no trailing
- * commas, nothing after the root value). @return false with *err set
- * to "line L: problem" on malformed input.
+ * commas, no key twice in one object, nothing after the root value).
+ * @return false with *err set to "line L: problem" on malformed input.
  */
 bool parseJson(const std::string &text, JsonValue *out, std::string *err);
 
@@ -190,13 +190,6 @@ jsonReadIntAs(const JsonValue &v, const char *key, T *out, std::string *err)
         return jsonFail(err, std::string("\"") + key + "\" is out of range");
     *out = literal ? x : static_cast<T>(d);
     return true;
-}
-
-inline bool
-jsonReadInt(const JsonValue &v, const char *key, int64_t *out,
-            std::string *err)
-{
-    return jsonReadIntAs(v, key, out, err);
 }
 
 } // namespace cocco

@@ -16,7 +16,8 @@
 #    they do not read, and the flag modes refuse --spec and a
 #    malformed number (exit 2, naming the argument); `timeline`
 #    honours the deployment flags; the workload flags obey the spec
-#    rule (--model-file with --model-seed exits 1 with its reason).
+#    rule (--model-file with --model-seed exits 1 with its reason),
+#    and a document that repeats a key exits 1 naming it.
 # 4. `validate-metrics` accepts what every run mode writes and exits 1
 #    with `fatal: <file>: <reason>` on a document no writer produces.
 set -u
@@ -216,6 +217,14 @@ rc=0
   2> seed.log || rc=$?
 [ "$rc" -eq 1 ] && grep -q 'do not apply to a "file" workload' seed.log ||
   fail "--model-file with --model-seed was not refused by the spec rule"
+
+# A repeated key is refused by the parser, naming it (the last copy
+# used to win: a 300-sample run).
+echo '{"model": "GoogleNet", "samples": 100, "samples": 300}' > dup.spec.json
+rc=0
+"$cocco" run --spec dup.spec.json > /dev/null 2> dup.log || rc=$?
+[ "$rc" -eq 1 ] && grep -qF 'duplicate key "samples"' dup.log ||
+  fail "run --spec with a repeated key: exit $rc, '$(cat dup.log)'"
 
 # --- 4. validate-metrics ----------------------------------------------
 # validates NAME ARGS...: the run's --metrics-out document validates.

@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "core/cocco.h"
 #include "core/metrics.h"
 #include "core/serialize.h"
 #include "models/models.h"
+#include "serve/run_spec.h"
 #include "sim/deployment.h"
 #include "sim/multicore.h"
 #include "sim/timeline.h"
@@ -414,6 +416,29 @@ TEST(Deployment, JsonRejectsMalformedDocuments)
     reject("{\"interconnect\": {\"pjPerByteHop\": -0.5}}",
            "pjPerByteHop");
     reject("{\"base\": \"no-such-deployment\"}", "unknown deployment");
+}
+
+TEST(Deployment, DuplicateKeysAreErrors)
+{
+    // The last "cores" used to win, inline and in a file alike.
+    SearchSpec spec;
+    std::string err;
+    EXPECT_FALSE(parseRunSpecText(
+        R"({"model": "GoogleNet", "deployment": {"cores": 2, "cores": 3}})",
+        &spec, &err));
+    EXPECT_NE(err.find("duplicate key \"deployment.cores\""),
+              std::string::npos)
+        << err;
+    const std::string path = ::testing::TempDir() + "cocco_dup_dep.json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"cores\": 2, \"cores\": 3}\n", f);
+    std::fclose(f);
+    DeploymentDesc desc;
+    err.clear();
+    EXPECT_FALSE(loadDeploymentJson(path, &desc, &err));
+    EXPECT_NE(err.find("duplicate key \"cores\""), std::string::npos) << err;
+    std::remove(path.c_str());
 }
 
 TEST(Deployment, SpecFormsParse)

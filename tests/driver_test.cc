@@ -15,6 +15,7 @@
 #include "core/cocco.h"
 #include "core/serialize.h"
 #include "graph/graph_json.h"
+#include "serve/run_spec.h"
 #include "util/json.h"
 
 using namespace cocco;
@@ -609,6 +610,24 @@ TEST(SpecJson, TypeMismatchesAreErrors)
     ASSERT_TRUE(parseJson(R"({"metric": "joules"})", &v, &err));
     EXPECT_FALSE(searchSpecFromJson(v, &spec, &err));
     EXPECT_NE(err.find("metric"), std::string::npos);
+}
+
+TEST(SpecJson, DuplicateKeysAreErrors)
+{
+    // The last copy used to win: 300 samples, a population of 40.
+    SearchSpec spec;
+    std::string err;
+    EXPECT_FALSE(parseRunSpecText(R"({"model": "GoogleNet", "samples": 100,
+                                      "samples": 300, "seed": 1})",
+                                  &spec, &err));
+    EXPECT_NE(err.find("duplicate key \"samples\""), std::string::npos)
+        << err;
+    EXPECT_FALSE(parseRunSpecText(
+        R"({"model": "GoogleNet", "ga": {"population": 20,
+                                         "population": 40}})",
+        &spec, &err));
+    EXPECT_NE(err.find("duplicate key \"ga.population\""), std::string::npos)
+        << err;
 }
 
 TEST(SpecJson, WorkloadAndPlatformSections)

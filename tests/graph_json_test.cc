@@ -123,6 +123,25 @@ TEST(GraphJsonFile, MissingFileIsAnError)
     EXPECT_NE(err.find("cannot read"), std::string::npos);
 }
 
+TEST(GraphJsonFile, DuplicateKeysAreErrors)
+{
+    // The graph used to load, under its second name.
+    const std::string path = ::testing::TempDir() + "cocco_dup_graph.json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"schema_version\": 1, \"name\": \"a\", \"name\": \"b\",\n"
+               " \"nodes\": [{\"name\": \"in\", \"kind\": \"input\",\n"
+               "             \"outH\": 1, \"outW\": 1, \"outC\": 1}]}\n",
+               f);
+    std::fclose(f);
+    Graph g;
+    std::string err;
+    EXPECT_FALSE(loadGraphJson(path, &g, &err));
+    EXPECT_NE(err.find("line 1: duplicate key \"name\""), std::string::npos)
+        << err;
+    std::remove(path.c_str());
+}
+
 TEST(GraphJson, OptionalFieldsDefault)
 {
     // kernel/stride default to 1 and preds to [] on import.

@@ -16,9 +16,11 @@
 
 #include "core/metrics.h"
 #include "serve/run_spec.h"
+#include "doc_fuzz.h"
 #include "util/json.h"
 
 using namespace cocco;
+using namespace docfuzz;
 
 namespace {
 
@@ -92,15 +94,6 @@ bareRun()
     return m;
 }
 
-JsonValue
-parsed(const std::string &text)
-{
-    JsonValue v;
-    std::string err;
-    EXPECT_TRUE(parseJson(text, &v, &err)) << err;
-    return v;
-}
-
 /** metricsFromJson's reason, or "" when it accepts @p doc. */
 std::string
 rejection(const JsonValue &doc)
@@ -113,81 +106,13 @@ rejection(const JsonValue &doc)
     return err;
 }
 
-/** One object member of a document, by path ("runs[0].cache.hits"). */
-struct KeyPath
+/** The reason metricsFromJson (after the parser) refuses @p text. */
+std::string
+textRejection(const std::string &text)
 {
-    std::string path, parent;
-    JsonValue value;
-};
-
-void
-collectKeys(const JsonValue &v, const std::string &path,
-            std::vector<KeyPath> *out)
-{
-    if (v.isArray()) {
-        for (size_t i = 0; i < v.array().size(); ++i)
-            collectKeys(v.array()[i], path + "[" + std::to_string(i) + "]",
-                        out);
-    } else if (v.isObject()) {
-        for (const auto &[k, x] : v.members()) {
-            std::string at = path.empty() ? k : path + "." + k;
-            out->push_back({at, path, x});
-            collectKeys(x, at, out);
-        }
-    }
-}
-
-using Members = std::vector<std::pair<std::string, JsonValue>>;
-
-/** @p v rebuilt with @p edit applied to the members of the object
- *  that holds the key at @p target (and the key's index there). */
-JsonValue
-edited(const JsonValue &v, const std::string &path,
-       const std::string &target,
-       const std::function<void(Members &, size_t)> &edit)
-{
-    if (v.isArray()) {
-        std::vector<JsonValue> items;
-        for (size_t i = 0; i < v.array().size(); ++i)
-            items.push_back(edited(v.array()[i],
-                                   path + "[" + std::to_string(i) + "]",
-                                   target, edit));
-        return JsonValue::makeArray(std::move(items));
-    }
-    if (!v.isObject())
-        return v;
-    Members members;
-    size_t hit = v.members().size();
-    for (const auto &[k, x] : v.members()) {
-        std::string at = path.empty() ? k : path + "." + k;
-        if (at == target)
-            hit = members.size();
-        members.emplace_back(k, edited(x, at, target, edit));
-    }
-    if (hit < members.size())
-        edit(members, hit);
-    return JsonValue::makeObject(std::move(members));
-}
-
-JsonValue
-replaced(const JsonValue &doc, const std::string &target, JsonValue with)
-{
-    return edited(doc, "", target,
-                  [&](Members &ms, size_t i) { ms[i].second = with; });
-}
-
-JsonValue
-deleted(const JsonValue &doc, const std::string &target)
-{
-    return edited(doc, "", target, [](Members &ms, size_t i) {
-        ms.erase(ms.begin() + static_cast<long>(i));
-    });
-}
-
-JsonValue
-number(const std::string &text)
-{
-    return JsonValue::makeNumber(std::strtod(text.c_str(), nullptr), text);
+    JsonValue v;
+    std::string err;
+    return parseJson(text, &v, &err) ? rejection(v) : err;
 }
 
 bool
@@ -252,8 +177,19 @@ TEST(Metrics, ReaderRejectsEveryMutation)
             << what << ": " << err;
     };
 
+    // Optional blocks and "extra" entries may be absent, and "extra"
+    // takes any key.
     const std::set<std::string> optional_blocks = {
         "deployment", "job", "tenants", "portfolio", "pareto"};
+    Keys keys;
+    keys.freeForm = [](const KeyPath &kp) {
+        return endsWith(kp.parent, ".extra");
+    };
+    keys.required = [&](const KeyPath &kp) {
+        return !keys.freeForm(kp) && !optional_blocks.count(kp.key);
+    };
+    cases += expectEveryMutationRefused(doc, keys, textRejection);
+
     const std::set<std::string> unsigned_counters = {
         "seed",        "hits",          "misses",
         "insertions",  "evictions",     "block_hits",
@@ -263,57 +199,24 @@ TEST(Metrics, ReaderRejectsEveryMutation)
         "evals_total", "evals_computed", "evals_cached", "hit_rate",
         "count",       "frontier_size"};
 
-    std::vector<KeyPath> keys;
-    collectKeys(doc, "", &keys);
-    ASSERT_GT(keys.size(), 100u);
-    for (const KeyPath &kp : keys) {
-        const std::string key = kp.path.substr(
-            kp.parent.empty() ? 0 : kp.parent.size() + 1);
-        const bool in_extra = endsWith(kp.parent, ".extra");
-        // Optional blocks and "extra" entries may be absent, and
-        // "extra" takes any key.
-        if (!in_extra && !optional_blocks.count(key))
-            expectRejected(deleted(doc, kp.path), "deleting " + kp.path,
-                           kp.path);
-        if (!in_extra) {
-            std::string sibling =
-                kp.parent.empty() ? "bogus" : kp.parent + ".bogus";
-            expectRejected(edited(doc, "", kp.path,
-                                  [](Members &ms, size_t) {
-                                      ms.emplace_back(
-                                          "bogus",
-                                          JsonValue::makeNumber(1.0));
-                                  }),
-                           "a sibling of " + kp.path, sibling);
-        }
-        JsonValue wrong = kp.value.isString()
-                              ? JsonValue::makeNumber(1.0)
-                              : JsonValue::makeString("1");
-        expectRejected(replaced(doc, kp.path, wrong),
-                       kp.path + " as a " + wrong.typeName(), kp.path);
-
-        if (!kp.value.isNumber())
-            continue;
-        const std::string &text = kp.value.numberText();
-        if (text.find_first_of(".eE") == std::string::npos && !in_extra) {
-            for (const char *bad : {"2.5", "1e300"})
-                expectRejected(replaced(doc, kp.path, number(bad)),
-                               kp.path + " = " + bad, kp.path);
-        }
-        if (unsigned_counters.count(key))
+    std::vector<KeyPath> paths;
+    collectKeys(doc, "", &paths);
+    ASSERT_GT(paths.size(), 100u);
+    for (const KeyPath &kp : paths) {
+        if (unsigned_counters.count(kp.key))
             expectRejected(replaced(doc, kp.path, number("-1")),
                            kp.path + " = -1", kp.path);
-        if (derived.count(key) || key == "cores") {
+        if (derived.count(kp.key) || kp.key == "cores") {
             double broken = kp.value.number() + 1.0;
             std::string shown = std::to_string(
                 static_cast<long long>(broken));
-            if (key == "hit_rate")
+            if (kp.key == "hit_rate")
                 shown = "0.5";
             // "cores" breaks the one-utilization-per-core rule, which
             // names its object.
             expectRejected(replaced(doc, kp.path, number(shown)),
                            "broken " + kp.path,
-                           key == "cores" ? kp.parent : kp.path);
+                           kp.key == "cores" ? kp.parent : kp.path);
         }
     }
     EXPECT_GT(cases, 400);
@@ -331,6 +234,7 @@ TEST(Metrics, ReaderRejectsEveryMutation)
                    "a seed past uint64", "runs[0].seed");
     expectRejected(replaced(doc, "runs[0].threads", number("2147483648")),
                    "threads past int", "runs[0].threads");
+    // A repeat the parser never made: the reader refuses it too.
     expectRejected(edited(doc, "", "runs[0].model",
                           [](Members &ms, size_t i) {
                               auto copy = ms[i];

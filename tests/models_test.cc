@@ -13,6 +13,7 @@
 
 #include "graph/algorithms.h"
 #include "models/models.h"
+#include "serve/run_spec.h"
 #include "util/hash.h"
 #include "util/json.h"
 
@@ -545,6 +546,19 @@ TEST(ModelParamsJson, FullDocument)
     EXPECT_EQ(p.depth, 3);
     EXPECT_DOUBLE_EQ(p.widthMult, 0.75);
     EXPECT_EQ(p.seed, 9u);
+}
+
+TEST(ModelParamsJson, RejectsDuplicateKeys)
+{
+    SearchSpec spec;
+    std::string err;
+    EXPECT_FALSE(parseRunSpecText(R"({"workload": {"model": "VGG16",
+                                                  "params": {"batch": 2,
+                                                             "batch": 4}}})",
+                                  &spec, &err));
+    EXPECT_NE(err.find("duplicate key \"workload.params.batch\""),
+              std::string::npos)
+        << err;
 }
 
 TEST(ModelParamsJson, RejectsUnknownKeysAndBadValues)

@@ -336,6 +336,19 @@ TEST(WorkloadSetParse, RejectsUnknownKeysAndEmptySets)
                    "model");
 }
 
+TEST(WorkloadSetParse, RejectsDuplicateKeys)
+{
+    SearchSpec spec;
+    std::string err;
+    EXPECT_FALSE(parseRunSpecText(R"({"workload_set": [
+        {"name": "t", "model": "VGG16", "arrival_rate_hz": 5,
+         "arrival_rate_hz": 6, "sla_latency_ms": 10}]})",
+                                  &spec, &err));
+    EXPECT_NE(err.find("duplicate key \"workload_set[0].arrival_rate_hz\""),
+              std::string::npos)
+        << err;
+}
+
 TEST(WorkloadSetParse, RoundTripsThroughJson)
 {
     std::string err;

@@ -621,6 +621,34 @@ TEST(Serve, HttpRoundTrip)
     server.stop();
 }
 
+TEST(Serve, HttpRefusesDuplicateKeysAndKeepsServing)
+{
+    JobManagerOptions opts;
+    opts.workers = 1;
+    opts.threadBudget = 1;
+    JobManager manager(opts);
+    HttpServer server([&](const HttpRequest &req) {
+        return serveHttpRequest(manager, req, nullptr);
+    });
+    std::string err;
+    ASSERT_TRUE(server.start(0, &err)) << err;
+    int status = 0;
+    std::string body;
+    // The last "samples" used to win: a 300-sample job.
+    ASSERT_TRUE(httpFetch("127.0.0.1", server.port(), "POST", "/jobs",
+                          R"({"model":"GoogleNet","samples":100,
+                              "samples":300,"seed":1})",
+                          &status, &body, &err))
+        << err;
+    EXPECT_EQ(status, 400);
+    EXPECT_NE(body.find("duplicate key"), std::string::npos) << body;
+    ASSERT_TRUE(httpFetch("127.0.0.1", server.port(), "GET", "/healthz", "",
+                          &status, &body, &err))
+        << err;
+    EXPECT_EQ(status, 200);
+    server.stop();
+}
+
 TEST(Serve, HttpServerStartStopLoop)
 {
     // stop() must not close the listener under a running accept loop

@@ -16,6 +16,7 @@
 #include "core/serialize.h"
 #include "models/models.h"
 #include "sim/cost_model.h"
+#include "sim/deployment.h"
 #include "sim/multicore.h"
 #include "sim/platform.h"
 #include "partition/repair.h"
@@ -199,6 +200,21 @@ TEST(Platform, JsonRejectsMalformedDocuments)
     reject(R"({"energy": {"macPj": -0.1}})", ">= 0"); // negative energy
     reject(R"({"energy": {"watts": 1}})", "watts");  // unknown energy key
     reject(R"({"batch": 2.5})", "integer");          // non-integer
+}
+
+TEST(Platform, DuplicateKeysAreErrors)
+{
+    // The file's second "cores" used to win.
+    const std::string path = ::testing::TempDir() + "cocco_dup_platform.json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"base\": \"simba\", \"cores\": 2, \"cores\": 1}\n", f);
+    std::fclose(f);
+    AcceleratorConfig c;
+    std::string err;
+    EXPECT_FALSE(loadPlatformJson(path, &c, &err));
+    EXPECT_NE(err.find("duplicate key \"cores\""), std::string::npos) << err;
+    std::remove(path.c_str());
 }
 
 TEST(Platform, FileRoundTripAndResolution)
@@ -977,5 +993,46 @@ TEST(MemoFastPaths, PartitionCostMatchesAFreshModelThroughEveryHook)
                 multi += blk.size() > 1;
         EXPECT_GT(st.blockHits, 0u);
         EXPECT_LE(st.blockEntries, multi * memoBuffers().size());
+    }
+}
+
+TEST(CostScope, ObjectiveCompletesAFeasiblePartition)
+{
+    // A frontier point reads feasible, energy, latency and the metric,
+    // so Objective scope must produce them in full for a feasible
+    // partition: on one core, a heterogeneous deployment and a
+    // double-buffered platform.
+    Graph g = buildGoogleNet();
+    AcceleratorConfig prefetch;
+    prefetch.doubleBufferWeights = true;
+    DeploymentSpec bl;
+    bl.enabled = true;
+    bl.preset = "big-little";
+    DeploymentConfig dep;
+    std::string err;
+    ASSERT_TRUE(resolveDeployment(bl, AcceleratorConfig{}, &dep, &err))
+        << err;
+    CostModel simba(g, AcceleratorConfig{});
+    DeploymentCostModel mixed(g, dep);
+    CostModel buffered(g, prefetch);
+    const std::vector<Partition> parts = memoPartitions(g);
+    for (CostModel *model : {&simba, static_cast<CostModel *>(&mixed),
+                             &buffered}) {
+        int feasible = 0;
+        for (const BufferConfig &buf : memoBuffers())
+            for (const Partition &p : parts) {
+                const GraphCost full = model->partitionCost(p, buf);
+                const GraphCost obj = model->partitionCost(
+                    p, buf, nullptr, CostModel::CostScope::Objective);
+                EXPECT_EQ(obj.feasible, full.feasible);
+                if (!full.feasible)
+                    continue;
+                ++feasible;
+                EXPECT_EQ(obj.subgraphs, full.subgraphs);
+                EXPECT_EQ(obj.emaBytes, full.emaBytes);
+                EXPECT_EQ(obj.energyPj, full.energyPj);
+                EXPECT_EQ(obj.latencyCycles, full.latencyCycles);
+            }
+        EXPECT_GT(feasible, 0);
     }
 }

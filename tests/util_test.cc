@@ -484,6 +484,24 @@ TEST(JsonParse, ErrorsCarryLineNumbers)
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
 }
 
+TEST(JsonParse, RejectsDuplicateKeysNamingTheirPath)
+{
+    JsonValue v;
+    std::string err;
+    EXPECT_FALSE(parseJson("{\"a\": 1,\n \"b\": [{\"c\": 2, \"c\": 3}]}", &v,
+                           &err));
+    EXPECT_EQ(err, "line 2: duplicate key \"b[0].c\"");
+    // One key in sibling objects is no repeat.
+    EXPECT_TRUE(parseJson("[{\"a\": 1}, {\"a\": 2}]", &v, &err)) << err;
+    // A wide object follows the same rule.
+    std::string wide = "{";
+    for (int i = 0; i < 40; ++i)
+        wide += strprintf("\"k%d\": %d, ", i, i);
+    EXPECT_TRUE(parseJson(wide + "\"end\": 0}", &v, &err)) << err;
+    EXPECT_FALSE(parseJson(wide + "\"k3\": 0}", &v, &err));
+    EXPECT_EQ(err, "line 1: duplicate key \"k3\"");
+}
+
 TEST(JsonParseDeath, TypeMismatchPanics)
 {
     JsonValue v;

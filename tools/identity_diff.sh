@@ -47,6 +47,7 @@ run() {
   local bin=$1 dir=$2
   shift 2
   mkdir -p "$dir"
+  ln -sfn "$specs" "$dir/specs"
   (cd "$dir" && "$bin" "$@" --metrics-out metrics.json \
       > stdout 2> stderr.raw; echo $? > rc)
   if grep -q '^usage: cocco' "$dir/stderr.raw"; then
