@@ -192,7 +192,7 @@ formatEntry(const EvalCache::Entry &e, std::string *line)
     appendField(line, e.keyBlock.size());
     for (int b : e.keyBlock)
         appendField(line, b);
-    if (e.repairedBlock == e.keyBlock) {
+    if (e.repairedBlock.empty()) {
         line->append(" =");
     } else {
         for (int b : e.repairedBlock)
@@ -296,10 +296,10 @@ readIds(FieldReader *r, size_t n, std::vector<int> *ids)
     return nullptr;
 }
 
-/** Parse the fields of an entry line (after its "E") into @p e.
- *  @return nullptr, or why not. */
+/** Parse the fields of an entry line (after its "E") into @p e, each
+ *  id list through the scratch @p ids. @return nullptr, or why not. */
 const char *
-parseEntry(FieldReader r, EvalCache::Entry *e)
+parseEntry(FieldReader r, std::vector<int> *ids, EvalCache::Entry *e)
 {
     size_t n = 0;
     if (!r.field(&e->hash, 16) || !r.field(&e->salt, 16) ||
@@ -309,12 +309,14 @@ parseEntry(FieldReader r, EvalCache::Entry *e)
         return "malformed entry fields";
     if (n > static_cast<size_t>(kMaxPersistedNodes))
         return "node count above the limit";
-    if (const char *why = readIds(&r, n, &e->keyBlock))
+    if (const char *why = readIds(&r, n, ids))
         return why;
-    if (r.marker())
-        e->repairedBlock = e->keyBlock;
-    else if (const char *why = readIds(&r, n, &e->repairedBlock))
-        return why;
+    e->keyBlock = *ids;
+    if (!r.marker()) {
+        if (const char *why = readIds(&r, n, ids))
+            return why;
+        e->repairedBlock = *ids;
+    }
     return r.p == r.end ? nullptr : "trailing tokens";
 }
 
@@ -366,7 +368,8 @@ saveEvalCache(const EvalCache &cache, const std::string &path)
         uint64_t sum = kHashSeed;
         size_t count = 0;
         cache.forEachEntry([&](const EvalCache::Entry &e) {
-            if (e.keyBlock.size() != e.repairedBlock.size())
+            if (!e.repairedBlock.empty() &&
+                e.keyBlock.size() != e.repairedBlock.size())
                 return;
             formatEntry(e, &line);
             sum = foldLine(sum, line);
@@ -396,6 +399,7 @@ loadEvalCache(EvalCache &cache, const std::string &path, std::string *err)
     // Parse and check everything before touching the cache: a file
     // loads whole or not at all.
     std::list<EvalCache::Entry> staged;
+    std::vector<int> ids;
     uint64_t sum = kHashSeed;
     bool ended = false;
     size_t lineNo = 0;
@@ -415,7 +419,7 @@ loadEvalCache(EvalCache &cache, const std::string &path, std::string *err)
             sum = foldLine(sum, line);
             staged.emplace_back();
             FieldReader r{line.data() + 1, line.data() + line.size()};
-            if (const char *bad = parseEntry(r, &staged.back()))
+            if (const char *bad = parseEntry(r, &ids, &staged.back()))
                 why = strprintf("entry %zu: %s", staged.size(), bad);
         } else if (line.compare(0, 3, "END") == 0) {
             why = trailerError(line, staged.size(), sum);

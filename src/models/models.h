@@ -28,8 +28,6 @@
 
 namespace cocco {
 
-class JsonValue;
-
 /**
  * Hyper-parameters of a model build. A zero (or, for widthMult, 1.0)
  * means "the model's paper default"; each builder reads only the
@@ -194,16 +192,6 @@ Graph buildModel(const std::string &name, const ModelParams &params);
 /** All recognized model names, generated from the registry (the
  *  paper's presentation order). */
 std::vector<std::string> allModelNames();
-
-/**
- * Populate a ModelParams from a parsed JSON object (the "params"
- * block of a workload document; schema in the README). Unknown keys,
- * type mismatches and out-of-range values are reported as errors so
- * typos cannot silently fall back to defaults.
- * @return false with *err set on any problem.
- */
-bool modelParamsFromJson(const JsonValue &doc, ModelParams *params,
-                         std::string *err);
 
 template <bool Reading>
 class FieldWalk;

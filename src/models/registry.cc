@@ -164,18 +164,4 @@ modelParamsFields(FieldWalk<true> &v, ModelParams &p)
     paramsFields(v, p);
 }
 
-bool
-modelParamsFromJson(const JsonValue &doc, ModelParams *params,
-                    std::string *err)
-{
-    ModelParams p = *params;
-    std::string why;
-    FieldWalk<true> v("params", &why);
-    if (!v.read(doc, "params",
-                [&] { v.members([&] { paramsFields(v, p); }); }))
-        return jsonFail(err, why);
-    *params = p;
-    return true;
-}
-
 } // namespace cocco

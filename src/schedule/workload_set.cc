@@ -88,19 +88,6 @@ workloadSetFields(FieldWalk<true> &v, WorkloadSet &set)
     setFields(v, set);
 }
 
-bool
-workloadSetFromJson(const JsonValue &v, WorkloadSet *out, std::string *err)
-{
-    WorkloadSet set;
-    std::string why;
-    FieldWalk<true> walk("workload_set", &why);
-    if (!walk.read(v, "workload_set", [&] { setFields(walk, set); }) ||
-        !validateWorkloadSet(set, &why))
-        return bad(err, why);
-    *out = std::move(set);
-    return true;
-}
-
 std::string
 workloadSetJson(const WorkloadSet &set)
 {

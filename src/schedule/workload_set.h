@@ -24,8 +24,6 @@
 
 namespace cocco {
 
-class JsonValue;
-
 /** One tenant: a named workload with serving requirements. */
 struct TenantSpec
 {
@@ -53,15 +51,6 @@ struct WorkloadSet
  */
 bool validateWorkloadSet(const WorkloadSet &set, std::string *err);
 
-/**
- * Strict parser for the `workload_set` JSON section: a non-empty
- * array of tenant objects `{"name": ..., "model"|"file": ...,
- * "params": {...}?, "arrival_rate_hz": N, "sla_latency_ms": N}`.
- * Unknown keys are rejected. @return false with *err set.
- */
-bool workloadSetFromJson(const JsonValue &v, WorkloadSet *out,
-                         std::string *err);
-
 template <bool Reading>
 class FieldWalk;
 
@@ -69,8 +58,8 @@ class FieldWalk;
  *  (util/field_walk.h); validateWorkloadSet runs after the walk. */
 void workloadSetFields(FieldWalk<true> &v, WorkloadSet &set);
 
-/** The section as a standalone document (round-trips through
- *  workloadSetFromJson). */
+/** The section as a standalone document (reads back as a run spec's
+ *  "workload_set"). */
 std::string workloadSetJson(const WorkloadSet &set);
 
 } // namespace cocco

@@ -98,17 +98,22 @@ EvalCache::lookup(const KeyView &key, const Graph &graph, Partition *repaired,
         return false;
     }
     Entry &e = *it->second;
-    if (e.canon == Canon::Unchecked)
-        e.canon = Partition::isCanonical(graph, e.repairedBlock,
-                                         e.numBlocks)
+    const PackedIds &ids =
+        e.repairedBlock.empty() ? e.keyBlock : e.repairedBlock;
+    if (e.canon == Canon::Unchecked) {
+        std::vector<int> block(ids.size());
+        ids.unpack(block.data());
+        e.canon = Partition::isCanonical(graph, block, e.numBlocks)
                       ? Canon::Canonical
                       : Canon::Refused;
+    }
     if (e.canon == Canon::Refused) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    repaired->block = e.repairedBlock;
+    repaired->block.resize(ids.size());
+    ids.unpack(repaired->block.data());
     repaired->numBlocks = e.numBlocks;
     if (e.canon == Canon::Canonical)
         repaired->markCanonical();
@@ -118,25 +123,21 @@ EvalCache::lookup(const KeyView &key, const Graph &graph, Partition *repaired,
 }
 
 void
-EvalCache::insert(const KeyView &key, const Partition &repaired, double cost)
+EvalCache::insert(Entry key, const Partition &repaired, double cost)
 {
-    Entry e;
-    e.hash = key.hash;
-    e.salt = key.salt;
-    e.keyBlock = key.block;
-    e.actIdx = key.actIdx;
-    e.weightIdx = key.weightIdx;
-    e.sharedIdx = key.sharedIdx;
-    e.repairedBlock = repaired.block;
-    e.numBlocks = repaired.numBlocks;
-    e.cost = cost;
-    e.canon = repaired.canonical() ? Canon::Canonical : Canon::Plain;
-    insertEntry(std::move(e));
+    if (!(key.keyBlock == repaired.block.ids()))
+        key.repairedBlock = repaired.block.ids();
+    key.numBlocks = repaired.numBlocks;
+    key.cost = cost;
+    key.canon = repaired.canonical() ? Canon::Canonical : Canon::Plain;
+    insertEntry(std::move(key));
 }
 
 void
 EvalCache::insertEntry(Entry entry)
 {
+    if (!entry.repairedBlock.empty() && entry.repairedBlock == entry.keyBlock)
+        entry.repairedBlock = PackedIds();
     GenomeShard &shard =
         shards_[entry.hash % static_cast<uint64_t>(shardCount_)];
     std::lock_guard<std::mutex> lk(shard.mu);

@@ -22,7 +22,9 @@
  * Collision safety: entries store their exact key material (salt,
  * block vector, gene indices / node set, buffer sizes) and compare it
  * on lookup, so a 64-bit hash collision degrades to a miss, never to
- * a wrong result. Eviction order may vary across thread schedules;
+ * a wrong result. A genome entry holds its block ids packed
+ * (PackedIds), and its repaired ids only when in-situ tuning changed
+ * the partition. Eviction order may vary across thread schedules;
  * values may not, so search results stay deterministic for any
  * thread count and for cache on vs. off.
  *
@@ -37,7 +39,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -47,6 +52,141 @@
 #include "sim/cost_model.h"
 
 namespace cocco {
+
+/**
+ * A block-id vector held at the narrowest width that holds every id:
+ * one byte per id when all lie in [0, 256), two in [0, 65536), else
+ * four, as int (so any id, -1 included, round-trips). It assigns from
+ * a std::vector<int> or a braced list and reads back as ints. Equal
+ * ids pack to equal widths and bytes. Defined here so the cache-file
+ * loader (core/serialize) inlines it: out of line, perfbench's NasNet
+ * cache-file load read about a fifth slower (4-vCPU Xeon, g++ 12).
+ */
+class PackedIds
+{
+  public:
+    PackedIds() = default;
+    PackedIds(const std::vector<int> &ids) { pack(ids.data(), ids.size()); }
+    PackedIds(std::initializer_list<int> ids)
+    {
+        pack(ids.begin(), ids.size());
+    }
+
+    size_t size() const { return bytes_.size() >> shift_; }
+    bool empty() const { return bytes_.empty(); }
+    /** Bytes per id: 1, 2 or 4. */
+    size_t width() const { return size_t{1} << shift_; }
+
+    int
+    operator[](size_t i) const
+    {
+        return withIdType([&](auto t) { return idAt(t, i); });
+    }
+
+    /** Write the ids to @p out[0, size()). */
+    void
+    unpack(int *out) const
+    {
+        withIdType([&](auto t) {
+            for (size_t i = 0, n = size(); i < n; ++i)
+                out[i] = idAt(t, i);
+        });
+    }
+
+    /** Whether @p ids are these ids, compared in one pass. */
+    bool
+    operator==(const std::vector<int> &ids) const
+    {
+        if (ids.size() != size())
+            return false;
+        return withIdType([&](auto t) {
+            bool same = true;
+            for (size_t i = 0, n = ids.size(); i < n; ++i)
+                same &= idAt(t, i) == ids[i];
+            return same;
+        });
+    }
+    bool
+    operator==(const PackedIds &o) const
+    {
+        return shift_ == o.shift_ && bytes_ == o.bytes_;
+    }
+
+    /** Iteration by value, as int. */
+    class const_iterator
+    {
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = int;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = int;
+
+        const_iterator(const PackedIds *ids, size_t i) : ids_(ids), i_(i) {}
+        int operator*() const { return (*ids_)[i_]; }
+        const_iterator &
+        operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        bool operator==(const const_iterator &o) const { return i_ == o.i_; }
+        bool operator!=(const const_iterator &o) const { return i_ != o.i_; }
+
+      private:
+        const PackedIds *ids_;
+        size_t i_;
+    };
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, size()}; }
+
+  private:
+    /** fn(T{}) for T, the id type of this width. */
+    template <typename Fn>
+    auto
+    withIdType(Fn fn) const -> decltype(fn(uint8_t{}))
+    {
+        switch (shift_) {
+          case 0:
+            return fn(uint8_t{});
+          case 1:
+            return fn(uint16_t{});
+          default:
+            return fn(int{});
+        }
+    }
+
+    /** Id @p i, held as a T. */
+    template <typename T>
+    int
+    idAt(T, size_t i) const
+    {
+        T v = 0;
+        std::memcpy(&v, bytes_.data() + i * sizeof v, sizeof v);
+        return static_cast<int>(v);
+    }
+
+    void
+    pack(const int *ids, size_t n)
+    {
+        int lo = 0, hi = 0;
+        for (size_t i = 0; i < n; ++i) {
+            lo = ids[i] < lo ? ids[i] : lo;
+            hi = ids[i] > hi ? ids[i] : hi;
+        }
+        shift_ = lo < 0 || hi > 0xffff ? 2 : hi > 0xff ? 1 : 0;
+        bytes_.resize(n << shift_);
+        withIdType([&](auto t) {
+            for (size_t i = 0; i < n; ++i) {
+                auto v = static_cast<decltype(t)>(ids[i]);
+                std::memcpy(bytes_.data() + i * sizeof v, &v, sizeof v);
+            }
+        });
+    }
+
+    std::vector<uint8_t> bytes_;
+    uint8_t shift_ = 0; ///< log2 of the width
+};
 
 /** Cumulative cache counters (monotonic; snapshot via stats()). */
 struct EvalCacheStats
@@ -109,25 +249,6 @@ class EvalCache
         Refused,   ///< failed the check: every hit is served as a miss
     };
 
-    /** One persisted/cached genome evaluation. */
-    struct Entry
-    {
-        uint64_t hash = 0;  ///< full key hash (shard + bucket selector)
-        uint64_t salt = 0;  ///< evaluation-context fingerprint
-
-        // Exact key material (compared on lookup).
-        std::vector<int> keyBlock; ///< pre-repair block vector
-        int actIdx = 0;            ///< live hardware genes; dead genes
-        int weightIdx = 0;         ///< are normalized to 0 by the caller
-        int sharedIdx = 0;
-        Canon canon = Canon::Unchecked; ///< not persisted (fills padding)
-
-        // Payload.
-        std::vector<int> repairedBlock; ///< post in-situ-tuning blocks
-        int numBlocks = 0;
-        double cost = 0.0;
-    };
-
     /** Borrowed key for allocation-free lookups. */
     struct KeyView
     {
@@ -137,6 +258,38 @@ class EvalCache
         int actIdx = 0;
         int weightIdx = 0;
         int sharedIdx = 0;
+    };
+
+    /** One persisted/cached genome evaluation. */
+    struct Entry
+    {
+        Entry() = default;
+        /** @p key's material, packed (the payload left empty): what
+         *  insert() files an evaluation under. */
+        Entry(const KeyView &key)
+            : hash(key.hash), salt(key.salt), keyBlock(key.block),
+              actIdx(key.actIdx), weightIdx(key.weightIdx),
+              sharedIdx(key.sharedIdx)
+        {
+        }
+
+        uint64_t hash = 0;  ///< full key hash (shard + bucket selector)
+        uint64_t salt = 0;  ///< evaluation-context fingerprint
+
+        // Exact key material (compared on lookup).
+        PackedIds keyBlock; ///< pre-repair block vector
+        int actIdx = 0;     ///< live hardware genes; dead genes
+        int weightIdx = 0;  ///< are normalized to 0 by the caller
+        int sharedIdx = 0;
+        Canon canon = Canon::Unchecked; ///< not persisted (fills padding)
+
+        // Payload.
+        /** Post in-situ-tuning blocks, kept only when tuning changed
+         *  the partition: empty means "equal to keyBlock" (the cache
+         *  file's "=" marker). insertEntry drops a copy of the key. */
+        PackedIds repairedBlock;
+        int numBlocks = 0;
+        double cost = 0.0;
     };
 
     /**
@@ -164,8 +317,10 @@ class EvalCache
                 double *cost);
 
     /** Record one evaluation: key -> (repaired partition, cost); the
-     *  partition's canonical flag is kept for later hits. */
-    void insert(const KeyView &key, const Partition &repaired, double cost);
+     *  partition's canonical flag is kept for later hits. A miss packs
+     *  its key (Entry(KeyView)) before evaluation tunes the partition
+     *  in place. */
+    void insert(Entry key, const Partition &repaired, double cost);
 
     // --- Block level. Entries are fenced by a model salt (graph +
     //     accelerator — everything a SubgraphCost depends on beyond
@@ -254,7 +409,8 @@ class EvalCache
     void forEachEntry(const std::function<void(const Entry &)> &fn) const;
 
     /** Insert a deserialized entry verbatim (keeps entry.hash; a
-     *  loader leaves entry.canon Unchecked). */
+     *  loader leaves entry.canon Unchecked), but for repaired ids equal
+     *  to the key, which it drops. */
     void insertEntry(Entry entry);
 
   private:

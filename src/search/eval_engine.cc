@@ -158,17 +158,17 @@ EvalEngine::evaluate(Genome &genome, const GeneDelta *delta)
     if (!cache_)
         return evaluateUncached(genome);
 
-    uint64_t hash = genomeHash(genome);
+    const EvalCache::KeyView key =
+        makeKey(genomeHash(genome), genome.part.block, genome);
     double cost = 0.0;
-    if (cache_->lookup(makeKey(hash, genome.part.block, genome),
-                       model_.graph(), &genome.part, &cost))
+    if (cache_->lookup(key, model_.graph(), &genome.part, &cost))
         return cost;
 
-    // Snapshot the pre-repair key material: evaluation mutates the
+    // Pack the pre-repair key material: evaluation mutates the
     // partition in place (in-situ capacity tuning).
-    std::vector<int> pre_block = genome.part.block;
+    EvalCache::Entry entry = key;
     cost = evaluateUncached(genome);
-    cache_->insert(makeKey(hash, pre_block, genome), genome.part, cost);
+    cache_->insert(std::move(entry), genome.part, cost);
     return cost;
 }
 

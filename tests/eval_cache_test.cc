@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the evaluation-cache subsystem: the 64-bit content hash
- * combinators, hit/miss/eviction accounting and LRU order, the
- * engine's transparency contract (bit-identical results for cache on
- * vs. off, across thread counts, and on warm repeats), the on-disk
- * round trip, operator gene-delta reporting, and the JSON metrics
- * document.
+ * combinators, packed block ids at each width, hit/miss/eviction
+ * accounting and LRU order, the engine's transparency contract
+ * (bit-identical results for cache on vs. off, across thread counts,
+ * and on warm repeats), the on-disk round trip, operator gene-delta
+ * reporting, and the JSON metrics document.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "core/cocco.h"
 #include "core/metrics.h"
 #include "core/serialize.h"
+#include "models/models.h"
 #include "models/random_dag.h"
 #include "search/eval_cache.h"
 #include "search/operators.h"
@@ -294,15 +295,17 @@ TEST(EvalCache, LruEvictionOrder)
 TEST(EvalCache, HitsCarryTheInsertedFlag)
 {
     // The engine inserts what evaluation returned; a hit hands on the
-    // canonical flag exactly when the inserted partition carried it.
+    // canonical flag exactly when the inserted partition carried it,
+    // whether or not the entry keeps repaired ids apart from its key.
     Graph g = smallGraph();
     EvalCache cache(8, 1);
     const Partition flagged = Partition::singletons(g);
     Partition plain = flagged;
     plain.block = std::vector<int>(flagged.block); // same ids, no flag
-    std::vector<int> ka(g.size(), 0), kb(g.size(), 1);
+    std::vector<int> ka(g.size(), 0), kb(g.size(), 1), kc = flagged.block;
     cache.insert(keyOf(1, ka), flagged, 1.0);
     cache.insert(keyOf(2, kb), plain, 2.0);
+    cache.insert(keyOf(3, kc), plain, 3.0);
     Partition out;
     double cost = 0.0;
     for (int round = 0; round < 2; ++round) {
@@ -311,7 +314,57 @@ TEST(EvalCache, HitsCarryTheInsertedFlag)
         ASSERT_TRUE(cache.lookup(keyOf(2, kb), g, &out, &cost));
         EXPECT_FALSE(out.canonical()); // never re-checked
         EXPECT_EQ(out.block, flagged.block);
+        ASSERT_TRUE(cache.lookup(keyOf(3, kc), g, &out, &cost));
+        EXPECT_FALSE(out.canonical());
+        EXPECT_EQ(out.block, flagged.block);
     }
+}
+
+TEST(PackedIds, NarrowestWidthRoundTrips)
+{
+    // Each width at its bounds, read back by iteration, unpack() and
+    // comparison; a 4-byte vector keeps a negative id.
+    const std::vector<std::pair<std::vector<int>, size_t>> cases{
+        {{}, 1},
+        {{0, 1, 255}, 1},
+        {{0, 256, 343}, 2},
+        {{65535, 0}, 2},
+        {{0, 65536, 7}, 4},
+        {{3, -1, 0}, 4},
+    };
+    for (const auto &[ids, width] : cases) {
+        PackedIds p = ids;
+        EXPECT_EQ(p.width(), width);
+        EXPECT_EQ(p.size(), ids.size());
+        EXPECT_EQ(std::vector<int>(p.begin(), p.end()), ids);
+        std::vector<int> out(ids.size(), 42);
+        p.unpack(out.data());
+        EXPECT_EQ(out, ids);
+        EXPECT_TRUE(p == ids);
+        EXPECT_TRUE(p == PackedIds(ids));
+    }
+    PackedIds braced;
+    braced = {65536, -1};
+    EXPECT_EQ(braced.width(), 4u);
+    EXPECT_EQ(braced[0], 65536);
+    EXPECT_EQ(braced[1], -1);
+    EXPECT_FALSE(braced == (std::vector<int>{65536}));
+}
+
+TEST(EvalCache, KeysCompareAboveTheirPackedWidth)
+{
+    // A stored 1-byte key and a probe that differs from it only above
+    // the low byte (1 vs 257): the probe misses.
+    const Graph g = smallGraph();
+    EvalCache cache(8, 1);
+    std::vector<int> stored{0, 1, 2};
+    std::vector<int> probe{0, 257, 2};
+    const Partition p = Partition::singletons(g);
+    cache.insert(keyOf(1, stored), p, 1.0);
+    Partition out;
+    double cost = 0.0;
+    EXPECT_FALSE(cache.lookup(keyOf(1, probe), g, &out, &cost));
+    EXPECT_TRUE(cache.lookup(keyOf(1, stored), g, &out, &cost));
 }
 
 TEST(EvalCache, StatsDeltaSubtraction)
@@ -536,6 +589,72 @@ TEST(Persistence, EntryLevelRoundTripIsExact)
     std::remove(path.c_str());
 }
 
+TEST(Persistence, PackedEntriesRoundTripAtEachWidth)
+{
+    // Keys whose ids fit one byte (a small graph's) and two (NasNet's
+    // 344 singletons), each with the repaired ids equal to the key and
+    // apart from it. Every hit, before the save and after the load,
+    // returns the inserted ids, block count and canonical flag.
+    std::string path = tmpPath("widths.evalcache");
+    const Graph small = smallGraph();
+    const Graph nasnet = buildModel("NasNet");
+    struct Case
+    {
+        const Graph *g;
+        std::vector<int> key;
+        Partition repaired;
+        size_t keyWidth;
+        size_t repairedWidth; ///< 0: the repaired ids equal the key
+    };
+    const Partition smallOnes = Partition::singletons(small);
+    const Partition nasnetOnes = Partition::singletons(nasnet);
+    const std::vector<Case> cases{
+        {&small, smallOnes.block, smallOnes, 1, 0},
+        {&small, std::vector<int>(small.size(), 0), smallOnes, 1, 1},
+        {&nasnet, nasnetOnes.block, nasnetOnes, 2, 0},
+        {&nasnet, std::vector<int>(nasnet.size(), 0), nasnetOnes, 1, 2},
+    };
+    ASSERT_EQ(nasnetOnes.block.back(), 343);
+
+    EvalCache cache(64, 1);
+    for (size_t i = 0; i < cases.size(); ++i)
+        cache.insert(keyOf(i, cases[i].key), cases[i].repaired, 1.0 + i);
+    size_t visited = 0;
+    cache.forEachEntry([&](const EvalCache::Entry &e) {
+        const Case &c = cases[e.hash];
+        EXPECT_EQ(e.keyBlock.width(), c.keyWidth) << e.hash;
+        EXPECT_TRUE(e.keyBlock == c.key) << e.hash;
+        EXPECT_EQ(e.repairedBlock.empty(), c.repairedWidth == 0) << e.hash;
+        if (c.repairedWidth != 0) {
+            EXPECT_TRUE(e.repairedBlock == c.repaired.block.ids());
+            EXPECT_EQ(e.repairedBlock.width(), c.repairedWidth);
+        }
+        ++visited;
+    });
+    EXPECT_EQ(visited, cases.size());
+
+    auto expectHits = [&](EvalCache &c, const char *what) {
+        for (size_t i = 0; i < cases.size(); ++i) {
+            Partition out = Partition::fixedRuns(*cases[i].g, 2);
+            double cost = 0.0;
+            ASSERT_TRUE(c.lookup(keyOf(i, cases[i].key), *cases[i].g, &out,
+                                 &cost))
+                << what << " " << i;
+            EXPECT_EQ(out.block, cases[i].repaired.block) << what << " " << i;
+            EXPECT_EQ(out.numBlocks, cases[i].repaired.numBlocks);
+            EXPECT_TRUE(out.canonical()) << what << " " << i;
+            EXPECT_EQ(cost, 1.0 + i);
+        }
+    };
+    expectHits(cache, "inserted");
+    ASSERT_TRUE(saveEvalCache(cache, path));
+    EvalCache loaded(64, 1);
+    EXPECT_EQ(loadEvalCache(loaded, path), 4);
+    EXPECT_EQ(dumpEntries(loaded), dumpEntries(cache));
+    expectHits(loaded, "loaded");
+    std::remove(path.c_str());
+}
+
 TEST(Persistence, LoadedEntriesAreCheckedOnTheirFirstHit)
 {
     // A file carries no canonical flags, and loading checks nothing per
@@ -712,8 +831,11 @@ TEST(Persistence, LoaderRejectsEveryMutation)
         for (size_t v = 0; v < key.size(); ++v)
             key[v] = static_cast<int>(v / 2);
         EvalCache::Entry e = entryOf(rng.next(), key, rng.uniformReal());
-        if (i % 2)
-            e.repairedBlock.back() = static_cast<int>(key.size() - 1);
+        if (i % 2) {
+            std::vector<int> repaired = key;
+            repaired.back() = static_cast<int>(key.size() - 1);
+            e.repairedBlock = repaired;
+        }
         source.insertEntry(e);
     }
     std::string path = tmpPath("fuzz.evalcache");

@@ -15,7 +15,6 @@
 #include "models/models.h"
 #include "serve/run_spec.h"
 #include "util/hash.h"
-#include "util/json.h"
 
 using namespace cocco;
 
@@ -520,13 +519,17 @@ TEST(ModelParamsDeath, BadValuesAreFatal)
 
 namespace {
 
-/** Parse @p text and read it as a params block. */
+/** Read @p params as a run spec's workload.params block. */
 bool
-paramsFrom(const char *text, ModelParams *out, std::string *err)
+paramsFrom(const std::string &params, ModelParams *out, std::string *err)
 {
-    JsonValue doc;
-    EXPECT_TRUE(parseJson(text, &doc, err)) << *err;
-    return modelParamsFromJson(doc, out, err);
+    SearchSpec spec;
+    if (!parseRunSpecText(R"({"workload": {"model": "VGG16", "params": )" +
+                              params + "}}",
+                          &spec, err))
+        return false;
+    *out = spec.workload.params;
+    return true;
 }
 
 } // namespace

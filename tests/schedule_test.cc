@@ -241,31 +241,30 @@ INSTANTIATE_TEST_SUITE_P(Ops, ScheduleSweep,
 #include "schedule/workload_set.h"
 #include "search/driver.h"
 #include "serve/service.h"
-#include "util/json.h"
 
 namespace {
+
+/** Read @p set as a run spec's workload_set section (a one-tenant set
+ *  folds into the spec's plain workload). */
+bool
+readSet(const std::string &set, SearchSpec *spec, std::string *err)
+{
+    return parseRunSpecText(R"({"workload_set": )" + set + "}", spec, err);
+}
 
 WorkloadSet
 parseSet(const std::string &text, std::string *err)
 {
-    JsonValue v;
-    std::string perr;
-    EXPECT_TRUE(parseJson(text, &v, &perr)) << perr;
-    WorkloadSet set;
-    if (!workloadSetFromJson(v, &set, err))
-        return WorkloadSet{};
-    return set;
+    SearchSpec spec;
+    return readSet(text, &spec, err) ? spec.workloadSet : WorkloadSet{};
 }
 
 void
 expectRejected(const std::string &text, const std::string &needle)
 {
+    SearchSpec spec;
     std::string err;
-    JsonValue v;
-    std::string perr;
-    ASSERT_TRUE(parseJson(text, &v, &perr)) << perr;
-    WorkloadSet set;
-    EXPECT_FALSE(workloadSetFromJson(v, &set, &err)) << text;
+    EXPECT_FALSE(readSet(text, &spec, &err)) << text;
     EXPECT_NE(err.find(needle), std::string::npos)
         << "error \"" << err << "\" lacks \"" << needle << "\"";
 }
@@ -329,7 +328,7 @@ TEST(WorkloadSetParse, RejectsUnknownKeysAndEmptySets)
 {
     expectRejected(R"([{"name": "t", "model": "VGG16", "rate": 5,
                         "arrival_rate_hz": 5, "sla_latency_ms": 10}])",
-                   "unknown workload_set key");
+                   "unknown run-spec key \"workload_set[0].rate\"");
     expectRejected(R"([])", "at least one tenant");
     expectRejected(R"([{"name": "t", "model": "VGG16", "file": "g.json",
                         "arrival_rate_hz": 5, "sla_latency_ms": 10}])",
@@ -362,10 +361,9 @@ TEST(WorkloadSetParse, RoundTripsThroughJson)
         &err);
     ASSERT_EQ(set.size(), 2) << err;
 
-    JsonValue v;
-    ASSERT_TRUE(parseJson(workloadSetJson(set), &v, &err)) << err;
-    WorkloadSet back;
-    ASSERT_TRUE(workloadSetFromJson(v, &back, &err)) << err;
+    SearchSpec spec;
+    ASSERT_TRUE(readSet(workloadSetJson(set), &spec, &err)) << err;
+    const WorkloadSet &back = spec.workloadSet;
     ASSERT_EQ(back.size(), set.size());
     for (int t = 0; t < set.size(); ++t) {
         EXPECT_EQ(back.tenants[t].name, set.tenants[t].name);
@@ -502,12 +500,14 @@ TEST(CoSchedule, GreedyIsDeterministic)
 
 TEST(CoSchedule, SaturatedCoreViolatesEverySla)
 {
+    TenantSpec hot;
+    hot.name = "hot";
+    hot.workload.model = "VGG16";
+    hot.arrivalRateHz = 100000;
+    hot.slaLatencyMs = 1;
+    WorkloadSet set;
+    set.tenants.push_back(hot);
     std::string err;
-    WorkloadSet set = parseSet(
-        R"([{"name": "hot", "model": "VGG16",
-             "arrival_rate_hz": 100000, "sla_latency_ms": 1}])",
-        &err);
-    ASSERT_EQ(set.size(), 1) << err;
     Graph g;
     ASSERT_TRUE(resolveWorkload(set.tenants[0].workload, &g, &err));
     AcceleratorConfig accel;
