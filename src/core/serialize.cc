@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <list>
@@ -107,7 +106,7 @@ resultToJson(const Graph &g, const CoccoResult &r)
 namespace {
 
 constexpr const char *kCacheMagic = "COCCO-EVALCACHE";
-constexpr int kCacheVersion = 2;
+constexpr int kCacheVersion = 3;
 
 /** Guard against absurd vector lengths from corrupt files. */
 constexpr int kMaxPersistedNodes = 1 << 22;
@@ -135,7 +134,7 @@ bool
 writeFileAtomically(const std::string &path, WriteFn write)
 {
     std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f)
         return false;
     write(f);
@@ -148,108 +147,123 @@ writeFileAtomically(const std::string &path, WriteFn write)
     return ok;
 }
 
-/** Fold one body line (without its newline) into the file checksum,
- *  as little-endian 8-byte lanes, the last one zero-padded. */
+// Cache-file records (serialize.h): a tag byte, then little-endian
+// fields. An entry's fixed part is followed by its two id lists.
+constexpr unsigned char kEntryTag = 'E';
+constexpr unsigned char kTrailerTag = 'T';
+/** Tag, hash, salt, the three gene indices, numBlocks, the cost's
+ *  bits, n, the key's id width and the repaired ids' width. */
+constexpr size_t kEntryFixedBytes = 1 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 4 + 1 + 1;
+/** Tag, entry count, checksum. */
+constexpr size_t kTrailerBytes = 1 + 8 + 8;
+
+/** The W bytes at @p p as a little-endian integer, assembled in
+ *  halves: a form g++ reads with one load (a byte loop is not). */
+template <size_t W>
 uint64_t
-foldLine(uint64_t sum, std::string_view line)
+getLe(const unsigned char *p)
 {
-    for (size_t i = 0; i < line.size(); i += 8) {
-        unsigned char bytes[8] = {0};
-        std::memcpy(bytes, line.data() + i,
-                    std::min<size_t>(8, line.size() - i));
-        uint64_t lane = 0;
-        for (int b = 7; b >= 0; --b)
-            lane = lane << 8 | bytes[b];
-        sum = hashU64(sum, lane);
+    if constexpr (W == 1)
+        return p[0];
+    else
+        return getLe<W / 2>(p) | getLe<W / 2>(p + W / 2) << 4 * W;
+}
+
+/** Reads a record's little-endian fields in order. */
+struct FieldCursor
+{
+    const unsigned char *p;
+
+    template <size_t W>
+    uint64_t
+    take()
+    {
+        p += W;
+        return getLe<W>(p - W);
+    }
+
+    /** A 4-byte two's-complement int. */
+    int takeInt() { return static_cast<int32_t>(take<4>()); }
+};
+
+/** Append the low @p width bytes of @p v, least significant first. */
+void
+putLe(std::vector<unsigned char> *rec, uint64_t v, size_t width)
+{
+    for (size_t b = 0; b < width; ++b)
+        rec->push_back(static_cast<unsigned char>(v >> 8 * b));
+}
+
+/** Fold one record into the file checksum, as little-endian 8-byte
+ *  lanes, the last one zero-padded. */
+uint64_t
+foldRecord(uint64_t sum, const std::vector<unsigned char> &rec)
+{
+    const size_t n = rec.size();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        sum = hashU64(sum, getLe<8>(rec.data() + i));
+    if (i < n) {
+        unsigned char last[8] = {0};
+        std::memcpy(last, rec.data() + i, n - i);
+        sum = hashU64(sum, getLe<8>(last));
     }
     return sum;
 }
 
-/** Append " <v>", formatted by std::to_chars(v, fmt...). */
-template <typename T, typename... Fmt>
+/** An entry's record: its fixed part, the key ids, then the repaired
+ *  ids unless they equal the key (width 0), each at its packed width. */
 void
-appendField(std::string *line, T v, Fmt... fmt)
+formatEntry(const EvalCache::Entry &e, std::vector<unsigned char> *rec)
 {
-    char buf[32];
-    std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v, fmt...);
-    line->push_back(' ');
-    line->append(buf, r.ptr);
+    uint64_t costBits = 0;
+    std::memcpy(&costBits, &e.cost, sizeof costBits);
+    rec->assign(1, kEntryTag);
+    putLe(rec, e.hash, 8);
+    putLe(rec, e.salt, 8);
+    for (int v : {e.actIdx, e.weightIdx, e.sharedIdx, e.numBlocks})
+        putLe(rec, static_cast<uint32_t>(v), 4);
+    putLe(rec, costBits, 8);
+    putLe(rec, e.keyBlock.size(), 4);
+    rec->push_back(static_cast<unsigned char>(e.keyBlock.width()));
+    rec->push_back(static_cast<unsigned char>(
+        e.repairedBlock.empty() ? 0 : e.repairedBlock.width()));
+    for (const PackedIds *ids : {&e.keyBlock, &e.repairedBlock})
+        for (int id : *ids)
+            putLe(rec, static_cast<uint32_t>(id), ids->width());
 }
 
-/** An entry's body line (no newline): the v1 fields, the key ids,
- *  then the repaired ids, or "=" when they equal the key. */
-void
-formatEntry(const EvalCache::Entry &e, std::string *line)
+/** The @p n ids of W bytes at @p p, into @p out. @return the largest,
+ *  read unsigned (so a negative id reads as out of range). */
+template <size_t W>
+uint32_t
+decodeIds(const unsigned char *p, size_t n, int *out)
 {
-    line->assign("E");
-    appendField(line, e.hash, 16);
-    appendField(line, e.salt, 16);
-    appendField(line, e.actIdx);
-    appendField(line, e.weightIdx);
-    appendField(line, e.sharedIdx);
-    appendField(line, e.numBlocks);
-    appendField(line, e.cost, std::chars_format::hex);
-    appendField(line, e.keyBlock.size());
-    for (int b : e.keyBlock)
-        appendField(line, b);
-    if (e.repairedBlock.empty()) {
-        line->append(" =");
-    } else {
-        for (int b : e.repairedBlock)
-            appendField(line, b);
+    uint32_t hi = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const uint32_t v = static_cast<uint32_t>(getLe<W>(p + i * W));
+        out[i] = static_cast<int>(v);
+        hi = v > hi ? v : hi;
     }
+    return hi;
 }
 
-/** The trailer (no newline) closing @p count body lines whose fold
- *  is @p sum. */
-std::string
-trailerLine(size_t count, uint64_t sum)
+/** Decode an id list of @p n ids at @p width bytes each into @p ids.
+ *  @return nullptr, or why it is not a list the writer emits. */
+const char *
+decodeIdList(const unsigned char *p, size_t n, size_t width,
+             std::vector<int> *ids)
 {
-    std::string line = "END";
-    appendField(&line, count);
-    appendField(&line, hashFinalize(sum), 16);
-    return line;
+    ids->resize(n);
+    const uint32_t hi = width == 1   ? decodeIds<1>(p, n, ids->data())
+                        : width == 2 ? decodeIds<2>(p, n, ids->data())
+                                     : decodeIds<4>(p, n, ids->data());
+    if (n > 0 && hi >= n)
+        return "block id out of range";
+    if (width != (hi > 0xffff ? 4 : hi > 0xff ? 2 : 1)) // PackedIds' rule
+        return "id width wider than the ids need";
+    return nullptr;
 }
-
-/** A file read line by line through one reused buffer. (std::FILE
- *  and POSIX getline, not an ifstream: the first iostream use in a
- *  process maps in about 1 MB of locale machinery.) */
-class LineReader
-{
-  public:
-    explicit LineReader(const std::string &path)
-        : f_(std::fopen(path.c_str(), "r"))
-    {
-    }
-    ~LineReader()
-    {
-        std::free(buf_);
-        if (f_)
-            std::fclose(f_);
-    }
-    LineReader(const LineReader &) = delete;
-    LineReader &operator=(const LineReader &) = delete;
-
-    bool isOpen() const { return f_ != nullptr; }
-    bool failed() const { return std::ferror(f_) != 0; }
-
-    /** The next line, its '\n' included (a cut last line lacks it).
-     *  @return false at the end of the file or on a read error. */
-    bool
-    next(std::string_view *line)
-    {
-        ssize_t n = ::getline(&buf_, &cap_, f_);
-        if (n < 0)
-            return false;
-        *line = std::string_view(buf_, static_cast<size_t>(n));
-        return true;
-    }
-
-  private:
-    std::FILE *f_;
-    char *buf_ = nullptr;
-    size_t cap_ = 0;
-};
 
 /** Cursor over the space-separated fields of one line. */
 struct FieldReader
@@ -270,55 +284,7 @@ struct FieldReader
         p = r.ptr;
         return true;
     }
-
-    /** Read " =", the repaired-equals-key marker. */
-    bool
-    marker()
-    {
-        if (end - p < 2 || p[0] != ' ' || p[1] != '=')
-            return false;
-        p += 2;
-        return true;
-    }
 };
-
-/** Read @p n block ids, each in [0, n). @return nullptr, or why not. */
-const char *
-readIds(FieldReader *r, size_t n, std::vector<int> *ids)
-{
-    ids->resize(n);
-    for (int &b : *ids) {
-        if (!r->field(&b))
-            return "missing or malformed block id";
-        if (b < 0 || static_cast<size_t>(b) >= n)
-            return "block id out of range";
-    }
-    return nullptr;
-}
-
-/** Parse the fields of an entry line (after its "E") into @p e, each
- *  id list through the scratch @p ids. @return nullptr, or why not. */
-const char *
-parseEntry(FieldReader r, std::vector<int> *ids, EvalCache::Entry *e)
-{
-    size_t n = 0;
-    if (!r.field(&e->hash, 16) || !r.field(&e->salt, 16) ||
-        !r.field(&e->actIdx) || !r.field(&e->weightIdx) ||
-        !r.field(&e->sharedIdx) || !r.field(&e->numBlocks) ||
-        !r.field(&e->cost, std::chars_format::hex) || !r.field(&n))
-        return "malformed entry fields";
-    if (n > static_cast<size_t>(kMaxPersistedNodes))
-        return "node count above the limit";
-    if (const char *why = readIds(&r, n, ids))
-        return why;
-    e->keyBlock = *ids;
-    if (!r.marker()) {
-        if (const char *why = readIds(&r, n, ids))
-            return why;
-        e->repairedBlock = *ids;
-    }
-    return r.p == r.end ? nullptr : "trailing tokens";
-}
 
 /** @return "" when @p line is this build's header, else why not. */
 std::string
@@ -338,23 +304,122 @@ headerError(std::string_view line)
     return "";
 }
 
-/** @return "" when @p line is exactly the trailer the writer emits
- *  after @p count entries folding to @p sum, else why not. */
-std::string
-trailerError(std::string_view line, size_t count, uint64_t sum)
+/** A cache file read record by record into one reused buffer.
+ *  (std::FILE, not an ifstream: the first iostream use in a process
+ *  maps in about 1 MB of locale machinery.) */
+class RecordReader
 {
-    if (line == trailerLine(count, sum))
-        return "";
-    FieldReader r{line.data() + 3, line.data() + line.size()};
-    size_t stated = 0;
-    uint64_t checksum = 0;
-    if (!r.field(&stated) || !r.field(&checksum, 16) || r.p != r.end)
-        return "malformed END trailer";
-    if (stated != count)
-        return strprintf("entry count mismatch: END says %zu, the file "
-                         "holds %zu",
-                         stated, count);
-    return "checksum mismatch";
+  public:
+    explicit RecordReader(const std::string &path)
+        : f_(std::fopen(path.c_str(), "rb"))
+    {
+    }
+    ~RecordReader()
+    {
+        if (f_)
+            std::fclose(f_);
+    }
+    RecordReader(const RecordReader &) = delete;
+    RecordReader &operator=(const RecordReader &) = delete;
+
+    bool isOpen() const { return f_ != nullptr; }
+
+    /** Read the text header line. @return "" when it is this build's,
+     *  else why not. */
+    std::string
+    header()
+    {
+        char buf[64];
+        if (!std::fgets(buf, sizeof buf, f_))
+            return std::ferror(f_) ? "read error" : "empty file";
+        std::string_view line(buf);
+        if (!line.empty() && line.back() == '\n') {
+            line.remove_suffix(1);
+            return headerError(line);
+        }
+        if (std::feof(f_))
+            return "truncated: header has no newline";
+        const std::string why = headerError(line);
+        return why.empty() ? "malformed header" : why;
+    }
+
+    /** Start the next record. @return its tag, or EOF at the end of
+     *  the file (or on a read error). */
+    int
+    next()
+    {
+        rec_.clear();
+        return more(1) ? rec_[0] : EOF;
+    }
+
+    /** Append the record's next @p n bytes. @return false when the
+     *  file ends (or fails) first. */
+    bool
+    more(size_t n)
+    {
+        const size_t at = rec_.size();
+        rec_.resize(at + n);
+        return std::fread(rec_.data() + at, 1, n, f_) == n;
+    }
+
+    /** Why the last next() or more() came up short. */
+    std::string
+    shortRead(const std::string &what) const
+    {
+        return std::ferror(f_) ? "read error" : "truncated: " + what;
+    }
+
+    const std::vector<unsigned char> &record() const { return rec_; }
+
+  private:
+    std::FILE *f_;
+    std::vector<unsigned char> rec_;
+};
+
+/** Read the rest of entry record @p index (from 1), which @p in has
+ *  started, into @p e, each id list through the scratch @p ids.
+ *  @return "", or why not. */
+std::string
+readEntry(RecordReader &in, size_t index, std::vector<int> *ids,
+          EvalCache::Entry *e)
+{
+    auto bad = [&](const char *why) {
+        return strprintf("entry %zu: %s", index, why);
+    };
+    auto cut = [&] {
+        return in.shortRead(strprintf("entry %zu cut short", index));
+    };
+    if (!in.more(kEntryFixedBytes - 1))
+        return cut();
+    FieldCursor c{in.record().data() + 1};
+    e->hash = c.take<8>();
+    e->salt = c.take<8>();
+    e->actIdx = c.takeInt();
+    e->weightIdx = c.takeInt();
+    e->sharedIdx = c.takeInt();
+    e->numBlocks = c.takeInt();
+    const uint64_t costBits = c.take<8>();
+    std::memcpy(&e->cost, &costBits, sizeof e->cost);
+    const size_t n = c.take<4>();
+    const size_t keyWidth = c.take<1>(), repairedWidth = c.take<1>();
+    if (n > static_cast<size_t>(kMaxPersistedNodes))
+        return bad("node count above the limit");
+    auto valid = [](size_t w) { return w == 1 || w == 2 || w == 4; };
+    if (!valid(keyWidth) || (repairedWidth != 0 && !valid(repairedWidth)))
+        return bad("id width not 1, 2 or 4");
+    if (!in.more(n * (keyWidth + repairedWidth)))
+        return cut();
+    const unsigned char *p = in.record().data() + kEntryFixedBytes;
+    if (const char *why = decodeIdList(p, n, keyWidth, ids))
+        return bad(why);
+    e->keyBlock = *ids;
+    if (repairedWidth != 0) {
+        if (const char *why =
+                decodeIdList(p + n * keyWidth, n, repairedWidth, ids))
+            return bad(why);
+        e->repairedBlock = *ids;
+    }
+    return "";
 }
 
 } // namespace
@@ -364,28 +429,26 @@ saveEvalCache(const EvalCache &cache, const std::string &path)
 {
     return writeFileAtomically(path, [&](std::FILE *f) {
         std::fprintf(f, "%s %d\n", kCacheMagic, kCacheVersion);
-        std::string line;
+        std::vector<unsigned char> rec;
         uint64_t sum = kHashSeed;
         size_t count = 0;
         cache.forEachEntry([&](const EvalCache::Entry &e) {
             if (!e.repairedBlock.empty() &&
                 e.keyBlock.size() != e.repairedBlock.size())
                 return;
-            formatEntry(e, &line);
-            sum = foldLine(sum, line);
-            line.push_back('\n');
-            std::fwrite(line.data(), 1, line.size(), f);
+            formatEntry(e, &rec);
+            sum = foldRecord(sum, rec);
+            std::fwrite(rec.data(), 1, rec.size(), f);
             ++count;
         });
-        std::fprintf(f, "%s\n", trailerLine(count, sum).c_str());
+        rec.assign(1, kTrailerTag);
+        putLe(&rec, count, 8);
+        putLe(&rec, hashFinalize(sum), 8);
+        std::fwrite(rec.data(), 1, rec.size(), f);
     });
 }
 
-// The load is one tight parse loop, and its speed followed the start
-// address modulo 64 that unrelated code above it happened to give it
-// (about 15% slower at 32 mod 64, on a 4-vCPU Xeon): a cache-line start
-// keeps it independent of code elsewhere.
-__attribute__((aligned(64))) int
+int
 loadEvalCache(EvalCache &cache, const std::string &path, std::string *err)
 {
     auto fail = [&](const std::string &why) {
@@ -393,50 +456,45 @@ loadEvalCache(EvalCache &cache, const std::string &path, std::string *err)
             *err = path + ": " + why;
         return -1;
     };
-    LineReader in(path);
+    RecordReader in(path);
     if (!in.isOpen())
         return fail("cannot read file");
-    // Parse and check everything before touching the cache: a file
+    if (std::string why = in.header(); !why.empty())
+        return fail(why);
+    // Read and check everything before touching the cache: a file
     // loads whole or not at all.
     std::list<EvalCache::Entry> staged;
     std::vector<int> ids;
     uint64_t sum = kHashSeed;
-    bool ended = false;
-    size_t lineNo = 0;
-    std::string_view line;
-    while (in.next(&line)) {
-        ++lineNo;
-        // The writer ends every line, the trailer's too, with '\n'.
-        if (line.back() != '\n')
-            return fail("truncated: last line has no newline");
-        line.remove_suffix(1);
-        if (ended)
-            return fail("data after the END trailer");
-        std::string why;
-        if (lineNo == 1) {
-            why = headerError(line);
-        } else if (line.compare(0, 2, "E ") == 0) {
-            sum = foldLine(sum, line);
-            staged.emplace_back();
-            FieldReader r{line.data() + 1, line.data() + line.size()};
-            if (const char *bad = parseEntry(r, &ids, &staged.back()))
-                why = strprintf("entry %zu: %s", staged.size(), bad);
-        } else if (line.compare(0, 3, "END") == 0) {
-            why = trailerError(line, staged.size(), sum);
-            ended = true;
-        } else {
-            why = strprintf("line %zu: neither an entry nor the END trailer",
-                            lineNo);
-        }
-        if (!why.empty())
+    for (;;) {
+        const int tag = in.next();
+        if (tag == EOF)
+            return fail(in.shortRead("no trailer"));
+        if (tag == kTrailerTag)
+            break;
+        if (tag != kEntryTag)
+            return fail(strprintf("record %zu: neither an entry nor the "
+                                  "trailer",
+                                  staged.size() + 1));
+        staged.emplace_back();
+        if (std::string why = readEntry(in, staged.size(), &ids,
+                                        &staged.back());
+            !why.empty())
             return fail(why);
+        sum = foldRecord(sum, in.record());
     }
-    if (in.failed())
-        return fail("read error");
-    if (lineNo == 0)
-        return fail("empty file");
-    if (!ended)
-        return fail("truncated: no END trailer");
+    if (!in.more(kTrailerBytes - 1))
+        return fail(in.shortRead("trailer cut short"));
+    FieldCursor c{in.record().data() + 1};
+    const size_t stated = c.take<8>();
+    if (stated != staged.size())
+        return fail(strprintf("entry count mismatch: the trailer says %zu, "
+                              "the file holds %zu",
+                              stated, staged.size()));
+    if (c.take<8>() != hashFinalize(sum))
+        return fail("checksum mismatch");
+    if (in.next() != EOF)
+        return fail("data after the trailer");
     // Hand the entries over one at a time: each freed staging node
     // makes room for the cache's own, so staging adds no peak memory.
     const int loaded = static_cast<int>(staged.size());
@@ -444,6 +502,7 @@ loadEvalCache(EvalCache &cache, const std::string &path, std::string *err)
         cache.insertEntry(std::move(staged.front()));
     return loaded;
 }
+
 
 // --- Search checkpoints --------------------------------------------------
 

@@ -34,22 +34,25 @@ std::string resultToJson(const Graph &g, const CoccoResult &r);
 /**
  * Persist the genome level of an evaluation cache to @p path.
  *
- * Format v2, line-oriented text:
+ * Format v3: a text header line, then binary records, every integer
+ * little-endian:
  *
- *     COCCO-EVALCACHE 2
- *     E <hash> <salt> <act> <wgt> <shr> <numBlocks> <cost> <n>
- *       <key ids> <repaired ids | =>      (one line per entry)
+ *     COCCO-EVALCACHE 3\n
+ *     'E' hash:8 salt:8 act:4 wgt:4 shr:4 numBlocks:4 cost:8 n:4
+ *         keyWidth:1 repairedWidth:1 key ids:n*keyWidth
+ *         repaired ids:n*repairedWidth         (one record per entry)
  *     ...
- *     END <count> <checksum>
+ *     'T' count:8 checksum:8
  *
- * One `E` line per entry, least recently used first. Hash, salt and
- * checksum are hex; the cost is a std::to_chars hex float, so a round
- * trip is bit-exact and locale-free. The repaired ids are a single
- * `=` when they equal the key. The trailer gives the entry count and
- * a 64-bit checksum (util/hash) folded over every entry line. Entries
- * carry their context salt, so a file may safely be loaded into any
- * run — entries from a different model/accelerator/space/option set
- * simply never hit.
+ * One `E` record per entry, least recently used first. The cost is
+ * its IEEE-754 bits, so a round trip is bit-exact. Each id list is
+ * written at its PackedIds width (1, 2 or 4 bytes per id, the
+ * narrowest that holds them all); a repaired width of 0 means the
+ * repaired ids equal the key. The trailer gives the entry count and a
+ * 64-bit checksum (util/hash) folded over every entry record's bytes.
+ * Entries carry their context salt, so a file may safely be loaded
+ * into any run — entries from a different model/accelerator/space/
+ * option set simply never hit.
  *
  * The write goes to `path.tmp`, renamed over @p path only once
  * complete, so a failed save leaves the previous file intact.
@@ -60,12 +63,14 @@ bool saveEvalCache(const EvalCache &cache, const std::string &path);
 
 /**
  * Load the file at @p path into @p cache (subject to its capacity/LRU
- * policy), all or nothing. The whole file is parsed and checked
- * first: header and version, every field, block ids in [0, n), no
- * trailing tokens, the END trailer's count and checksum, nothing
- * after it. Only then are the entries inserted, in file order, which
- * reproduces the saved recency ranking. Files of any other format
- * version (v1 included) are rejected: the cost is one cold start.
+ * policy), all or nothing. The whole file is read and checked first:
+ * header and version, every record whole, n within bounds, each id
+ * width 1, 2 or 4 and the narrowest that holds the ids, block ids in
+ * [0, n), the trailer's count and checksum, nothing after it. Only
+ * then are the entries inserted, in file order, which reproduces the
+ * saved recency ranking. Files of any other format version (the v1
+ * and v2 text files included) are rejected: the cost is one cold
+ * start.
  *
  * @return the number of entries loaded; or -1 when the file is
  *         missing, unreadable or malformed in any way, with @p cache

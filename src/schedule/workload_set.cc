@@ -57,44 +57,20 @@ validateWorkloadSet(const WorkloadSet &set, std::string *err)
     return true;
 }
 
-namespace {
-
-/** The section, written down once: an array of tenants. A writer
- *  writes a workload's model or file only when given, and its params
- *  only when they differ from the defaults. */
-template <typename V, typename S>
 void
-setFields(V &v, S &set)
+workloadSetFields(FieldWalk<true> &v, WorkloadSet &set)
 {
     v.items(set.tenants, [&](auto &t) {
         v.members([&] {
             auto &w = t.workload;
             v.field(opt("name"), t.name);
-            v.field(opt("model", !w.model.empty()), w.model);
-            v.field(opt("file", !w.file.empty()), w.file);
-            v.object(opt("params", !(w.params == ModelParams())),
-                     [&] { modelParamsFields(v, w.params); });
+            v.field(opt("model"), w.model);
+            v.field(opt("file"), w.file);
+            v.object(opt("params"), [&] { modelParamsFields(v, w.params); });
             v.field("arrival_rate_hz", t.arrivalRateHz);
             v.field("sla_latency_ms", t.slaLatencyMs);
         });
     });
-}
-
-} // namespace
-
-void
-workloadSetFields(FieldWalk<true> &v, WorkloadSet &set)
-{
-    setFields(v, set);
-}
-
-std::string
-workloadSetJson(const WorkloadSet &set)
-{
-    JsonWriter w;
-    FieldWalk<false> walk(&w);
-    setFields(walk, set);
-    return w.str();
 }
 
 } // namespace cocco

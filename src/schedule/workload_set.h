@@ -58,10 +58,6 @@ class FieldWalk;
  *  (util/field_walk.h); validateWorkloadSet runs after the walk. */
 void workloadSetFields(FieldWalk<true> &v, WorkloadSet &set);
 
-/** The section as a standalone document (reads back as a run spec's
- *  "workload_set"). */
-std::string workloadSetJson(const WorkloadSet &set);
-
 } // namespace cocco
 
 #endif // COCCO_SCHEDULE_WORKLOAD_SET_H

@@ -286,7 +286,7 @@ class EvalCache
         // Payload.
         /** Post in-situ-tuning blocks, kept only when tuning changed
          *  the partition: empty means "equal to keyBlock" (the cache
-         *  file's "=" marker). insertEntry drops a copy of the key. */
+         *  file's repaired width 0). insertEntry drops a copy of the key. */
         PackedIds repairedBlock;
         int numBlocks = 0;
         double cost = 0.0;

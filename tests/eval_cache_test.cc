@@ -566,7 +566,7 @@ TEST(Persistence, EntryLevelRoundTripIsExact)
     std::vector<int> key(g.size(), 0);
     EvalCache::KeyView kv{/*hash=*/0xabcdef01ULL, /*salt=*/77, key, 1, 2, 0};
     cache.insert(kv, rep, 0.1 + 0.2); // value with no short decimal form
-    // Repaired == key (stored as "="), and the edge costs: infeasible,
+    // Repaired == key (stored at width 0), and the edge costs: infeasible,
     // negative, infinite and the smallest subnormal.
     const double costs[] = {kInfeasiblePenalty, -2.5e-7,
                             std::numeric_limits<double>::infinity(),
@@ -747,20 +747,100 @@ TEST(Persistence, RejectsMissingAndCorruptFiles)
     std::remove(path.c_str());
 }
 
-TEST(Persistence, RejectsVersionOneFiles)
+TEST(Persistence, RejectsVersionOneAndTwoFiles)
 {
-    // The v1 layout: no trailer, the repaired ids always spelled out.
-    std::string path = tmpPath("v1.evalcache");
-    writeText(path, "COCCO-EVALCACHE 1\n"
-                    "E 1234 5 0 0 0 3 0x1p+0 4 0 1 2 3 0 0 1 2\n");
-    EvalCache cache(64, 1);
+    // The text layouts of earlier builds: v1 (no trailer, the repaired
+    // ids always spelled out) and v2 (an END trailer, "=" for repaired
+    // ids equal to the key). Each costs a cold start.
+    std::string path = tmpPath("text.evalcache");
+    const std::pair<int, std::string> files[] = {
+        {1, "COCCO-EVALCACHE 1\n"
+            "E 1234 5 0 0 0 3 0x1p+0 4 0 1 2 3 0 0 1 2\n"},
+        {2, "COCCO-EVALCACHE 2\n"
+            "E 1234 5 0 0 0 3 0x1p+0 4 0 1 2 3 =\n"
+            "END 1 0123456789abcdef\n"},
+    };
+    for (const auto &[version, text] : files) {
+        writeText(path, text);
+        EvalCache cache(64, 1);
+        std::string err;
+        EXPECT_EQ(loadEvalCache(cache, path, &err), -1) << version;
+        EXPECT_NE(err.find(strprintf("unsupported cache format version %d "
+                                     "(this build reads 3)",
+                                     version)),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(cache.size(), 0u);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Persistence, GoldenFileLoads)
+{
+    // A v3 file spelled out byte by byte, so the layout is pinned on
+    // any host: the header line, two entry records and the trailer,
+    // every integer little-endian. Saving what it loads writes the
+    // same bytes back.
+    auto le = [](uint64_t v, int width) {
+        std::string out;
+        for (int b = 0; b < width; ++b)
+            out += static_cast<char>(v >> 8 * b & 0xff);
+        return out;
+    };
+    std::string file = "COCCO-EVALCACHE 3\n";
+    // Entry 1: key ids {0, 0, 1} and separate repaired ids {0, 1, 1},
+    // one byte per id; cost 1.5.
+    static const char entry1[] = "E"
+                                 "\xef\xcd\xab\x89\x67\x45\x23\x01" // hash
+                                 "\x05\x00\x00\x00\x00\x00\x00\x00" // salt
+                                 "\x01\x00\x00\x00"                 // act
+                                 "\x02\x00\x00\x00"                 // wgt
+                                 "\x03\x00\x00\x00"                 // shr
+                                 "\x02\x00\x00\x00" // numBlocks
+                                 "\x00\x00\x00\x00\x00\x00\xf8\x3f" // cost
+                                 "\x03\x00\x00\x00"                 // n
+                                 "\x01\x01" // key, repaired widths
+                                 "\x00\x00\x01"  // key ids
+                                 "\x00\x01\x01"; // repaired ids
+    file.append(entry1, sizeof entry1 - 1);
+    // Entry 2: 300 singleton ids at two bytes each, the repaired ids
+    // equal to the key (width 0); cost -0.25.
+    static const char entry2[] = "E"
+                                 "\x10\x00\x00\x00\x00\x00\x00\x00" // hash
+                                 "\x05\x00\x00\x00\x00\x00\x00\x00" // salt
+                                 "\x00\x00\x00\x00"                 // act
+                                 "\x07\x00\x00\x00"                 // wgt
+                                 "\x00\x00\x00\x00"                 // shr
+                                 "\x2c\x01\x00\x00" // numBlocks 300
+                                 "\x00\x00\x00\x00\x00\x00\xd0\xbf" // cost
+                                 "\x2c\x01\x00\x00" // n = 300
+                                 "\x02\x00"; // key, repaired widths
+    file.append(entry2, sizeof entry2 - 1);
+    for (int id = 0; id < 300; ++id)
+        file += le(static_cast<uint64_t>(id), 2);
+    file += "T" + le(2, 8) + le(0x842fdf6a17e2b14aULL, 8); // count, checksum
+    const std::string path = tmpPath("golden.evalcache");
+    writeText(path, file);
+
+    EvalCache loaded(64, 1);
     std::string err;
-    EXPECT_EQ(loadEvalCache(cache, path, &err), -1);
-    EXPECT_NE(err.find("unsupported cache format version 1 (this build "
-                       "reads 2)"),
-              std::string::npos)
-        << err;
-    EXPECT_EQ(cache.size(), 0u);
+    ASSERT_EQ(loadEvalCache(loaded, path, &err), 2) << err;
+    std::string singletons;
+    for (int id = 0; id < 300; ++id)
+        singletons += " " + std::to_string(id);
+    EXPECT_EQ(dumpEntries(loaded),
+              (std::vector<std::string>{
+                  "0123456789abcdef 0000000000000005 1 2 3 2 "
+                  "3ff8000000000000 key 0 0 1 repaired 0 1 1",
+                  "0000000000000010 0000000000000005 0 7 0 300 "
+                  "bfd0000000000000 key" +
+                      singletons + " repaired",
+              }));
+    loaded.forEachEntry([](const EvalCache::Entry &e) {
+        EXPECT_EQ(e.keyBlock.width(), e.hash == 0x10 ? 2u : 1u);
+    });
+    ASSERT_TRUE(saveEvalCache(loaded, path));
+    EXPECT_EQ(readText(path), file);
     std::remove(path.c_str());
 }
 
@@ -820,6 +900,39 @@ TEST(Persistence, SaveReplacesTheFileAtomically)
     std::remove(path.c_str());
 }
 
+namespace {
+
+/** The 4 little-endian bytes of @p s at @p at. */
+size_t
+le32At(const std::string &s, size_t at)
+{
+    size_t v = 0;
+    for (int b = 3; b >= 0; --b)
+        v = v << 8 | static_cast<unsigned char>(s[at + b]);
+    return v;
+}
+
+/** A v3 cache file cut into its header line and its records: each
+ *  entry's fixed part and id lists, then the trailer. */
+std::vector<std::string>
+splitRecords(const std::string &file)
+{
+    constexpr size_t kFixed = 47, kTrailer = 17;
+    std::vector<std::string> parts{file.substr(0, file.find('\n') + 1)};
+    for (size_t at = parts[0].size(); at < file.size();) {
+        size_t len = kTrailer;
+        if (file[at] == 'E')
+            len = kFixed + le32At(file, at + 41) *
+                               (static_cast<unsigned char>(file[at + 45]) +
+                                static_cast<unsigned char>(file[at + 46]));
+        parts.push_back(file.substr(at, len));
+        at += len;
+    }
+    return parts;
+}
+
+} // namespace
+
 TEST(Persistence, LoaderRejectsEveryMutation)
 {
     // Deterministic mutation fuzz: every doctored copy of a good file
@@ -841,13 +954,8 @@ TEST(Persistence, LoaderRejectsEveryMutation)
     std::string path = tmpPath("fuzz.evalcache");
     ASSERT_TRUE(saveEvalCache(source, path));
     const std::string text = readText(path);
-    std::vector<std::string> lines; // each with its '\n'
-    for (size_t at = 0; at < text.size();) {
-        size_t nl = text.find('\n', at);
-        lines.push_back(text.substr(at, nl + 1 - at));
-        at = nl + 1;
-    }
-    ASSERT_EQ(lines.size(), 8u); // header, 6 entries, END
+    const std::vector<std::string> records = splitRecords(text);
+    ASSERT_EQ(records.size(), 8u); // header, 6 entries, trailer
     {
         EvalCache whole(64, 1);
         ASSERT_EQ(loadEvalCache(whole, path), 6);
@@ -868,27 +976,18 @@ TEST(Persistence, LoaderRejectsEveryMutation)
         EXPECT_NE(err.find(reason), std::string::npos) << what << ": " << err;
         EXPECT_EQ(dumpEntries(target), sentinel) << what;
     };
-    auto join = [](const std::vector<std::string> &ls) {
+    auto join = [](const std::vector<std::string> &parts) {
         std::string out;
-        for (const std::string &l : ls)
-            out += l;
+        for (const std::string &p : parts)
+            out += p;
         return out;
     };
 
     expectRejected("", "empty", "empty file");
-    expectRejected(lines[0], "header only", "truncated: no END trailer");
-    for (size_t at = 0; at < text.size(); ++at)
-        if (text[at] == '\n') {
-            expectRejected(text.substr(0, at), "cut before a newline",
-                           "truncated");
-            if (at + 1 < text.size())
-                expectRejected(text.substr(0, at + 1), "cut after a line",
-                               "truncated: no END trailer");
-        }
-    for (int k = 0; k < 200; ++k) {
-        size_t cut = rng.index(text.size());
-        expectRejected(text.substr(0, cut), "cut at " + std::to_string(cut));
-    }
+    expectRejected(records[0], "header only", "truncated: no trailer");
+    for (size_t cut = 1; cut < text.size(); ++cut)
+        expectRejected(text.substr(0, cut), "cut at " + std::to_string(cut),
+                       ": truncated: ");
     for (int k = 0; k < 200; ++k) {
         std::string t = text;
         size_t at = rng.index(t.size());
@@ -897,51 +996,75 @@ TEST(Persistence, LoaderRejectsEveryMutation)
         expectRejected(t, "bit " + std::to_string(bit) + " of byte " +
                               std::to_string(at));
     }
-    for (size_t i = 0; i < lines.size(); ++i) {
-        std::vector<std::string> dup = lines;
-        dup.insert(dup.begin() + static_cast<long>(i), lines[i]);
-        expectRejected(join(dup), "line " + std::to_string(i) + " twice");
-        for (size_t j = i + 1; j < lines.size(); ++j) {
-            std::vector<std::string> swapped = lines;
+    for (size_t i = 0; i < records.size(); ++i) {
+        std::vector<std::string> dup = records;
+        dup.insert(dup.begin() + static_cast<long>(i), records[i]);
+        expectRejected(join(dup), "record " + std::to_string(i) + " twice");
+        for (size_t j = i + 1; j < records.size(); ++j) {
+            std::vector<std::string> swapped = records;
             std::swap(swapped[i], swapped[j]);
-            expectRejected(join(swapped), "lines " + std::to_string(i) +
+            expectRejected(join(swapped), "records " + std::to_string(i) +
                                               " and " + std::to_string(j) +
                                               " swapped");
         }
     }
-    std::vector<std::string> swapped = lines;
+    std::vector<std::string> swapped = records;
     std::swap(swapped[1], swapped[2]);
     expectRejected(join(swapped), "two entries swapped", "checksum mismatch");
-    std::vector<std::string> dup = lines;
-    dup.insert(dup.begin() + 1, lines[1]);
+    std::vector<std::string> dup = records;
+    dup.insert(dup.begin() + 1, records[1]);
     expectRejected(join(dup), "an entry twice", "entry count mismatch");
 
-    // Field edits on an entry line: E hash salt act wgt shr nb cost n ids
-    auto withField = [&](size_t field, const std::string &value) {
-        std::vector<std::string> ls = lines;
-        std::string &l = ls[1 + rng.index(6)];
-        size_t at = 0;
-        for (size_t f = 0; f < field; ++f)
-            at = l.find(' ', at) + 1;
-        size_t stop = l.find_first_of(" \n", at);
-        l.replace(at, stop - at, value);
-        return join(ls);
+    // Targeted edits of one entry record (a random one of the six):
+    // its fixed part is tag, hash, salt, act, wgt, shr, numBlocks,
+    // cost, n (at byte 41), the key's and the repaired ids' widths
+    // (bytes 45 and 46), then the key ids at byte 47.
+    auto expectEntryRejected = [&](auto edit, const std::string &what,
+                                   const std::string &reason) {
+        std::vector<std::string> parts = records;
+        const size_t which = 1 + rng.index(6);
+        edit(parts[which]);
+        expectRejected(join(parts), what,
+                       "entry " + std::to_string(which) + ": " + reason);
     };
-    expectRejected(withField(3, "x"), "non-numeric act index",
-                   "malformed entry fields");
-    expectRejected(withField(7, "zz"), "non-numeric cost",
-                   "malformed entry fields");
-    expectRejected(withField(8, std::to_string((1 << 22) + 1)),
-                   "n above the bound", "node count above the limit");
-    expectRejected(withField(9, "-1"), "negative block id",
-                   "block id out of range");
-    std::vector<std::string> extra = lines;
-    extra[3].insert(extra[3].size() - 1, " 0");
-    expectRejected(join(extra), "an extra id", "entry 3: trailing tokens");
-    expectRejected(text + "junk\n", "garbage after END",
-                   "data after the END trailer");
-    expectRejected(text + "E", "unterminated garbage after END",
-                   "truncated: last line has no newline");
+    expectEntryRejected(
+        [](std::string &r) {
+            const size_t n = (1 << 22) + 1;
+            for (int b = 0; b < 4; ++b)
+                r[41 + b] = static_cast<char>(n >> 8 * b & 0xff);
+        },
+        "n above the bound", "node count above the limit");
+    expectEntryRejected([](std::string &r) { r[45] = 3; }, "a key width of 3",
+                        "id width not 1, 2 or 4");
+    expectEntryRejected([](std::string &r) { r[46] = 3; },
+                        "a repaired width of 3", "id width not 1, 2 or 4");
+    expectEntryRejected(
+        [](std::string &r) {
+            // The key ids again at two bytes each: valid ids, a width
+            // wider than they need.
+            const size_t n = le32At(r, 41);
+            std::string wide;
+            for (size_t i = 0; i < n; ++i)
+                wide += std::string{r[47 + i], '\0'};
+            r[45] = 2;
+            r.replace(47, n, wide);
+        },
+        "a 2-byte key of 1-byte ids", "id width wider than the ids need");
+    expectEntryRejected(
+        [&](std::string &r) {
+            r[47 + rng.index(le32At(r, 41))] =
+                static_cast<char>(le32At(r, 41));
+        },
+        "a key id equal to n", "block id out of range");
+
+    std::vector<std::string> miscounted = records;
+    miscounted.back()[1] = static_cast<char>(miscounted.back()[1] + 1);
+    expectRejected(join(miscounted), "trailer count off by one",
+                   "entry count mismatch: the trailer says 7, the file "
+                   "holds 6");
+    expectRejected(text + '\0', "one byte after the trailer",
+                   "data after the trailer");
+    expectRejected(text + text, "the file twice", "data after the trailer");
     std::remove(path.c_str());
 }
 

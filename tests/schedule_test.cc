@@ -348,40 +348,6 @@ TEST(WorkloadSetParse, RejectsDuplicateKeys)
         << err;
 }
 
-TEST(WorkloadSetParse, RoundTripsThroughJson)
-{
-    std::string err;
-    WorkloadSet set = parseSet(
-        R"([{"name": "a", "model": "GoogleNet",
-             "params": {"batch": 2, "widthMult": 0.5},
-             "arrival_rate_hz": 12.5, "sla_latency_ms": 7.25},
-            {"name": "b", "model": "RandWire-A",
-             "params": {"seed": 9},
-             "arrival_rate_hz": 3, "sla_latency_ms": 40}])",
-        &err);
-    ASSERT_EQ(set.size(), 2) << err;
-
-    SearchSpec spec;
-    ASSERT_TRUE(readSet(workloadSetJson(set), &spec, &err)) << err;
-    const WorkloadSet &back = spec.workloadSet;
-    ASSERT_EQ(back.size(), set.size());
-    for (int t = 0; t < set.size(); ++t) {
-        EXPECT_EQ(back.tenants[t].name, set.tenants[t].name);
-        EXPECT_EQ(back.tenants[t].workload.model,
-                  set.tenants[t].workload.model);
-        EXPECT_EQ(back.tenants[t].workload.params.batch,
-                  set.tenants[t].workload.params.batch);
-        EXPECT_EQ(back.tenants[t].workload.params.widthMult,
-                  set.tenants[t].workload.params.widthMult);
-        EXPECT_EQ(back.tenants[t].workload.params.seed,
-                  set.tenants[t].workload.params.seed);
-        EXPECT_DOUBLE_EQ(back.tenants[t].arrivalRateHz,
-                         set.tenants[t].arrivalRateHz);
-        EXPECT_DOUBLE_EQ(back.tenants[t].slaLatencyMs,
-                         set.tenants[t].slaLatencyMs);
-    }
-}
-
 TEST(WorkloadSetSpec, ConflictsWithWorkloadSection)
 {
     SearchSpec spec;
