@@ -3,7 +3,7 @@
  * Google-benchmark microbenchmarks of the framework's hot paths: the
  * tile-flow derivation, subgraph profiling (with and without the
  * memoization cache), partition costing (plain and through a warm
- * block cache), structural and capacity repair, crossover, the three
+ * block-cost row), structural and capacity repair, crossover, the three
  * partition mutations, and one GA generation. These are the kernels that bound how many samples per
  * second the search can evaluate.
  */
@@ -16,7 +16,7 @@
 #include "graph/algorithms.h"
 #include "models/models.h"
 #include "partition/repair.h"
-#include "search/eval_cache.h"
+#include "search/eval_engine.h"
 #include "search/ga.h"
 #include "search/operators.h"
 #include "search/sa.h"
@@ -133,31 +133,30 @@ BM_PartitionCost(benchmark::State &state)
 BENCHMARK(BM_PartitionCost);
 
 static void
-BM_PartitionCostBlockCache(benchmark::State &state)
+BM_PartitionCostRow(benchmark::State &state)
 {
-    // A random genome's blocks (singletons and fused runs) costed
-    // through a warm block cache, as a search's cache misses are.
-    const Graph &g = resnet();
-    AcceleratorConfig accel;
-    CostModel model(g, accel);
+    // A repaired NasNet partition costed through a warm row at
+    // Objective scope, as the evaluation engine costs a cache miss
+    // after capacity repair.
+    static const Graph g = buildModel("NasNet");
+    CostModel model(g, AcceleratorConfig{});
     model.setPruning(true);
     BufferConfig buf;
     buf.style = BufferStyle::Shared;
-    buf.sharedBytes = 1024 * 1024;
+    buf.sharedBytes = 512 * 1024;
     DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
     Rng rng(3);
-    Partition p = randomGenome(g, space, rng).part;
-    p = repairToCapacity(g, std::move(p), model, buf);
-    EvalCache cache;
-    EvalCache::BlockView view = cache.blockView(/*salt=*/1);
-    model.partitionCost(p, buf, &view); // warm
+    BlockCostRow &row = blockCostRow(model, buf);
+    Partition p = repairToCapacity(g, randomGenome(g, space, rng).part,
+                                   model, buf, &row);
     for (auto _ : state) {
-        GraphCost c = model.partitionCost(p, buf, &view,
+        GraphCost c = model.partitionCost(p, buf, &row,
                                           CostModel::CostScope::Objective);
         benchmark::DoNotOptimize(c.energyPj);
     }
+    state.SetLabel(strprintf("%d blocks", p.numBlocks));
 }
-BENCHMARK(BM_PartitionCostBlockCache);
+BENCHMARK(BM_PartitionCostRow);
 
 static void
 BM_RepairToCapacity(benchmark::State &state)

@@ -86,7 +86,6 @@ runFields(V &v, R &r)
         v.field("block_hits", r.cache.blockHits);
         v.field("block_misses", r.cache.blockMisses);
         v.field("entries", r.cache.entries);
-        v.field("block_entries", r.cache.blockEntries);
         v.field("bound_rejections", r.cache.boundRejections);
         v.field("bound_skipped_samples", r.cache.boundSkippedSamples);
     });

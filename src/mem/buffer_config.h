@@ -36,6 +36,14 @@ struct BufferConfig
     /** Total buffer capacity (the BUF_SIZE term of Formula 2). */
     int64_t totalBytes() const;
 
+    /** Every field equal. */
+    bool
+    operator==(const BufferConfig &o) const
+    {
+        return style == o.style && actBytes == o.actBytes &&
+               weightBytes == o.weightBytes && sharedBytes == o.sharedBytes;
+    }
+
     /** "A=704KB W=864KB" / "1344KB" style description. */
     std::string str() const;
 

@@ -36,12 +36,14 @@ struct BlockLists;
 struct BufferConfig;
 class CostModel;
 class EvalCache;
+class SubgraphCostCache;
 struct Partition;
 Partition repairStructure(const Graph &g, Partition p);
 bool repairLocally(const Graph &g, Partition &p, const BlockLists &before,
                    std::initializer_list<int> touched);
 Partition repairToCapacity(const Graph &g, Partition p, CostModel &model,
-                           const BufferConfig &buf);
+                           const BufferConfig &buf,
+                           SubgraphCostCache *costs);
 
 /**
  * The block-id vector of a Partition: a std::vector<int> to read and
@@ -258,7 +260,8 @@ struct Partition
                               std::initializer_list<int> touched);
     friend Partition repairToCapacity(const Graph &g, Partition p,
                                       CostModel &model,
-                                      const BufferConfig &buf);
+                                      const BufferConfig &buf,
+                                      SubgraphCostCache *costs);
     friend class EvalCache;
 
     void markCanonical() { block.certified_ = numBlocks; }

@@ -404,10 +404,11 @@ struct LocalDrain
  * (its first floor(k/2) nodes stay), and each half into its weak
  * components. Node ids are topological, so every edge between the
  * halves runs from the lower to the upper one and a split of an
- * acyclic partition never closes a quotient cycle; fits is pure and a
- * block's pieces depend only on the block. So the result equals
- * splitting one block at a time with a full structural repair and a
- * fresh sweep after each split.
+ * acyclic partition never closes a quotient cycle; whether a block
+ * fits is pure and a block's pieces depend only on the block. So the
+ * result equals splitting one block at a time with a full structural
+ * repair and a fresh sweep after each split. Each check is a
+ * CostModel::blockCost through @p costs.
  *
  * @return whether a block split. The blocks and pieces then hold
  * dense ids out of order, and the caller renumbers them
@@ -415,12 +416,13 @@ struct LocalDrain
  */
 bool
 refineToFit(const Graph &g, Partition &p, CostModel &model,
-            const BufferConfig &buf)
+            const BufferConfig &buf, SubgraphCostCache *costs)
 {
     // Worklist of ranges of lists.members: the blocks, then the pieces
     // of each split entry, which is left empty. A piece is a range of
-    // its block's slice, so nothing is allocated per block; fits()
-    // reads one reused vector (call-local, as fits is virtual).
+    // its block's slice, so nothing is allocated per block; the cost
+    // model reads one reused vector (call-local, as its entry points
+    // are virtual).
     BlockLists lists;
     lists.build(p);
     std::vector<Range> work;
@@ -434,7 +436,7 @@ refineToFit(const Graph &g, Partition &p, CostModel &model,
         if (e - s < 2)
             continue;
         nodes.assign(lists.members.begin() + s, lists.members.begin() + e);
-        if (model.fits(nodes, buf))
+        if (model.blockCost(nodes, buf, costs).feasible)
             continue;
         splitRange(g, lists.members, work, i);
         split = true;
@@ -692,7 +694,7 @@ repairLocally(const Graph &g, Partition &p, const BlockLists &before,
 
 Partition
 repairToCapacity(const Graph &g, Partition p, CostModel &model,
-                 const BufferConfig &buf)
+                 const BufferConfig &buf, SubgraphCostCache *costs)
 {
     // Genomes from the operators, randomGenome and cache hits carry
     // the canonical flag; only other input pays for the full repair.
@@ -701,7 +703,7 @@ repairToCapacity(const Graph &g, Partition p, CostModel &model,
     do {
         // The pieces are weak components of canonical blocks: only
         // their order needs recomputing.
-        if (refineToFit(g, p, model, buf))
+        if (refineToFit(g, p, model, buf, costs))
             p.renumber(g);
     } while (model.accel().doubleBufferWeights &&
              splitPrefetchVictim(g, p, model, buf));

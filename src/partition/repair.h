@@ -74,10 +74,13 @@ RepairPathCounts &repairPathCounts();
  * resident weights, or region count) is recursively split at its
  * topological median. Singleton blocks are always accepted (they
  * execute with reload penalties). The result carries the canonical
- * flag.
+ * flag. Each multi-node block checked is costed through @p costs
+ * (CostModel::blockCost), so when the caller then costs the result
+ * through the same hook, the blocks that fit are already there.
  */
 Partition repairToCapacity(const Graph &g, Partition p, CostModel &model,
-                           const BufferConfig &buf);
+                           const BufferConfig &buf,
+                           SubgraphCostCache *costs = nullptr);
 
 } // namespace cocco
 

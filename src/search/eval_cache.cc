@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
-
 namespace cocco {
 
 namespace {
@@ -41,8 +39,6 @@ EvalCacheStats::operator-(const EvalCacheStats &o) const
     d.evictions -= o.evictions;
     d.blockHits -= o.blockHits;
     d.blockMisses -= o.blockMisses;
-    d.blockInsertions -= o.blockInsertions;
-    d.blockEvictions -= o.blockEvictions;
     d.boundRejections -= o.boundRejections;
     d.boundSkippedSamples -= o.boundSkippedSamples;
     return d;
@@ -57,24 +53,19 @@ EvalCacheStats::operator+=(const EvalCacheStats &o)
     evictions += o.evictions;
     blockHits += o.blockHits;
     blockMisses += o.blockMisses;
-    blockInsertions += o.blockInsertions;
-    blockEvictions += o.blockEvictions;
     boundRejections += o.boundRejections;
     boundSkippedSamples += o.boundSkippedSamples;
     entries = o.entries;
-    blockEntries = o.blockEntries;
     return *this;
 }
 
 EvalCache::EvalCache(size_t capacity, int shards)
     : capacity_(std::max<size_t>(capacity, 1)),
       shardCount_(std::clamp(shards, 1, 256)),
-      shards_(static_cast<size_t>(shardCount_)),
-      blockShards_(static_cast<size_t>(shardCount_))
+      shards_(static_cast<size_t>(shardCount_))
 {
     perShardCap_ = std::max<size_t>(
         1, capacity_ / static_cast<size_t>(shardCount_));
-    perShardBlockCap_ = 4 * perShardCap_;
 }
 
 bool
@@ -160,80 +151,11 @@ EvalCache::insertEntry(Entry entry)
     }
 }
 
-uint64_t
-EvalCache::blockKeyHash(uint64_t salt, const std::vector<NodeId> &nodes,
-                        const BufferConfig &buf)
-{
-    uint64_t h = hashU64(kHashSeed, salt);
-    h = hashIntVector(h, nodes);
-    return hashFinalize(hashBufferConfig(h, buf));
-}
-
-bool
-EvalCache::sameBuffer(const BufferConfig &a, const BufferConfig &b)
-{
-    if (a.style != b.style)
-        return false;
-    if (a.style == BufferStyle::Shared)
-        return a.sharedBytes == b.sharedBytes;
-    return a.actBytes == b.actBytes && a.weightBytes == b.weightBytes;
-}
-
-bool
-EvalCache::lookupBlock(uint64_t salt, const std::vector<NodeId> &nodes,
-                       const BufferConfig &buf, SubgraphCost *out,
-                       uint64_t *hash_out)
-{
-    uint64_t h = blockKeyHash(salt, nodes, buf);
-    if (hash_out)
-        *hash_out = h;
-    BlockShard &shard = blockShards_[h % static_cast<uint64_t>(shardCount_)];
-    std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.map.find(h);
-    if (it == shard.map.end() || it->second->salt != salt ||
-        it->second->nodes != nodes || !sameBuffer(it->second->buf, buf)) {
-        blockMisses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    *out = it->second->cost;
-    blockHits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
 void
-EvalCache::insertBlock(uint64_t salt, const std::vector<NodeId> &nodes,
-                       const BufferConfig &buf, const SubgraphCost &cost)
+EvalCache::addBlockCounts(uint64_t hits, uint64_t misses)
 {
-    insertBlockHashed(blockKeyHash(salt, nodes, buf), salt, nodes, buf,
-                      cost);
-}
-
-void
-EvalCache::insertBlockHashed(uint64_t h, uint64_t salt,
-                             const std::vector<NodeId> &nodes,
-                             const BufferConfig &buf,
-                             const SubgraphCost &cost)
-{
-    BlockShard &shard = blockShards_[h % static_cast<uint64_t>(shardCount_)];
-    std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.map.find(h);
-    if (it != shard.map.end()) {
-        it->second->salt = salt;
-        it->second->nodes = nodes;
-        it->second->buf = buf;
-        it->second->cost = cost;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return;
-    }
-    shard.lru.push_front(BlockEntry{h, salt, nodes, buf, cost});
-    shard.map.emplace(h, shard.lru.begin());
-    blockInsertions_.fetch_add(1, std::memory_order_relaxed);
-    while (shard.lru.size() > perShardBlockCap_) {
-        shard.map.erase(shard.lru.back().hash);
-        shard.lru.pop_back();
-        blockEvictions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    blockHits_.fetch_add(hits, std::memory_order_relaxed);
+    blockMisses_.fetch_add(misses, std::memory_order_relaxed);
 }
 
 size_t
@@ -241,17 +163,6 @@ EvalCache::size() const
 {
     size_t n = 0;
     for (const GenomeShard &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        n += shard.lru.size();
-    }
-    return n;
-}
-
-size_t
-EvalCache::blockSize() const
-{
-    size_t n = 0;
-    for (const BlockShard &shard : blockShards_) {
         std::lock_guard<std::mutex> lk(shard.mu);
         n += shard.lru.size();
     }
@@ -268,10 +179,7 @@ EvalCache::stats() const
     s.evictions = evictions_.load(std::memory_order_relaxed);
     s.blockHits = blockHits_.load(std::memory_order_relaxed);
     s.blockMisses = blockMisses_.load(std::memory_order_relaxed);
-    s.blockInsertions = blockInsertions_.load(std::memory_order_relaxed);
-    s.blockEvictions = blockEvictions_.load(std::memory_order_relaxed);
     s.entries = size();
-    s.blockEntries = blockSize();
     return s;
 }
 
@@ -279,11 +187,6 @@ void
 EvalCache::clear()
 {
     for (GenomeShard &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        shard.lru.clear();
-        shard.map.clear();
-    }
-    for (BlockShard &shard : blockShards_) {
         std::lock_guard<std::mutex> lk(shard.mu);
         shard.lru.clear();
         shard.map.clear();

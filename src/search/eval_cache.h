@@ -4,31 +4,26 @@
  * drivers (GA/SA/two-step), so near-identical genomes produced by
  * crossover/mutation are never re-evaluated.
  *
- * Two levels, both thread-safe sharded LRU maps:
- *
- *  - genome level: key = 64-bit hash of (evaluation-context salt,
- *    pre-repair partition scheme, live hardware gene indices). The
- *    payload is the evaluation's full observable effect — the
- *    objective value AND the in-situ-repaired partition — so a cache
- *    hit is bit-identical to recomputing, including the mutation of
- *    genome.part that downstream variation operators see.
- *
- *  - block level (served to the SubgraphCostCache hook of
- *    sim/cost_model.h through a salt-scoped BlockView): key =
- *    (model salt, subgraph node set, buffer configuration). When an
- *    operator only changed part of a genome, the unchanged blocks'
- *    SubgraphCosts are served from here (incremental re-evaluation).
+ * A thread-safe sharded LRU map. Key = 64-bit hash of
+ * (evaluation-context salt, pre-repair partition scheme, live hardware
+ * gene indices). The payload is the evaluation's full observable
+ * effect — the objective value AND the in-situ-repaired partition — so
+ * a cache hit is bit-identical to recomputing, including the mutation
+ * of genome.part that downstream variation operators see. Below this
+ * cache, a computed evaluation reuses block costs through the
+ * evaluation engine's per-thread rows (BlockCostRow,
+ * search/eval_engine.h); the engine counts their hits and misses here
+ * (blockHits/blockMisses).
  *
  * Collision safety: entries store their exact key material (salt,
- * block vector, gene indices / node set, buffer sizes) and compare it
- * on lookup, so a 64-bit hash collision degrades to a miss, never to
- * a wrong result. A genome entry holds its block ids packed
- * (PackedIds), and its repaired ids only when in-situ tuning changed
- * the partition. Eviction order may vary across thread schedules;
- * values may not, so search results stay deterministic for any
- * thread count and for cache on vs. off.
+ * block vector, gene indices) and compare it on lookup, so a 64-bit
+ * hash collision degrades to a miss, never to a wrong result. An entry
+ * holds its block ids packed (PackedIds), and its repaired ids only
+ * when in-situ tuning changed the partition. Eviction order may vary
+ * across thread schedules; values may not, so search results stay
+ * deterministic for any thread count and for cache on vs. off.
  *
- * The genome level persists to disk (core/serialize) so repeated
+ * The cache persists to disk (core/serialize) so repeated
  * CLI/bench runs warm-start; entries from a different model,
  * accelerator, design space or evaluation option set are fenced off
  * by the salt.
@@ -49,7 +44,6 @@
 #include <vector>
 
 #include "partition/partition.h"
-#include "sim/cost_model.h"
 
 namespace cocco {
 
@@ -191,17 +185,16 @@ class PackedIds
 /** Cumulative cache counters (monotonic; snapshot via stats()). */
 struct EvalCacheStats
 {
-    // Genome level.
+    // Genome evaluations.
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
 
-    // Block (subgraph-cost) level.
+    // Block costs asked of the evaluating threads' BlockCostRows,
+    // singletons included (EvalCache::addBlockCounts).
     uint64_t blockHits = 0;
     uint64_t blockMisses = 0;
-    uint64_t blockInsertions = 0;
-    uint64_t blockEvictions = 0;
 
     // Pruning accounting. The cache
     // itself never fills these (stats() reports zeros): the search
@@ -211,28 +204,27 @@ struct EvalCacheStats
     uint64_t boundRejections = 0;    ///< candidates skipped via bounds
     uint64_t boundSkippedSamples = 0; ///< samples folded without running
 
-    // Snapshot sizes (not monotonic; a stat delta carries the
-    // minuend's — i.e. end-of-run — sizes unchanged).
+    // Snapshot size (not monotonic; a stat delta carries the
+    // minuend's — i.e. end-of-run — size unchanged).
     uint64_t entries = 0;
-    uint64_t blockEntries = 0;
 
     /** Fraction of genome evaluations served from cache (0 when no
      *  lookups happened). */
     double hitRate() const;
 
-    /** Fraction of block-cost assemblies served from cache. */
+    /** Fraction of block costs served from a row. */
     double blockHitRate() const;
 
     /** Counter-wise difference (for per-run deltas of a shared,
-     *  long-lived cache). Sizes are copied from *this. */
+     *  long-lived cache). The size is copied from *this. */
     EvalCacheStats operator-(const EvalCacheStats &o) const;
 
     /** Counter-wise sum (folding several runs into one report).
-     *  Sizes take @p o's, the later snapshot. */
+     *  The size takes @p o's, the later snapshot. */
     EvalCacheStats &operator+=(const EvalCacheStats &o);
 };
 
-/** Two-level sharded LRU evaluation cache; see file comment. */
+/** Sharded LRU evaluation cache; see file comment. */
 class EvalCache
 {
   public:
@@ -296,7 +288,7 @@ class EvalCache
      * @param capacity genome-entry capacity; under sharding each of
      *                 @p shards stripes holds max(1, capacity/shards)
      *                 entries, so the bound is approximate unless
-     *                 shards == 1. The block level holds 4x this.
+     *                 shards == 1.
      * @param shards   lock stripes (1 = strict global LRU, for tests)
      */
     explicit EvalCache(size_t capacity = kDefaultCapacity,
@@ -322,82 +314,20 @@ class EvalCache
      *  in place. */
     void insert(Entry key, const Partition &repaired, double cost);
 
-    // --- Block level. Entries are fenced by a model salt (graph +
-    //     accelerator — everything a SubgraphCost depends on beyond
-    //     the node set and buffer), so one cache may serve engines
-    //     over different models concurrently. ---
-
-    /** @p hash_out, when non-null, receives the computed key hash
-     *  (so a following insert can skip rehashing the node set). */
-    bool lookupBlock(uint64_t salt, const std::vector<NodeId> &nodes,
-                     const BufferConfig &buf, SubgraphCost *out,
-                     uint64_t *hash_out = nullptr);
-    void insertBlock(uint64_t salt, const std::vector<NodeId> &nodes,
-                     const BufferConfig &buf, const SubgraphCost &cost);
-
-    /** insertBlock with the key hash precomputed by lookupBlock. */
-    void insertBlockHashed(uint64_t hash, uint64_t salt,
-                           const std::vector<NodeId> &nodes,
-                           const BufferConfig &buf,
-                           const SubgraphCost &cost);
-
-    /**
-     * Salt-scoped adapter implementing the CostModel hook. Not
-     * thread-safe (the underlying cache is): each evaluation makes
-     * its own view, which lets the view carry the lookup's key hash
-     * over to the matching miss-path insert instead of rehashing.
-     */
-    class BlockView : public SubgraphCostCache
-    {
-      public:
-        BlockView(EvalCache &cache, uint64_t salt)
-            : cache_(cache), salt_(salt)
-        {
-        }
-
-        bool
-        lookupBlock(const std::vector<NodeId> &nodes,
-                    const BufferConfig &buf, SubgraphCost *out) override
-        {
-            lastNodes_ = &nodes;
-            return cache_.lookupBlock(salt_, nodes, buf, out, &lastHash_);
-        }
-
-        void
-        insertBlock(const std::vector<NodeId> &nodes,
-                    const BufferConfig &buf,
-                    const SubgraphCost &cost) override
-        {
-            if (&nodes == lastNodes_)
-                cache_.insertBlockHashed(lastHash_, salt_, nodes, buf,
-                                         cost);
-            else
-                cache_.insertBlock(salt_, nodes, buf, cost);
-        }
-
-      private:
-        EvalCache &cache_;
-        uint64_t salt_;
-        const std::vector<NodeId> *lastNodes_ = nullptr;
-        uint64_t lastHash_ = 0;
-    };
-
-    /** The block level scoped to @p salt, for partitionCost(). */
-    BlockView blockView(uint64_t salt) { return BlockView(*this, salt); }
+    /** Count block-cost row hits and misses (one evaluation's, added
+     *  by the engine). */
+    void addBlockCounts(uint64_t hits, uint64_t misses);
 
     /** Current genome-entry count. */
     size_t size() const;
 
-    /** Current block-entry count. */
-    size_t blockSize() const;
-
     /** Genome-entry capacity. */
     size_t capacity() const { return capacity_; }
 
-    /** Counter snapshot (entries/blockEntries filled in). */
+    /** Counter snapshot (entries filled in). */
     EvalCacheStats stats() const;
 
-    /** Drop every entry at both levels (counters are untouched). */
+    /** Drop every entry (counters are untouched). */
     void clear();
 
     // --- Persistence support (used by core/serialize). ---
@@ -421,42 +351,18 @@ class EvalCache
         std::unordered_map<uint64_t, std::list<Entry>::iterator> map;
     };
 
-    /** One cached (salt, node set, buffer) -> SubgraphCost mapping. */
-    struct BlockEntry
-    {
-        uint64_t hash = 0;
-        uint64_t salt = 0;
-        std::vector<NodeId> nodes;
-        BufferConfig buf;
-        SubgraphCost cost;
-    };
-
-    struct BlockShard
-    {
-        mutable std::mutex mu;
-        std::list<BlockEntry> lru;
-        std::unordered_map<uint64_t, std::list<BlockEntry>::iterator> map;
-    };
-
     bool keyMatches(const Entry &e, const KeyView &key) const;
-    static uint64_t blockKeyHash(uint64_t salt,
-                                 const std::vector<NodeId> &nodes,
-                                 const BufferConfig &buf);
-    static bool sameBuffer(const BufferConfig &a, const BufferConfig &b);
 
     size_t capacity_;
     size_t perShardCap_;
-    size_t perShardBlockCap_;
     int shardCount_;
 
     std::vector<GenomeShard> shards_;
-    std::vector<BlockShard> blockShards_;
 
     // Counters (relaxed atomics; exactness only matters per-run).
     std::atomic<uint64_t> hits_{0}, misses_{0}, insertions_{0},
         evictions_{0};
-    std::atomic<uint64_t> blockHits_{0}, blockMisses_{0},
-        blockInsertions_{0}, blockEvictions_{0};
+    std::atomic<uint64_t> blockHits_{0}, blockMisses_{0};
 };
 
 } // namespace cocco

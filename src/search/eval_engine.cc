@@ -43,6 +43,65 @@ contextSalt(const CostModel &model, const DseSpace &space,
 
 } // namespace
 
+BlockCostRow::Slot *
+BlockCostRow::slot(const std::vector<NodeId> &nodes, const BufferConfig &buf)
+{
+    if (nodes.empty() || !(buf == buf_))
+        return nullptr;
+    const NodeId v = nodes.front();
+    return v >= 0 && v < static_cast<NodeId>(slots_.size()) ? &slots_[v]
+                                                           : nullptr;
+}
+
+bool
+BlockCostRow::lookupBlock(const std::vector<NodeId> &nodes,
+                          const BufferConfig &buf, SubgraphCost *out)
+{
+    const Slot *s = slot(nodes, buf);
+    if (s && s->gen == gen_ && s->nodes == nodes) {
+        *out = s->cost;
+        ++hits;
+        return true;
+    }
+    ++misses;
+    return false;
+}
+
+void
+BlockCostRow::insertBlock(const std::vector<NodeId> &nodes,
+                          const BufferConfig &buf, const SubgraphCost &cost)
+{
+    if (Slot *s = slot(nodes, buf)) {
+        s->gen = gen_;
+        s->nodes = nodes;
+        s->cost = cost;
+    }
+}
+
+BlockCostRow &
+blockCostRow(const CostModel &model, const BufferConfig &buf)
+{
+    // rows[last] is the more recently asked pair's. Rows are keyed by
+    // model id, not address: a model built where a destroyed one stood
+    // never reads the old model's costs.
+    thread_local BlockCostRow rows[2];
+    thread_local int last = 0;
+    auto holds = [&](const BlockCostRow &r) {
+        return r.model_ == model.id() && r.buf_ == buf;
+    };
+    if (holds(rows[last]))
+        return rows[last];
+    last ^= 1;
+    BlockCostRow &r = rows[last];
+    if (!holds(r)) {
+        r.model_ = model.id();
+        r.buf_ = buf;
+        ++r.gen_; // every slot recorded before is void
+        r.slots_.resize(static_cast<size_t>(model.graph().size()));
+    }
+    return r;
+}
+
 EvalEngine::EvalEngine(CostModel &model, const DseSpace &space,
                        const EvalOptions &opts,
                        std::shared_ptr<ThreadPool> pool,
@@ -66,10 +125,6 @@ EvalEngine::EvalEngine(CostModel &model, const DseSpace &space,
         cache_ = nullptr;
     model_.setPruning(opts_.pruning);
     salt_ = contextSalt(model_, space_, opts_);
-    // Block costs depend only on the model, so fencing them by this
-    // narrower salt lets engines that differ in alpha/metric/space
-    // still share per-subgraph work through one cache.
-    modelSalt_ = hashFinalize(model_.contextHash(kHashSeed));
 }
 
 uint64_t
@@ -102,25 +157,23 @@ double
 EvalEngine::evaluateUncached(Genome &genome)
 {
     BufferConfig buf = genome.buffer(space_);
+    // Capacity repair records every block it checks in the row, and
+    // cost assembly reads them back: only blocks this thread has not
+    // costed lately under this buffer reach the model.
+    BlockCostRow &row = blockCostRow(model_, buf);
+    const uint64_t hits = row.hits, misses = row.misses;
     if (opts_.inSituSplit) {
-        genome.part = repairToCapacity(model_.graph(),
-                                       std::move(genome.part), model_, buf);
+        genome.part = repairToCapacity(
+            model_.graph(), std::move(genome.part), model_, buf, &row);
     }
     // The objective never reads the bandwidth summaries, so pruned
     // evaluations stop at the fields it does read (bit-identically).
     CostModel::CostScope scope = opts_.pruning
                                      ? CostModel::CostScope::Objective
                                      : CostModel::CostScope::Full;
-    GraphCost gc;
-    if (cache_) {
-        // The cache's block level is the incremental-reuse path: it
-        // serves unchanged blocks across genomes with full key
-        // verification, so only the changed blocks are re-costed.
-        EvalCache::BlockView blocks = cache_->blockView(modelSalt_);
-        gc = model_.partitionCost(genome.part, buf, &blocks, scope);
-    } else {
-        gc = model_.partitionCost(genome.part, buf, nullptr, scope);
-    }
+    GraphCost gc = model_.partitionCost(genome.part, buf, &row, scope);
+    if (cache_)
+        cache_->addBlockCounts(row.hits - hits, row.misses - misses);
     if (opts_.coExplore)
         return objective(gc, buf, opts_.alpha, opts_.metric);
     if (!gc.feasible)

@@ -22,13 +22,15 @@
  * Caching: unless disabled, every evaluation is memoized in an
  * EvalCache keyed by a content hash of (evaluation context, genome).
  * A hit restores the cached objective AND the cached in-situ-repaired
- * partition, so cached and uncached runs are bit-identical. Cache
- * misses additionally reuse per-subgraph cost contributions through
- * the cache's block level, so a genome that shares most blocks with
- * previously seen ones (the common case after one mutation) only
- * assembles the changed blocks; without a cache every block is costed
- * in full. Pass a shared cache to warm-start across engines/runs (e.g.
- * two-step candidate sweeps, repeated CLI runs via the on-disk format).
+ * partition, so cached and uncached runs are bit-identical. Pass a
+ * shared cache to warm-start across engines/runs (e.g. two-step
+ * candidate sweeps, repeated CLI runs via the on-disk format). Every
+ * evaluation that is computed, cache or no cache, costs its blocks
+ * through this thread's BlockCostRow for (model, buffer): capacity
+ * repair records each block it checks and cost assembly reads them
+ * back, and a genome that shares most blocks with the thread's
+ * previous evaluation under that buffer (the common case after one
+ * mutation) only costs the changed blocks.
  */
 
 #ifndef COCCO_SEARCH_EVAL_ENGINE_H
@@ -135,6 +137,53 @@ struct DeltaStats
         return *this;
     }
 };
+
+/**
+ * One thread's block costs under one (model, buffer): the
+ * SubgraphCostCache the engine hands to repairToCapacity and
+ * partitionCost. A slot per first node holds the last block recorded
+ * with that first node, and answers only that exact node list under
+ * the row's buffer. Take rows through blockCostRow.
+ */
+class BlockCostRow : public SubgraphCostCache
+{
+  public:
+    bool lookupBlock(const std::vector<NodeId> &nodes,
+                     const BufferConfig &buf, SubgraphCost *out) override;
+    void insertBlock(const std::vector<NodeId> &nodes,
+                     const BufferConfig &buf,
+                     const SubgraphCost &cost) override;
+
+    uint64_t hits = 0;   ///< lookups answered
+    uint64_t misses = 0; ///< lookups not answered
+
+  private:
+    friend BlockCostRow &blockCostRow(const CostModel &model,
+                                      const BufferConfig &buf);
+
+    struct Slot
+    {
+        uint64_t gen = 0; ///< holds a block iff gen_ when recorded
+        std::vector<NodeId> nodes;
+        SubgraphCost cost;
+    };
+
+    /** The slot for @p nodes under @p buf, or null (another buffer). */
+    Slot *slot(const std::vector<NodeId> &nodes, const BufferConfig &buf);
+
+    uint64_t model_ = 0; ///< CostModel::id(); 0 = no model
+    BufferConfig buf_;
+    uint64_t gen_ = 0; ///< bumped when the row changes hands
+    std::vector<Slot> slots_; ///< by first node
+};
+
+/**
+ * This thread's row for (@p model, @p buf). A thread keeps the rows of
+ * the last two (model, buffer) pairs it asked for; a third pair takes
+ * the less recent row, emptied. So hold a row only within one
+ * evaluation, and take no other row while holding one.
+ */
+BlockCostRow &blockCostRow(const CostModel &model, const BufferConfig &buf);
 
 /** Batched, thread-parallel genome evaluator. */
 class EvalEngine
@@ -270,8 +319,7 @@ class EvalEngine
     std::shared_ptr<ThreadPool> pool_; ///< null when threads == 1
     std::shared_ptr<EvalCache> cache_; ///< null when caching disabled
     SearchMonitor monitor_;            ///< observer + early-stop state
-    uint64_t salt_ = 0;      ///< full evaluation context (genome level)
-    uint64_t modelSalt_ = 0; ///< graph + accelerator only (block level)
+    uint64_t salt_ = 0; ///< full evaluation context
     uint64_t streamCounter_ = 0;
 
     std::atomic<uint64_t> deltaReports_{0};

@@ -98,6 +98,9 @@ boundaryTerms(const Graph &g, const std::vector<NodeId> &nodes,
     return bp;
 }
 
+/** Source of CostModel::id(). */
+std::atomic<uint64_t> nextModelId{1};
+
 } // namespace
 
 size_t
@@ -129,34 +132,46 @@ objective(const GraphCost &cost, const BufferConfig &buf, double alpha,
 }
 
 CostModel::CostModel(const Graph &g, const AcceleratorConfig &accel)
-    : g_(g), accel_(accel),
-      singles_(new std::atomic<const SubgraphProfile *>[g.size()])
+    : g_(g), accel_(accel), id_(nextModelId.fetch_add(1)),
+      published_(new std::atomic<const MemoEntry *>[2 * g.size()])
 {
-    for (NodeId v = 0; v < g.size(); ++v)
-        singles_[v].store(nullptr, std::memory_order_relaxed);
+    for (NodeId i = 0; i < 2 * g.size(); ++i)
+        published_[i].store(nullptr, std::memory_order_relaxed);
+}
+
+std::atomic<const CostModel::MemoEntry *> *
+CostModel::publishSlot(const std::vector<NodeId> &nodes) const
+{
+    if (nodes.empty() || nodes.front() < 0 || nodes.front() >= g_.size())
+        return nullptr;
+    return &published_[2 * nodes.front() + (nodes.size() > 1 ? 1 : 0)];
+}
+
+const SubgraphProfile *
+CostModel::published(const std::vector<NodeId> &nodes) const
+{
+    const std::atomic<const MemoEntry *> *slot = publishSlot(nodes);
+    const MemoEntry *e =
+        slot ? slot->load(std::memory_order_acquire) : nullptr;
+    return e && e->first == nodes ? &e->second : nullptr;
 }
 
 const SubgraphProfile &
 CostModel::profile(const std::vector<NodeId> &nodes)
 {
-    if (nodes.size() == 1 && nodes.front() >= 0 &&
-        nodes.front() < g_.size()) {
-        if (const SubgraphProfile *s =
-                singles_[nodes.front()].load(std::memory_order_acquire))
-            return *s;
-    }
+    if (const SubgraphProfile *prof = published(nodes))
+        return *prof;
+    return memoProfile(nodes);
+}
+
+const SubgraphProfile &
+CostModel::memoProfile(const std::vector<NodeId> &nodes)
+{
     // Canonical (sorted) node set: the cache key compares by value on
     // hash hit, so a 64-bit collision cannot alias two subgraphs.
     std::vector<NodeId> tmp;
     const std::vector<NodeId> &key = sortedNodes(nodes, tmp);
-    return memoProfile(nodes, key, hashSortedNodeSet(key));
-}
-
-const SubgraphProfile &
-CostModel::memoProfile(const std::vector<NodeId> &nodes,
-                       const std::vector<NodeId> &key, uint64_t h)
-{
-    CacheShard &shard = shards_[h % kCacheShards];
+    CacheShard &shard = shards_[hashSortedNodeSet(key) % kCacheShards];
 
     // The shard lock is held across the profile computation: a second
     // thread asking for the same subgraph waits for the memoized
@@ -165,8 +180,8 @@ CostModel::memoProfile(const std::vector<NodeId> &nodes,
     auto it = shard.map.find(key);
     if (it == shard.map.end())
         it = shard.map.emplace(key, computeProfile(nodes)).first;
-    if (key.size() == 1 && key.front() >= 0 && key.front() < g_.size())
-        singles_[key.front()].store(&it->second, std::memory_order_release);
+    if (std::atomic<const MemoEntry *> *slot = publishSlot(key))
+        slot->store(&*it, std::memory_order_release);
     return it->second;
 }
 
@@ -335,7 +350,42 @@ SubgraphCost
 CostModel::subgraphCost(const std::vector<NodeId> &nodes,
                         const BufferConfig &buf)
 {
-    return assemble(profile(nodes), buf);
+    const SubgraphProfile *prof = published(nodes);
+    if (nodes.size() > 1 && pruning()) {
+        // A multi-node subgraph whose weight shard exceeds even the
+        // whole buffer can never fit (assemble's weight capacity is at
+        // most the buffer size), so its weights decide it without
+        // tile-flow profiling. Exercised heavily by the in-situ
+        // capacity repair. Counted whether or not the profile is
+        // memoized, so the count does not depend on memo state.
+        int64_t weights = 0;
+        if (prof) {
+            weights = prof->weightBytes;
+        } else {
+            for (NodeId v : nodes)
+                weights += g_.weightBytes(v);
+        }
+        int64_t wcap = buf.style == BufferStyle::Shared ? buf.sharedBytes
+                                                        : buf.weightBytes;
+        if (ceilDiv(weights, accel_.cores) > wcap) {
+            fitsShortCircuits_.fetch_add(1, std::memory_order_relaxed);
+            return SubgraphCost{};
+        }
+    }
+    return assemble(prof ? *prof : memoProfile(nodes), buf);
+}
+
+SubgraphCost
+CostModel::blockCost(const std::vector<NodeId> &nodes,
+                     const BufferConfig &buf, SubgraphCostCache *costs)
+{
+    SubgraphCost c;
+    if (costs && costs->lookupBlock(nodes, buf, &c))
+        return c;
+    c = subgraphCost(nodes, buf);
+    if (costs)
+        costs->insertBlock(nodes, buf, c);
+    return c;
 }
 
 SubgraphBound
@@ -411,40 +461,7 @@ CostModel::fits(const std::vector<NodeId> &nodes, const BufferConfig &buf)
             profile(nodes);
         return true;
     }
-
-    // One memo probe: a memoized full profile answers both the weight
-    // screen and the exact check.
-    std::vector<NodeId> tmp;
-    const std::vector<NodeId> &key = sortedNodes(nodes, tmp);
-    const uint64_t h = hashSortedNodeSet(key);
-    const SubgraphProfile *prof = nullptr;
-    {
-        CacheShard &shard = shards_[h % kCacheShards];
-        std::lock_guard<std::mutex> lk(shard.mu);
-        auto it = shard.map.find(key);
-        if (it != shard.map.end())
-            prof = &it->second;
-    }
-    if (pruning()) {
-        // A multi-node subgraph whose weight shard exceeds even the
-        // whole buffer can never fit (assemble's weight capacity is
-        // at most the buffer size); without a full profile the
-        // boundary summary decides that without tile-flow profiling.
-        // Exercised heavily by the in-situ capacity repair.
-        int64_t weights =
-            prof ? prof->weightBytes : boundProfile(nodes).weightBytes;
-        int64_t wcap = buf.style == BufferStyle::Shared ? buf.sharedBytes
-                                                        : buf.weightBytes;
-        if (ceilDiv(weights, accel_.cores) > wcap) {
-            fitsShortCircuits_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-    }
-    if (!prof)
-        prof = &memoProfile(nodes, key, h);
-    if (prof->nodeCount == 1)
-        return true;
-    return assemble(*prof, buf).feasible;
+    return subgraphCost(nodes, buf).feasible;
 }
 
 GraphCost
@@ -456,8 +473,7 @@ CostModel::partitionCost(const Partition &p, const BufferConfig &buf,
     total.feasible = true;
     // The blocks as ranges of one node array, each copied into `nodes`
     // for the callees. Call-local, not thread_local: the callees are
-    // virtual, and the block cache pairs a lookup with the insert that
-    // follows it by the vector's address.
+    // virtual.
     BlockLists lists;
     lists.build(p);
     lists.dropEmpty();
@@ -470,16 +486,7 @@ CostModel::partitionCost(const Partition &p, const BufferConfig &buf,
     std::vector<SubgraphCost> costs;
     costs.reserve(nb);
     for (int i = 0; i < nb; ++i) {
-        load(i);
-        // Singletons skip the block cache: their profile is one table
-        // load away, so assembling is cheaper than any probe.
-        SubgraphCost c;
-        if (!block_cache || nodes.size() == 1) {
-            c = subgraphCost(nodes, buf);
-        } else if (!block_cache->lookupBlock(nodes, buf, &c)) {
-            c = subgraphCost(nodes, buf);
-            block_cache->insertBlock(nodes, buf, c);
-        }
+        const SubgraphCost c = blockCost(load(i), buf, block_cache);
         ++total.subgraphs;
         costs.push_back(c);
         if (!c.feasible) {

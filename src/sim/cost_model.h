@@ -121,7 +121,7 @@ struct SubgraphBound
 /** Per-model pruning counters (monotonic; see CostModel::pruneStats). */
 struct CostPruneStats
 {
-    uint64_t fitsShortCircuits = 0; ///< fits() decided without profiling
+    uint64_t fitsShortCircuits = 0; ///< decided without profiling
     uint64_t schemesPruned = 0;     ///< tile candidates aborted early
 
     CostPruneStats &
@@ -166,14 +166,15 @@ double objective(const GraphCost &cost, const BufferConfig &buf,
 constexpr double kInfeasiblePenalty = 1e18;
 
 /**
- * Hook for an external per-(subgraph, buffer) cost cache. When a
- * partition evaluation only changed a few blocks relative to earlier
- * evaluations, the unchanged blocks' SubgraphCosts are served from
- * here instead of being reassembled (incremental re-evaluation; the
- * EvalCache in src/search/eval_cache.h is the production
- * implementation). Implementations must be thread-safe and must
- * return exactly the value that was inserted — a cache may evict or
- * miss freely, but never alias two different keys.
+ * Hook for an external per-(subgraph, buffer) cost cache. Capacity
+ * repair records the cost of every block it checks, and partitionCost
+ * reads them back, so a partition that shares blocks with earlier
+ * evaluations only assembles the changed ones (incremental
+ * re-evaluation). The production implementation is the evaluation
+ * engine's per-thread BlockCostRow (src/search/eval_engine.h), which
+ * holds singletons too. An implementation must return exactly the
+ * value that was inserted — it may evict or miss freely, but never
+ * alias two different keys.
  */
 class SubgraphCostCache
 {
@@ -222,10 +223,12 @@ struct DeploymentBreakdown
  * duplicate) memoized profiles; a profile is computed at most once.
  * Entries are keyed on the canonical (sorted) node set and compared
  * by value on lookup, so a 64-bit hash collision can never alias two
- * different subgraphs. Memo entries never move once inserted, so a
- * singleton's entry is also published, with release semantics, in a
- * per-node table of atomic pointers: after its first use,
- * profile({v}) is one acquire load with no lock.
+ * different subgraphs. Memo entries never move once inserted, so
+ * each memo lookup also publishes its entry, with release semantics,
+ * in a per-node table of atomic pointers: singletons at their node,
+ * multi-node sets at their smallest node (the last one looked up
+ * there). profile() and subgraphCost() of a published node list are
+ * one acquire load and a node-list compare, with no hash and no lock.
  *
  * The evaluation entry points (subgraphCost/fits/partitionCost) and
  * the deployment hooks (contextHash/breakdown/coreComputeCycles) are
@@ -246,6 +249,10 @@ class CostModel
     /** The workload graph. */
     const Graph &graph() const { return g_; }
 
+    /** Process-unique identity of this model: unlike its address,
+     *  never reused by a later model. */
+    uint64_t id() const { return id_; }
+
     /** Capacity-independent profile of a subgraph (memoized). */
     const SubgraphProfile &profile(const std::vector<NodeId> &nodes);
 
@@ -253,9 +260,20 @@ class CostModel
      *  already-memoized full profile when one exists). */
     const BoundProfile &boundProfile(const std::vector<NodeId> &nodes);
 
-    /** Cost of one subgraph under @p buf. */
+    /**
+     * Cost of one subgraph under @p buf. With pruning on, a
+     * multi-node subgraph whose weight shard exceeds even the whole
+     * buffer is answered infeasible from its weights alone, without
+     * profiling (counted in fitsShortCircuits).
+     */
     virtual SubgraphCost subgraphCost(const std::vector<NodeId> &nodes,
                                       const BufferConfig &buf);
+
+    /** subgraphCost, answered by @p costs when it holds the block and
+     *  recorded there when it does not (@p costs may be null). */
+    SubgraphCost blockCost(const std::vector<NodeId> &nodes,
+                           const BufferConfig &buf,
+                           SubgraphCostCache *costs);
 
     /**
      * Cheap roofline lower bound on subgraphCost (see SubgraphBound).
@@ -281,7 +299,12 @@ class CostModel
     SubgraphBound partitionLowerBound(const Partition &p,
                                       const BufferConfig &buf);
 
-    /** Whether a subgraph fits @p buf (residency + region limit). */
+    /**
+     * Whether a subgraph fits @p buf (residency + region limit): true
+     * for a singleton (with pruning on, counted in fitsShortCircuits
+     * and answered without profiling), else
+     * subgraphCost(nodes, buf).feasible.
+     */
     virtual bool fits(const std::vector<NodeId> &nodes,
                       const BufferConfig &buf);
 
@@ -303,12 +326,11 @@ class CostModel
 
     /**
      * Aggregate cost of a partition under @p buf. When @p block_cache
-     * is non-null, multi-node blocks' SubgraphCosts are looked up
-     * there first and inserted on miss, so re-evaluating a partition
-     * that shares blocks with earlier ones only assembles the changed
-     * blocks. Singleton blocks never reach @p block_cache: they go to
-     * subgraphCost directly, which costs one table load and an
-     * assembly, less than any cache probe.
+     * is non-null, every block's SubgraphCost, singletons included, is
+     * looked up there first and inserted on miss (blockCost), so
+     * re-evaluating a partition that shares blocks with earlier ones,
+     * or that capacity repair just checked through the same hook, only
+     * assembles the changed blocks.
      */
     virtual GraphCost partitionCost(const Partition &p,
                                     const BufferConfig &buf,
@@ -374,24 +396,35 @@ class CostModel
         size_t operator()(const std::vector<NodeId> &nodes) const;
     };
 
+    using ProfileMap =
+        std::unordered_map<std::vector<NodeId>, SubgraphProfile, NodeSetHash>;
+
+    /** A memo entry: an ascending node set and its profile. */
+    using MemoEntry = ProfileMap::value_type;
+
     /** One stripe of the profile memo (full profiles + the cheap
      *  boundary summaries share the stripes). */
     struct CacheShard
     {
         mutable std::mutex mu;
-        std::unordered_map<std::vector<NodeId>, SubgraphProfile, NodeSetHash>
-            map;
+        ProfileMap map;
         std::unordered_map<std::vector<NodeId>, BoundProfile, NodeSetHash>
             bounds;
     };
 
     static constexpr int kCacheShards = 64;
 
-    /** The memoized profile of the ascending node set @p key (hash
-     *  @p h), computed from @p nodes on first use. */
-    const SubgraphProfile &memoProfile(const std::vector<NodeId> &nodes,
-                                       const std::vector<NodeId> &key,
-                                       uint64_t h);
+    /** Where a memo entry of @p nodes is published: null for no node
+     *  of this graph. */
+    std::atomic<const MemoEntry *> *
+    publishSlot(const std::vector<NodeId> &nodes) const;
+
+    /** The published profile of exactly @p nodes, or null. */
+    const SubgraphProfile *published(const std::vector<NodeId> &nodes) const;
+
+    /** The memoized profile of @p nodes, computed on first use; its
+     *  entry is published. */
+    const SubgraphProfile &memoProfile(const std::vector<NodeId> &nodes);
 
     SubgraphCost assemble(const SubgraphProfile &prof,
                           const BufferConfig &buf) const;
@@ -399,11 +432,13 @@ class CostModel
 
     const Graph &g_;
     AcceleratorConfig accel_;
+    const uint64_t id_;
     CacheShard shards_[kCacheShards];
 
-    /** Node -> its singleton profile in the memo, null until
-     *  memoized. */
-    std::unique_ptr<std::atomic<const SubgraphProfile *>[]> singles_;
+    /** Published memo entries, two per node v, null until memoized:
+     *  [2v] the singleton {v}, [2v + 1] the multi-node set with
+     *  smallest node v that was looked up last. */
+    std::unique_ptr<std::atomic<const MemoEntry *>[]> published_;
 
     std::atomic<bool> prune_{false};
     mutable std::atomic<uint64_t> fitsShortCircuits_{0};

@@ -415,18 +415,6 @@ DeploymentCostModel::pruneStats() const
     return s;
 }
 
-bool
-DeploymentCostModel::fits(const std::vector<NodeId> &nodes,
-                          const BufferConfig &buf)
-{
-    if (homogeneous_)
-        return CostModel::fits(nodes, buf);
-    for (CostModel *m : perCore_)
-        if (!m->fits(nodes, buf))
-            return false;
-    return true;
-}
-
 uint64_t
 DeploymentCostModel::contextHash(uint64_t h) const
 {

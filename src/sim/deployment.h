@@ -234,8 +234,6 @@ class DeploymentCostModel : public CostModel
      *  per-core energy floors average (crossbar dropped). */
     SubgraphBound subgraphBound(const std::vector<NodeId> &nodes,
                                 const BufferConfig &buf) override;
-    bool fits(const std::vector<NodeId> &nodes,
-              const BufferConfig &buf) override;
     /** Forwarded to every per-core model. */
     void setPruning(bool on) override;
     /** Aggregate view's counters plus every per-core model's. */

@@ -381,56 +381,6 @@ TEST(EvalCache, StatsDeltaSubtraction)
     EXPECT_DOUBLE_EQ(EvalCacheStats{}.hitRate(), 0.0);
 }
 
-// --- Block-level cost cache --------------------------------------------------
-
-TEST(EvalCache, BlockCostRoundTripAndPartitionCostEquality)
-{
-    Graph g = smallGraph();
-    CostModel model(g, AcceleratorConfig{});
-    BufferConfig buf;
-    buf.style = BufferStyle::Separate;
-    buf.actBytes = 256 * 1024;
-    buf.weightBytes = 288 * 1024;
-    Partition p = Partition::fixedRuns(g, 3);
-    p.canonicalize(g);
-
-    GraphCost plain = model.partitionCost(p, buf);
-
-    EvalCache cache(64, 1);
-    EvalCache::BlockView view = cache.blockView(/*salt=*/123);
-    GraphCost first = model.partitionCost(p, buf, &view);
-    GraphCost second = model.partitionCost(p, buf, &view);
-
-    for (const GraphCost &gc : {first, second}) {
-        EXPECT_EQ(plain.feasible, gc.feasible);
-        EXPECT_EQ(plain.emaBytes, gc.emaBytes);
-        EXPECT_EQ(plain.energyPj, gc.energyPj);
-        EXPECT_EQ(plain.latencyCycles, gc.latencyCycles);
-        EXPECT_EQ(plain.peakBwGBps, gc.peakBwGBps);
-    }
-
-    EvalCacheStats s = cache.stats();
-    EXPECT_EQ(s.blockMisses, static_cast<uint64_t>(plain.subgraphs));
-    EXPECT_EQ(s.blockHits, static_cast<uint64_t>(plain.subgraphs));
-
-    // A partition sharing a prefix of blocks reuses their costs.
-    Partition q = p;
-    int last = q.block.back();
-    q.block.back() = last + 1; // split the final node out
-    q.canonicalize(g);
-    uint64_t hits_before = cache.stats().blockHits;
-    model.partitionCost(q, buf, &view);
-    EXPECT_GT(cache.stats().blockHits, hits_before);
-
-    // A different model salt is fenced off: everything misses.
-    EvalCache::BlockView other = cache.blockView(/*salt=*/456);
-    uint64_t misses_before = cache.stats().blockMisses;
-    GraphCost fenced = model.partitionCost(p, buf, &other);
-    EXPECT_EQ(plain.energyPj, fenced.energyPj);
-    EXPECT_GE(cache.stats().blockMisses,
-              misses_before + static_cast<uint64_t>(plain.subgraphs));
-}
-
 // --- Engine transparency ----------------------------------------------------
 
 TEST(EvalEngine, CachedEvaluationMatchesUncached)
@@ -460,6 +410,35 @@ TEST(EvalEngine, CachedEvaluationMatchesUncached)
     EXPECT_EQ(cached.evaluate(c), ca);
     EXPECT_EQ(c.part.block, a.part.block);
     EXPECT_EQ(cached.cache()->stats().hits, 1u);
+}
+
+TEST(EvalEngine, CountsRowLookupsInItsCache)
+{
+    // A computed evaluation costs its blocks through this thread's row
+    // and counts the lookups into the engine's cache. A genome-cache
+    // hit costs no block, and a second engine over the same model finds
+    // the blocks the first one left in the row.
+    Graph g = smallGraph();
+    CostModel model(g, AcceleratorConfig{});
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    EvalEngine first(model, space, EvalOptions{});
+    Genome a = genomeOf(g);
+    const double cost = first.evaluate(a);
+    const EvalCacheStats cold = first.cache()->stats();
+    EXPECT_GT(cold.blockMisses, 0u);
+
+    Genome again = genomeOf(g);
+    EXPECT_EQ(first.evaluate(again), cost);
+    EXPECT_EQ(first.cache()->stats().blockHits, cold.blockHits);
+    EXPECT_EQ(first.cache()->stats().blockMisses, cold.blockMisses);
+
+    EvalEngine second(model, space, EvalOptions{});
+    Genome b = genomeOf(g);
+    EXPECT_EQ(second.evaluate(b), cost);
+    const EvalCacheStats warm = second.cache()->stats();
+    EXPECT_EQ(warm.misses, 1u);
+    EXPECT_GT(warm.blockHits, 0u);
+    EXPECT_LT(warm.blockMisses, cold.blockMisses);
 }
 
 TEST(EvalEngine, SaltSeparatesContexts)

@@ -47,7 +47,6 @@ fullRun()
     m.cache.blockHits = 5000;
     m.cache.blockMisses = 250;
     m.cache.entries = 293;
-    m.cache.blockEntries = 240;
     m.cache.boundRejections = 11;
     m.cache.boundSkippedSamples = 13;
     m.hasDeployment = true;
@@ -193,8 +192,8 @@ TEST(Metrics, ReaderRejectsEveryMutation)
     const std::set<std::string> unsigned_counters = {
         "seed",        "hits",          "misses",
         "insertions",  "evictions",     "block_hits",
-        "block_misses", "entries",      "block_entries",
-        "bound_rejections", "bound_skipped_samples"};
+        "block_misses", "entries",      "bound_rejections",
+        "bound_skipped_samples"};
     const std::set<std::string> derived = {
         "evals_total", "evals_computed", "evals_cached", "hit_rate",
         "count",       "frontier_size"};

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel evaluation engine: the thread pool, the
- * thread-safe sharded CostModel profile memo, the EvalEngine batch
+ * thread-safe sharded CostModel profile memo and its published
+ * profiles, per-thread block-cost rows, the EvalEngine batch
  * semantics, and thread-count invariance of the GA/SA/two-step
  * drivers (identical best objective, sample count, and trace for
  * threads=1 and threads=4).
@@ -10,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "core/cocco.h"
+#include "partition/repair.h"
+#include "search/eval_engine.h"
 #include "search/operators.h"
 #include "search/sa.h"
 #include "search/two_step.h"
@@ -151,6 +155,85 @@ TEST(CostModelParallel, ProfileKeyIsOrderIndependent)
     const SubgraphProfile &b = model.profile(reversed);
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(model.cacheSize(), 1u);
+}
+
+TEST(CostModelParallel, RowsOnFourThreadsMatchASerialModel)
+{
+    // Four threads share one cold model: each repairs and costs the
+    // same partitions through its own rows under two alternating
+    // buffers, in its own order, while the model memoizes and
+    // publishes the profiles they ask for.
+    Graph g = buildGoogleNet();
+    std::vector<Partition> parts;
+    for (int run : {2, 3, 5, 8})
+        parts.push_back(repairStructure(g, Partition::fixedRuns(g, run)));
+    DseSpace space = DseSpace::paperSpace(BufferStyle::Shared);
+    Rng rng(17);
+    for (int i = 0; i < 4; ++i)
+        parts.push_back(randomGenome(g, space, rng).part);
+    BufferConfig bufs[2];
+    for (BufferConfig &b : bufs)
+        b.style = BufferStyle::Shared;
+    bufs[0].sharedBytes = 256 * 1024;
+    bufs[1].sharedBytes = 1024 * 1024;
+
+    struct Result
+    {
+        Partition repaired;
+        GraphCost cost;
+    };
+    auto slot = [&](size_t i, int b) { return i * 2 + b; };
+    CostModel serial(g, AcceleratorConfig{});
+    std::vector<Result> want(parts.size() * 2);
+    for (size_t i = 0; i < parts.size(); ++i)
+        for (int b : {0, 1}) {
+            Result &w = want[slot(i, b)];
+            w.repaired = repairToCapacity(g, parts[i], serial, bufs[b]);
+            w.cost = serial.partitionCost(w.repaired, bufs[b]);
+        }
+
+    CostModel shared(g, AcceleratorConfig{});
+    shared.setPruning(true);
+    const int rounds = 3;
+    std::vector<std::vector<Result>> got(4);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < rounds; ++round)
+                for (size_t k = 0; k < parts.size(); ++k)
+                    for (int b : {0, 1}) {
+                        const size_t i = (k + t) % parts.size();
+                        BlockCostRow &row = blockCostRow(shared, bufs[b]);
+                        Result r;
+                        r.repaired = repairToCapacity(g, parts[i], shared,
+                                                      bufs[b], &row);
+                        r.cost = shared.partitionCost(r.repaired, bufs[b],
+                                                      &row);
+                        got[t].push_back(std::move(r));
+                    }
+        });
+    for (std::thread &th : threads)
+        th.join();
+
+    for (int t = 0; t < 4; ++t) {
+        ASSERT_EQ(got[t].size(), rounds * parts.size() * 2);
+        size_t n = 0;
+        for (int round = 0; round < rounds; ++round)
+            for (size_t k = 0; k < parts.size(); ++k)
+                for (int b : {0, 1}) {
+                    const Result &r = got[t][n++];
+                    const Result &w = want[slot((k + t) % parts.size(), b)];
+                    EXPECT_EQ(r.repaired.block.ids(), w.repaired.block.ids());
+                    EXPECT_EQ(r.repaired.numBlocks, w.repaired.numBlocks);
+                    EXPECT_EQ(r.cost.feasible, w.cost.feasible);
+                    EXPECT_EQ(r.cost.subgraphs, w.cost.subgraphs);
+                    EXPECT_EQ(r.cost.emaBytes, w.cost.emaBytes);
+                    EXPECT_EQ(r.cost.energyPj, w.cost.energyPj);
+                    EXPECT_EQ(r.cost.latencyCycles, w.cost.latencyCycles);
+                    EXPECT_EQ(r.cost.avgBwGBps, w.cost.avgBwGBps);
+                    EXPECT_EQ(r.cost.peakBwGBps, w.cost.peakBwGBps);
+                }
+    }
 }
 
 // --- EvalEngine -------------------------------------------------------------

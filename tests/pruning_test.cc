@@ -351,7 +351,7 @@ TEST(PruningCounters, StatsDeltaCoversPruningFields)
     EXPECT_EQ(d.boundRejections, 6u);
     EXPECT_EQ(d.boundSkippedSamples, 500u);
 
-    // a += b adds every counter; the sizes are snapshots and take b's.
+    // a += b adds every counter; the size is a snapshot and takes b's.
     EvalCacheStats a, b;
     a.hits = 1;
     a.misses = 2;
@@ -359,24 +359,18 @@ TEST(PruningCounters, StatsDeltaCoversPruningFields)
     a.evictions = 4;
     a.blockHits = 5;
     a.blockMisses = 6;
-    a.blockInsertions = 7;
-    a.blockEvictions = 8;
     a.boundRejections = 9;
     a.boundSkippedSamples = 10;
     a.entries = 500;
-    a.blockEntries = 600;
     b.hits = 100;
     b.misses = 200;
     b.insertions = 300;
     b.evictions = 400;
     b.blockHits = 500;
     b.blockMisses = 600;
-    b.blockInsertions = 700;
-    b.blockEvictions = 800;
     b.boundRejections = 900;
     b.boundSkippedSamples = 1000;
     b.entries = 11;
-    b.blockEntries = 12;
     a += b;
     EXPECT_EQ(a.hits, 101u);
     EXPECT_EQ(a.misses, 202u);
@@ -384,12 +378,9 @@ TEST(PruningCounters, StatsDeltaCoversPruningFields)
     EXPECT_EQ(a.evictions, 404u);
     EXPECT_EQ(a.blockHits, 505u);
     EXPECT_EQ(a.blockMisses, 606u);
-    EXPECT_EQ(a.blockInsertions, 707u);
-    EXPECT_EQ(a.blockEvictions, 808u);
     EXPECT_EQ(a.boundRejections, 909u);
     EXPECT_EQ(a.boundSkippedSamples, 1010u);
     EXPECT_EQ(a.entries, 11u);
-    EXPECT_EQ(a.blockEntries, 12u);
 }
 
 TEST(PruningCounters, MetricsJsonCarriesPruningFields)

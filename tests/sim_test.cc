@@ -4,14 +4,16 @@
  * identity), energy composition, latency roofline, fusion benefits
  * (the Figure 3 effect), multi-core and batch trends (Table 3
  * shapes), and profile memoization, including its fast paths (the
- * one-probe fits, the singleton table, singletons bypassing the block
- * cache), which must give a fresh model's values.
+ * published profiles, the weight screen, the engine's per-thread
+ * block-cost rows), which must give a fresh model's values.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <string>
 
 #include "core/serialize.h"
 #include "models/models.h"
@@ -20,7 +22,7 @@
 #include "sim/multicore.h"
 #include "sim/platform.h"
 #include "partition/repair.h"
-#include "search/eval_cache.h"
+#include "search/eval_engine.h"
 #include "search/operators.h"
 #include "util/json.h"
 
@@ -907,6 +909,37 @@ memoPartitions(const Graph &g)
 }
 
 void
+expectSameBlockCost(const SubgraphCost &got, const SubgraphCost &want,
+                    const std::string &what)
+{
+    EXPECT_EQ(got.feasible, want.feasible) << what;
+    EXPECT_EQ(got.emaBytes, want.emaBytes) << what;
+    EXPECT_EQ(got.energyPj, want.energyPj) << what;
+    EXPECT_EQ(got.computeCycles, want.computeCycles) << what;
+    EXPECT_EQ(got.commCycles, want.commCycles) << what;
+    EXPECT_EQ(got.latencyCycles, want.latencyCycles) << what;
+}
+
+void
+expectSameProfile(const SubgraphProfile &got, const SubgraphProfile &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.nodeCount, want.nodeCount) << what;
+    EXPECT_EQ(got.inBytes, want.inBytes) << what;
+    EXPECT_EQ(got.outBytes, want.outBytes) << what;
+    EXPECT_EQ(got.weightBytes, want.weightBytes) << what;
+    EXPECT_EQ(got.macs, want.macs) << what;
+    EXPECT_EQ(got.actFootprintBytes, want.actFootprintBytes) << what;
+    EXPECT_EQ(got.numRegions, want.numRegions) << what;
+    EXPECT_EQ(got.outTile, want.outTile) << what;
+    EXPECT_EQ(got.glbTraffic, want.glbTraffic) << what;
+    EXPECT_EQ(got.wbufTraffic, want.wbufTraffic) << what;
+    EXPECT_EQ(got.mappedCycles, want.mappedCycles) << what;
+    EXPECT_EQ(got.kernel, want.kernel) << what;
+    EXPECT_EQ(got.stride, want.stride) << what;
+}
+
+void
 expectSameCost(const GraphCost &got, const GraphCost &want,
                const std::string &what)
 {
@@ -963,7 +996,101 @@ TEST(MemoFastPaths, FitsMatchesAFreshModelBeforeAndAfterMemoization)
     EXPECT_GT(rejected, 0);
 }
 
-TEST(MemoFastPaths, PartitionCostMatchesAFreshModelThroughEveryHook)
+TEST(MemoFastPaths, SubgraphCostMatchesAFreshModelBeforeAndAfterMemoization)
+{
+    Graph g = buildGoogleNet();
+    AcceleratorConfig accel;
+    std::vector<std::vector<NodeId>> blocks;
+    for (const Partition &p : memoPartitions(g))
+        for (auto &blk : p.blocks())
+            if (std::find(blocks.begin(), blocks.end(), blk) ==
+                blocks.end())
+                blocks.push_back(std::move(blk));
+
+    int screened = 0;
+    for (bool prune : {true, false}) {
+        for (const BufferConfig &buf : memoBuffers()) {
+            for (const auto &blk : blocks) {
+                CostModel fresh(g, accel);
+                const SubgraphCost want = fresh.subgraphCost(blk, buf);
+
+                // Before the block's profile is memoized, then after
+                // (published).
+                CostModel m(g, accel);
+                m.setPruning(prune);
+                uint64_t s0 = m.pruneStats().fitsShortCircuits;
+                expectSameBlockCost(m.subgraphCost(blk, buf), want, "cold");
+                uint64_t cold = m.pruneStats().fitsShortCircuits - s0;
+                m.profile(blk);
+                s0 = m.pruneStats().fitsShortCircuits;
+                expectSameBlockCost(m.subgraphCost(blk, buf), want, "warm");
+                uint64_t warm = m.pruneStats().fitsShortCircuits - s0;
+                // The weight screen counts alike either way, and only
+                // multi-node blocks with pruning on.
+                EXPECT_EQ(cold, warm);
+                if (!prune || blk.size() == 1) {
+                    EXPECT_EQ(cold, 0u);
+                }
+                screened += cold > 0;
+            }
+        }
+    }
+    EXPECT_GT(screened, 0);
+}
+
+TEST(MemoFastPaths, PublishedProfilesMatchAFreshModel)
+{
+    // Blocks that share a first node take turns in its published slot;
+    // two models on one thread must never answer from the other's.
+    Graph g = buildGoogleNet();
+    AcceleratorConfig four;
+    four.cores = 4;
+    std::vector<std::vector<NodeId>> blocks;
+    for (int run : {2, 3, 5, 8})
+        for (auto &blk : repairStructure(g, Partition::fixedRuns(g, run))
+                             .blocks())
+            if (blk.size() > 1 &&
+                std::find(blocks.begin(), blocks.end(), blk) == blocks.end())
+                blocks.push_back(std::move(blk));
+    std::sort(blocks.begin(), blocks.end());
+    int shared = 0;
+    for (size_t i = 1; i < blocks.size(); ++i)
+        shared += blocks[i].front() == blocks[i - 1].front();
+    ASSERT_GT(shared, 0);
+
+    // Each block's values from models that never saw another block.
+    const BufferConfig buf = memoBuffers()[1];
+    struct Want
+    {
+        SubgraphProfile profile;
+        SubgraphCost cost;
+    };
+    std::vector<Want> want_a, want_b;
+    for (const auto &blk : blocks) {
+        CostModel fa(g, AcceleratorConfig{}), fb(g, four);
+        want_a.push_back({fa.profile(blk), fa.subgraphCost(blk, buf)});
+        want_b.push_back({fb.profile(blk), fb.subgraphCost(blk, buf)});
+    }
+
+    CostModel a(g, AcceleratorConfig{}), b(g, four);
+    a.setPruning(true);
+    b.setPruning(true);
+    for (int round = 0; round < 3; ++round)
+        for (size_t i = 0; i < blocks.size(); ++i) {
+            const size_t k = (i * 7 + round) % blocks.size();
+            const auto &blk = blocks[k];
+            std::string what = "round " + std::to_string(round) +
+                               " block " + std::to_string(k);
+            expectSameProfile(a.profile(blk), want_a[k].profile, what);
+            expectSameBlockCost(b.subgraphCost(blk, buf), want_b[k].cost,
+                                what);
+            expectSameBlockCost(a.subgraphCost(blk, buf), want_a[k].cost,
+                                what);
+            expectSameProfile(b.profile(blk), want_b[k].profile, what);
+        }
+}
+
+TEST(MemoFastPaths, PartitionCostMatchesAFreshModel)
 {
     Graph g = buildGoogleNet();
     AcceleratorConfig accel;
@@ -971,29 +1098,174 @@ TEST(MemoFastPaths, PartitionCostMatchesAFreshModelThroughEveryHook)
     for (bool prune : {true, false}) {
         CostModel model(g, accel);
         model.setPruning(prune);
-        EvalCache cache(256);
-        EvalCache::BlockView view = cache.blockView(/*salt=*/7);
         for (const BufferConfig &buf : memoBuffers())
             for (size_t i = 0; i < parts.size(); ++i) {
                 CostModel fresh(g, accel);
                 GraphCost want = fresh.partitionCost(parts[i], buf);
-                std::string what = "partition " + std::to_string(i);
-                expectSameCost(model.partitionCost(parts[i], buf), want,
-                               what + " no hook");
-                // Cold, then served from the block cache.
+                // Cold, then from the memo.
                 for (int rep = 0; rep < 2; ++rep)
-                    expectSameCost(model.partitionCost(parts[i], buf, &view),
-                                   want, what + " block view");
+                    expectSameCost(model.partitionCost(parts[i], buf), want,
+                                   "partition " + std::to_string(i));
             }
-        // Only multi-node blocks reach the block cache.
-        EvalCacheStats st = cache.stats();
-        uint64_t multi = 0;
-        for (const Partition &p : parts)
-            for (const auto &blk : p.blocks())
-                multi += blk.size() > 1;
-        EXPECT_GT(st.blockHits, 0u);
-        EXPECT_LE(st.blockEntries, multi * memoBuffers().size());
     }
+}
+
+namespace {
+
+constexpr int kRowModels = 3;
+
+/** A fresh model of kind @p k: the base model, a heterogeneous
+ *  deployment, a double-buffered platform. */
+std::unique_ptr<CostModel>
+rowModel(const Graph &g, int k)
+{
+    if (k == 1) {
+        DeploymentSpec bl;
+        bl.enabled = true;
+        bl.preset = "big-little";
+        DeploymentConfig dep;
+        std::string err;
+        EXPECT_TRUE(resolveDeployment(bl, AcceleratorConfig{}, &dep, &err))
+            << err;
+        return std::make_unique<DeploymentCostModel>(g, dep);
+    }
+    AcceleratorConfig accel;
+    accel.doubleBufferWeights = k == 2;
+    return std::make_unique<CostModel>(g, accel);
+}
+
+} // namespace
+
+TEST(BlockCostRows, MatchAFreshModel)
+{
+    // Every partition under buffers visited so that two alternate (each
+    // visit finds the row the one before last left) and then a third
+    // takes the less recent row. Repair through a row must split as
+    // without one, and the costs read back must be a fresh model's.
+    Graph g = buildGoogleNet();
+    const std::vector<Partition> parts = memoPartitions(g);
+    const std::vector<BufferConfig> bufs = memoBuffers();
+    const std::vector<size_t> visits = {0, 1, 0, 1, 2, 1, 2, 0,
+                                        3, 4, 3, 4, 0};
+
+    // What a fresh model says: each partition repaired without a row,
+    // and the plain costs of the partition and of its repair.
+    struct Want
+    {
+        Partition repaired;
+        GraphCost cost, repairedCost;
+    };
+    std::vector<std::vector<std::vector<Want>>> want(kRowModels);
+    for (int k = 0; k < kRowModels; ++k)
+        for (const BufferConfig &buf : bufs) {
+            std::unique_ptr<CostModel> fresh = rowModel(g, k);
+            want[k].emplace_back();
+            for (const Partition &p : parts) {
+                Want w;
+                w.repaired = repairToCapacity(g, p, *fresh, buf);
+                w.cost = fresh->partitionCost(p, buf);
+                w.repairedCost = fresh->partitionCost(w.repaired, buf);
+                want[k].back().push_back(std::move(w));
+            }
+        }
+
+    for (bool prune : {true, false}) {
+        for (int k = 0; k < kRowModels; ++k) {
+            const std::unique_ptr<CostModel> owned = rowModel(g, k);
+            CostModel &model = *owned;
+            model.setPruning(prune);
+            uint64_t hits = 0;
+            for (size_t v : visits)
+                for (size_t i = 0; i < parts.size(); ++i) {
+                    const BufferConfig &buf = bufs[v];
+                    const Want &w = want[k][v][i];
+                    std::string what = "model " + std::to_string(k) +
+                                       " buffer " + std::to_string(v) +
+                                       " partition " + std::to_string(i);
+                    BlockCostRow &row = blockCostRow(model, buf);
+                    const uint64_t h0 = row.hits;
+                    Partition r =
+                        repairToCapacity(g, parts[i], model, buf, &row);
+                    EXPECT_EQ(r.block.ids(), w.repaired.block.ids()) << what;
+                    EXPECT_EQ(r.numBlocks, w.repaired.numBlocks) << what;
+                    EXPECT_EQ(r.canonical(), w.repaired.canonical()) << what;
+                    // Cold, then warm.
+                    for (int rep = 0; rep < 2; ++rep) {
+                        expectSameCost(model.partitionCost(r, buf, &row),
+                                       w.repairedCost, what + " repaired");
+                        expectSameCost(
+                            model.partitionCost(parts[i], buf, &row), w.cost,
+                            what);
+                    }
+                    hits += row.hits - h0;
+                }
+            EXPECT_GT(hits, 0u);
+        }
+    }
+}
+
+TEST(BlockCostRows, NeverAlias)
+{
+    Graph g = buildGoogleNet();
+    const BufferConfig buf = memoBuffers()[2];
+    SubgraphCost out;
+
+    // A slot answers only its exact node list.
+    CostModel simba(g, AcceleratorConfig{});
+    {
+        BlockCostRow &row = blockCostRow(simba, buf);
+        row.insertBlock({3, 4, 5}, buf, simba.subgraphCost({3, 4, 5}, buf));
+        EXPECT_FALSE(row.lookupBlock({3, 4, 6}, buf, &out));
+        EXPECT_FALSE(row.lookupBlock({3, 4}, buf, &out));
+        ASSERT_TRUE(row.lookupBlock({3, 4, 5}, buf, &out));
+        expectSameBlockCost(out, simba.subgraphCost({3, 4, 5}, buf),
+                            "{3,4,5}");
+    }
+
+    // One buffer's row asked under another: a miss, and nothing
+    // recorded.
+    {
+        const BufferConfig other = memoBuffers()[3];
+        BlockCostRow &row = blockCostRow(simba, buf);
+        EXPECT_FALSE(row.lookupBlock({3, 4, 5}, other, &out));
+        row.insertBlock({3, 4, 5}, other, SubgraphCost{});
+        ASSERT_TRUE(row.lookupBlock({3, 4, 5}, buf, &out));
+        expectSameBlockCost(out, simba.subgraphCost({3, 4, 5}, buf),
+                            "other buffer");
+    }
+
+    // Two models over different accelerators, interleaved on one
+    // thread: each row answers with its own model's costs.
+    AcceleratorConfig four;
+    four.cores = 4;
+    CostModel quad(g, four);
+    const std::vector<NodeId> blk = {3, 4, 5};
+    ASSERT_NE(simba.subgraphCost(blk, buf).energyPj,
+              quad.subgraphCost(blk, buf).energyPj);
+    for (int round = 0; round < 3; ++round)
+        for (CostModel *m : {&simba, &quad}) {
+            BlockCostRow &row = blockCostRow(*m, buf);
+            if (!row.lookupBlock(blk, buf, &out)) {
+                out = m->subgraphCost(blk, buf);
+                row.insertBlock(blk, buf, out);
+                EXPECT_EQ(round, 0);
+            }
+            expectSameBlockCost(out, m->subgraphCost(blk, buf),
+                                "round " + std::to_string(round));
+        }
+
+    // A model destroyed before another is constructed (possibly at
+    // the same address) leaves nothing the new one can read.
+    uint64_t gone_id = 0;
+    {
+        auto gone = std::make_unique<CostModel>(g, AcceleratorConfig{});
+        gone_id = gone->id();
+        BlockCostRow &row = blockCostRow(*gone, buf);
+        row.insertBlock(blk, buf, gone->subgraphCost(blk, buf));
+    }
+    auto next = std::make_unique<CostModel>(g, four);
+    EXPECT_NE(next->id(), gone_id);
+    EXPECT_FALSE(blockCostRow(*next, buf).lookupBlock(blk, buf, &out));
 }
 
 TEST(CostScope, ObjectiveCompletesAFeasiblePartition)

@@ -11,10 +11,13 @@
 # and stderr sorted by line. A usage error's text is documentation,
 # so it compares as one line. A case named in intended.txt beside
 # CASES (one "<name> <reason>" per line) may differ: it is reported
-# as INTENDED. An entry whose case matches in both modes, or names no
-# case, is STALE: once a change is in the merge base its entries must
-# go. Exits 0 when every unlisted case matches and no entry is stale,
-# 1 otherwise, 2 on a usage error.
+# as INTENDED. A "mask <key>[,<key>...] <reason>" line there deletes
+# each named key, with its scalar value, from both sides' metrics
+# documents before every case's diff. An entry whose case matches in
+# both modes, or names no case, is STALE, and so is a mask line when
+# no run's documents differ in its keys: once a change is in the
+# merge base its entries must go. Exits 0 when every unlisted case
+# matches and no entry is stale, 1 otherwise, 2 on a usage error.
 set -u
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -29,12 +32,19 @@ for f in "$old" "$new" "$cases"; do
 done
 specs=$(dirname "$cases")
 intended=" "
+masks=()
 if [ -f "$specs/intended.txt" ]; then
-  while read -r name _; do
+  while read -r name keys _; do
     case "$name" in ''|'#'*) continue ;; esac
-    intended="$intended$name "
+    if [ "$name" = mask ]; then
+      masks+=("$keys")
+    else
+      intended="$intended$name "
+    fi
   done < "$specs/intended.txt"
 fi
+masked=()
+for m in "${!masks[@]}"; do masked[m]=0; done
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -100,6 +110,30 @@ mask_schedule() {
     "$dir/metrics.json"
 }
 
+# apply_masks NAME.MODE: delete every mask line's keys from both
+# sides' metrics documents, counting the lines whose keys differed.
+apply_masks() {
+  local run=$1 m key f side differs
+  for m in "${!masks[@]}"; do
+    differs=
+    for f in metrics.json cold.metrics.json; do
+      [ -f "$work/old/$run/$f" ] || [ -f "$work/new/$run/$f" ] || continue
+      for key in ${masks[m]//,/ }; do
+        if [ "$(grep -o "\"$key\":[^,}]*" "$work/old/$run/$f" 2> /dev/null)" != \
+             "$(grep -o "\"$key\":[^,}]*" "$work/new/$run/$f" 2> /dev/null)" ]; then
+          differs=1
+        fi
+        for side in old new; do
+          [ -f "$work/$side/$run/$f" ] && sed -i -E \
+            -e "s/\"$key\":[^,}]*,//g" -e "s/,?\"$key\":[^,}]*//g" \
+            "$work/$side/$run/$f"
+        done
+      done
+    done
+    [ -n "$differs" ] && masked[m]=$((masked[m] + 1))
+  done
+}
+
 total=0
 failed=0
 allowed=0
@@ -130,6 +164,7 @@ while read -r compare name rest; do
       esac
     done
     total=$((total + 1))
+    apply_masks "$name.$mode"
     if out=$(diff -r "$work/old/$name.$mode" "$work/new/$name.$mode"); then
       echo "same    $name ($mode)"
     elif [[ "$intended" == *" $name "* ]]; then
@@ -150,6 +185,14 @@ for name in $intended; do
   if [[ "$differed" != *" $name "* ]]; then
     stale=$((stale + 1))
     echo "STALE   $name: listed in intended.txt but no run differs"
+  fi
+done
+for m in "${!masks[@]}"; do
+  if [ "${masked[m]}" -eq 0 ]; then
+    stale=$((stale + 1))
+    echo "STALE   mask ${masks[m]}: no run's metrics differ in these keys"
+  else
+    echo "masked  ${masks[m]}: ${masked[m]} runs differ in these keys"
   fi
 done
 
