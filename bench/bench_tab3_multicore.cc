@@ -7,9 +7,8 @@
  *
  * Scale-out goes through the deployment subsystem (sim/deployment.h):
  * each configuration is a homogeneous deployment of the paper
- * platform behind the default crossbar — bit-identical to the old
- * direct AcceleratorConfig::cores loop, but on the same API a run
- * spec's "deployment" section uses. With --metrics-out, each cell
+ * platform behind the default crossbar, on the same API a run spec's
+ * "deployment" section uses. With --metrics-out, each cell
  * additionally records per-core utilization and the crossbar's
  * energy/latency share, so the Table 3 trajectory is machine-checkable.
  *

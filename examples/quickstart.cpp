@@ -33,7 +33,8 @@ main(int argc, char **argv)
                 g.totalWeightBytes() / (1024.0 * 1024.0));
 
     // The paper's Simba-like platform, by preset name — swap for
-    // "edge"/"cloud"/"simba-x4" or a platform JSON file to retarget.
+    // "edge"/"cloud" or a platform JSON file to retarget (one core;
+    // examples/multicore_deployment scales out over several).
     AcceleratorConfig accel = platformPreset("simba");
     std::printf("Platform: %.3f TOPS, %.0f GB/s DRAM per core\n\n",
                 accel.peakTops(), accel.dramGBpsPerCore);

@@ -898,15 +898,6 @@ resolveDeployment(const DeploymentSpec &spec, const AcceleratorConfig &base,
                                 strprintf("deployment: core %d: %s", i,
                                           sub.c_str()));
         }
-        // The deployment owns the scale-out: a core that is itself
-        // multi-core would nest two crossbars the model cannot see.
-        if (core.cores != 1)
-            return jsonFail(
-                err, strprintf("deployment: core %d's platform is "
-                               "already multi-core (cores = %d); "
-                               "deployments are built from single-core "
-                               "platforms",
-                               i, core.cores));
         dep.coreConfigs.push_back(core);
     }
     for (size_t i = 1; i < dep.coreConfigs.size(); ++i)

@@ -135,8 +135,7 @@ bool resolvePlatform(const PlatformSpec &spec, AcceleratorConfig *out,
  * description comes from the spec's preset, file, or inline form (at
  * most one; none means the inline defaults, i.e. a single core).
  * Cores without an explicit platform run @p base (the run's resolved
- * platform). Every core platform must be single-core (the deployment
- * owns the scale-out) and all cores must agree on the batch size.
+ * platform). All cores must agree on the batch size.
  * When the spec is disabled, *out becomes the trivial one-core
  * deployment of @p base.
  * @return false with *err set on any problem.

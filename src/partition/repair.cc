@@ -472,8 +472,8 @@ splitPrefetchVictim(const Graph &g, Partition &p, CostModel &model,
     for (size_t i = 0; i + 1 < blocks.size(); ++i) {
         int64_t wa = model.profile(blocks[i]).weightBytes;
         int64_t wb = model.profile(blocks[i + 1]).weightBytes;
-        wa = ceilDiv(wa, model.accel().cores);
-        wb = ceilDiv(wb, model.accel().cores);
+        wa = ceilDiv(wa, model.cores());
+        wb = ceilDiv(wb, model.cores());
         // Oversized singletons stream in tiles and are exempt
         // (matching the cost model's feasibility rule).
         if (wa > cap || wb > cap || wa + wb <= cap)

@@ -144,8 +144,10 @@ uint64_t
 ScheduleCostModel::contextHash(uint64_t h) const
 {
     h = hashU64(h, static_cast<uint64_t>(dep_.cores()));
+    // Each tenant runs on one core: every per-core model is a plain
+    // single-core CostModel.
     for (const AcceleratorConfig &core : dep_.coreConfigs)
-        h = hashAccelerator(h, core);
+        h = hashAccelerator(h, core, 1, resolveInterconnect({}, core));
     h = hashDouble(h, dep_.interconnect.bytesPerCycle);
     h = hashDouble(h, dep_.interconnect.pjPerByteHop);
     for (int t = 0; t < tenants(); ++t) {

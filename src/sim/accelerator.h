@@ -3,9 +3,11 @@
  * The Simba-like accelerator platform of paper Section 5.1.2:
  * a 4x4 PE array per core, each PE an 8x8 MAC array (1024 MACs/cycle
  * = 2.048 TOPS at 1 GHz), a global (activation) buffer and a weight
- * buffer managed by the buffer-region manager, 16 GB/s of DRAM
- * bandwidth per core, and an optional crossbar-connected multi-core
- * scale-out that shares subgraph weights across cores.
+ * buffer managed by the buffer-region manager, and 16 GB/s of DRAM
+ * bandwidth per core. A configuration always describes one core;
+ * scale-out over crossbar-connected cores is a deployment's
+ * (sim/deployment.h), which inherits the crossbar parameters below
+ * when it names no interconnect of its own.
  */
 
 #ifndef COCCO_SIM_ACCELERATOR_H
@@ -18,7 +20,7 @@
 
 namespace cocco {
 
-/** Full platform description used by the cost model. */
+/** One core's platform description, as the cost model reads it. */
 struct AcceleratorConfig
 {
     // Compute.
@@ -40,8 +42,7 @@ struct AcceleratorConfig
      *  and only the resident subgraph's weights count. */
     bool doubleBufferWeights = false;
 
-    // Scale-out and batching.
-    int cores = 1;
+    // Batching, and the crossbar a deployment of these cores inherits.
     int batch = 1;
     double crossbarBytesPerCycle = 256.0; ///< aggregate crossbar bandwidth
 

@@ -132,7 +132,14 @@ objective(const GraphCost &cost, const BufferConfig &buf, double alpha,
 }
 
 CostModel::CostModel(const Graph &g, const AcceleratorConfig &accel)
-    : g_(g), accel_(accel), id_(nextModelId.fetch_add(1)),
+    : CostModel(g, accel, 1, resolveInterconnect({}, accel))
+{
+}
+
+CostModel::CostModel(const Graph &g, const AcceleratorConfig &accel,
+                     int cores, const InterconnectConfig &ic)
+    : g_(g), accel_(accel), cores_(cores), ic_(ic),
+      id_(nextModelId.fetch_add(1)),
       published_(new std::atomic<const MemoEntry *>[2 * g.size()])
 {
     for (NodeId i = 0; i < 2 * g.size(); ++i)
@@ -272,7 +279,7 @@ CostModel::assemble(const SubgraphProfile &prof, const BufferConfig &buf)
     const
 {
     SubgraphCost cost;
-    const int cores = accel_.cores;
+    const int cores = cores_;
     const int batch = accel_.batch;
 
     // Effective capacities seen by one core. Weights are sharded
@@ -331,7 +338,7 @@ CostModel::assemble(const SubgraphProfile &prof, const BufferConfig &buf)
     energy += static_cast<double>(prof.glbTraffic) * batch * glb_pj;
     energy += static_cast<double>(prof.wbufTraffic) * wbuf_pj;
     energy += em.macEnergyPj(prof.macs) * batch;
-    energy += crossbarEnergyPj(prof, accel_);
+    energy += crossbarEnergyPj(prof, accel_, cores, ic_);
     cost.energyPj = energy;
 
     // --- Latency. ---
@@ -342,7 +349,7 @@ CostModel::assemble(const SubgraphProfile &prof, const BufferConfig &buf)
     cost.commCycles = static_cast<double>(cost.emaBytes) /
                       (accel_.dramBytesPerCycle() * cores);
     cost.latencyCycles = std::max(cost.computeCycles, cost.commCycles) +
-                         crossbarCycles(prof, accel_);
+                         crossbarCycles(prof, accel_, cores, ic_);
     return cost;
 }
 
@@ -367,7 +374,7 @@ CostModel::subgraphCost(const std::vector<NodeId> &nodes,
         }
         int64_t wcap = buf.style == BufferStyle::Shared ? buf.sharedBytes
                                                         : buf.weightBytes;
-        if (ceilDiv(weights, accel_.cores) > wcap) {
+        if (ceilDiv(weights, cores_) > wcap) {
             fitsShortCircuits_.fetch_add(1, std::memory_order_relaxed);
             return SubgraphCost{};
         }
@@ -393,7 +400,7 @@ CostModel::subgraphBound(const std::vector<NodeId> &nodes,
                          const BufferConfig &buf)
 {
     const BoundProfile &bp = boundProfile(nodes);
-    const int cores = accel_.cores;
+    const int cores = cores_;
     const int batch = accel_.batch;
     SubgraphBound b;
 
@@ -517,9 +524,8 @@ CostModel::partitionCost(const Partition &p, const BufferConfig &buf,
         for (int i = 0; i + 1 < nb; ++i) {
             int64_t wa = i > 0 ? wb
                                : ceilDiv(boundProfile(load(i)).weightBytes,
-                                         accel_.cores);
-            wb = ceilDiv(boundProfile(load(i + 1)).weightBytes,
-                         accel_.cores);
+                                         cores_);
+            wb = ceilDiv(boundProfile(load(i + 1)).weightBytes, cores_);
             // Oversized singletons stream their weights in tiles (the
             // reload fallback) and are exempt from co-residency.
             if (wa > cap || wb > cap)
@@ -560,21 +566,21 @@ uint64_t
 CostModel::contextHash(uint64_t h) const
 {
     h = hashGraph(h, g_);
-    return hashAccelerator(h, accel_);
+    return hashAccelerator(h, accel_, cores_, ic_);
 }
 
 DeploymentBreakdown
 CostModel::breakdown(const Partition &p, const BufferConfig &buf)
 {
     DeploymentBreakdown b;
-    b.cores = std::max(1, accel_.cores);
+    b.cores = cores_;
     GraphCost total = partitionCost(p, buf);
 
     int64_t macs = 0;
     for (const auto &blk : p.blocks()) {
         const SubgraphProfile &prof = profile(blk);
-        b.crossbarEnergyPj += crossbarEnergyPj(prof, accel_);
-        b.crossbarCycles += crossbarCycles(prof, accel_);
+        b.crossbarEnergyPj += crossbarEnergyPj(prof, accel_, cores_, ic_);
+        b.crossbarCycles += crossbarCycles(prof, accel_, cores_, ic_);
         macs += prof.macs;
     }
     if (total.energyPj > 0)
@@ -599,10 +605,9 @@ CostModel::breakdown(const Partition &p, const BufferConfig &buf)
 std::vector<double>
 CostModel::coreComputeCycles(const std::vector<NodeId> &nodes)
 {
-    int cores = std::max(1, accel_.cores);
     double per = static_cast<double>(profile(nodes).mappedCycles) *
-                 accel_.batch / cores;
-    return std::vector<double>(static_cast<size_t>(cores), per);
+                 accel_.batch / cores_;
+    return std::vector<double>(static_cast<size_t>(cores_), per);
 }
 
 } // namespace cocco

@@ -29,7 +29,7 @@
 
 #include "mem/buffer_config.h"
 #include "partition/partition.h"
-#include "sim/accelerator.h"
+#include "sim/multicore.h"
 
 namespace cocco {
 
@@ -214,7 +214,10 @@ struct DeploymentBreakdown
 };
 
 /**
- * Memoizing evaluator for one (graph, accelerator) pair.
+ * Memoizing evaluator for one (graph, accelerator) pair: one core of
+ * the platform, or, built by a DeploymentCostModel (the only way to
+ * scale out), that core sharded over cores() cores behind the
+ * deployment's interconnect.
  *
  * Thread safety: profile(), subgraphCost(), fits() and
  * partitionCost() may be called concurrently from any number of
@@ -239,12 +242,16 @@ struct DeploymentBreakdown
 class CostModel
 {
   public:
+    /** A model of one core of @p accel. */
     CostModel(const Graph &g, const AcceleratorConfig &accel);
     virtual ~CostModel() = default;
 
-    /** The platform being modelled (for a deployment: the aggregate
-     *  view — core 0's configuration with the deployment folded in). */
+    /** The platform of one core (for a deployment: core 0's). */
     const AcceleratorConfig &accel() const { return accel_; }
+
+    /** The number of cores the weights are sharded over (1 unless a
+     *  DeploymentCostModel built this model). */
+    int cores() const { return cores_; }
 
     /** The workload graph. */
     const Graph &graph() const { return g_; }
@@ -367,9 +374,10 @@ class CostModel
 
     /**
      * Fold everything that determines this model's cost values into a
-     * running content hash: the graph plus the accelerator here; a
-     * deployment model additionally folds every core's configuration,
-     * so cached evaluations of different deployments can never alias.
+     * running content hash: the graph plus the accelerator at cores()
+     * cores behind the interconnect here; a deployment model
+     * additionally folds every core's configuration, so cached
+     * evaluations of different deployments can never alias.
      * The evaluation cache's salts are built from this.
      */
     virtual uint64_t contextHash(uint64_t h) const;
@@ -381,7 +389,7 @@ class CostModel
     /**
      * Per-core busy compute cycles for one execution of a subgraph
      * (equal weight shards; index = core). Single-entry for a
-     * single-core platform. Used for the timeline's per-core lanes.
+     * one-core model. Used for the timeline's per-core lanes.
      */
     virtual std::vector<double>
     coreComputeCycles(const std::vector<NodeId> &nodes);
@@ -390,6 +398,13 @@ class CostModel
     size_t cacheSize() const;
 
   private:
+    friend class DeploymentCostModel;
+
+    /** @p cores cores of @p accel behind the resolved interconnect
+     *  @p ic: a deployment's scale-out. */
+    CostModel(const Graph &g, const AcceleratorConfig &accel, int cores,
+              const InterconnectConfig &ic);
+
     /** FNV-style hash of an already-sorted node set. */
     struct NodeSetHash
     {
@@ -432,6 +447,8 @@ class CostModel
 
     const Graph &g_;
     AcceleratorConfig accel_;
+    int cores_;
+    InterconnectConfig ic_;
     const uint64_t id_;
     CacheShard shards_[kCacheShards];
 

@@ -17,7 +17,7 @@ accelEqual(const AcceleratorConfig &a, const AcceleratorConfig &b)
            a.maxRegions == b.maxRegions &&
            a.channelAlign == b.channelAlign &&
            a.doubleBufferWeights == b.doubleBufferWeights &&
-           a.cores == b.cores && a.batch == b.batch &&
+           a.batch == b.batch &&
            a.crossbarBytesPerCycle == b.crossbarBytesPerCycle &&
            a.energy.dramPjPerByte == b.energy.dramPjPerByte &&
            a.energy.sramBasePjPerByte == b.energy.sramBasePjPerByte &&
@@ -28,12 +28,6 @@ accelEqual(const AcceleratorConfig &a, const AcceleratorConfig &b)
 }
 
 namespace {
-
-std::string
-knownDeployments()
-{
-    return joinComma(DeploymentRegistry::instance().keys());
-}
 
 const AcceleratorConfig &
 firstCore(const DeploymentConfig &dep)
@@ -48,103 +42,41 @@ firstCore(const DeploymentConfig &dep)
 
 // --- Registry ----------------------------------------------------------------
 
-DeploymentRegistry::DeploymentRegistry()
-{
-    DeploymentDesc single;
-    single.cores = 1;
-    add("single",
-        "one core of the run's platform (crossbar terms exactly zero)",
-        single);
-
-    DeploymentDesc dual;
-    dual.cores = 2;
-    add("dual", "two crossbar-connected cores of the run's platform",
-        dual);
-
-    DeploymentDesc quad;
-    quad.cores = 4;
-    add("quad",
-        "four crossbar-connected cores (the Table 3 scale-out shape)",
-        quad);
-
-    DeploymentDesc biglittle;
-    biglittle.cores = 4;
-    PlatformSpec simba, edge;
-    simba.preset = "simba";
-    edge.preset = "edge";
-    biglittle.corePlatforms = {simba, simba, edge, edge};
-    add("big-little",
-        "heterogeneous mix: 2x simba + 2x edge behind one crossbar",
-        biglittle);
-}
-
+template <>
 DeploymentRegistry &
 DeploymentRegistry::instance()
 {
-    static DeploymentRegistry registry;
+    static DeploymentRegistry registry = [] {
+        DeploymentRegistry r("deployment");
+        DeploymentDesc single;
+        single.cores = 1;
+        r.add("single",
+              "one core of the run's platform (crossbar terms exactly zero)",
+              single);
+
+        DeploymentDesc dual;
+        dual.cores = 2;
+        r.add("dual", "two crossbar-connected cores of the run's platform",
+              dual);
+
+        DeploymentDesc quad;
+        quad.cores = 4;
+        r.add("quad",
+              "four crossbar-connected cores (the Table 3 scale-out shape)",
+              quad);
+
+        DeploymentDesc biglittle;
+        biglittle.cores = 4;
+        PlatformSpec simba, edge;
+        simba.preset = "simba";
+        edge.preset = "edge";
+        biglittle.corePlatforms = {simba, simba, edge, edge};
+        r.add("big-little",
+              "heterogeneous mix: 2x simba + 2x edge behind one crossbar",
+              biglittle);
+        return r;
+    }();
     return registry;
-}
-
-void
-DeploymentRegistry::add(const std::string &name, const std::string &summary,
-                        const DeploymentDesc &desc)
-{
-    if (find(name))
-        fatal("deployment '%s' is already registered", name.c_str());
-    entries_.push_back({name, summary, desc});
-}
-
-const DeploymentRegistry::Entry *
-DeploymentRegistry::find(const std::string &name) const
-{
-    for (const Entry &e : entries_)
-        if (e.name == name)
-            return &e;
-    return nullptr;
-}
-
-bool
-DeploymentRegistry::contains(const std::string &name) const
-{
-    return find(name) != nullptr;
-}
-
-bool
-DeploymentRegistry::find(const std::string &name, DeploymentDesc *out) const
-{
-    const Entry *e = find(name);
-    if (!e)
-        return false;
-    *out = e->desc;
-    return true;
-}
-
-std::vector<std::string>
-DeploymentRegistry::keys() const
-{
-    std::vector<std::string> out;
-    for (const Entry &e : entries_)
-        out.push_back(e.name);
-    return out;
-}
-
-const std::string &
-DeploymentRegistry::summary(const std::string &name) const
-{
-    const Entry *e = find(name);
-    if (!e)
-        fatal("unknown deployment '%s'", name.c_str());
-    return e->summary;
-}
-
-DeploymentDesc
-deploymentPreset(const std::string &name)
-{
-    DeploymentDesc out;
-    if (!DeploymentRegistry::instance().find(name, &out))
-        fatal("unknown deployment '%s' (known: %s)", name.c_str(),
-              knownDeployments().c_str());
-    return out;
 }
 
 // --- JSON --------------------------------------------------------------------
@@ -236,74 +168,43 @@ DeploymentConfig::homogeneous() const
     return true;
 }
 
-InterconnectConfig
-resolveInterconnect(const InterconnectConfig &ic,
-                    const AcceleratorConfig &core0)
-{
-    InterconnectConfig out = ic;
-    if (out.bytesPerCycle <= 0.0)
-        out.bytesPerCycle = core0.crossbarBytesPerCycle;
-    if (out.pjPerByteHop < 0.0)
-        out.pjPerByteHop = core0.energy.crossbarPjPerByte;
-    return out;
-}
-
 DeploymentConfig
 homogeneousDeployment(const AcceleratorConfig &core, int cores,
                       const InterconnectConfig &ic)
 {
     if (cores < 1)
         fatal("deployment: cores must be >= 1 (got %d)", cores);
-    AcceleratorConfig c = core;
-    c.cores = 1; // the deployment owns the scale-out
     DeploymentConfig dep;
-    dep.coreConfigs.assign(static_cast<size_t>(cores), c);
-    dep.interconnect = resolveInterconnect(ic, c);
+    dep.coreConfigs.assign(static_cast<size_t>(cores), core);
+    dep.interconnect = resolveInterconnect(ic, core);
     return dep;
-}
-
-AcceleratorConfig
-foldDeployment(const AcceleratorConfig &core, const DeploymentConfig &dep)
-{
-    AcceleratorConfig a = core;
-    a.cores = std::max(1, dep.cores());
-    // Unset knobs inherit the folded core's own crossbar parameters
-    // (the canonical construction paths materialize them against
-    // core 0, so every core of a resolved deployment folds the same
-    // interconnect).
-    InterconnectConfig ic = resolveInterconnect(dep.interconnect, core);
-    a.crossbarBytesPerCycle = ic.bytesPerCycle;
-    a.energy.crossbarPjPerByte = ic.pjPerByteHop;
-    return a;
 }
 
 // --- DeploymentCostModel -----------------------------------------------------
 
 DeploymentCostModel::DeploymentCostModel(const Graph &g,
                                          const DeploymentConfig &dep)
-    : CostModel(g, foldDeployment(firstCore(dep), dep)), dep_(dep),
-      homogeneous_(dep.homogeneous())
+    : CostModel(g, firstCore(dep), dep.cores(),
+                resolveInterconnect(dep.interconnect, firstCore(dep))),
+      dep_(dep), homogeneous_(dep.homogeneous())
 {
-    // Materialize inherited interconnect knobs against core 0, so a
-    // heterogeneous mix folds one consistent interconnect into every
-    // per-core model (the base fold above resolves against core 0
-    // too, so the aggregate view already agrees).
-    dep_.interconnect =
-        resolveInterconnect(dep_.interconnect, firstCore(dep_));
+    // Inherited interconnect knobs, materialized against core 0, so
+    // every per-core model of a heterogeneous mix sees one
+    // interconnect.
+    dep_.interconnect = ic_;
     if (homogeneous_)
-        return; // the base model IS the deployment (folded view)
+        return; // the base model IS the deployment
     perCore_.reserve(dep_.coreConfigs.size());
     for (const AcceleratorConfig &core : dep_.coreConfigs) {
-        AcceleratorConfig folded = foldDeployment(core, dep_);
         CostModel *m = nullptr;
         for (const auto &owned : ownedModels_)
-            if (accelEqual(owned->accel(), folded)) {
+            if (accelEqual(owned->accel(), core)) {
                 m = owned.get();
                 break;
             }
         if (!m) {
-            ownedModels_.push_back(
-                std::make_unique<CostModel>(graph(), folded));
+            ownedModels_.emplace_back(
+                new CostModel(graph(), core, cores(), ic_));
             m = ownedModels_.back().get();
         }
         perCore_.push_back(m);
@@ -317,9 +218,9 @@ DeploymentCostModel::subgraphCost(const std::vector<NodeId> &nodes,
     if (homogeneous_)
         return CostModel::subgraphCost(nodes, buf);
 
-    // Heterogeneous composition. Every per-core model carries the full
-    // deployment fold (cores = n, shared interconnect), so its values
-    // are already "this subgraph, sharded n ways, seen by core i":
+    // Heterogeneous composition. Every per-core model is its core at
+    // n cores behind the shared interconnect, so its values are
+    // already "this subgraph, sharded n ways, seen by core i":
     //   - feasibility must hold on every core (equal shards);
     //   - EMA is shard-count dependent but core-independent;
     //   - energy: each core moves 1/n of the traffic with its own
@@ -355,8 +256,9 @@ DeploymentCostModel::subgraphCost(const std::vector<NodeId> &nodes,
     out.energyPj = energy_sum / static_cast<double>(perCore_.size());
     out.computeCycles = compute_max;
     out.commCycles = static_cast<double>(ema) * clock0 / dram_gbps;
-    out.latencyCycles = std::max(out.computeCycles, out.commCycles) +
-                        crossbarCycles(profile(nodes), accel());
+    out.latencyCycles =
+        std::max(out.computeCycles, out.commCycles) +
+        crossbarCycles(profile(nodes), accel(), cores(), ic_);
     return out;
 }
 
@@ -418,15 +320,16 @@ DeploymentCostModel::pruneStats() const
 uint64_t
 DeploymentCostModel::contextHash(uint64_t h) const
 {
-    // The base fold (graph + core 0's folded configuration) fully
-    // describes a homogeneous deployment; a heterogeneous one also
-    // folds every core's configuration, in core order, so two
-    // deployments that differ anywhere hash apart.
+    // The base model's hash (graph + core 0's configuration at n
+    // cores behind the interconnect) fully describes a homogeneous
+    // deployment; a heterogeneous one also folds every core's
+    // configuration, in core order, so two deployments that differ
+    // anywhere hash apart.
     h = CostModel::contextHash(h);
     if (homogeneous_)
         return h;
     for (const CostModel *m : perCore_)
-        h = hashAccelerator(h, m->accel());
+        h = hashAccelerator(h, m->accel(), cores(), ic_);
     return h;
 }
 
@@ -443,8 +346,8 @@ DeploymentCostModel::breakdown(const Partition &p, const BufferConfig &buf)
     int64_t macs = 0;
     for (const auto &blk : p.blocks()) {
         const SubgraphProfile &prof = profile(blk);
-        b.crossbarEnergyPj += crossbarEnergyPj(prof, accel());
-        b.crossbarCycles += crossbarCycles(prof, accel());
+        b.crossbarEnergyPj += crossbarEnergyPj(prof, accel(), cores(), ic_);
+        b.crossbarCycles += crossbarCycles(prof, accel(), cores(), ic_);
         macs += prof.macs;
     }
     if (total.energyPj > 0)

@@ -14,12 +14,14 @@
  *   DeploymentSpec      an address of a description: preset / file /
  *                       inline (what a run spec or the CLI carries)
  *   DeploymentRegistry  named presets ("single", "dual", "quad",
- *                       "big-little"), mirroring PlatformRegistry
+ *                       "big-little"), the same PresetRegistry as
+ *                       PlatformRegistry
  *   DeploymentConfig    the resolved form: one AcceleratorConfig per
  *                       core + the interconnect
  *   DeploymentCostModel the evaluator: composes per-core CostModels
  *                       with the crossbar serialization/energy terms
- *                       behind the plain CostModel interface
+ *                       behind the plain CostModel interface; the
+ *                       only way to a model of more than one core
  *
  * Deployment JSON (strict; "cores" alone is the common case):
  *
@@ -49,27 +51,6 @@
 namespace cocco {
 
 class JsonValue;
-
-/**
- * The inter-core interconnect (the weight-rotation crossbar). Both
- * knobs default to "inherit": a deployment that does not mention the
- * interconnect models exactly the core platform's built-in crossbar
- * (crossbarBytesPerCycle / energy.crossbarPjPerByte) — including a
- * platform file that customized those values. resolveInterconnect()
- * materializes the inherited values against core 0.
- */
-struct InterconnectConfig
-{
-    double bytesPerCycle = 0.0; ///< aggregate crossbar bandwidth
-                                ///< (<= 0: inherit the core platform's)
-    double pjPerByteHop = -1.0; ///< energy per byte per hop
-                                ///< (< 0: inherit the core platform's)
-};
-
-/** @p ic with unset knobs filled in from @p core0's built-in
- *  crossbar parameters. */
-InterconnectConfig resolveInterconnect(const InterconnectConfig &ic,
-                                       const AcceleratorConfig &core0);
 
 /** Field-wise equality over everything the cost model reads (used to
  *  dedup per-core models here and in the co-scheduler). */
@@ -104,45 +85,16 @@ struct DeploymentSpec
 };
 
 /** The string-keyed deployment-preset registry. */
-class DeploymentRegistry
-{
-  public:
-    /** The process-wide registry (built-ins pre-registered). */
-    static DeploymentRegistry &instance();
-
-    /** Register a preset (fatal on duplicate name). */
-    void add(const std::string &name, const std::string &summary,
-             const DeploymentDesc &desc);
-
-    /** @return true when @p name is a registered preset. */
-    bool contains(const std::string &name) const;
-
-    /** Look up @p name into *out. @return false when unknown (the
-     *  clean-user-error path; use deploymentPreset() to be fatal). */
-    bool find(const std::string &name, DeploymentDesc *out) const;
-
-    /** Registered preset names, in registration order. */
-    std::vector<std::string> keys() const;
-
-    /** The one-line summary of @p name (fatal: unknown). */
-    const std::string &summary(const std::string &name) const;
-
-  private:
-    DeploymentRegistry();
-
-    struct Entry
-    {
-        std::string name;
-        std::string summary;
-        DeploymentDesc desc;
-    };
-    const Entry *find(const std::string &name) const;
-
-    std::vector<Entry> entries_;
-};
+using DeploymentRegistry = PresetRegistry<DeploymentDesc>;
+template <>
+DeploymentRegistry &DeploymentRegistry::instance();
 
 /** The preset named @p name (fatal with the known list: unknown). */
-DeploymentDesc deploymentPreset(const std::string &name);
+inline DeploymentDesc
+deploymentPreset(const std::string &name)
+{
+    return DeploymentRegistry::instance().preset(name);
+}
 
 /** Serialize a deployment description (cores, interconnect, and the
  *  core platform addresses that are expressible in JSON). */
@@ -167,8 +119,8 @@ class FieldWalk;
 void deploymentAddress(FieldWalk<true> &v, DeploymentSpec &d);
 
 /**
- * The resolved form: one single-core AcceleratorConfig per core plus
- * the interconnect. Produced by resolveDeployment (core/serialize.h)
+ * The resolved form: one AcceleratorConfig per core plus the
+ * interconnect. Produced by resolveDeployment (core/serialize.h)
  * or homogeneousDeployment; consumed by DeploymentCostModel and
  * CoccoFramework.
  */
@@ -185,33 +137,26 @@ struct DeploymentConfig
 
 /**
  * The common case without the resolution machinery: @p cores copies
- * of @p core behind the interconnect @p ic. core.cores is forced to 1
- * (the deployment owns the scale-out).
+ * of @p core behind the interconnect @p ic (unset knobs inherit
+ * @p core's crossbar).
  */
 DeploymentConfig homogeneousDeployment(const AcceleratorConfig &core,
                                        int cores,
                                        const InterconnectConfig &ic = {});
 
 /**
- * The aggregate single-model view of one core: @p core with the
- * deployment's core count and interconnect folded into the multicore
- * fields the cost model reads (cores, crossbarBytesPerCycle,
- * energy.crossbarPjPerByte).
- */
-AcceleratorConfig foldDeployment(const AcceleratorConfig &core,
-                                 const DeploymentConfig &dep);
-
-/**
- * The scale-out evaluator. For a homogeneous deployment it *is* the
- * plain CostModel over the folded configuration — bit-identical to
- * setting AcceleratorConfig::cores directly, so single-core
- * deployments cost exactly nothing. For a heterogeneous deployment it
- * composes per-core models: a subgraph is feasible iff it is feasible
- * on every core, energy averages the per-core aggregates (equal
- * weight shards), compute latency is gated by the slowest core
- * (cycles normalized to core 0's clock), DRAM cycles use the summed
- * per-core bandwidth, and the crossbar serialization/energy terms are
- * counted once.
+ * The scale-out evaluator, and the only builder of a CostModel of
+ * more than one core: its base model (and every per-core model) is
+ * a core's platform sharded over the deployment's cores behind its
+ * resolved interconnect. For a homogeneous deployment the base model
+ * *is* the deployment, so a single-core deployment costs exactly
+ * what a plain CostModel does. For a heterogeneous deployment it
+ * composes per-core models: a subgraph is feasible iff it is
+ * feasible on every core, energy averages the per-core aggregates
+ * (equal weight shards), compute latency is gated by the slowest
+ * core (cycles normalized to core 0's clock), DRAM cycles use the
+ * summed per-core bandwidth, and the crossbar serialization/energy
+ * terms are counted once.
  *
  * contextHash() additionally folds every core's configuration, so
  * evaluation-cache entries from different deployments can never

@@ -3,13 +3,12 @@
  * The platform frontend: named accelerator presets and the JSON form
  * of AcceleratorConfig (including its EnergyModel), mirroring the
  * model and searcher registries so a platform is addressable by name
- * or by file instead of being a compile-time struct.
+ * or by file instead of being a compile-time struct. A platform is
+ * one core; several cores are a deployment (sim/deployment.h).
  *
  * Presets:
  *   simba     the paper's Simba-like single-core platform
  *             (Section 5.1.2; identical to AcceleratorConfig{})
- *   simba-x4  four simba cores behind the weight-sharing crossbar
- *             (the Table 3 scale-out)
  *   edge      a 0.8 GHz 2x2-PE / 8 GB/s budget device
  *   cloud     an 8x8-PE / 64 GB/s server part running batch 8
  *
@@ -22,7 +21,7 @@
  *     "peRows": 4, "peCols": 4, "macsPerPe": 64, "clockGhz": 1.0,
  *     "dramGBpsPerCore": 16.0, "maxRegions": 64, "channelAlign": 8,
  *     "doubleBufferWeights": false,
- *     "cores": 1, "batch": 1, "crossbarBytesPerCycle": 256.0,
+ *     "batch": 1, "crossbarBytesPerCycle": 256.0,
  *     "energy": {
  *       "dramPjPerByte": 100.0, "sramBasePjPerByte": 0.2,
  *       "sramSlopePjPerByte": 0.025, "macPj": 0.05,
@@ -38,6 +37,7 @@
 #include <vector>
 
 #include "sim/accelerator.h"
+#include "util/preset_registry.h"
 
 namespace cocco {
 
@@ -58,45 +58,16 @@ struct PlatformSpec
 };
 
 /** The string-keyed platform-preset registry. */
-class PlatformRegistry
-{
-  public:
-    /** The process-wide registry (built-ins pre-registered). */
-    static PlatformRegistry &instance();
-
-    /** Register a preset (fatal on duplicate name). */
-    void add(const std::string &name, const std::string &summary,
-             const AcceleratorConfig &config);
-
-    /** @return true when @p name is a registered preset. */
-    bool contains(const std::string &name) const;
-
-    /** Look up @p name into *out. @return false when unknown (the
-     *  clean-user-error path; use platformPreset() to be fatal). */
-    bool find(const std::string &name, AcceleratorConfig *out) const;
-
-    /** Registered preset names, in registration order. */
-    std::vector<std::string> keys() const;
-
-    /** The one-line summary of @p name (fatal: unknown). */
-    const std::string &summary(const std::string &name) const;
-
-  private:
-    PlatformRegistry();
-
-    struct Entry
-    {
-        std::string name;
-        std::string summary;
-        AcceleratorConfig config;
-    };
-    const Entry *find(const std::string &name) const;
-
-    std::vector<Entry> entries_;
-};
+using PlatformRegistry = PresetRegistry<AcceleratorConfig>;
+template <>
+PlatformRegistry &PlatformRegistry::instance();
 
 /** The preset named @p name (fatal with the known list: unknown). */
-AcceleratorConfig platformPreset(const std::string &name);
+inline AcceleratorConfig
+platformPreset(const std::string &name)
+{
+    return PlatformRegistry::instance().preset(name);
+}
 
 /** Serialize a full platform description (every field + energy). */
 std::string acceleratorToJson(const AcceleratorConfig &accel);

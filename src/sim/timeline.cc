@@ -79,7 +79,7 @@ Timeline
 buildTimeline(CostModel &model, const Partition &p, const BufferConfig &buf)
 {
     Timeline tl;
-    tl.cores = std::max(1, model.accel().cores);
+    tl.cores = model.cores();
     auto blocks = p.blocks();
     double cursor = 0.0;
     for (size_t i = 0; i < blocks.size(); ++i) {

@@ -8,7 +8,7 @@
 #include "mem/buffer_config.h"
 #include "partition/partition.h"
 #include "search/genome.h"
-#include "sim/accelerator.h"
+#include "sim/multicore.h"
 
 namespace cocco {
 
@@ -122,7 +122,8 @@ hashGenome(uint64_t h, const Genome &genome, const DseSpace &space)
 }
 
 uint64_t
-hashAccelerator(uint64_t h, const AcceleratorConfig &accel)
+hashAccelerator(uint64_t h, const AcceleratorConfig &accel, int cores,
+                const InterconnectConfig &ic)
 {
     h = hashI64(h, accel.peRows);
     h = hashI64(h, accel.peCols);
@@ -132,14 +133,14 @@ hashAccelerator(uint64_t h, const AcceleratorConfig &accel)
     h = hashI64(h, accel.maxRegions);
     h = hashI64(h, accel.channelAlign);
     h = hashU64(h, accel.doubleBufferWeights ? 1 : 0);
-    h = hashI64(h, accel.cores);
+    h = hashI64(h, cores);
     h = hashI64(h, accel.batch);
-    h = hashDouble(h, accel.crossbarBytesPerCycle);
+    h = hashDouble(h, ic.bytesPerCycle);
     h = hashDouble(h, accel.energy.dramPjPerByte);
     h = hashDouble(h, accel.energy.sramBasePjPerByte);
     h = hashDouble(h, accel.energy.sramSlopePjPerByte);
     h = hashDouble(h, accel.energy.macPj);
-    h = hashDouble(h, accel.energy.crossbarPjPerByte);
+    h = hashDouble(h, ic.pjPerByteHop);
     return h;
 }
 

@@ -28,6 +28,7 @@ struct BufferConfig;
 struct CapacityGrid;
 struct DseSpace;
 struct Genome;
+struct InterconnectConfig;
 struct Partition;
 class Graph;
 
@@ -95,8 +96,12 @@ uint64_t hashDseSpace(uint64_t h, const DseSpace &space);
  *  that decode identically hash identically). */
 uint64_t hashGenome(uint64_t h, const Genome &genome, const DseSpace &space);
 
-/** Fold an accelerator platform (every field the cost model reads). */
-uint64_t hashAccelerator(uint64_t h, const AcceleratorConfig &accel);
+/** Fold an accelerator platform as a model of @p cores cores of it
+ *  behind the resolved interconnect @p ic sees it (every value the
+ *  cost model reads; @p ic in place of the platform's own crossbar
+ *  fields). */
+uint64_t hashAccelerator(uint64_t h, const AcceleratorConfig &accel,
+                         int cores, const InterconnectConfig &ic);
 
 /** Fold a workload graph's identity: name, size, edge structure and
  *  per-layer shape content. */

@@ -2,11 +2,10 @@
  * @file
  * Tests for the deployment subsystem (sim/deployment.h): the crossbar
  * model invariants (single core is exactly zero-cost, crossbar terms
- * scale monotonically with core count), bit-identity of homogeneous
- * deployments with the plain multi-core accelerator, heterogeneous
- * composition, content-hash fencing, the registry/JSON frontends, the
- * spec-level integration, per-core timeline lanes, and determinism of
- * deployment exploration across thread counts.
+ * scale monotonically with core count), the inherited interconnect,
+ * heterogeneous composition, content-hash fencing, the registry/JSON
+ * frontends, the spec-level integration, per-core timeline lanes, and
+ * determinism of deployment exploration across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -128,19 +127,6 @@ TEST(Deployment, UnsetInterconnectInheritsThePlatformCrossbar)
     EXPECT_EQ(mixed.pjPerByteHop, 10.0);
 }
 
-TEST(Deployment, FoldMatchesDirectMulticoreConfig)
-{
-    AcceleratorConfig direct; // the paper platform, scaled by hand
-    direct.cores = 4;
-
-    DeploymentConfig dep =
-        homogeneousDeployment(AcceleratorConfig{}, 4);
-    EXPECT_TRUE(dep.homogeneous());
-    AcceleratorConfig folded = foldDeployment(dep.coreConfigs[0], dep);
-    EXPECT_EQ(hashFinalize(hashAccelerator(kHashSeed, folded)),
-              hashFinalize(hashAccelerator(kHashSeed, direct)));
-}
-
 // --- Crossbar invariants -----------------------------------------------------
 
 TEST(Deployment, SingleCoreIsExactlyZeroCost)
@@ -167,44 +153,41 @@ TEST(Deployment, SingleCoreIsExactlyZeroCost)
     EXPECT_EQ(bd.crossbarCycles, 0.0);
 }
 
-TEST(Deployment, HomogeneousMatchesPlainMulticoreBitwise)
+TEST(Deployment, InheritedCrossbarMatchesExplicitInterconnect)
 {
+    // A platform with a customized built-in crossbar keeps it when
+    // deployed without an explicit interconnect (regression: the
+    // interconnect must inherit, not reset to the struct defaults):
+    // it costs and hashes exactly like that crossbar given as the
+    // interconnect, over the same platform or over plain simba.
     Graph g = chain();
     Partition p = Partition::fixedRuns(g, 2);
     p.canonicalize(g);
     BufferConfig buf = roomyShared();
 
-    for (int cores : {2, 4}) {
-        AcceleratorConfig direct;
-        direct.cores = cores;
-        CostModel plain(g, direct);
-        DeploymentCostModel dep(
-            g, homogeneousDeployment(AcceleratorConfig{}, cores));
-
-        GraphCost a = plain.partitionCost(p, buf);
-        GraphCost b = dep.partitionCost(p, buf);
-        EXPECT_EQ(a.emaBytes, b.emaBytes);
-        EXPECT_EQ(a.energyPj, b.energyPj);
-        EXPECT_EQ(a.latencyCycles, b.latencyCycles);
-        EXPECT_EQ(plain.contextHash(kHashSeed),
-                  dep.contextHash(kHashSeed));
-    }
-
-    // A platform with a customized built-in crossbar keeps it when
-    // deployed without an explicit interconnect (regression: the
-    // interconnect must inherit, not reset to the struct defaults).
     AcceleratorConfig custom;
     custom.crossbarBytesPerCycle = 64.0;
     custom.energy.crossbarPjPerByte = 10.0;
-    AcceleratorConfig custom_direct = custom;
-    custom_direct.cores = 2;
-    CostModel plain(g, custom_direct);
-    DeploymentCostModel dep(g, homogeneousDeployment(custom, 2));
-    EXPECT_EQ(plain.partitionCost(p, buf).energyPj,
-              dep.partitionCost(p, buf).energyPj);
-    EXPECT_EQ(plain.partitionCost(p, buf).latencyCycles,
-              dep.partitionCost(p, buf).latencyCycles);
-    EXPECT_EQ(plain.contextHash(kHashSeed), dep.contextHash(kHashSeed));
+    InterconnectConfig ic;
+    ic.bytesPerCycle = 64.0;
+    ic.pjPerByteHop = 10.0;
+    DeploymentCostModel inherited(g, homogeneousDeployment(custom, 2));
+    const GraphCost want = inherited.partitionCost(p, buf);
+    for (const AcceleratorConfig &core : {custom, AcceleratorConfig{}}) {
+        DeploymentCostModel given(g, homogeneousDeployment(core, 2, ic));
+        const GraphCost got = given.partitionCost(p, buf);
+        EXPECT_EQ(got.emaBytes, want.emaBytes);
+        EXPECT_EQ(got.energyPj, want.energyPj);
+        EXPECT_EQ(got.latencyCycles, want.latencyCycles);
+        EXPECT_EQ(given.contextHash(kHashSeed),
+                  inherited.contextHash(kHashSeed));
+    }
+
+    // The custom crossbar is in play: simba's own costs differ.
+    DeploymentCostModel simba(g,
+                              homogeneousDeployment(AcceleratorConfig{}, 2));
+    EXPECT_NE(simba.partitionCost(p, buf).energyPj, want.energyPj);
+    EXPECT_NE(simba.contextHash(kHashSeed), inherited.contextHash(kHashSeed));
 }
 
 TEST(Deployment, CrossbarTermsScaleMonotonicallyWithCores)
@@ -233,9 +216,9 @@ TEST(Deployment, CrossbarTermsScaleMonotonicallyWithCores)
         for (const auto &blk : p.blocks()) {
             const SubgraphProfile &prof = m.profile(blk);
             if (cores == 1)
-                EXPECT_EQ(crossbarBytes(prof, m.accel()), 0);
+                EXPECT_EQ(crossbarBytes(prof, m.accel(), m.cores()), 0);
             else
-                EXPECT_GT(crossbarBytes(prof, m.accel()), 0);
+                EXPECT_GT(crossbarBytes(prof, m.accel(), m.cores()), 0);
         }
     }
 }
@@ -416,6 +399,9 @@ TEST(Deployment, JsonRejectsMalformedDocuments)
     reject("{\"interconnect\": {\"pjPerByteHop\": -0.5}}",
            "pjPerByteHop");
     reject("{\"base\": \"no-such-deployment\"}", "unknown deployment");
+    // A core platform is one core.
+    reject("{\"corePlatforms\": [{\"cores\": 2}]}",
+           "unknown deployment key \"corePlatforms[0].cores\"");
 }
 
 TEST(Deployment, DuplicateKeysAreErrors)
@@ -509,11 +495,6 @@ TEST(Deployment, ResolveDeployment)
     ASSERT_TRUE(resolveDeployment(bl, base, &dep, &err)) << err;
     EXPECT_EQ(dep.cores(), 4);
     EXPECT_FALSE(dep.homogeneous());
-
-    // A multi-core base platform cannot be scaled out again.
-    AcceleratorConfig x4 = platformPreset("simba-x4");
-    EXPECT_FALSE(resolveDeployment(quad, x4, &dep, &err));
-    EXPECT_NE(err.find("multi-core"), std::string::npos);
 
     // Several sources at once is an error.
     DeploymentSpec multi;

@@ -37,7 +37,7 @@ const char *const kFullSpec = R"({
                "macsPerPe": 32, "clockGhz": 1.25,
                "dramGBpsPerCore": 12.5, "maxRegions": 48,
                "channelAlign": 4, "doubleBufferWeights": true,
-               "cores": 1, "batch": 2, "crossbarBytesPerCycle": 128.5,
+               "batch": 2, "crossbarBytesPerCycle": 128.5,
                "energy": {"dramPjPerByte": 90.5,
                           "sramBasePjPerByte": 0.25,
                           "sramSlopePjPerByte": 0.0125, "macPj": 0.0625,
@@ -80,7 +80,7 @@ const char *const kWorkloadSetSpec = R"({
 const char *const kPlatform = R"({
   "base": "edge", "peRows": 4, "peCols": 8, "macsPerPe": 32,
   "clockGhz": 1.25, "dramGBpsPerCore": 12.5, "maxRegions": 48,
-  "channelAlign": 4, "doubleBufferWeights": true, "cores": 2,
+  "channelAlign": 4, "doubleBufferWeights": true,
   "batch": 2, "crossbarBytesPerCycle": 128.5,
   "energy": {"dramPjPerByte": 90.5, "sramBasePjPerByte": 0.25,
              "sramSlopePjPerByte": 0.0125, "macPj": 0.0625,
@@ -133,7 +133,7 @@ TEST(Documents, RunSpecRefusesEveryMutation)
 {
     const int n = expectEveryMutationRefused(parsed(kFullSpec), Keys(),
                                              specReason);
-    EXPECT_GE(n, 300);
+    EXPECT_GE(n, 295);
 }
 
 TEST(Documents, WorkloadSetRefusesEveryMutation)
@@ -155,7 +155,7 @@ TEST(Documents, PlatformRefusesEveryMutation)
                       return reason<AcceleratorConfig>(text,
                                                        acceleratorFromJson);
                   }),
-              70);
+              65);
 }
 
 TEST(Documents, DeploymentRefusesEveryMutation)

@@ -651,7 +651,7 @@ TEST(SpecJson, WorkloadAndPlatformSections)
     // File workload + inline platform with a preset base.
     const char *doc2 = R"({
         "workload": {"file": "net.json"},
-        "platform": {"base": "simba", "cores": 4},
+        "platform": {"base": "simba", "batch": 4},
         "samples": 100
     })";
     ASSERT_TRUE(parseJson(doc2, &v, &err)) << err;
@@ -659,7 +659,7 @@ TEST(SpecJson, WorkloadAndPlatformSections)
     ASSERT_TRUE(searchSpecFromJson(v, &spec2, &err)) << err;
     EXPECT_EQ(spec2.workload.file, "net.json");
     EXPECT_TRUE(spec2.platform.inlineConfig);
-    EXPECT_EQ(spec2.platform.config.cores, 4);
+    EXPECT_EQ(spec2.platform.config.batch, 4);
     EXPECT_EQ(spec2.platform.config.peRows, 4);
 
     // Platform file reference.
@@ -691,9 +691,25 @@ TEST(SpecJson, WorkloadAndPlatformRejections)
     reject(R"({"workload": {"params": {"widthMult": -1}}})",
            "widthMult");
     reject(R"({"platform": 7})", "platform");
-    reject(R"({"platform": {"file": "p.json", "cores": 2}})",
+    reject(R"({"platform": {"file": "p.json", "batch": 2}})",
            "other keys");
     reject(R"({"platform": {"coores": 2}})", "coores");
+    // A platform is one core: scale-out is a deployment's.
+    reject(R"({"platform": {"base": "simba", "cores": 4}})",
+           "unknown run-spec key \"platform.cores\"");
+
+    // simba-x4 is no preset: a co-schedule spec on it is refused,
+    // naming the known presets.
+    SearchSpec spec;
+    std::string err;
+    ASSERT_TRUE(parseRunSpecText(R"({"workload_set": [
+        {"name": "a", "model": "GoogleNet", "arrival_rate_hz": 10,
+         "sla_latency_ms": 50}], "platform": "simba-x4"})",
+                                 &spec, &err))
+        << err;
+    SpecRun run;
+    EXPECT_EQ(run.prepare(spec), "unknown platform \"simba-x4\" (known: "
+                                 "simba, edge, cloud)");
 }
 
 // --- The one spec rule ------------------------------------------------------

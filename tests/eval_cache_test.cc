@@ -215,10 +215,11 @@ TEST(Hash, GraphAndAcceleratorFingerprints)
     EXPECT_EQ(hashGraph(kHashSeed, a), hashGraph(kHashSeed, a));
     EXPECT_NE(hashGraph(kHashSeed, a), hashGraph(kHashSeed, b));
 
-    AcceleratorConfig ac1, ac2;
-    ac2.cores = 4;
-    EXPECT_NE(hashAccelerator(kHashSeed, ac1),
-              hashAccelerator(kHashSeed, ac2));
+    // Two core counts of one platform hash apart.
+    AcceleratorConfig ac;
+    const InterconnectConfig ic = resolveInterconnect({}, ac);
+    EXPECT_NE(hashAccelerator(kHashSeed, ac, 1, ic),
+              hashAccelerator(kHashSeed, ac, 4, ic));
 }
 
 // --- EvalCache accounting and LRU order -------------------------------------

@@ -294,10 +294,10 @@ repairToCapacity(const Graph &g, Partition p, CostModel &model,
             auto blocks = p.blocks();
             for (size_t i = 0; i + 1 < blocks.size(); ++i) {
                 int64_t wa = ceilDiv(model.profile(blocks[i]).weightBytes,
-                                     model.accel().cores);
+                                     model.cores());
                 int64_t wb =
                     ceilDiv(model.profile(blocks[i + 1]).weightBytes,
-                            model.accel().cores);
+                            model.cores());
                 if (wa > cap || wb > cap || wa + wb <= cap)
                     continue;
                 const auto &heavy = wa >= wb ? blocks[i] : blocks[i + 1];

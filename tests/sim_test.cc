@@ -94,7 +94,6 @@ expectSameAccel(const AcceleratorConfig &a, const AcceleratorConfig &b)
     EXPECT_EQ(a.maxRegions, b.maxRegions);
     EXPECT_EQ(a.channelAlign, b.channelAlign);
     EXPECT_EQ(a.doubleBufferWeights, b.doubleBufferWeights);
-    EXPECT_EQ(a.cores, b.cores);
     EXPECT_EQ(a.batch, b.batch);
     EXPECT_DOUBLE_EQ(a.crossbarBytesPerCycle, b.crossbarBytesPerCycle);
     EXPECT_DOUBLE_EQ(a.energy.dramPjPerByte, b.energy.dramPjPerByte);
@@ -120,7 +119,7 @@ TEST(Platform, BuiltinPresetsRegistered)
 {
     const PlatformRegistry &reg = PlatformRegistry::instance();
     std::vector<std::string> keys = reg.keys();
-    ASSERT_GE(keys.size(), 4u);
+    ASSERT_GE(keys.size(), 3u);
     EXPECT_EQ(keys[0], "simba");
     for (const std::string &k : keys) {
         EXPECT_TRUE(reg.contains(k));
@@ -131,7 +130,6 @@ TEST(Platform, BuiltinPresetsRegistered)
     }
     EXPECT_TRUE(reg.contains("edge"));
     EXPECT_TRUE(reg.contains("cloud"));
-    EXPECT_EQ(platformPreset("simba-x4").cores, 4);
 }
 
 TEST(Platform, UnknownPresetIsACleanUserError)
@@ -176,12 +174,12 @@ TEST(Platform, JsonBaseAndOverrides)
 {
     JsonValue doc;
     std::string err;
-    ASSERT_TRUE(parseJson(R"({"base": "edge", "cores": 2})", &doc, &err));
+    ASSERT_TRUE(parseJson(R"({"base": "edge", "batch": 2})", &doc, &err));
     AcceleratorConfig c;
     ASSERT_TRUE(acceleratorFromJson(doc, &c, &err)) << err;
     EXPECT_EQ(c.peRows, 2);                 // from the edge base
     EXPECT_DOUBLE_EQ(c.dramGBpsPerCore, 8.0);
-    EXPECT_EQ(c.cores, 2);                  // the override
+    EXPECT_EQ(c.batch, 2);                  // the override
 }
 
 TEST(Platform, JsonRejectsMalformedDocuments)
@@ -202,20 +200,25 @@ TEST(Platform, JsonRejectsMalformedDocuments)
     reject(R"({"energy": {"macPj": -0.1}})", ">= 0"); // negative energy
     reject(R"({"energy": {"watts": 1}})", "watts");  // unknown energy key
     reject(R"({"batch": 2.5})", "integer");          // non-integer
+    // A platform is one core: scale-out is a deployment's.
+    reject(R"({"cores": 2})", "unknown platform key \"cores\"");
+    reject(R"({"base": "simba-x4"})",
+           "\"base\" names an unknown platform \"simba-x4\" (known: "
+           "simba, edge, cloud)");
 }
 
 TEST(Platform, DuplicateKeysAreErrors)
 {
-    // The file's second "cores" used to win.
+    // The file's second "batch" used to win.
     const std::string path = ::testing::TempDir() + "cocco_dup_platform.json";
     std::FILE *f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("{\"base\": \"simba\", \"cores\": 2, \"cores\": 1}\n", f);
+    std::fputs("{\"base\": \"simba\", \"batch\": 2, \"batch\": 1}\n", f);
     std::fclose(f);
     AcceleratorConfig c;
     std::string err;
     EXPECT_FALSE(loadPlatformJson(path, &c, &err));
-    EXPECT_NE(err.find("duplicate key \"cores\""), std::string::npos) << err;
+    EXPECT_NE(err.find("duplicate key \"batch\""), std::string::npos) << err;
     std::remove(path.c_str());
 }
 
@@ -654,9 +657,8 @@ TEST_P(CoreSweep, LatencyDropsEnergyRises)
 {
     int cores = GetParam();
     Graph g = buildGoogleNet();
-    AcceleratorConfig accel;
-    accel.cores = cores;
-    CostModel model(g, accel);
+    DeploymentCostModel model(
+        g, homogeneousDeployment(AcceleratorConfig{}, cores));
 
     AcceleratorConfig base;
     CostModel model1(g, base);
@@ -687,10 +689,10 @@ TEST(Multicore, CrossbarTermsVanishOnSingleCore)
     prof.weightBytes = 1000;
     prof.inBytes = 500;
     AcceleratorConfig accel;
-    accel.cores = 1;
-    EXPECT_EQ(crossbarBytes(prof, accel), 0);
-    EXPECT_DOUBLE_EQ(crossbarEnergyPj(prof, accel), 0.0);
-    EXPECT_DOUBLE_EQ(crossbarCycles(prof, accel), 0.0);
+    const InterconnectConfig ic = resolveInterconnect({}, accel);
+    EXPECT_EQ(crossbarBytes(prof, accel, 1), 0);
+    EXPECT_DOUBLE_EQ(crossbarEnergyPj(prof, accel, 1, ic), 0.0);
+    EXPECT_DOUBLE_EQ(crossbarCycles(prof, accel, 1, ic), 0.0);
 }
 
 TEST(Multicore, CrossbarTrafficScalesWithHops)
@@ -699,9 +701,8 @@ TEST(Multicore, CrossbarTrafficScalesWithHops)
     prof.weightBytes = 1000;
     prof.inBytes = 500;
     AcceleratorConfig accel;
-    accel.cores = 4;
     accel.batch = 1;
-    EXPECT_EQ(crossbarBytes(prof, accel), (1000 + 500) * 3);
+    EXPECT_EQ(crossbarBytes(prof, accel, 4), (1000 + 500) * 3);
 }
 
 TEST(Multicore, WeightShardingEnablesSmallerBuffers)
@@ -722,9 +723,7 @@ TEST(Multicore, WeightShardingEnablesSmallerBuffers)
     CostModel m1(g, one);
     EXPECT_FALSE(m1.fits({1, 2}, buf));
 
-    AcceleratorConfig four;
-    four.cores = 4;
-    CostModel m4(g, four);
+    DeploymentCostModel m4(g, homogeneousDeployment(one, 4));
     EXPECT_TRUE(m4.fits({1, 2}, buf));
 }
 
@@ -1043,8 +1042,8 @@ TEST(MemoFastPaths, PublishedProfilesMatchAFreshModel)
     // Blocks that share a first node take turns in its published slot;
     // two models on one thread must never answer from the other's.
     Graph g = buildGoogleNet();
-    AcceleratorConfig four;
-    four.cores = 4;
+    const DeploymentConfig four =
+        homogeneousDeployment(AcceleratorConfig{}, 4);
     std::vector<std::vector<NodeId>> blocks;
     for (int run : {2, 3, 5, 8})
         for (auto &blk : repairStructure(g, Partition::fixedRuns(g, run))
@@ -1067,12 +1066,14 @@ TEST(MemoFastPaths, PublishedProfilesMatchAFreshModel)
     };
     std::vector<Want> want_a, want_b;
     for (const auto &blk : blocks) {
-        CostModel fa(g, AcceleratorConfig{}), fb(g, four);
+        CostModel fa(g, AcceleratorConfig{});
+        DeploymentCostModel fb(g, four);
         want_a.push_back({fa.profile(blk), fa.subgraphCost(blk, buf)});
         want_b.push_back({fb.profile(blk), fb.subgraphCost(blk, buf)});
     }
 
-    CostModel a(g, AcceleratorConfig{}), b(g, four);
+    CostModel a(g, AcceleratorConfig{});
+    DeploymentCostModel b(g, four);
     a.setPruning(true);
     b.setPruning(true);
     for (int round = 0; round < 3; ++round)
@@ -1236,14 +1237,13 @@ TEST(BlockCostRows, NeverAlias)
 
     // Two models over different accelerators, interleaved on one
     // thread: each row answers with its own model's costs.
-    AcceleratorConfig four;
-    four.cores = 4;
-    CostModel quad(g, four);
+    const AcceleratorConfig server = platformPreset("cloud");
+    CostModel cloud(g, server);
     const std::vector<NodeId> blk = {3, 4, 5};
     ASSERT_NE(simba.subgraphCost(blk, buf).energyPj,
-              quad.subgraphCost(blk, buf).energyPj);
+              cloud.subgraphCost(blk, buf).energyPj);
     for (int round = 0; round < 3; ++round)
-        for (CostModel *m : {&simba, &quad}) {
+        for (CostModel *m : {&simba, &cloud}) {
             BlockCostRow &row = blockCostRow(*m, buf);
             if (!row.lookupBlock(blk, buf, &out)) {
                 out = m->subgraphCost(blk, buf);
@@ -1263,7 +1263,7 @@ TEST(BlockCostRows, NeverAlias)
         BlockCostRow &row = blockCostRow(*gone, buf);
         row.insertBlock(blk, buf, gone->subgraphCost(blk, buf));
     }
-    auto next = std::make_unique<CostModel>(g, four);
+    auto next = std::make_unique<CostModel>(g, server);
     EXPECT_NE(next->id(), gone_id);
     EXPECT_FALSE(blockCostRow(*next, buf).lookupBlock(blk, buf, &out));
 }
