@@ -6,7 +6,7 @@ void
 fillResultMetrics(const CoccoResult &r, bool paretoMode, RunMetrics *m)
 {
     if (!r.racers.empty()) {
-        m->hasPortfolio = true;
+        m->hasRace = true;
         for (const RacerStats &rs : r.racers) {
             RunMetrics::RacerMetrics rm;
             rm.algo = rs.algo;
@@ -98,9 +98,7 @@ CoccoResult
 CoccoFramework::explore(const SearchSpec &spec,
                         const std::vector<Partition> &seed_partitions)
 {
-    DseSpace space = spec.eval.coExplore
-                         ? DseSpace::paperSpace(spec.style)
-                         : DseSpace::fixedSpace(spec.fixedBuffer);
+    DseSpace space = searchSpace(spec);
     if (spec.paretoMode && !spec.eval.pareto) {
         // Frontier mode: materialize the archive here and hand it to
         // the drivers through the eval core (a portfolio fans it out

@@ -111,7 +111,7 @@ runFields(V &v, R &r)
             v.field("sla_violation", t.slaViolation);
         });
     }, &r.hasTenants);
-    v.object(opt("portfolio", r.hasPortfolio), [&] {
+    v.object(opt("portfolio", r.hasRace), [&] {
         v.field("winner", r.portfolioWinner);
         v.objects("racers", r.racers, [&](auto &rc) {
             v.field("algo", rc.algo);
@@ -132,7 +132,7 @@ runFields(V &v, R &r)
                                              rc.algo == r.portfolioWinner;
                                   }),
                       "names a winner that no racer is flagged as"));
-    }, &r.hasPortfolio);
+    }, &r.hasRace);
     v.object(opt("pareto", r.hasPareto), [&] {
         v.field("frontier_size", static_cast<int64_t>(r.frontier.size()));
         v.field("hypervolume", r.hypervolume);

@@ -92,7 +92,7 @@ struct RunMetrics
         bool winner = false;
         std::string stop; ///< stopReasonName of the racer's end
     };
-    bool hasPortfolio = false;
+    bool hasRace = false;
     std::string portfolioWinner;
     std::vector<RacerMetrics> racers;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -110,18 +109,6 @@ constexpr int kCacheVersion = 3;
 
 /** Guard against absurd vector lengths from corrupt files. */
 constexpr int kMaxPersistedNodes = 1 << 22;
-
-/**
- * Read one block id of an @p n-node assignment. Ids outside [0, n)
- * never come from a partition of n nodes; accepting one would index
- * block lists out of bounds (negative) or size id-indexed tables by it.
- */
-bool
-readBlockId(std::FILE *f, size_t n, int *id)
-{
-    return std::fscanf(f, "%d", id) == 1 && *id >= 0 &&
-           static_cast<size_t>(*id) < n;
-}
 
 /**
  * Write-then-rename: @p write fills `path.tmp`, which replaces @p path
@@ -505,230 +492,17 @@ loadEvalCache(EvalCache &cache, const std::string &path, std::string *err)
 
 
 // --- Search checkpoints --------------------------------------------------
-
-namespace {
-
-constexpr const char *kCheckpointMagic = "COCCO-CHECKPOINT";
-
-/** Sanity ceiling for persisted trace/points/population lengths. */
-constexpr int64_t kMaxPersistedSamples = 1LL << 26;
-
-void
-writeGenome(std::FILE *f, const Genome &g)
-{
-    std::fprintf(f, "%d %d %d %d %zu", g.actIdx, g.weightIdx, g.sharedIdx,
-                 g.part.numBlocks, g.part.block.size());
-    for (int b : g.part.block)
-        std::fprintf(f, " %d", b);
-}
-
-bool
-readGenome(std::FILE *f, Genome *g)
-{
-    size_t n = 0;
-    if (std::fscanf(f, "%d %d %d %d %zu", &g->actIdx, &g->weightIdx,
-                    &g->sharedIdx, &g->part.numBlocks, &n) != 5 ||
-        n > static_cast<size_t>(kMaxPersistedNodes))
-        return false;
-    g->part.block.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        if (!readBlockId(f, n, &g->part.block[i]))
-            return false;
-    return true;
-}
-
-bool
-readTag(std::FILE *f, const char *want)
-{
-    char tag[4] = {0};
-    return std::fscanf(f, "%3s", tag) == 1 &&
-           std::string(tag) == std::string(want);
-}
-
-/** Serialize one driver's state (the A..W sections). Shared between
- *  the top-level snapshot and the portfolio's nested racer
- *  snapshots, which use the identical encoding (nesting is one level
- *  deep: racer bodies never carry a Q section of their own). */
-void
-writeCheckpointBody(std::FILE *f, const SearchCheckpoint &c)
-{
-    std::fprintf(f, "A %s %" PRIx64 " %" PRIx64 "\n", c.algo.c_str(),
-                 c.fence, c.seed);
-    std::fprintf(f, "S %lld %a %lld %" PRIx64 "\n",
-                 static_cast<long long>(c.samples), c.bestCost,
-                 static_cast<long long>(c.sinceImprove), c.streamCounter);
-    std::fprintf(f, "R %" PRIx64 " %" PRIx64 " %" PRIx64 " %" PRIx64 "\n",
-                 c.rng[0], c.rng[1], c.rng[2], c.rng[3]);
-    std::fprintf(f, "B ");
-    writeGenome(f, c.best);
-    std::fputc('\n', f);
-    std::fprintf(f, "T %zu\n", c.trace.size());
-    for (const TracePoint &tp : c.trace)
-        std::fprintf(f, "t %lld %a\n", static_cast<long long>(tp.sample),
-                     tp.bestCost);
-    std::fprintf(f, "P %zu\n", c.points.size());
-    for (const SamplePoint &sp : c.points)
-        std::fprintf(f, "p %lld %a %lld\n",
-                     static_cast<long long>(sp.sample), sp.metric,
-                     static_cast<long long>(sp.bufferBytes));
-    size_t npop = std::min(c.population.size(), c.popCosts.size());
-    std::fprintf(f, "G %zu\n", npop);
-    for (size_t i = 0; i < npop; ++i) {
-        std::fprintf(f, "g %a ", c.popCosts[i]);
-        writeGenome(f, c.population[i]);
-        std::fputc('\n', f);
-    }
-    if (c.hasSa) {
-        std::fprintf(f, "V 1 %a %a ", c.saCurCost, c.saT0);
-        writeGenome(f, c.saCur);
-        std::fputc('\n', f);
-    } else {
-        std::fprintf(f, "V 0\n");
-    }
-    if (c.hasTs) {
-        std::fprintf(f,
-                     "W 1 %lld %" PRIx64 " %" PRIu64 " %" PRIu64
-                     " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                     " %d %lld %lld %lld\n",
-                     static_cast<long long>(c.tsCandidate), c.tsSubSeed,
-                     c.tsBoundRejections, c.tsBoundSkippedSamples,
-                     c.tsDelta.reports, c.tsDelta.nodesTouched,
-                     c.tsDelta.hwOnly, c.tsDelta.rewrites,
-                     static_cast<int>(c.tsBestBuffer.style),
-                     static_cast<long long>(c.tsBestBuffer.actBytes),
-                     static_cast<long long>(c.tsBestBuffer.weightBytes),
-                     static_cast<long long>(c.tsBestBuffer.sharedBytes));
-    } else {
-        std::fprintf(f, "W 0\n");
-    }
-}
-
-/** Parse one driver's state (the A..W sections) into @p out. Returns
- *  nullptr on success, else a static failure reason. */
-const char *
-readCheckpointBody(std::FILE *f, SearchCheckpoint *out)
-{
-    SearchCheckpoint &c = *out;
-    char algo[32] = {0};
-    long long samples = 0, since = 0;
-    if (!readTag(f, "A") ||
-        std::fscanf(f, "%31s %" SCNx64 " %" SCNx64, algo, &c.fence,
-                    &c.seed) != 3)
-        return "corrupt header";
-    c.algo = algo;
-    if (!readTag(f, "S") ||
-        std::fscanf(f, "%lld %la %lld %" SCNx64, &samples, &c.bestCost,
-                    &since, &c.streamCounter) != 4 ||
-        samples < 0 || samples > kMaxPersistedSamples)
-        return "corrupt run state";
-    c.samples = samples;
-    c.sinceImprove = since;
-    if (!readTag(f, "R") ||
-        std::fscanf(f, "%" SCNx64 " %" SCNx64 " %" SCNx64 " %" SCNx64,
-                    &c.rng[0], &c.rng[1], &c.rng[2], &c.rng[3]) != 4)
-        return "corrupt RNG state";
-    if (!readTag(f, "B") || !readGenome(f, &c.best))
-        return "corrupt incumbent genome";
-
-    size_t count = 0;
-    if (!readTag(f, "T") || std::fscanf(f, "%zu", &count) != 1 ||
-        count > static_cast<size_t>(kMaxPersistedSamples))
-        return "corrupt trace header";
-    c.trace.resize(count);
-    for (TracePoint &tp : c.trace) {
-        if (!readTag(f, "t") ||
-            std::fscanf(f, "%lld %la", &samples, &tp.bestCost) != 2)
-            return "corrupt trace entry";
-        tp.sample = samples;
-    }
-    if (!readTag(f, "P") || std::fscanf(f, "%zu", &count) != 1 ||
-        count > static_cast<size_t>(kMaxPersistedSamples))
-        return "corrupt points header";
-    c.points.resize(count);
-    for (SamplePoint &sp : c.points) {
-        long long bytes = 0;
-        if (!readTag(f, "p") ||
-            std::fscanf(f, "%lld %la %lld", &samples, &sp.metric,
-                        &bytes) != 3)
-            return "corrupt points entry";
-        sp.sample = samples;
-        sp.bufferBytes = bytes;
-    }
-    if (!readTag(f, "G") || std::fscanf(f, "%zu", &count) != 1 ||
-        count > static_cast<size_t>(1 << 20))
-        return "corrupt population header";
-    c.population.resize(count);
-    c.popCosts.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-        if (!readTag(f, "g") ||
-            std::fscanf(f, "%la", &c.popCosts[i]) != 1 ||
-            !readGenome(f, &c.population[i]))
-            return "corrupt population entry";
-    }
-
-    int flag = 0;
-    if (!readTag(f, "V") || std::fscanf(f, "%d", &flag) != 1)
-        return "corrupt SA section";
-    if (flag) {
-        c.hasSa = true;
-        if (std::fscanf(f, "%la %la", &c.saCurCost, &c.saT0) != 2 ||
-            !readGenome(f, &c.saCur))
-            return "corrupt SA section";
-    }
-    if (!readTag(f, "W") || std::fscanf(f, "%d", &flag) != 1)
-        return "corrupt two-step section";
-    if (flag) {
-        c.hasTs = true;
-        long long cand = 0, act = 0, wgt = 0, shr = 0;
-        int style = 0;
-        if (std::fscanf(f,
-                        "%lld %" SCNx64 " %" SCNu64 " %" SCNu64
-                        " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                        " %d %lld %lld %lld",
-                        &cand, &c.tsSubSeed, &c.tsBoundRejections,
-                        &c.tsBoundSkippedSamples, &c.tsDelta.reports,
-                        &c.tsDelta.nodesTouched, &c.tsDelta.hwOnly,
-                        &c.tsDelta.rewrites, &style, &act, &wgt,
-                        &shr) != 12 ||
-            cand < 0 || (style != 0 && style != 1))
-            return "corrupt two-step section";
-        c.tsCandidate = cand;
-        c.tsBestBuffer.style = static_cast<BufferStyle>(style);
-        c.tsBestBuffer.actBytes = act;
-        c.tsBestBuffer.weightBytes = wgt;
-        c.tsBestBuffer.sharedBytes = shr;
-    }
-    return nullptr;
-}
-
-/** Racer-count ceiling in a persisted portfolio checkpoint. The
- *  registry holds a handful of algorithms; anything beyond this is a
- *  corrupt or hostile file, not a real race. */
-constexpr size_t kMaxPersistedRacers = 64;
-
-} // namespace
+// The text itself is search/checkpoint's (each driver section sits
+// with its codec there); this is the file around it.
 
 bool
 saveCheckpoint(const SearchCheckpoint &c, const std::string &path)
 {
     // A crash mid-write must never replace the previous good
     // checkpoint with a truncated one.
+    const std::string text = encodeCheckpoint(c);
     return writeFileAtomically(path, [&](std::FILE *f) {
-        std::fprintf(f, "%s %d\n", kCheckpointMagic,
-                     SearchCheckpoint::kVersion);
-        writeCheckpointBody(f, c);
-        // Portfolio section: racer state + one nested body per racer
-        // (one nesting level only — racer snapshots never carry a Q of
-        // their own, matching the struct contract).
-        size_t nracers =
-            c.hasPortfolio ? std::min(c.racers.size(), c.racerState.size())
-                           : 0;
-        std::fprintf(f, "Q %zu\n", nracers);
-        for (size_t i = 0; i < nracers; ++i) {
-            std::fprintf(f, "q %d\n", c.racerState[i]);
-            writeCheckpointBody(f, c.racers[i]);
-        }
-        std::fprintf(f, "END\n");
+        std::fwrite(text.data(), 1, text.size(), f);
     });
 }
 
@@ -736,53 +510,23 @@ bool
 loadCheckpoint(const std::string &path, SearchCheckpoint *out,
                std::string *err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    auto fail = [&](const std::string &what) {
-        if (err)
-            *err = path + ": " + what;
-        if (f)
-            std::fclose(f);
-        return false;
-    };
-    if (!f)
-        return fail("cannot open checkpoint file");
-    char magic[32] = {0};
-    int version = 0;
-    if (std::fscanf(f, "%31s %d", magic, &version) != 2 ||
-        std::string(magic) != kCheckpointMagic)
-        return fail("not a cocco checkpoint file");
-    if (version != SearchCheckpoint::kVersion)
-        return fail(strprintf("unsupported checkpoint format version %d "
-                              "(this build reads %d)",
-                              version, SearchCheckpoint::kVersion));
-
-    SearchCheckpoint c;
-    if (const char *why = readCheckpointBody(f, &c))
-        return fail(why);
-    size_t nracers = 0;
-    if (!readTag(f, "Q") || std::fscanf(f, "%zu", &nracers) != 1 ||
-        nracers > kMaxPersistedRacers)
-        return fail("corrupt portfolio header");
-    if (nracers > 0) {
-        c.hasPortfolio = true;
-        c.racers.resize(nracers);
-        c.racerState.resize(nracers);
-        for (size_t i = 0; i < nracers; ++i) {
-            int state = 0;
-            if (!readTag(f, "q") || std::fscanf(f, "%d", &state) != 1 ||
-                state < SearchCheckpoint::kRacerActive ||
-                state > SearchCheckpoint::kRacerFinished)
-                return fail("corrupt racer state");
-            c.racerState[i] = state;
-            if (const char *why = readCheckpointBody(f, &c.racers[i]))
-                return fail(why);
-        }
+    std::string text, why;
+    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
+        char buf[1 << 16];
+        size_t n;
+        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+            text.append(buf, n);
+        if (std::ferror(f))
+            why = "cannot read checkpoint file";
+        std::fclose(f);
+    } else {
+        why = "cannot open checkpoint file";
     }
-    if (!readTag(f, "END"))
-        return fail("truncated checkpoint file");
-    std::fclose(f);
-    *out = std::move(c);
-    return true;
+    if (why.empty())
+        why = decodeCheckpoint(text, out);
+    if (!why.empty() && err)
+        *err = path + ": " + why;
+    return why.empty();
 }
 
 // --- Workload & platform resolution -------------------------------------

@@ -83,23 +83,26 @@ int loadEvalCache(EvalCache &cache, const std::string &path,
  * Persist a mid-run search checkpoint (search/checkpoint.h) to
  * @p path.
  *
- * Same family as the cache format: line-oriented versioned text
- * ("COCCO-CHECKPOINT <version>"), hexfloat doubles for bit-exact
- * round trips. Like the cache file, a checkpoint is all-or-nothing —
- * a partial resume state would silently fork the run — so it is saved
- * by the same write-then-rename, and the loader rejects any malformed
- * or truncated content outright. The format version is
- * SearchCheckpoint::kVersion: bump it whenever the struct or its
- * encoding changes (see CONTRIBUTING).
+ * Versioned line text ("COCCO-CHECKPOINT <version>"; encodeCheckpoint),
+ * hexfloat doubles for bit-exact round trips: the shared lines, then
+ * only the saving driver's section. Like the cache file, a checkpoint
+ * is all-or-nothing — a partial resume state would silently fork the
+ * run — so it is saved by the same write-then-rename, and the loader
+ * rejects any malformed or truncated content outright. The format
+ * version is SearchCheckpoint::kVersion: bump it whenever the struct,
+ * a section or their encoding changes (see CONTRIBUTING).
  *
  * @return false when the file cannot be written.
  */
 bool saveCheckpoint(const SearchCheckpoint &c, const std::string &path);
 
 /**
- * Load a checkpoint written by saveCheckpoint into @p out.
- * @return false with *err describing the problem when the file is
- *         missing, corrupt, or carries another format version.
+ * Load a checkpoint written by saveCheckpoint into @p out
+ * (decodeCheckpoint). It knows no run: check the snapshot against one
+ * with checkpointError before resuming.
+ * @return false with *err ("<path>: <reason>") when the file is
+ *         missing, corrupt, or carries another format version; @p out
+ *         is then untouched.
  */
 bool loadCheckpoint(const std::string &path, SearchCheckpoint *out,
                     std::string *err);

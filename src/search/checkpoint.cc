@@ -1,5 +1,13 @@
 #include "search/checkpoint.h"
 
+#include <cctype>
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <cstdio>
+#include <utility>
+
+#include "search/driver.h"
 #include "search/pareto.h"
 #include "sim/cost_model.h"
 #include "util/hash.h"
@@ -33,7 +41,7 @@ baseFence(const CostModel &model, const DseSpace &space,
 } // namespace
 
 RunRecord::RunRecord(EvalEngine &engine, Rng *rng, const char *algo,
-                     uint64_t fence, Section section, bool recordPoints)
+                     uint64_t fence, SectionFn section, bool recordPoints)
     : RunRecord(engine.model(), engine.space(), engine.options(),
                 engine.monitor(), engine.cache().get(), algo, fence,
                 std::move(section))
@@ -47,7 +55,7 @@ RunRecord::RunRecord(EvalEngine &engine, Rng *rng, const char *algo,
 RunRecord::RunRecord(CostModel &model, const DseSpace &space,
                      const EvalOptions &opts, SearchMonitor &monitor,
                      EvalCache *cache, const char *algo, uint64_t fence,
-                     Section section)
+                     SectionFn section)
     : model_(model), space_(space), opts_(opts), mon_(monitor),
       cache_(cache), cacheStart_(cache ? cache->stats() : EvalCacheStats()),
       algo_(algo), fence_(fence), section_(std::move(section))
@@ -85,18 +93,30 @@ RunRecord::record(const Genome &genome, double cost)
 }
 
 SearchCheckpoint
-RunRecord::snapshot() const
+RunRecord::head() const
 {
     SearchCheckpoint c;
     c.algo = algo_;
     c.fence = fence_;
-    c.seed = opts_.seed;
-    copyShared(res_, c);
+    c.samples = res_.samples;
+    c.bestCost = res_.bestCost;
+    c.best = res_.best;
     if (rng_)
         c.rng = rng_->state();
     c.streamCounter = boundary_;
     c.sinceImprove = mon_.samplesSinceImprove();
-    section_(c);
+    c.section = section_();
+    return c;
+}
+
+SearchCheckpoint
+RunRecord::snapshot() const
+{
+    SearchCheckpoint c = held_ ? *held_ : head();
+    const size_t trace = held_ ? heldTrace_ : res_.trace.size();
+    const size_t points = held_ ? heldPoints_ : res_.points.size();
+    c.trace.assign(res_.trace.begin(), res_.trace.begin() + trace);
+    c.points.assign(res_.points.begin(), res_.points.begin() + points);
     return c;
 }
 
@@ -130,14 +150,17 @@ RunRecord::boundary()
     CheckpointHooks *ck = opts_.checkpoint;
     if (ck && ck->save &&
         ck->request.exchange(false, std::memory_order_acq_rel))
-        ck->save(held_ ? *held_ : snapshot());
+        ck->save(snapshot());
 }
 
 void
 RunRecord::hold()
 {
-    if (opts_.checkpoint && opts_.checkpoint->save)
-        held_ = snapshot();
+    if (opts_.checkpoint && opts_.checkpoint->save) {
+        held_ = head();
+        heldTrace_ = res_.trace.size();
+        heldPoints_ = res_.points.size();
+    }
 }
 
 SearchResult
@@ -152,7 +175,7 @@ RunRecord::finish(const BufferConfig *heldBuffer)
         (res_.stop == StopReason::Cancelled ||
          res_.stop == StopReason::TimeLimit) &&
         (held_ || (engine_ && res_.samples > 0)))
-        ck->save(held_ ? *held_ : snapshot());
+        ck->save(snapshot());
     if (heldBuffer ? res_.bestCost < kInfeasiblePenalty : res_.samples > 0) {
         res_.bestBuffer = heldBuffer ? *heldBuffer : res_.best.buffer(space_);
         res_.bestGraphCost =
@@ -165,45 +188,656 @@ RunRecord::finish(const BufferConfig *heldBuffer)
     return std::move(res_);
 }
 
-std::string
-checkpointGenomeError(SearchCheckpoint &c, const Graph &g)
+// --- The checkpoint text -------------------------------------------------
+// One record per line: a tag, then fields separated by single spaces.
+// Integers are decimal (hex for hashes and RNG words), doubles C99
+// hexfloats, so every value round-trips bit for bit. bodyLines and the
+// sections' lines() say once what a snapshot holds; LineWriter and
+// LineReader walk them to write and to read.
+
+namespace {
+
+constexpr const char *kCheckpointMagic = "COCCO-CHECKPOINT";
+
+/** Ceilings: a longer trace, points list or genome is a corrupt or
+ *  hostile file, not a real run. */
+constexpr int64_t kMaxPersistedSamples = 1LL << 26;
+constexpr int64_t kMaxPersistedNodes = 1LL << 22;
+
+/** A section type as a value, for eachSectionType's callback. */
+template <typename T> struct SectionType
 {
-    const int nodes = g.size();
-    auto wrong = [&](const Genome &genome, const std::string &what) {
-        const size_t len = genome.part.block.size();
-        return len == static_cast<size_t>(nodes)
-                   ? std::string()
-                   : strprintf("%s has %zu nodes, the model has %d",
-                               what.c_str(), len, nodes);
-    };
-    // Operator inputs: the check also sets their canonical flag.
-    auto uncanonical = [&](Genome &genome, const std::string &what) {
-        return genome.part.checkCanonical(g)
-                   ? std::string()
-                   : strprintf("%s is not a canonical partition (structural "
-                               "repair would renumber or split it)",
-                               what.c_str());
-    };
+    using type = T;
+};
+
+template <typename F, size_t... I>
+void
+eachSectionTypeIn(F &f, std::index_sequence<I...>)
+{
+    using Section = SearchCheckpoint::Section;
+    (f(SectionType<std::variant_alternative_t<I + 1, Section>>()), ...);
+}
+
+/** Call @p f with SectionType<T>() for every section type T. */
+template <typename F>
+void
+eachSectionType(F &&f)
+{
+    eachSectionTypeIn(
+        f, std::make_index_sequence<
+               std::variant_size_v<SearchCheckpoint::Section> - 1>());
+}
+
+/** Why @p c's section is not its algo's ("" when it is). */
+std::string
+sectionError(const SearchCheckpoint &c)
+{
+    const char *want = nullptr;
+    eachSectionType([&](auto t) {
+        using T = typename decltype(t)::type;
+        if (T::owns(c.algo))
+            want = T::kName;
+    });
+    const char *have = std::visit(
+        [](const auto &s) -> const char * {
+            using T = std::decay_t<decltype(s)>;
+            if constexpr (std::is_same_v<T, std::monostate>)
+                return nullptr;
+            else
+                return T::kName;
+        },
+        c.section);
+    if (!want)
+        return strprintf("\"%s\" runs save no checkpoint", c.algo.c_str());
+    if (!have)
+        return strprintf("the \"%s\" checkpoint has no %s section",
+                         c.algo.c_str(), want);
+    if (std::string(have) != want)
+        return strprintf("the \"%s\" checkpoint carries the %s section, "
+                         "not the %s one",
+                         c.algo.c_str(), have, want);
+    return "";
+}
+
+/** A snapshot's lines: the shared state, then its section. */
+template <typename L, typename C> void bodyLines(L &l, C &c);
+
+/** Walks the lines to append them to a text. */
+class LineWriter
+{
+  public:
+    explicit LineWriter(std::string &out) : out_(out) {}
+
+    LineWriter &
+    line(const char *tag, const char *)
+    {
+        out_ += tag;
+        return *this;
+    }
+
+    LineWriter &
+    word(const std::string &w)
+    {
+        out_ += ' ';
+        out_ += w;
+        return *this;
+    }
+
+    /** An integer (its bounds are the reader's). */
+    template <typename Int>
+    LineWriter &
+    num(Int v, int64_t = 0, int64_t = 0, int base = 10)
+    {
+        char buf[24];
+        const auto r = std::to_chars(buf, buf + sizeof buf, v, base);
+        out_ += ' ';
+        out_.append(buf, r.ptr);
+        return *this;
+    }
+
+    LineWriter &hex(uint64_t v) { return num(v, 0, 0, 16); }
+
+    LineWriter &
+    real(double v)
+    {
+        char buf[40];
+        const int n = std::snprintf(buf, sizeof buf, "%a", v);
+        out_ += ' ';
+        out_.append(buf, static_cast<size_t>(n));
+        return *this;
+    }
+
+    LineWriter &
+    genome(const Genome &g)
+    {
+        num(g.actIdx).num(g.weightIdx).num(g.sharedIdx);
+        num(g.part.numBlocks).num(g.part.block.size());
+        for (int b : g.part.block.ids())
+            num(b);
+        return *this;
+    }
+
+    LineWriter &
+    buffer(const BufferConfig &b)
+    {
+        return num(static_cast<int>(b.style))
+            .num(b.actBytes)
+            .num(b.weightBytes)
+            .num(b.sharedBytes);
+    }
+
+    template <typename T>
+    LineWriter &
+    count(const std::vector<T> &v, int64_t)
+    {
+        return num(v.size());
+    }
+
+    void end() { out_ += '\n'; }
+
+    void
+    section(const SearchCheckpoint &c)
+    {
+        std::visit(
+            [&](const auto &s) {
+                using T = std::decay_t<decltype(s)>;
+                if constexpr (!std::is_same_v<T, std::monostate>)
+                    T::lines(*this, s);
+            },
+            c.section);
+    }
+
+    void racer(const RaceEntry &e) { bodyLines(*this, e.snapshot); }
+
+  private:
+    std::string &out_;
+};
+
+/**
+ * Walks the lines to read them back, strictly: each field must have
+ * its exact form and range (no sign where none belongs, no value past
+ * its type or ceiling, no empty field, nothing left on a line), a
+ * section must be its algo's, and a race nests one level deep. The
+ * first failure wins; the lines after it read nothing.
+ */
+class LineReader
+{
+  public:
+    explicit LineReader(std::string_view text) : text_(text) {}
+
+    bool ok() const { return err_.empty(); }
+
+    /** "" or the first failure: "line N: corrupt <what>". */
+    const std::string &error() const { return err_; }
+
+    /** Take the next line, which must open with @p tag; @p what names
+     *  it in a failure. */
+    LineReader &
+    line(const char *tag, const char *what)
+    {
+        if (!ok())
+            return *this;
+        what_ = what;
+        const size_t end = text_.find('\n', pos_);
+        if (end == std::string_view::npos) {
+            err_ = "truncated checkpoint file";
+            return *this;
+        }
+        ++lineNo_;
+        rest_ = text_.substr(pos_, end - pos_);
+        pos_ = end + 1;
+        const size_t n = std::min(rest_.find(' '), rest_.size());
+        if (rest_.substr(0, n) != tag)
+            bad();
+        rest_.remove_prefix(n);
+        return *this;
+    }
+
+    LineReader &
+    word(std::string &w)
+    {
+        return take([&](std::string_view f) {
+            w = std::string(f);
+            return true;
+        });
+    }
+
+    /** A decimal integer in [@p lo, @p hi]. */
+    template <typename Int>
+    LineReader &
+    num(Int &v, int64_t lo, int64_t hi)
+    {
+        return take([&](std::string_view f) {
+            int64_t x = 0;
+            if (!whole(f, std::from_chars(f.data(), fieldEnd(f), x)) ||
+                x < lo || x > hi)
+                return false;
+            v = static_cast<Int>(x);
+            return true;
+        });
+    }
+
+    /** A decimal (or, base 16, hex) unsigned 64-bit integer. */
+    LineReader &
+    num(uint64_t &v, int base = 10)
+    {
+        return take([&](std::string_view f) {
+            return whole(f, std::from_chars(f.data(), fieldEnd(f), v, base));
+        });
+    }
+
+    LineReader &hex(uint64_t &v) { return num(v, 16); }
+
+    /** A finite hexfloat, as %a writes it. */
+    LineReader &
+    real(double &v)
+    {
+        return take([&](std::string_view f) {
+            const bool neg = f[0] == '-';
+            f.remove_prefix(neg ? 1 : 0);
+            double x = 0.0;
+            if (f.size() < 3 || f.substr(0, 2) != "0x" ||
+                !std::isxdigit(static_cast<unsigned char>(f[2])) ||
+                !whole(f.substr(2),
+                       std::from_chars(f.data() + 2, fieldEnd(f), x,
+                                       std::chars_format::hex)) ||
+                !std::isfinite(x))
+                return false;
+            v = neg ? -x : x;
+            return true;
+        });
+    }
+
+    /** Grid indices, block count, length, then one block id in
+     *  [0, block count) per node. */
+    LineReader &
+    genome(Genome &g)
+    {
+        int64_t n = 0;
+        num(g.actIdx, 0, INT_MAX).num(g.weightIdx, 0, INT_MAX);
+        num(g.sharedIdx, 0, INT_MAX);
+        num(g.part.numBlocks, 0, kMaxPersistedNodes);
+        // Each id takes two characters at least.
+        num(n, g.part.numBlocks,
+            std::min<int64_t>(kMaxPersistedNodes, rest_.size() / 2));
+        std::vector<int> ids(ok() ? static_cast<size_t>(n) : 0);
+        for (int &id : ids)
+            num(id, 0, g.part.numBlocks - 1);
+        if (ok())
+            g.part.block = std::move(ids);
+        return *this;
+    }
+
+    LineReader &
+    buffer(BufferConfig &b)
+    {
+        int style = 0;
+        num(style, 0, 1).num(b.actBytes, 0, INT64_MAX);
+        num(b.weightBytes, 0, INT64_MAX).num(b.sharedBytes, 0, INT64_MAX);
+        b.style = static_cast<BufferStyle>(style);
+        return *this;
+    }
+
+    /** A length of at most @p max: @p v takes it. */
+    template <typename T>
+    LineReader &
+    count(std::vector<T> &v, int64_t max)
+    {
+        // Each entry takes a line of two characters at least.
+        int64_t n = 0;
+        num(n, 0, std::min<int64_t>(max, (text_.size() - pos_) / 2));
+        if (ok())
+            v.resize(static_cast<size_t>(n));
+        return *this;
+    }
+
+    /** Nothing may be left on the line. */
+    void
+    end()
+    {
+        if (ok() && !rest_.empty())
+            bad();
+    }
+
+    /** The section the next line opens, if any: the algo's. */
+    void
+    section(SearchCheckpoint &c)
+    {
+        if (!ok())
+            return;
+        const std::string_view rest = text_.substr(pos_);
+        const std::string_view tag = rest.substr(0, rest.find_first_of(" \n"));
+        if (racing_ && tag == RaceSection::kTag)
+            return fail("a racer carries a race of its own");
+        eachSectionType([&](auto t) {
+            using T = typename decltype(t)::type;
+            if (tag != T::kTag)
+                return;
+            T s;
+            T::lines(*this, s);
+            c.section = std::move(s);
+        });
+        // A race entry decides whether its racer needs one.
+        if (!ok() ||
+            (racing_ && std::holds_alternative<std::monostate>(c.section)))
+            return;
+        const std::string why = sectionError(c);
+        if (!why.empty())
+            fail(why);
+    }
+
+    /** Race entry @p e's snapshot, one level down; an ended racer
+     *  carries no section, and one with samples its driver's. */
+    void
+    racer(RaceEntry &e)
+    {
+        racing_ = true;
+        bodyLines(*this, e.snapshot);
+        racing_ = false;
+        const bool section =
+            !std::holds_alternative<std::monostate>(e.snapshot.section);
+        if (ok() && e.state != RaceEntry::kActive && section)
+            fail("an ended racer carries a section");
+        else if (ok() && e.resumes() && !section)
+            fail("a racer with samples carries no section");
+    }
+
+    /** The text ends here. */
+    void
+    finish()
+    {
+        if (ok() && pos_ != text_.size())
+            fail("data after END");
+    }
+
+  private:
+    void
+    fail(const std::string &why)
+    {
+        err_ = strprintf("line %d: %s", lineNo_, why.c_str());
+    }
+
+    void bad() { fail("corrupt " + what_); }
+
+    /** Parse the next field (exactly one space, then at least one
+     *  other character up to a space or the line's end) by @p parse. */
+    template <typename Parse>
+    LineReader &
+    take(Parse &&parse)
+    {
+        if (!ok())
+            return *this;
+        if (rest_.size() < 2 || rest_[0] != ' ' || rest_[1] == ' ') {
+            bad();
+            return *this;
+        }
+        const size_t n = std::min(rest_.find(' ', 1), rest_.size());
+        if (!parse(rest_.substr(1, n - 1)))
+            bad();
+        rest_.remove_prefix(n);
+        return *this;
+    }
+
+    static const char *
+    fieldEnd(std::string_view f)
+    {
+        return f.data() + f.size();
+    }
+
+    /** @p r parsed all of @p f. */
+    static bool
+    whole(std::string_view f, std::from_chars_result r)
+    {
+        return r.ec == std::errc() && r.ptr == fieldEnd(f);
+    }
+
+    std::string_view text_;
+    size_t pos_ = 0;
+    std::string_view rest_; ///< the current line's unread fields
+    int lineNo_ = 0;
+    std::string what_;
+    std::string err_;
+    bool racing_ = false; ///< inside a race entry's snapshot
+};
+
+template <typename L, typename C>
+void
+bodyLines(L &l, C &c)
+{
+    const int64_t maxSamples = kMaxPersistedSamples;
+    l.line("A", "header").word(c.algo).hex(c.fence).end();
+    l.line("S", "run state")
+        .num(c.samples, 0, maxSamples)
+        .real(c.bestCost)
+        .num(c.sinceImprove, 0, maxSamples)
+        .hex(c.streamCounter)
+        .end();
+    l.line("R", "RNG state")
+        .hex(c.rng[0])
+        .hex(c.rng[1])
+        .hex(c.rng[2])
+        .hex(c.rng[3])
+        .end();
+    l.line("B", "incumbent genome").genome(c.best).end();
+    l.line("T", "trace header").count(c.trace, maxSamples).end();
+    for (auto &tp : c.trace)
+        l.line("t", "trace entry")
+            .num(tp.sample, 0, maxSamples)
+            .real(tp.bestCost)
+            .end();
+    l.line("P", "points header").count(c.points, maxSamples).end();
+    for (auto &sp : c.points)
+        l.line("p", "points entry")
+            .num(sp.sample, 0, maxSamples)
+            .real(sp.metric)
+            .num(sp.bufferBytes, 0, INT64_MAX)
+            .end();
+    l.section(c);
+}
+
+/** Why @p genome (named @p what) does not fit @p g: another length,
+ *  or, for an operator input (@p operand), not canonical. */
+std::string
+genomeFitError(Genome &genome, const std::string &what, const Graph &g,
+               bool operand)
+{
+    const size_t len = genome.part.block.size();
+    if (len != static_cast<size_t>(g.size()))
+        return strprintf("%s has %zu nodes, the model has %d", what.c_str(),
+                         len, g.size());
+    if (operand && !genome.part.checkCanonical(g))
+        return what + " is not a canonical partition (structural repair "
+                      "would renumber or split it)";
+    return "";
+}
+
+/** Every genome of @p c against @p g: the incumbent (none yet is
+ *  fine: no sample has beaten the penalty), then its section's. */
+std::string
+genomesError(SearchCheckpoint &c, const Graph &g)
+{
+    if (!c.best.part.block.empty()) {
+        std::string err = genomeFitError(c.best, "incumbent genome", g, false);
+        if (!err.empty())
+            return err;
+    }
+    return std::visit(
+        [&](auto &s) -> std::string {
+            if constexpr (std::is_same_v<std::decay_t<decltype(s)>,
+                                         std::monostate>)
+                return "";
+            else
+                return s.genomeError(g);
+        },
+        c.section);
+}
+
+/** checkpointError without the genome checks (it reads @p c only). */
+std::string
+identityError(const SearchCheckpoint &c, const CostModel &model,
+              const DseSpace &space, const SearchSpec &spec)
+{
+    if (c.algo != spec.algo)
+        return strprintf("saved by \"%s\", this run is \"%s\"",
+                         c.algo.c_str(), spec.algo.c_str());
+    if (c.fence != checkpointFence(model, space, spec))
+        return strprintf("saved by another \"%s\" run (fence mismatch: the "
+                         "model, design space, seed, budget, objective or "
+                         "%s parameters differ)",
+                         c.algo.c_str(), c.algo.c_str());
+    std::string err = sectionError(c);
+    if (!err.empty())
+        return err;
+    if (const auto *ga = std::get_if<GaSection>(&c.section);
+        ga && ga->population.size() != static_cast<size_t>(spec.ga.population))
+        return strprintf("the GA population holds %zu genomes, this run's "
+                         "holds %d",
+                         ga->population.size(), spec.ga.population);
+    const auto *race = std::get_if<RaceSection>(&c.section);
+    if (!race)
+        return "";
+    const std::vector<std::string> &lineUp = spec.portfolio.racers;
+    if (race->racers.size() != lineUp.size())
+        return strprintf("the race holds %zu racers, this run races %zu",
+                         race->racers.size(), lineUp.size());
+    for (size_t i = 0; i < lineUp.size(); ++i) {
+        const RaceEntry &e = race->racers[i];
+        if (e.snapshot.algo != lineUp[i])
+            return strprintf("racer %zu is \"%s\", this run's racer %zu is "
+                             "\"%s\"",
+                             i, e.snapshot.algo.c_str(), i,
+                             lineUp[i].c_str());
+        if (e.state < RaceEntry::kActive || e.state > RaceEntry::kFinished)
+            return strprintf("racer %zu has state %d (not active, culled or "
+                             "finished)",
+                             i, e.state);
+        if (!e.resumes())
+            continue;
+        SearchSpec racer = spec;
+        racer.algo = lineUp[i];
+        err = identityError(e.snapshot, model, space, racer);
+        if (!err.empty())
+            return strprintf("racer %zu: ", i) + err;
+    }
+    return "";
+}
+
+} // namespace
+
+// --- Each section's genome check and fence. ---
+
+std::string
+GaSection::genomeError(const Graph &g)
+{
     std::string err;
-    if (!c.best.part.block.empty())
-        err = wrong(c.best, "incumbent genome");
-    for (size_t i = 0; err.empty() && i < c.population.size(); ++i) {
-        const std::string what = strprintf("population genome %zu", i);
-        err = wrong(c.population[i], what);
-        if (err.empty())
-            err = uncanonical(c.population[i], what);
-    }
-    if (err.empty() && c.hasSa) {
-        err = wrong(c.saCur, "SA current genome");
-        if (err.empty())
-            err = uncanonical(c.saCur, "SA current genome");
-    }
-    for (size_t i = 0; err.empty() && i < c.racers.size(); ++i) {
-        err = checkpointGenomeError(c.racers[i], g);
+    for (size_t i = 0; err.empty() && i < population.size(); ++i)
+        err = genomeFitError(population[i].genome,
+                             strprintf("population genome %zu", i), g, true);
+    return err;
+}
+
+uint64_t
+GaSection::fence(const CostModel &model, const DseSpace &space,
+                 const SearchSpec &spec)
+{
+    return gaCheckpointFence(model, space, gaOptions(spec));
+}
+
+std::string
+SaSection::genomeError(const Graph &g)
+{
+    return genomeFitError(cur, "SA current genome", g, true);
+}
+
+uint64_t
+SaSection::fence(const CostModel &model, const DseSpace &space,
+                 const SearchSpec &spec)
+{
+    return saCheckpointFence(model, space, saOptions(spec));
+}
+
+uint64_t
+SweepSection::fence(const CostModel &model, const DseSpace &space,
+                    const SearchSpec &spec)
+{
+    return twoStepCheckpointFence(model, space, twoStepOptions(spec),
+                                  spec.algo);
+}
+
+std::string
+RaceSection::genomeError(const Graph &g)
+{
+    std::string err;
+    for (size_t i = 0; err.empty() && i < racers.size(); ++i) {
+        err = genomesError(racers[i].snapshot, g);
         if (!err.empty())
             err = strprintf("racer %zu: ", i) + err;
     }
     return err;
+}
+
+uint64_t
+RaceSection::fence(const CostModel &model, const DseSpace &space,
+                   const SearchSpec &spec)
+{
+    return portfolioCheckpointFence(model, space, spec.eval,
+                                    spec.portfolio);
+}
+
+// --- The public surface. ---
+
+std::string
+encodeCheckpoint(const SearchCheckpoint &c)
+{
+    std::string text;
+    LineWriter out(text);
+    out.line(kCheckpointMagic, "").num(SearchCheckpoint::kVersion).end();
+    bodyLines(out, c);
+    out.line("END", "").end();
+    return text;
+}
+
+std::string
+decodeCheckpoint(std::string_view text, SearchCheckpoint *out)
+{
+    LineReader in(text);
+    int version = -1;
+    in.line(kCheckpointMagic, "").num(version, 0, INT_MAX).end();
+    if (!in.ok())
+        return "not a cocco checkpoint file";
+    if (version != SearchCheckpoint::kVersion)
+        return strprintf("unsupported checkpoint format version %d (this "
+                         "build reads %d)",
+                         version, SearchCheckpoint::kVersion);
+    SearchCheckpoint c;
+    bodyLines(in, c);
+    in.line("END", "end marker").end();
+    in.finish();
+    if (!in.ok())
+        return in.error();
+    *out = std::move(c);
+    return "";
+}
+
+std::string
+checkpointError(SearchCheckpoint &c, const CostModel &model,
+                const DseSpace &space, const SearchSpec &spec)
+{
+    std::string err = identityError(c, model, space, spec);
+    return err.empty() ? genomesError(c, model.graph()) : err;
+}
+
+uint64_t
+checkpointFence(const CostModel &model, const DseSpace &space,
+                const SearchSpec &spec)
+{
+    uint64_t fence = 0;
+    eachSectionType([&](auto t) {
+        using T = typename decltype(t)::type;
+        if (T::owns(spec.algo))
+            fence = T::fence(model, space, spec);
+    });
+    return fence;
 }
 
 uint64_t
@@ -238,7 +872,7 @@ twoStepCheckpointFence(const CostModel &model, const DseSpace &space,
                        const TwoStepOptions &opts, const std::string &algo)
 {
     uint64_t h = baseFence(model, space, opts, algo);
-    h = hashI64(h, opts.samplesPerCandidate);
+    h = hashI64(h, space.searchHw ? opts.samplesPerCandidate : 0);
     h = hashI64(h, opts.population);
     return hashFinalize(h);
 }

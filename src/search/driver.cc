@@ -52,6 +52,13 @@ twoStepOptions(const SearchSpec &spec)
     return o;
 }
 
+DseSpace
+searchSpace(const SearchSpec &spec)
+{
+    return spec.eval.coExplore ? DseSpace::paperSpace(spec.style)
+                               : DseSpace::fixedSpace(spec.fixedBuffer);
+}
+
 namespace {
 
 /** The genetic co-exploration (paper Section 4.4). */

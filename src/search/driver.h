@@ -109,6 +109,10 @@ GaOptions gaOptions(const SearchSpec &spec);
 SaOptions saOptions(const SearchSpec &spec);
 TwoStepOptions twoStepOptions(const SearchSpec &spec);
 
+/** The design space a spec's run searches: the paper's grid of its
+ *  style when co-exploring, else its fixed buffer. */
+DseSpace searchSpace(const SearchSpec &spec);
+
 /** One search strategy bound to an evaluation environment. */
 class Searcher
 {

@@ -57,11 +57,7 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     // batches parallelize without perturbing this sequence.
     Rng rng(opts_.seed);
 
-    struct Scored
-    {
-        Genome genome;
-        double cost = kInfeasiblePenalty;
-    };
+    using Scored = ScoredGenome;
     std::vector<Scored> pop;
     pop.reserve(opts_.population);
 
@@ -72,13 +68,7 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     RunRecord rec(
         engine_, &rng, "ga",
         opts_.checkpoint ? gaCheckpointFence(model_, space_, opts_) : 0,
-        [&](SearchCheckpoint &c) {
-            for (const Scored &s : pop) {
-                c.population.push_back(s.genome);
-                c.popCosts.push_back(s.cost);
-            }
-        },
-        opts_.recordPoints);
+        [&] { return GaSection{pop}; }, opts_.recordPoints);
     const SearchResult &res = rec.result();
 
     auto tournament_pick = [&](const std::vector<Scored> &pool,
@@ -99,12 +89,12 @@ GeneticSearch::run(const std::vector<Genome> &seeds)
     //     any of them would break determinism. ---
     bool complete = true;
     if (const SearchCheckpoint *c = rec.resume()) {
-        if (c->population.size() != static_cast<size_t>(opts_.population) ||
-            c->popCosts.size() != c->population.size())
+        const auto *ga = std::get_if<GaSection>(&c->section);
+        if (!ga ||
+            ga->population.size() != static_cast<size_t>(opts_.population))
             fatal("checkpoint population does not match the configured "
                   "GA population");
-        for (size_t i = 0; i < c->population.size(); ++i)
-            pop.push_back({c->population[i], c->popCosts[i]});
+        pop = ga->population;
     } else {
         size_t n = static_cast<size_t>(opts_.population);
         size_t n_seed = std::min(seeds.size(), n);

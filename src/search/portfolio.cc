@@ -58,7 +58,7 @@ class RaceController
         std::string algo;
         CheckpointHooks *hooks = nullptr; ///< the racer's own stash hooks
 
-        int checkpointState = SearchCheckpoint::kRacerActive;
+        int checkpointState = RaceEntry::kActive;
         bool done = false; ///< racer thread finished for good
         StopWhy why = StopWhy::None;
         std::atomic<bool> stopFlag{false};
@@ -143,19 +143,20 @@ class RaceController
     }
 
     /**
-     * Restore one racer's monitor state from a persisted snapshot:
+     * Restore one racer's monitor state from its persisted race entry:
      * replay its trace through the same registration logic the live
      * observer path uses, so milestone snapshots (and therefore every
      * re-made cull decision) are bit-identical to the original run's.
      */
     void
-    seedFromCheckpoint(size_t idx, const SearchCheckpoint &sub, int state)
+    seedFromCheckpoint(size_t idx, const RaceEntry &entry)
     {
         std::lock_guard<std::mutex> lk(mu_);
         Racer &r = racers_[idx];
+        const SearchCheckpoint &sub = entry.snapshot;
         r.stash = sub;
         r.stashValid = true;
-        r.checkpointState = state;
+        r.checkpointState = entry.state;
         double prevBest = kInfeasiblePenalty;
         for (const TracePoint &tp : sub.trace) {
             r.samples = tp.sample;
@@ -169,7 +170,7 @@ class RaceController
         r.samples = sub.samples;
         r.best = std::min(r.best, sub.bestCost);
         globalBest_ = std::min(globalBest_, r.best);
-        if (state != SearchCheckpoint::kRacerActive)
+        if (entry.state != RaceEntry::kActive)
             r.done = true;
     }
 
@@ -319,15 +320,15 @@ class RaceController
         }
         if (r.why == StopWhy::Cull &&
             r.result.stop == StopReason::Cancelled) {
-            r.checkpointState = SearchCheckpoint::kRacerCulled;
+            r.checkpointState = RaceEntry::kCulled;
         } else if (r.result.stop == StopReason::BudgetExhausted ||
                    r.result.stop == StopReason::Stalled) {
-            r.checkpointState = SearchCheckpoint::kRacerFinished;
+            r.checkpointState = RaceEntry::kFinished;
             r.why = StopWhy::None; // a racing cull lost to the finish
         } else {
             // Involuntary stop (global cancel / time limit): the
             // racer is still "active" as far as a resume is concerned.
-            r.checkpointState = SearchCheckpoint::kRacerActive;
+            r.checkpointState = RaceEntry::kActive;
         }
         releaseGrantLocked(idx);
         if (params_.deterministicRace)
@@ -359,10 +360,11 @@ class RaceController
      * controller CV and services user-level checkpoint requests — a
      * request fans out to every running racer's own hooks, and the
      * portfolio snapshot is assembled and saved once each of them
-     * stashed a fresh boundary state (or went terminal).
+     * stashed a fresh boundary state or ended (a culled racer is
+     * waited for until it returns, so its entry holds its result).
      */
     void
-    coordinate(CheckpointHooks *userCk, uint64_t fence, uint64_t seed)
+    coordinate(CheckpointHooks *userCk, uint64_t fence)
     {
         std::unique_lock<std::mutex> lk(mu_);
         bool collecting = false;
@@ -388,12 +390,13 @@ class RaceController
                 bool ready = true;
                 for (size_t i = 0; i < racers_.size(); ++i)
                     if (!racers_[i].done &&
-                        racers_[i].stashVersion <= goal[i])
+                        (racers_[i].stashVersion <= goal[i] ||
+                         racers_[i].checkpointState != RaceEntry::kActive))
                         ready = false;
                 if (ready) {
                     collecting = false;
                     if (userCk->save)
-                        userCk->save(assembleLocked(fence, seed));
+                        userCk->save(assembleLocked(fence));
                 }
             }
         }
@@ -404,17 +407,17 @@ class RaceController
         if (userCk) {
             bool pending = userCk->request.exchange(false);
             if ((collecting || pending) && userCk->save)
-                userCk->save(assembleLocked(fence, seed));
+                userCk->save(assembleLocked(fence));
         }
     }
 
     /** Assemble the portfolio snapshot after the race ended (the
      *  saveOnStop path). */
     SearchCheckpoint
-    assembleFinal(uint64_t fence, uint64_t seed)
+    assembleFinal(uint64_t fence)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        return assembleLocked(fence, seed);
+        return assembleLocked(fence);
     }
 
     bool
@@ -531,9 +534,8 @@ class RaceController
             // A racer resumed already-culled replays the same rule so
             // its decision cap lands on the same milestone as in the
             // original run; any other non-blocking racer is exempt.
-            bool replay = r.done &&
-                          r.checkpointState ==
-                              SearchCheckpoint::kRacerCulled;
+            bool replay =
+                r.done && r.checkpointState == RaceEntry::kCulled;
             if (!replay && (!blocking(r) || r.stopFlag.load()))
                 continue;
             if (r.snapSamples[static_cast<size_t>(m)] <
@@ -586,7 +588,7 @@ class RaceController
     {
         Racer &r = racers_[idx];
         r.why = StopWhy::Cull;
-        r.checkpointState = SearchCheckpoint::kRacerCulled;
+        r.checkpointState = RaceEntry::kCulled;
         r.endMilestone = milestone;
         r.stopFlag = true;
         cv_.notify_all();
@@ -621,50 +623,44 @@ class RaceController
     }
 
     /**
-     * One portfolio snapshot: the per-racer stashes (live boundary
-     * states for running racers, synthesized final states for
-     * terminal ones) plus each racer's checkpoint state. Top-level
-     * incumbent fields summarize across racers for inspection; the
-     * racer sections are what a resume consumes.
+     * One portfolio snapshot: a race entry per racer — its live
+     * boundary state while it races, its final state once it ended —
+     * with its checkpoint state. Top-level incumbent fields summarize
+     * across racers for inspection; the entries are what a resume
+     * consumes.
      */
     SearchCheckpoint
-    assembleLocked(uint64_t fence, uint64_t seed)
+    assembleLocked(uint64_t fence)
     {
         SearchCheckpoint c;
         c.algo = "portfolio";
         c.fence = fence;
-        c.seed = seed;
-        c.hasPortfolio = true;
+        RaceSection race;
         for (Racer &r : racers_) {
-            SearchCheckpoint sub;
-            if (r.checkpointState != SearchCheckpoint::kRacerActive &&
-                r.haveResult) {
-                // Terminal: synthesize a final stash from the result.
-                // Never fed back into a driver, so no fence needed;
-                // tsBestBuffer carries the exact best buffer for every
-                // algo (genome decode is not authoritative for the
-                // two-step drivers).
-                sub.algo = r.algo;
-                sub.seed = seed;
-                RunRecord::copyShared(r.result, sub);
-                sub.hasTs = true;
-                sub.tsBestBuffer = r.result.bestBuffer;
+            RaceEntry e;
+            e.state = r.checkpointState;
+            e.snapshot.algo = r.algo;
+            if (r.checkpointState != RaceEntry::kActive) {
+                // Ended (a save waits for a culled racer to return):
+                // its final state, never fed back into a driver, so no
+                // fence or section. The result's buffer is the exact
+                // best buffer for every driver (genome decode is not
+                // authoritative for the two-step sweep).
+                RunRecord::copyShared(r.result, e.snapshot);
+                e.bestBuffer = r.result.bestBuffer;
             } else if (r.stashValid) {
-                sub = r.stash;
-            } else {
-                // Active racer that never reached a boundary: a fresh
-                // start marker (algo set, zero samples, empty trace).
-                sub.algo = r.algo;
-                sub.seed = seed;
+                e.snapshot = r.stash;
             }
-            c.racers.push_back(std::move(sub));
-            c.racerState.push_back(r.checkpointState);
-            c.samples += c.racers.back().samples;
-            if (c.racers.back().bestCost < c.bestCost) {
-                c.bestCost = c.racers.back().bestCost;
-                c.best = c.racers.back().best;
+            // (Else: an active racer that never reached a boundary,
+            // a fresh-start marker with no samples.)
+            c.samples += e.snapshot.samples;
+            if (e.snapshot.bestCost < c.bestCost) {
+                c.bestCost = e.snapshot.bestCost;
+                c.best = e.snapshot.best;
             }
+            race.racers.push_back(std::move(e));
         }
+        c.section = std::move(race);
         return c;
     }
 
@@ -756,8 +752,7 @@ class PortfolioSearcher : public Searcher
     };
 
     void racerMain(size_t idx, const std::vector<Genome> &seeds);
-    SearchResult synthesizeTerminal(const SearchCheckpoint &sub,
-                                    int state) const;
+    SearchResult synthesizeTerminal(const RaceEntry &entry) const;
 
     CostModel &model_;
     DseSpace space_;
@@ -766,20 +761,17 @@ class PortfolioSearcher : public Searcher
     std::unique_ptr<RaceController> ctl_;
 };
 
-/** Reconstruct a terminal racer's final result from its persisted
- *  stash (the racer is not re-run on resume). */
+/** Reconstruct an ended racer's final result from its race entry
+ *  (the racer is not re-run on resume). */
 SearchResult
-PortfolioSearcher::synthesizeTerminal(const SearchCheckpoint &sub,
-                                      int state) const
+PortfolioSearcher::synthesizeTerminal(const RaceEntry &entry) const
 {
     SearchResult r;
-    RunRecord::copyShared(sub, r);
-    r.stop = state == SearchCheckpoint::kRacerCulled
-                 ? StopReason::Cancelled
-                 : StopReason::BudgetExhausted;
+    RunRecord::copyShared(entry.snapshot, r);
+    r.stop = entry.state == RaceEntry::kCulled ? StopReason::Cancelled
+                                               : StopReason::BudgetExhausted;
     if (r.bestCost < kInfeasiblePenalty) {
-        r.bestBuffer = sub.hasTs ? sub.tsBestBuffer
-                                 : r.best.buffer(space_);
+        r.bestBuffer = entry.bestBuffer;
         r.bestGraphCost = model_.partitionCost(r.best.part, r.bestBuffer);
     }
     return r;
@@ -841,18 +833,12 @@ PortfolioSearcher::run(const std::vector<Genome> &seeds)
     const uint64_t fence =
         userCk ? portfolioCheckpointFence(model_, space_, spec_.eval, pp)
                : 0;
-    const SearchCheckpoint *resumeCk = userCk ? userCk->resume : nullptr;
-    if (resumeCk) {
-        if (resumeCk->algo != "portfolio")
-            fatal("portfolio: checkpoint is for algo '%s'",
-                  resumeCk->algo.c_str());
-        if (resumeCk->fence != fence)
-            fatal("portfolio: checkpoint fence mismatch (the racer "
-                  "line-up, race knobs, model, or budget changed)");
-        if (!resumeCk->hasPortfolio ||
-            resumeCk->racers.size() != pp.racers.size() ||
-            resumeCk->racerState.size() != pp.racers.size())
-            fatal("portfolio: malformed portfolio checkpoint");
+    // The race's own copy: the check flags its genomes canonical.
+    SearchCheckpoint resume;
+    const bool resuming = userCk && userCk->resume;
+    if (resuming) {
+        resume = *userCk->resume;
+        fatalIf(checkpointError(resume, model_, space_, spec_));
     }
 
     const size_t n = pp.racers.size();
@@ -874,25 +860,16 @@ PortfolioSearcher::run(const std::vector<Genome> &seeds)
         };
         RaceController::Racer &r = ctl_->racer(i);
         r.hooks = &s.hooks;
-        if (resumeCk) {
-            const SearchCheckpoint &sub = resumeCk->racers[i];
-            int state = resumeCk->racerState[i];
-            if (sub.algo != pp.racers[i])
-                fatal("portfolio: racer %zu checkpoint is for '%s', "
-                      "spec says '%s'",
-                      i, sub.algo.c_str(), pp.racers[i].c_str());
-            if (state == SearchCheckpoint::kRacerActive) {
-                // Fresh-start marker: no samples recorded yet.
-                if (sub.samples > 0 || !sub.trace.empty()) {
-                    ctl_->seedFromCheckpoint(i, sub, state);
-                    s.resume = sub;
-                    s.haveResume = true;
-                }
-            } else {
-                ctl_->seedFromCheckpoint(i, sub, state);
-                ctl_->setTerminalResult(i,
-                                        synthesizeTerminal(sub, state));
-            }
+        if (resuming) {
+            RaceEntry &entry = std::get<RaceSection>(resume.section).racers[i];
+            if (entry.resumes()) {
+                ctl_->seedFromCheckpoint(i, entry);
+                s.resume = std::move(entry.snapshot);
+                s.haveResume = true;
+            } else if (entry.state != RaceEntry::kActive) {
+                ctl_->seedFromCheckpoint(i, entry);
+                ctl_->setTerminalResult(i, synthesizeTerminal(entry));
+            } // else a fresh-start marker: no samples recorded yet
         }
     }
 
@@ -904,7 +881,7 @@ PortfolioSearcher::run(const std::vector<Genome> &seeds)
             slots_[i]->thread = std::thread(
                 [this, i, &seeds] { racerMain(i, seeds); });
 
-    ctl_->coordinate(userCk, fence, spec_.eval.seed);
+    ctl_->coordinate(userCk, fence);
     for (auto &slot : slots_)
         if (slot->thread.joinable())
             slot->thread.join();
@@ -931,8 +908,7 @@ PortfolioSearcher::run(const std::vector<Genome> &seeds)
         stats.wallSeconds = r.wallSeconds;
         stats.threads = r.lastGrant;
         stats.regrants = r.regrants;
-        stats.culled =
-            r.checkpointState == SearchCheckpoint::kRacerCulled;
+        stats.culled = r.checkpointState == RaceEntry::kCulled;
         stats.winner = i == w;
         stats.stop = r.result.stop;
         out.racers.push_back(std::move(stats));
@@ -957,7 +933,7 @@ PortfolioSearcher::run(const std::vector<Genome> &seeds)
     if (userCk && userCk->save && userCk->saveOnStop &&
         (out.stop == StopReason::Cancelled ||
          out.stop == StopReason::TimeLimit))
-        userCk->save(ctl_->assembleFinal(fence, spec_.eval.seed));
+        userCk->save(ctl_->assembleFinal(fence));
     return out;
 }
 

@@ -39,20 +39,16 @@ simulatedAnnealing(CostModel &model, const DseSpace &space,
     RunRecord rec(engine, &rng, "sa",
                   opts.checkpoint ? saCheckpointFence(model, space, opts)
                                   : 0,
-                  [&](SearchCheckpoint &c) {
-                      c.hasSa = true;
-                      c.saCur = cur;
-                      c.saCurCost = cur_cost;
-                      c.saT0 = t0;
-                  });
+                  [&] { return SaSection{cur, cur_cost, t0}; });
     const SearchResult &res = rec.result();
 
     if (const SearchCheckpoint *c = rec.resume()) {
-        if (!c->hasSa)
+        const auto *sa = std::get_if<SaSection>(&c->section);
+        if (!sa)
             fatal("checkpoint is missing the SA state section");
-        cur = c->saCur;
-        cur_cost = c->saCurCost;
-        t0 = c->saT0;
+        cur = sa->cur;
+        cur_cost = sa->curCost;
+        t0 = sa->t0;
     } else {
         // The initial state is evaluated serially (no stream draw), so
         // the boundary stream counter stays 0 here.

@@ -104,10 +104,10 @@ runCandidates(CostModel &model, const DseSpace &space,
     //     the incumbent's buffer, the folded counters). Inner GAs run
     //     without hooks of their own, so an interrupt mid-candidate
     //     resumes by re-running that candidate wholly from the
-    //     snapshot held before it — which is exactly what the
+    //     position held before it — which is exactly what the
     //     uninterrupted run did too (bit-identity holds either way).
-    //     A candidate that DID finish holds a snapshot past itself so
-    //     a later save never redoes completed work. ---
+    //     A candidate that DID finish holds the position past itself
+    //     so a later save never redoes completed work. ---
     size_t next = 0;
     BufferConfig best_buf; // the incumbent's candidate buffer
     DeltaStats delta;
@@ -115,25 +115,22 @@ runCandidates(CostModel &model, const DseSpace &space,
         model, space, opts, mon, cache.get(), algo,
         opts.checkpoint ? twoStepCheckpointFence(model, space, opts, algo)
                         : 0,
-        [&](SearchCheckpoint &c) {
-            c.hasTs = true;
-            c.tsCandidate = static_cast<int64_t>(next);
-            c.tsSubSeed = sub_seed;
-            c.tsBestBuffer = best_buf;
-            c.tsBoundRejections = bound_rejections;
-            c.tsBoundSkippedSamples = bound_skipped;
-            c.tsDelta = delta;
+        [&] {
+            return SweepSection{static_cast<int64_t>(next), sub_seed,
+                                best_buf, bound_rejections, bound_skipped,
+                                delta};
         });
     const SearchResult &global = rec.result();
     if (const SearchCheckpoint *c = rec.resume()) {
-        if (!c->hasTs)
+        const auto *sweep = std::get_if<SweepSection>(&c->section);
+        if (!sweep)
             fatal("checkpoint is missing the two-step state section");
-        next = static_cast<size_t>(c->tsCandidate);
-        sub_seed = c->tsSubSeed;
-        best_buf = c->tsBestBuffer;
-        bound_rejections = c->tsBoundRejections;
-        bound_skipped = c->tsBoundSkippedSamples;
-        delta = c->tsDelta;
+        next = static_cast<size_t>(sweep->candidate);
+        sub_seed = sweep->subSeed;
+        best_buf = sweep->bestBuffer;
+        bound_rejections = sweep->boundRejections;
+        bound_skipped = sweep->boundSkippedSamples;
+        delta = sweep->delta;
     }
 
     while (next < candidates.size() && rec.running()) {
@@ -212,9 +209,9 @@ runCandidates(CostModel &model, const DseSpace &space,
         }
         rec.batchDone();
 
-        // Only a full inner run moves the held snapshot past it: one
+        // Only a full inner run moves the held position past it: one
         // cut short (cancel / time limit) folded a timing-dependent
-        // partial trace, so the snapshot before the candidate stays
+        // partial trace, so the position before the candidate stays
         // authoritative and a resume re-runs it from scratch.
         if (inner.stop == StopReason::BudgetExhausted)
             rec.hold();

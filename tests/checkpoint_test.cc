@@ -5,7 +5,9 @@
  * sensitivity, and the headline contract — a run cancelled mid-flight
  * and resumed from its checkpoint finishes bit-identical to the
  * uninterrupted run, for every registered algorithm, at threads > 1,
- * and even when the resume uses a different thread count.
+ * and even when the resume uses a different thread count. Also the
+ * v4 file: one section per snapshot, a loader that refuses every
+ * mutant of a real file, and checkpointError's reasons.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +15,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/cocco.h"
 #include "core/serialize.h"
@@ -75,6 +80,51 @@ class CancelAfter : public SearchObserver
     int64_t after_;
     std::atomic<int64_t> seen_{0}; ///< a portfolio reports from racers
 };
+
+/** Run @p spec over @p g, cancelled at half its budget, and return
+ *  the snapshot its early stop saved. */
+SearchCheckpoint
+savedAtHalf(const Graph &g, SearchSpec spec)
+{
+    SearchCheckpoint saved;
+    CancelAfter cancel(spec.eval.sampleBudget / 2);
+    CheckpointHooks hooks;
+    hooks.save = [&](const SearchCheckpoint &c) { saved = c; };
+    spec.eval.observer = &cancel;
+    spec.eval.checkpoint = &hooks;
+    CoccoFramework(g, AcceleratorConfig()).explore(spec);
+    EXPECT_EQ(saved.algo, spec.algo);
+    return saved;
+}
+
+/** A race snapshot of @p race's line-up, each racer active at its
+ *  solo run's half-budget snapshot (the same fence a racer computes):
+ *  unlike a real race's, every racer is sure to hold its section. */
+SearchCheckpoint
+assembledRace(const Graph &g, const SearchSpec &race)
+{
+    SearchCheckpoint c;
+    c.algo = race.algo;
+    CoccoFramework fw(g, AcceleratorConfig());
+    c.fence = checkpointFence(fw.model(), searchSpace(race), race);
+    RaceSection entries;
+    for (const std::string &algo : race.portfolio.racers) {
+        SearchSpec solo = race;
+        solo.algo = algo;
+        entries.racers.push_back({});
+        entries.racers.back().snapshot = savedAtHalf(g, solo);
+    }
+    c.section = entries;
+    return c;
+}
+
+/** checkpointError of @p c against the run of @p spec over @p g. */
+std::string
+errorFor(SearchCheckpoint &c, const Graph &g, const SearchSpec &spec)
+{
+    CoccoFramework fw(g, AcceleratorConfig());
+    return checkpointError(c, fw.model(), searchSpace(spec), spec);
+}
 
 /** Everything a run reports, compared exactly. */
 void
@@ -194,6 +244,14 @@ TEST(Checkpoint, FenceCoversRunIdentity)
                                      "ts-random"),
               twoStepCheckpointFence(model, space, twoStepOptions(ts),
                                      "ts-grid"));
+
+    // checkpointFence is the driver's fence of the spec's algo.
+    EXPECT_EQ(checkpointFence(model, space, spec), base);
+    EXPECT_EQ(checkpointFence(model, space, ts),
+              twoStepCheckpointFence(model, space, twoStepOptions(ts),
+                                     "ts-random"));
+    SearchSpec greedy = makeSpec("greedy-place", 300);
+    EXPECT_EQ(checkpointFence(model, space, greedy), 0u);
 }
 
 TEST(Checkpoint, GaResumeBitIdentical)
@@ -293,20 +351,8 @@ TEST(Checkpoint, FileRoundTripResumes)
         AcceleratorConfig accel;
         SearchSpec spec = makeSpec(algo, budget);
         CoccoResult straight = CoccoFramework(g, accel).explore(spec);
-
-        SearchCheckpoint saved;
-        bool haveSaved = false;
-        CancelAfter cancel(budget / 2);
-        CheckpointHooks hooks;
-        hooks.save = [&](const SearchCheckpoint &c) {
-            saved = c;
-            haveSaved = true;
-        };
-        SearchSpec interrupted = spec;
-        interrupted.eval.observer = &cancel;
-        interrupted.eval.checkpoint = &hooks;
-        CoccoFramework(g, accel).explore(interrupted);
-        ASSERT_TRUE(haveSaved);
+        const SearchCheckpoint saved = savedAtHalf(g, spec);
+        ASSERT_EQ(saved.algo, algo);
 
         std::string path = "checkpoint_test_roundtrip.tmp";
         ASSERT_TRUE(saveCheckpoint(saved, path));
@@ -321,20 +367,31 @@ TEST(Checkpoint, FileRoundTripResumes)
         EXPECT_EQ(loaded.bestCost, saved.bestCost); // hexfloat: bit-exact
         EXPECT_EQ(loaded.rng, saved.rng);
         EXPECT_EQ(loaded.streamCounter, saved.streamCounter);
-        ASSERT_EQ(loaded.population.size(), saved.population.size());
-        EXPECT_EQ(loaded.popCosts, saved.popCosts);
-        EXPECT_EQ(loaded.hasSa, saved.hasSa);
-        EXPECT_EQ(loaded.saCur.part.block, saved.saCur.part.block);
-        EXPECT_EQ(loaded.saCurCost, saved.saCurCost);
-        EXPECT_EQ(loaded.saT0, saved.saT0);
-        EXPECT_EQ(loaded.hasTs, saved.hasTs);
-        EXPECT_EQ(loaded.tsCandidate, saved.tsCandidate);
-        EXPECT_EQ(loaded.tsSubSeed, saved.tsSubSeed);
-        EXPECT_EQ(loaded.tsBestBuffer.totalBytes(),
-                  saved.tsBestBuffer.totalBytes());
-        EXPECT_EQ(loaded.tsBoundRejections, saved.tsBoundRejections);
-        EXPECT_EQ(loaded.tsDelta.reports, saved.tsDelta.reports);
-        EXPECT_EQ(loaded.tsDelta.rewrites, saved.tsDelta.rewrites);
+        ASSERT_EQ(loaded.section.index(), saved.section.index());
+        if (const auto *ga = std::get_if<GaSection>(&saved.section)) {
+            const GaSection &back = std::get<GaSection>(loaded.section);
+            ASSERT_EQ(back.population.size(), ga->population.size());
+            for (size_t i = 0; i < ga->population.size(); ++i) {
+                EXPECT_EQ(back.population[i].cost, ga->population[i].cost);
+                EXPECT_EQ(back.population[i].genome.part.block,
+                          ga->population[i].genome.part.block);
+            }
+        }
+        if (const auto *sa = std::get_if<SaSection>(&saved.section)) {
+            const SaSection &back = std::get<SaSection>(loaded.section);
+            EXPECT_EQ(back.cur.part.block, sa->cur.part.block);
+            EXPECT_EQ(back.curCost, sa->curCost);
+            EXPECT_EQ(back.t0, sa->t0);
+        }
+        if (const auto *ts = std::get_if<SweepSection>(&saved.section)) {
+            const SweepSection &back = std::get<SweepSection>(loaded.section);
+            EXPECT_EQ(back.candidate, ts->candidate);
+            EXPECT_EQ(back.subSeed, ts->subSeed);
+            EXPECT_EQ(back.bestBuffer, ts->bestBuffer);
+            EXPECT_EQ(back.boundRejections, ts->boundRejections);
+            EXPECT_EQ(back.delta.reports, ts->delta.reports);
+            EXPECT_EQ(back.delta.rewrites, ts->delta.rewrites);
+        }
 
         CheckpointHooks resumeHooks;
         resumeHooks.resume = &loaded;
@@ -419,6 +476,9 @@ TEST(Checkpoint, LoaderRejectsCorruptFiles)
                        std::to_string(SearchCheckpoint::kVersion) + ")"),
               std::string::npos)
         << err;
+    static_assert(SearchCheckpoint::kVersion == 4);
+    EXPECT_EQ(err, path + ": unsupported checkpoint format version 3 "
+                          "(this build reads 4)");
     std::remove(path.c_str());
 }
 
@@ -428,61 +488,55 @@ TEST(Checkpoint, GenomeOfAnotherLengthIsRejected)
     // (incumbent, a population entry, the SA state, a racer's) to 10
     // nodes names that genome, as resuming it would abort repair.
     Graph g = mediumGraph();
-    AcceleratorConfig accel;
+    auto spec = [](const std::string &algo, int64_t budget) {
+        SearchSpec s = makeSpec(algo, budget);
+        s.portfolio.racers = {"ga", "sa"};
+        return s;
+    };
     auto snapshot = [&](const std::string &algo, int64_t budget) {
-        SearchCheckpoint saved;
-        CancelAfter cancel(budget / 2);
-        CheckpointHooks hooks;
-        hooks.save = [&](const SearchCheckpoint &c) { saved = c; };
-        SearchSpec spec = makeSpec(algo, budget);
-        spec.portfolio.racers = {"ga", "sa"};
-        spec.eval.observer = &cancel;
-        spec.eval.checkpoint = &hooks;
-        CoccoFramework(g, accel).explore(spec);
-        EXPECT_EQ(saved.algo, algo);
-        EXPECT_EQ(checkpointGenomeError(saved, g), "") << algo;
+        SearchCheckpoint saved = savedAtHalf(g, spec(algo, budget));
+        EXPECT_EQ(errorFor(saved, g, spec(algo, budget)), "") << algo;
         return saved;
     };
-    auto expectNamed = [&](SearchCheckpoint c, const char *what) {
-        const std::string err = checkpointGenomeError(c, g);
-        EXPECT_EQ(err, std::string(what) + " has 10 nodes, the model has " +
-                           std::to_string(g.size()));
+    auto expectNamed = [&](SearchCheckpoint c, const SearchSpec &run,
+                           const std::string &what) {
+        EXPECT_EQ(errorFor(c, g, run),
+                  what + " has 10 nodes, the model has " +
+                      std::to_string(g.size()));
     };
     auto cut = [](Genome &genome) { genome.part.block.resize(10); };
 
+    const SearchSpec gaRun = spec("ga", 400);
     SearchCheckpoint ga = snapshot("ga", 400);
-    ASSERT_GT(ga.population.size(), 3u);
+    ASSERT_GT(std::get<GaSection>(ga.section).population.size(), 3u);
     RandomDagOptions o;
     o.convNodes = 25;
     const Graph other = buildRandomDag(21, o);
     ASSERT_NE(other.size(), g.size());
-    EXPECT_NE(checkpointGenomeError(ga, other), "");
+    EXPECT_NE(errorFor(ga, other, gaRun), "");
     SearchCheckpoint c = ga;
     cut(c.best);
-    expectNamed(c, "incumbent genome");
+    expectNamed(c, gaRun, "incumbent genome");
     c = ga;
-    cut(c.population[3]);
-    expectNamed(c, "population genome 3");
+    cut(std::get<GaSection>(c.section).population[3].genome);
+    expectNamed(c, gaRun, "population genome 3");
     c = ga;
     c.best = Genome(); // no incumbent yet
-    EXPECT_EQ(checkpointGenomeError(c, g), "");
+    EXPECT_EQ(errorFor(c, g, gaRun), "");
 
     SearchCheckpoint sa = snapshot("sa", 300);
-    ASSERT_TRUE(sa.hasSa);
     c = sa;
-    cut(c.saCur);
-    expectNamed(c, "SA current genome");
+    cut(std::get<SaSection>(c.section).cur);
+    expectNamed(c, spec("sa", 300), "SA current genome");
 
     snapshot("ts-random", 300);
+    snapshot("portfolio", 600);
 
-    SearchCheckpoint race = snapshot("portfolio", 600);
-    ASSERT_EQ(race.racers.size(), 2u);
-    c = race;
-    c.racers[1] = sa; // a racer body with an SA section, whatever the race
-    cut(c.racers[1].saCur);
-    EXPECT_EQ(checkpointGenomeError(c, g),
-              "racer 1: SA current genome has 10 nodes, the model has " +
-                  std::to_string(g.size()));
+    SearchCheckpoint race = assembledRace(g, spec("portfolio", 600));
+    EXPECT_EQ(errorFor(race, g, spec("portfolio", 600)), "");
+    RaceSection &racers = std::get<RaceSection>(race.section);
+    cut(std::get<SaSection>(racers.racers[1].snapshot.section).cur);
+    expectNamed(race, spec("portfolio", 600), "racer 1: SA current genome");
 }
 
 /** @p p with two block ids swapped: the first pair that keeps it
@@ -509,50 +563,55 @@ TEST(Checkpoint, NonCanonicalGenomeIsRejected)
     // canonicity of the operators' inputs (population, SA state) once,
     // flags them, and refuses a genome that repair would renumber.
     Graph g = mediumGraph();
-    AcceleratorConfig accel;
+    auto unflag = [](Genome &genome) {
+        genome.part.block = std::vector<int>(genome.part.block);
+    };
     auto snapshot = [&](const std::string &algo, int64_t budget) {
-        SearchCheckpoint saved;
-        CancelAfter cancel(budget / 2);
-        CheckpointHooks hooks;
-        hooks.save = [&](const SearchCheckpoint &c) { saved = c; };
-        SearchSpec spec = makeSpec(algo, budget);
-        spec.eval.observer = &cancel;
-        spec.eval.checkpoint = &hooks;
-        CoccoFramework(g, accel).explore(spec);
+        SearchCheckpoint saved = savedAtHalf(g, makeSpec(algo, budget));
         // As a file would hand them back: block vectors, no flags.
-        for (Genome *genome : {&saved.best, &saved.saCur})
-            genome->part.block = std::vector<int>(genome->part.block);
-        for (Genome &genome : saved.population)
-            genome.part.block = std::vector<int>(genome.part.block);
+        unflag(saved.best);
+        if (auto *sa = std::get_if<SaSection>(&saved.section))
+            unflag(sa->cur);
+        if (auto *ga = std::get_if<GaSection>(&saved.section))
+            for (ScoredGenome &m : ga->population)
+                unflag(m.genome);
         return saved;
     };
+    auto population = [](SearchCheckpoint &c) -> std::vector<ScoredGenome> & {
+        return std::get<GaSection>(c.section).population;
+    };
+    auto chain = [](SearchCheckpoint &c) -> Genome & {
+        return std::get<SaSection>(c.section).cur;
+    };
 
+    const SearchSpec gaRun = makeSpec("ga", 400);
     SearchCheckpoint ga = snapshot("ga", 400);
-    ASSERT_GT(ga.population.size(), 3u);
+    ASSERT_GT(population(ga).size(), 3u);
     SearchCheckpoint c = ga;
-    c.population[3].part = swappedIds(g, ga.population[3].part);
-    ASSERT_FALSE(c.population[3].part.isCanonical(g));
-    EXPECT_EQ(checkpointGenomeError(c, g),
+    population(c)[3].genome.part =
+        swappedIds(g, population(ga)[3].genome.part);
+    ASSERT_FALSE(population(c)[3].genome.part.isCanonical(g));
+    EXPECT_EQ(errorFor(c, g, gaRun),
               "population genome 3 is not a canonical partition "
               "(structural repair would renumber or split it)");
     c = ga;
-    for (const Genome &genome : c.population)
-        EXPECT_FALSE(genome.part.canonical());
-    EXPECT_EQ(checkpointGenomeError(c, g), "");
-    for (const Genome &genome : c.population)
-        EXPECT_TRUE(genome.part.canonical());
+    for (const ScoredGenome &m : population(c))
+        EXPECT_FALSE(m.genome.part.canonical());
+    EXPECT_EQ(errorFor(c, g, gaRun), "");
+    for (const ScoredGenome &m : population(c))
+        EXPECT_TRUE(m.genome.part.canonical());
 
+    const SearchSpec saRun = makeSpec("sa", 300);
     SearchCheckpoint sa = snapshot("sa", 300);
-    ASSERT_TRUE(sa.hasSa);
     c = sa;
-    c.saCur.part = swappedIds(g, sa.saCur.part);
-    ASSERT_FALSE(c.saCur.part.isCanonical(g));
-    EXPECT_EQ(checkpointGenomeError(c, g),
+    chain(c).part = swappedIds(g, chain(sa).part);
+    ASSERT_FALSE(chain(c).part.isCanonical(g));
+    EXPECT_EQ(errorFor(c, g, saRun),
               "SA current genome is not a canonical partition "
               "(structural repair would renumber or split it)");
     c = sa;
-    EXPECT_EQ(checkpointGenomeError(c, g), "");
-    EXPECT_TRUE(c.saCur.part.canonical());
+    EXPECT_EQ(errorFor(c, g, saRun), "");
+    EXPECT_TRUE(chain(c).part.canonical());
 }
 
 TEST(Checkpoint, LoaderRejectsOutOfRangeBlockIds)
@@ -562,6 +621,7 @@ TEST(Checkpoint, LoaderRejectsOutOfRangeBlockIds)
     std::string path = "checkpoint_test_block_ids.tmp";
     SearchCheckpoint c;
     c.algo = "ga";
+    c.section = GaSection();
     c.best.part.block = {0, 1, 2};
     c.best.part.numBlocks = 3;
     SearchCheckpoint out;
@@ -579,6 +639,311 @@ TEST(Checkpoint, LoaderRejectsOutOfRangeBlockIds)
             << err;
     }
     std::remove(path.c_str());
+}
+
+// --- The v4 file: one section per snapshot ------------------------------
+
+/** The tag of every line of @p text. */
+std::set<std::string>
+lineTags(const std::string &text)
+{
+    std::set<std::string> tags;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        tags.insert(line.substr(0, line.find(' ')));
+    return tags;
+}
+
+TEST(Checkpoint, EachFileHoldsOnlyItsDriversSection)
+{
+    Graph g = mediumGraph();
+    auto sectionLines = [](const SearchCheckpoint &c) {
+        const std::set<std::string> sectionTags = {"G", "g", "V",
+                                                   "W", "Q", "q"};
+        std::set<std::string> have;
+        for (const std::string &tag : lineTags(encodeCheckpoint(c)))
+            if (sectionTags.count(tag))
+                have.insert(tag);
+        return have;
+    };
+    const std::pair<const char *, std::set<std::string>> runs[] = {
+        {"ga", {"G", "g"}}, {"sa", {"V"}}, {"ts-grid", {"W"}}};
+    for (const auto &[algo, want] : runs) {
+        SCOPED_TRACE(algo);
+        EXPECT_EQ(sectionLines(savedAtHalf(g, makeSpec(algo, 400))), want);
+    }
+
+    // A race of ga and sa: its own lines, and its racers' sections. A
+    // real race may stop a racer before its first boundary (no
+    // section), so only the assembled one is sure to hold both.
+    SearchSpec race = makeSpec("portfolio", 600);
+    race.portfolio.racers = {"ga", "sa"};
+    const std::set<std::string> want = {"Q", "q", "G", "g", "V"};
+    std::set<std::string> have = sectionLines(savedAtHalf(g, race));
+    EXPECT_TRUE(have.count("Q") && have.count("q"));
+    EXPECT_TRUE(std::includes(want.begin(), want.end(), have.begin(),
+                              have.end()));
+    EXPECT_EQ(sectionLines(assembledRace(g, race)), want);
+}
+
+/** @p text split into lines, each with its '\n'. */
+std::vector<std::string>
+linesOf(const std::string &text)
+{
+    std::vector<std::string> lines;
+    for (size_t at = 0; at < text.size();) {
+        const size_t end = text.find('\n', at);
+        lines.push_back(text.substr(at, end + 1 - at));
+        at = end + 1;
+    }
+    return lines;
+}
+
+std::string
+joined(const std::vector<std::string> &lines)
+{
+    std::string text;
+    for (const std::string &line : lines)
+        text += line;
+    return text;
+}
+
+/** Every mutant the loader must refuse, with what was done: each file
+ *  cut at every line boundary and inside every line; each line
+ *  deleted and doubled; each section tag swapped for another
+ *  driver's; and text, a negative and an out-of-range value in each
+ *  numeric field (a negative only where the field is an integer: a
+ *  cost may legitimately be negative under a negative alpha). */
+std::vector<std::pair<std::string, std::string>>
+mutantsOf(const std::string &text)
+{
+    const std::vector<std::string> lines = linesOf(text);
+    const std::vector<std::string> sectionTags = {"G", "V", "W", "Q"};
+    std::vector<std::pair<std::string, std::string>> out;
+    auto add = [&](std::vector<std::string> ls, const std::string &what) {
+        out.emplace_back(joined(ls), what);
+    };
+    for (size_t i = 0; i < lines.size(); ++i) {
+        const std::string at = "line " + std::to_string(i + 1);
+        const std::vector<std::string> head(lines.begin(),
+                                            lines.begin() + i);
+        add(head, "cut before " + at);
+        for (size_t cut : {size_t(1), lines[i].size() / 2,
+                           lines[i].size() - 1}) {
+            std::vector<std::string> ls = head;
+            ls.push_back(lines[i].substr(0, cut));
+            add(ls, "cut inside " + at + " at " + std::to_string(cut));
+        }
+        std::vector<std::string> ls = lines;
+        ls.erase(ls.begin() + static_cast<long>(i));
+        add(ls, "deleted " + at);
+        ls = lines;
+        ls.insert(ls.begin() + static_cast<long>(i), lines[i]);
+        add(ls, "doubled " + at);
+
+        std::vector<std::string> fields;
+        std::istringstream words(lines[i]);
+        for (std::string w; words >> w;)
+            fields.push_back(w);
+        for (const std::string &tag : sectionTags) {
+            if (fields[0] == tag ||
+                std::find(sectionTags.begin(), sectionTags.end(),
+                          fields[0]) == sectionTags.end())
+                continue;
+            ls = lines;
+            ls[i] = tag + lines[i].substr(fields[0].size());
+            add(ls, at + ": tag " + fields[0] + " -> " + tag);
+        }
+        // Field 1 of an A line is the algo, a word.
+        for (size_t f = fields[0] == "A" ? 2 : 1; f < fields.size(); ++f) {
+            const bool real = fields[f].rfind("0x", 0) == 0 ||
+                              fields[f].rfind("-0x", 0) == 0;
+            std::vector<std::string> values = {"x", "99999999999999999999"};
+            if (real)
+                values[1] = "0x1p+99999";
+            else
+                values.push_back("-1");
+            for (const std::string &v : values) {
+                std::vector<std::string> fs = fields;
+                fs[f] = v;
+                std::string line = fs[0];
+                for (size_t k = 1; k < fs.size(); ++k)
+                    line += " " + fs[k];
+                ls = lines;
+                ls[i] = line + "\n";
+                add(ls, at + ": field " + std::to_string(f) + " = " + v);
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Checkpoint, LoaderRefusesEveryMutant)
+{
+    // Small real runs keep the mutant count down: GA, SA and ts-grid
+    // snapshots, and a race of the three with an active, a culled and
+    // a finished racer.
+    Graph g = mediumGraph();
+    SearchSpec spec = makeSpec("ga", 48);
+    spec.ga.population = 6;
+    SearchCheckpoint ga = savedAtHalf(g, spec);
+    spec = makeSpec("sa", 40);
+    SearchCheckpoint sa = savedAtHalf(g, spec);
+    spec = makeSpec("ts-grid", 60);
+    spec.twoStep.population = 4;
+    spec.twoStep.samplesPerCandidate = 20;
+    SearchCheckpoint ts = savedAtHalf(g, spec);
+    ASSERT_TRUE(std::holds_alternative<GaSection>(ga.section));
+    ASSERT_TRUE(std::holds_alternative<SaSection>(sa.section));
+    ASSERT_TRUE(std::holds_alternative<SweepSection>(ts.section));
+
+    SearchCheckpoint race;
+    race.algo = "portfolio";
+    race.fence = 0x5eed;
+    race.samples = ga.samples + sa.samples + ts.samples;
+    race.bestCost = ga.bestCost;
+    race.best = ga.best;
+    RaceSection entries;
+    RaceEntry active;
+    active.snapshot = ga;
+    RaceEntry culled;
+    culled.state = RaceEntry::kCulled;
+    culled.snapshot = sa;
+    culled.snapshot.section = std::monostate();
+    culled.bestBuffer = sa.best.buffer(DseSpace::paperSpace(spec.style));
+    RaceEntry finished;
+    finished.state = RaceEntry::kFinished;
+    finished.snapshot = ts;
+    finished.snapshot.section = std::monostate();
+    finished.bestBuffer = std::get<SweepSection>(ts.section).bestBuffer;
+    entries.racers = {active, culled, finished};
+    race.section = entries;
+
+    size_t mutants = 0;
+    std::vector<std::string> accepted;
+    for (const SearchCheckpoint *c : {&ga, &sa, &ts, &race}) {
+        SCOPED_TRACE(c->algo);
+        const std::string text = encodeCheckpoint(*c);
+        SearchCheckpoint back;
+        ASSERT_EQ(decodeCheckpoint(text, &back), "");
+        EXPECT_EQ(encodeCheckpoint(back), text); // round trip
+        for (const auto &[mutant, what] : mutantsOf(text)) {
+            ++mutants;
+            SearchCheckpoint out;
+            out.algo = "untouched";
+            out.samples = 7;
+            const std::string err = decodeCheckpoint(mutant, &out);
+            if (err.empty() || out.algo != "untouched" || out.samples != 7)
+                accepted.push_back(c->algo + ": " + what);
+        }
+    }
+    EXPECT_GT(mutants, 1000u);
+    EXPECT_TRUE(accepted.empty())
+        << accepted.size() << " mutants accepted, first: "
+        << accepted.front();
+
+    // The file path refuses likewise, with the path, and leaves *out.
+    const std::string path = "checkpoint_test_mutant.tmp";
+    ASSERT_TRUE(saveCheckpoint(race, path));
+    SearchCheckpoint loaded;
+    std::string err;
+    ASSERT_TRUE(loadCheckpoint(path, &loaded, &err)) << err;
+    const std::vector<std::string> lines = linesOf(encodeCheckpoint(race));
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::string cut = joined({lines.begin(), lines.end() - 1});
+    std::fwrite(cut.data(), 1, cut.size(), f);
+    std::fclose(f);
+    SearchCheckpoint out;
+    out.algo = "untouched";
+    EXPECT_FALSE(loadCheckpoint(path, &out, &err));
+    EXPECT_EQ(err.rfind(path + ": truncated checkpoint file", 0), 0u)
+        << err;
+    EXPECT_EQ(out.algo, "untouched");
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, EveryDriversSnapshotFitsItsRun)
+{
+    // checkpointFence is the fence each driver saves, partition-only
+    // too: a frozen two-step space sweeps its one buffer with the
+    // whole budget, not its per-candidate slice.
+    Graph g = mediumGraph();
+    for (const char *algo : {"ga", "sa", "ts-random", "ts-grid"})
+        for (bool coExplore : {true, false}) {
+            SCOPED_TRACE(std::string(algo) + (coExplore ? "" : " frozen"));
+            SearchSpec spec = makeSpec(algo, 400);
+            spec.eval.coExplore = coExplore;
+            SearchCheckpoint c = savedAtHalf(g, spec);
+            EXPECT_EQ(errorFor(c, g, spec), "");
+        }
+}
+
+TEST(Checkpoint, ErrorNamesWhatDiffers)
+{
+    Graph g = mediumGraph();
+    const SearchSpec gaRun = makeSpec("ga", 400);
+    const SearchCheckpoint ga = savedAtHalf(g, gaRun);
+    SearchCheckpoint c = ga;
+    EXPECT_EQ(errorFor(c, g, gaRun), "");
+
+    SearchSpec other = gaRun;
+    other.algo = "sa";
+    EXPECT_EQ(errorFor(c, g, other), "saved by \"ga\", this run is \"sa\"");
+    const std::string fence =
+        "saved by another \"ga\" run (fence mismatch: the model, design "
+        "space, seed, budget, objective or ga parameters differ)";
+    other = gaRun;
+    other.eval.seed = 10;
+    EXPECT_EQ(errorFor(c, g, other), fence);
+    other = gaRun;
+    other.ga.population = 21; // fenced: a GA parameter
+    EXPECT_EQ(errorFor(c, g, other), fence);
+
+    std::get<GaSection>(c.section).population.pop_back();
+    EXPECT_EQ(errorFor(c, g, gaRun),
+              "the GA population holds 19 genomes, this run's holds 20");
+    c = ga;
+    c.section = SweepSection();
+    EXPECT_EQ(errorFor(c, g, gaRun),
+              "the \"ga\" checkpoint carries the sweep section, not the "
+              "ga one");
+    c.section = std::monostate();
+    EXPECT_EQ(errorFor(c, g, gaRun), "the \"ga\" checkpoint has no ga "
+                                     "section");
+
+    SearchSpec raceRun = makeSpec("portfolio", 600);
+    raceRun.portfolio.racers = {"ga", "sa"};
+    c = savedAtHalf(g, raceRun); // a real race fits its own run
+    EXPECT_EQ(errorFor(c, g, raceRun), "");
+    const SearchCheckpoint race = assembledRace(g, raceRun);
+    auto entries = [](SearchCheckpoint &r) -> std::vector<RaceEntry> & {
+        return std::get<RaceSection>(r.section).racers;
+    };
+    c = race;
+    EXPECT_EQ(errorFor(c, g, raceRun), "");
+    entries(c)[1].snapshot.algo = "ts-grid";
+    EXPECT_EQ(errorFor(c, g, raceRun),
+              "racer 1 is \"ts-grid\", this run's racer 1 is \"sa\"");
+    c = race;
+    entries(c)[0].snapshot.section = SaSection();
+    EXPECT_EQ(errorFor(c, g, raceRun),
+              "racer 0: the \"ga\" checkpoint carries the sa section, not "
+              "the ga one");
+    c = race;
+    entries(c)[0].snapshot.fence ^= 1;
+    EXPECT_EQ(errorFor(c, g, raceRun),
+              "racer 0: saved by another \"ga\" run (fence mismatch: the "
+              "model, design space, seed, budget, objective or ga "
+              "parameters differ)");
+    c = race;
+    entries(c).pop_back();
+    EXPECT_EQ(errorFor(c, g, raceRun),
+              "the race holds 1 racers, this run races 2");
+    c = race;
+    entries(c)[1].state = 7;
+    EXPECT_EQ(errorFor(c, g, raceRun),
+              "racer 1 has state 7 (not active, culled or finished)");
 }
 
 } // namespace

@@ -9,7 +9,8 @@
 #    `partition --algo sa` writes the same metrics as a
 #    "mode": "partition" document (name and wall time masked).
 # 2. The run flags work on the flag modes: a --time-limit stop leaves
-#    a --checkpoint that resumes to the uninterrupted result,
+#    a --checkpoint that resumes to the uninterrupted result (another
+#    run's checkpoint is refused before the run, and kept),
 #    --progress streams NDJSON, and SIGINT exits 130 with the metrics
 #    and the cache file written.
 # 3. `run` / `coschedule` refuse a positional model and every flag
@@ -91,12 +92,16 @@ checkpoint_resume() {
   shift
   "$cocco" "$@" --json > "$name.ref" 2> /dev/null
   # The stop must fall after the first batch boundary (there is no
-  # search state to save before it) and before the budget runs out.
-  # Sanitized builds are slower, so double the limit until it does.
+  # search state to save before it; a two-step sweep saves its
+  # position from the start, so wait for a finished candidate) and
+  # before the budget runs out. Sanitized builds are slower, so double
+  # the limit until it does.
   for limit in 0.01 0.02 0.04 0.08 0.16 0.32 0.64 1.28; do
+    rm -f "$name.ck"
     "$cocco" "$@" --time-limit "$limit" --checkpoint "$name.ck" --json \
       > /dev/null 2> "$name.stop.log"
-    [ -e "$name.ck" ] && break
+    [ -e "$name.ck" ] && grep -q 'checkpoint: saved .* at [1-9]' \
+      "$name.stop.log" && break
   done
   grep -q 'checkpoint: saved' "$name.stop.log" && [ -s "$name.ck" ] ||
     fail "$name: a --time-limit stop left no checkpoint"
@@ -111,6 +116,26 @@ checkpoint_resume() {
 checkpoint_resume ck-coexplore coexplore GoogleNet --samples 10000
 checkpoint_resume ck-partition partition GoogleNet --algo sa \
   --samples 10000
+# A two-step stop falls inside a candidate after the first: the file
+# holds the sweep's position before it, and the resume re-runs that
+# candidate.
+checkpoint_resume ck-ts-grid coexplore GoogleNet --algo ts-grid \
+  --samples 20000
+
+# Another run's checkpoint is refused before the run: exit 1 with
+# `fatal: <file>: <reason>`, no resume line, and the file stays.
+for limit in 0.05 0.1 0.2 0.4 0.8 1.6; do
+  "$cocco" coexplore NasNet --algo ga --samples 2000000 \
+    --time-limit "$limit" --checkpoint other.ck > /dev/null 2>&1
+  [ -e other.ck ] && break
+done
+rc=0
+"$cocco" coexplore NasNet --algo sa --samples 2000 --checkpoint other.ck \
+  > /dev/null 2> other.log || rc=$?
+[ "$rc" -eq 1 ] &&
+  grep -qxF 'fatal: other.ck: saved by "ga", this run is "sa"' other.log &&
+  ! grep -q 'checkpoint: resuming' other.log && [ -s other.ck ] ||
+  fail "another run's checkpoint: exit $rc, '$(cat other.log)'"
 
 "$cocco" coexplore GoogleNet --samples 400 --progress > /dev/null \
   2> progress.log

@@ -66,7 +66,7 @@ fullRun()
     m.meanLatencyMs = 12.5;
     m.tenants = {{"vision", 0, 40.5, 18.5, 20.25, 3500000.5, true},
                  {"mobile", 1, 25.5, 30.5, 10.75, 1.25, false}};
-    m.hasPortfolio = true;
+    m.hasRace = true;
     m.portfolioWinner = "ga";
     m.racers = {{"ga", 600, 12345.625, 9, 0.25, 2, 1, false, true, "budget"},
                 {"sa", 400, 13000.5, 4, 0.125, 1, 0, true, false, "culled"}};
@@ -259,7 +259,7 @@ TEST(Metrics, ReaderRejectsDocumentsNoWriterProduces)
     run.run();
     RunMetrics m = run.metrics();
     m.cacheEnabled = spec.eval.cacheEnabled;
-    ASSERT_TRUE(m.hasDeployment && m.hasPortfolio);
+    ASSERT_TRUE(m.hasDeployment && m.hasRace);
     const JsonValue doc = parsed(metricsToJson("cocco_cli", {m}));
     ASSERT_EQ(rejection(doc), "");
 

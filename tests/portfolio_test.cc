@@ -325,11 +325,11 @@ TEST(Portfolio, CheckpointRoundTripsThroughTheFile)
     EXPECT_EQ(partial.stop, StopReason::Cancelled);
     ASSERT_TRUE(haveSaved);
     EXPECT_EQ(saved.algo, "portfolio");
-    ASSERT_TRUE(saved.hasPortfolio);
-    ASSERT_EQ(saved.racers.size(), 2u);
-    ASSERT_EQ(saved.racerState.size(), 2u);
-    EXPECT_EQ(saved.racers[0].algo, "ga");
-    EXPECT_EQ(saved.racers[1].algo, "sa");
+    const auto *race = std::get_if<RaceSection>(&saved.section);
+    ASSERT_NE(race, nullptr);
+    ASSERT_EQ(race->racers.size(), 2u);
+    EXPECT_EQ(race->racers[0].snapshot.algo, "ga");
+    EXPECT_EQ(race->racers[1].snapshot.algo, "sa");
 
     std::string path = "portfolio_test_ck.tmp";
     ASSERT_TRUE(saveCheckpoint(saved, path));
@@ -340,16 +340,19 @@ TEST(Portfolio, CheckpointRoundTripsThroughTheFile)
 
     EXPECT_EQ(loaded.algo, saved.algo);
     EXPECT_EQ(loaded.fence, saved.fence);
-    EXPECT_TRUE(loaded.hasPortfolio);
-    ASSERT_EQ(loaded.racers.size(), saved.racers.size());
-    ASSERT_EQ(loaded.racerState, saved.racerState);
-    for (size_t i = 0; i < loaded.racers.size(); ++i) {
-        EXPECT_EQ(loaded.racers[i].algo, saved.racers[i].algo);
-        EXPECT_EQ(loaded.racers[i].fence, saved.racers[i].fence);
-        EXPECT_EQ(loaded.racers[i].samples, saved.racers[i].samples);
-        EXPECT_EQ(loaded.racers[i].bestCost, saved.racers[i].bestCost);
-        EXPECT_EQ(loaded.racers[i].trace.size(),
-                  saved.racers[i].trace.size());
+    const auto *back = std::get_if<RaceSection>(&loaded.section);
+    ASSERT_NE(back, nullptr);
+    ASSERT_EQ(back->racers.size(), race->racers.size());
+    for (size_t i = 0; i < back->racers.size(); ++i) {
+        const RaceEntry &a = back->racers[i], &b = race->racers[i];
+        EXPECT_EQ(a.state, b.state);
+        EXPECT_EQ(a.bestBuffer, b.bestBuffer);
+        EXPECT_EQ(a.snapshot.algo, b.snapshot.algo);
+        EXPECT_EQ(a.snapshot.fence, b.snapshot.fence);
+        EXPECT_EQ(a.snapshot.samples, b.snapshot.samples);
+        EXPECT_EQ(a.snapshot.bestCost, b.snapshot.bestCost);
+        EXPECT_EQ(a.snapshot.trace.size(), b.snapshot.trace.size());
+        EXPECT_EQ(a.snapshot.section.index(), b.snapshot.section.index());
     }
 }
 
@@ -392,11 +395,10 @@ TEST(Portfolio, CorruptRacerSectionIsRejected)
     SearchCheckpoint c;
     c.algo = "portfolio";
     c.fence = 0x1234;
-    c.seed = 1;
-    c.hasPortfolio = true;
-    c.racers.resize(1);
-    c.racers[0].algo = "ga";
-    c.racerState = {SearchCheckpoint::kRacerActive};
+    RaceSection race;
+    race.racers.resize(1);
+    race.racers[0].snapshot.algo = "ga"; // a fresh-start marker
+    c.section = race;
 
     std::string path = "portfolio_test_corrupt.tmp";
     ASSERT_TRUE(saveCheckpoint(c, path));

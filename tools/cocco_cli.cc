@@ -762,12 +762,13 @@ runSearch(const CliArgs &a, SearchSpec spec, const std::string &where)
         if (std::FILE *probe =
                 std::fopen(a.checkpointFile.c_str(), "r")) {
             std::fclose(probe);
-            // An existing-but-corrupt checkpoint is fatal, not a
-            // silent cold start: the user asked to resume.
+            // An existing-but-corrupt checkpoint, or another run's,
+            // is fatal before the run, not a silent cold start: the
+            // user asked to resume. The file stays for that run.
             if (!loadCheckpoint(a.checkpointFile, &resume, &ckerr))
                 fatal("%s", ckerr.c_str());
-            ckerr = checkpointGenomeError(
-                resume, run.framework()->model().graph());
+            ckerr = checkpointError(resume, run.framework()->model(),
+                                    searchSpace(rs), rs);
             if (!ckerr.empty())
                 fatal("%s: %s", a.checkpointFile.c_str(), ckerr.c_str());
             hooks.resume = &resume;
